@@ -11,9 +11,16 @@ series:
 * ``engine`` — ``smooth_many()``: batched preaggregation, batched moment
   kernels, shared caches.
 
+A fourth lane, ``refresh``, times the dashboard refresh the engine's
+search-state cache serves: one persistent :class:`~repro.engine.BatchEngine`
+(ASAP strategy) smooths the dashboard once ("first sight", every series
+unseen), then a refresh in which half the series are unchanged and half are
+new.  Both are reported as absolute series/s.
+
 Before timing anything the engine's results are verified to be bit-identical
-to the looped results for every strategy (the equivalence guarantee of
-``repro.engine``); the process exits non-zero on any mismatch.
+to the looped results for every strategy and for the refresh sequence (the
+equivalence guarantee of ``repro.engine``); the process exits non-zero on
+any mismatch.
 
 Run standalone (it is not a pytest-benchmark module)::
 
@@ -32,6 +39,7 @@ import time
 import numpy as np
 
 from repro import smooth, smooth_many
+from repro.engine import BatchEngine
 
 #: Strategies whose candidates form a fixed grid — the engine's headline
 #: speedup target (the batched kernels evaluate the whole grid in one call).
@@ -85,6 +93,54 @@ def verify_bit_identity(series, resolution: int, strategies) -> None:
         print(f"  {strategy:11s} bit-identical across {len(series)} series")
 
 
+def refresh_batches(series: list[np.ndarray], args: argparse.Namespace) -> list:
+    """One refresh per timing repeat: the dashboard's first half unchanged,
+    the second half replaced by series no engine has seen."""
+    keep = len(series) // 2
+    fresh = make_dashboard((len(series) - keep) * args.repeats, args.length, args.seed + 1)
+    step = len(series) - keep
+    return [series[:keep] + fresh[r * step : (r + 1) * step] for r in range(args.repeats)]
+
+
+def verify_refresh_identity(series, refreshes, resolution: int, workers) -> None:
+    """Assert a persistent engine's refreshes == looped smooth, exactly."""
+    engine = BatchEngine(resolution=resolution, strategy="asap", workers=workers)
+    for batch in [series, *refreshes]:
+        looped = [smooth(s, resolution=resolution) for s in batch]
+        batched = engine.smooth_many(batch)
+        mismatches = sum(1 for a, b in zip(looped, batched) if a != b)
+        if mismatches:
+            print(
+                f"FAIL: refresh: {mismatches}/{len(batch)} series differ "
+                "between a persistent engine and the looped smooth()",
+                file=sys.stderr,
+            )
+            sys.exit(1)
+    print(f"  {'refresh':11s} bit-identical across first sight + {len(refreshes)} refreshes")
+
+
+def time_refresh(series, refreshes, resolution: int, workers) -> dict:
+    """Best-of first-sight and refresh times, one fresh engine per repeat."""
+    first_times, refresh_times = [], []
+    for batch in refreshes:
+        engine = BatchEngine(resolution=resolution, strategy="asap", workers=workers)
+        started = time.perf_counter()
+        engine.smooth_many(series)
+        first_times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        engine.smooth_many(batch)
+        refresh_times.append(time.perf_counter() - started)
+    first, refresh = min(first_times), min(refresh_times)
+    return {
+        "strategy": "asap",
+        "unchanged_fraction": (len(series) // 2) / len(series),
+        "first_sight_seconds": first,
+        "first_sight_series_per_second": len(series) / first,
+        "refresh_seconds": refresh,
+        "refresh_series_per_second": len(refreshes[0]) / refresh,
+    }
+
+
 def run(args: argparse.Namespace) -> int:
     from repro.core.search import STRATEGIES
 
@@ -105,10 +161,12 @@ def run(args: argparse.Namespace) -> int:
 
     print("verifying equivalence guarantee (smooth_many == looped smooth):")
     verify_bit_identity(series, args.resolution, strategies)
+    refreshes = refresh_batches(series, args)
+    verify_refresh_identity(series, refreshes, args.resolution, args.workers)
 
     header = (
         f"{'strategy':11s} {'naive loop':>12s} {'loop':>12s} {'engine':>12s} "
-        f"{'naive/engine':>13s} {'loop/engine':>12s}"
+        f"{'naive/engine':>13s} {'loop/engine':>12s} {'engine series/s':>16s}"
     )
     print()
     print(header)
@@ -147,13 +205,15 @@ def run(args: argparse.Namespace) -> int:
             "engine_seconds": engine,
             "naive_over_engine": naive / engine,
             "loop_over_engine": loop / engine,
+            "engine_series_per_second": len(series) / engine,
         }
         if strategy in GRID_STRATEGIES:
             grid_naive_total += naive
             grid_engine_total += engine
         print(
             f"{strategy:11s} {naive * 1e3:10.1f} ms {loop * 1e3:10.1f} ms "
-            f"{engine * 1e3:10.1f} ms {naive / engine:12.2f}x {loop / engine:11.2f}x"
+            f"{engine * 1e3:10.1f} ms {naive / engine:12.2f}x {loop / engine:11.2f}x "
+            f"{len(series) / engine:16.0f}"
         )
 
     aggregate = None
@@ -166,6 +226,16 @@ def run(args: argparse.Namespace) -> int:
         # Timing never fails the run: CI machines throttle unpredictably, and
         # the contract this benchmark enforces is bit-identity (checked above,
         # which exits non-zero on violation), not speed.
+
+    refresh = time_refresh(series, refreshes, args.resolution, args.workers)
+    print(
+        f"\nrefresh lane (asap, one persistent engine, "
+        f"{refresh['unchanged_fraction']:.0%} of the series unchanged):\n"
+        f"  first sight {refresh['first_sight_seconds'] * 1e3:9.1f} ms "
+        f"{refresh['first_sight_series_per_second']:9.0f} series/s\n"
+        f"  refresh     {refresh['refresh_seconds'] * 1e3:9.1f} ms "
+        f"{refresh['refresh_series_per_second']:9.0f} series/s"
+    )
 
     if args.json:
         payload = {
@@ -180,9 +250,14 @@ def run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "smoke": args.smoke,
             },
-            "identity": {"ok": True, "strategies_verified": list(strategies)},
+            "identity": {
+                "ok": True,
+                "strategies_verified": list(strategies),
+                "refresh_verified": True,
+            },
             "timings": per_strategy,
             "grid_aggregate_naive_over_engine": aggregate,
+            "refresh": refresh,
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)

@@ -40,6 +40,9 @@ SPEEDUP_KEYS = {
 }
 
 EXTRA_NOTES = {
+    "batch_engine": lambda p: (
+        f"refresh {p.get('refresh', {}).get('refresh_series_per_second', 0.0):.0f} series/s"
+    ),
     "kernels": lambda p: f"fallbacks {p.get('fallback_rate', 0.0):.1%}",
     "messy": lambda p: f"{p.get('gaps_filled', 0)} gap points filled",
     "pyramid": lambda p: f"{p.get('view_cache_hits', 0)} view-cache hits",

@@ -171,7 +171,7 @@ class Client:
         # own; they belong to the next tick()/close of their own stream.
         self._pending_frames: dict[str, list] = {}
 
-    #: Engines (each holding an ACF cache) kept per distinct spec; least
+    #: Engines (each holding a search-state cache) kept per distinct spec; least
     #: recently used beyond this are dropped, so per-call override sweeps
     #: (e.g. arbitrary client resolutions) cannot grow memory unboundedly.
     MAX_CACHED_ENGINES = 8
@@ -207,7 +207,7 @@ class Client:
         """Smooth a whole batch; returns a :class:`~repro.engine.BatchResult`.
 
         Engines are kept per spec, so repeated refreshes with the same
-        configuration share the ACF cache exactly as a hand-held
+        configuration share the search-state cache exactly as a hand-held
         :class:`~repro.engine.BatchEngine` would.
         """
         return self._engine_for(self._resolved(spec, overrides)).smooth_many(batch)

@@ -45,6 +45,7 @@ __all__ = [
     "evaluate_window_grid",
     "EvaluationCache",
     "WindowEvaluation",
+    "resolve_kernel",
 ]
 
 
@@ -94,6 +95,24 @@ def evaluate_window_grid(values, windows) -> list[WindowEvaluation]:
     ]
 
 
+def resolve_kernel(kernel: str | None) -> tuple[str, str]:
+    """The ``(kernel, backend)`` pair an :class:`EvaluationCache` runs with.
+
+    ``None`` resolves through :func:`repro.spec.default_kernel`.  The
+    backend is the kernel that actually evaluates: ``"numba"`` degrades
+    gracefully to the numpy ``"grid"`` kernels when the optional dependency
+    is missing.  Content-keyed caches of search state key on the backend,
+    because the backends round differently.
+    """
+    if kernel is None:
+        from ..spec import default_kernel
+
+        kernel = default_kernel()
+    if kernel not in ("grid", "scalar", "numba"):
+        raise SpecError(f"kernel must be 'grid', 'scalar', or 'numba', got {kernel!r}")
+    return kernel, "grid" if kernel == "numba" and not accel.HAVE_NUMBA else kernel
+
+
 class EvaluationCache:
     """Memoized candidate evaluations for one (searched) series.
 
@@ -140,17 +159,8 @@ class EvaluationCache:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
-        if kernel is None:
-            from ..spec import default_kernel
-
-            kernel = default_kernel()
-        if kernel not in ("grid", "scalar", "numba"):
-            raise SpecError(f"kernel must be 'grid', 'scalar', or 'numba', got {kernel!r}")
         self.values = arr
-        self.kernel = kernel
-        # The effective backend: "numba" degrades gracefully to the numpy
-        # grid kernels when the optional dependency is missing.
-        self.backend = "grid" if kernel == "numba" and not accel.HAVE_NUMBA else kernel
+        self.kernel, self.backend = resolve_kernel(kernel)
         self._evaluations: dict[int, WindowEvaluation] = {}
         self._original: tuple[float, float] | None = None
         self._touched: set[int] = set()

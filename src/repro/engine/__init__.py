@@ -8,8 +8,10 @@ package executes that workload through the single-series pipeline of
 * :func:`smooth_many` / :class:`BatchEngine` — smooth a 2-D array, a list of
   arrays or :class:`~repro.timeseries.TimeSeries`, or a dict of labeled
   series in one call, with batched preaggregation and candidate-evaluation
-  kernels, an LRU cache of ACF analyses shared across refreshes, and
-  optional thread/process fan-out;
+  kernels, optional thread/process fan-out, and a search-state cache
+  (:class:`ACFCache`) shared across refreshes: a series resubmitted
+  unchanged replays its earlier search over its memoized ACF analysis and
+  candidate evaluations instead of recomputing them;
 * :class:`BatchResult` / :class:`BatchStats` — per-series
   :class:`~repro.core.result.SmoothingResult`\\ s in input order plus
   aggregate timing and cache accounting.
@@ -20,8 +22,10 @@ strategy and input shape.  The batched kernels the engine actually drives —
 :func:`repro.spectral.convolution.sma_grid_moments` for the candidate grids
 and the row-wise original-moment reductions — produce, row for row, exactly
 the values the per-series pipeline computes through the same kernels, and
-the ACF cache only ever returns analyses the per-series search would have
-computed itself.  The engine therefore never
+the search-state cache only ever returns analyses and evaluations the
+per-series search would have computed itself, keyed by everything that
+search depends on (searched content and length, resolved ``max_window``,
+strategy, kernel backend).  The engine therefore never
 trades accuracy for speed — ``tests/engine`` asserts exact equality, and
 every pre-filled evaluation cache is revalidated against the values the
 pipeline derives on its own.

@@ -19,10 +19,12 @@ batch pays for its shared work once:
   members land on the same point-to-pixel ratio — the common dashboard case
   of many same-resolution charts over different history lengths — batch just
   as well as rectangular ones.
-* **Shared ACF analyses** — the ASAP strategy's FFT-based autocorrelation
-  analyses are memoized in an :class:`~repro.engine.cache.ACFCache` keyed by
-  series content, so refreshes that resubmit unchanged series skip the
-  transforms.
+* **Reused search state** — the per-series strategies (ASAP, binary, and
+  the grid strategies off the fast path) take each series' ACF analysis and
+  :class:`~repro.core.smoothing.EvaluationCache` from an
+  :class:`~repro.engine.cache.ACFCache` keyed by searched content, so a
+  refresh that resubmits an unchanged series replays its search over the
+  memo: no FFT, moment kernel or candidate SMA.
 * **Worker fan-out** — adaptive strategies and ragged batches can spread
   across a thread or process pool.
 
@@ -76,6 +78,8 @@ class BatchStats:
     workers: int
     executor: str
     used_fast_path: bool
+    #: Search-state lookups that resolved an ACF analysis (ASAP strategy
+    #: only), split into reuses and fresh analyses.
     acf_cache_hits: int
     acf_cache_misses: int
     #: Ratio cohorts (groups of series sharing one searched length, and
@@ -256,11 +260,14 @@ class BatchEngine:
         grid-shaped strategies on equal-length batches use the batched
         kernels instead, which beat thread fan-out on any core count.
     executor:
-        ``"thread"`` (default; shares the ACF cache) or ``"process"``
+        ``"thread"`` (default; shares the search-state cache) or ``"process"``
         (bypasses the shared cache, worth it only for very large per-series
         work).
     acf_cache_size:
-        Capacity of the ACF LRU shared across this engine's calls.
+        Capacity of the search-state LRU shared across this engine's calls:
+        one entry per (searched content, resolved ``max_window``, strategy,
+        kernel backend), holding that series' ACF analysis and candidate
+        evaluations, so memory is bounded by entries × searched length.
     kernel:
         Candidate-evaluation kernel, ``"grid"`` or ``"scalar"`` (reference).
     """
@@ -368,6 +375,7 @@ class BatchEngine:
         if (
             self.strategy not in GRID_STRATEGY_STEPS
             or self.kernel != "grid"
+            or self.spec.normalize
             or self._effective_workers() > 1
             or not items
         ):
@@ -468,25 +476,29 @@ class BatchEngine:
     def _prepared_search_state(
         self, item
     ) -> tuple[EvaluationCache | None, ACFAnalysis | None]:
-        """Per-series search inputs computed once: the cache and (asap) ACF.
+        """The series' search state from the engine-wide LRU: cache and ACF.
 
-        Preaggregation runs here exactly as the pipeline would run it; handing
-        the result to :func:`smooth` as a cache skips the duplicate pass, and
-        the ACF comes from the engine-wide LRU so refreshes that resubmit a
-        series skip the FFTs.  Both are precisely the values the search would
-        derive on its own, preserving the equivalence guarantee.
+        Preaggregation runs here exactly as the pipeline would run it, and the
+        searched values key the :class:`~repro.engine.cache.ACFCache`.  A
+        series seen before gets back its ACF analysis and the evaluation cache
+        its earlier search filled, so :func:`smooth` replays that search
+        without an FFT or a kernel call; an unseen one gets a fresh state its
+        search fills for the next refresh.  Either way the state holds
+        precisely the values the search would derive on its own, preserving
+        the equivalence guarantee.  Inputs the pipeline rejects (too short,
+        non-finite) or rewrites (``normalize``) get no state, so
+        :func:`smooth` runs end to end and raises or normalizes itself.
         """
         values = _item_values(item)
-        if values.ndim != 1 or values.size < 4:
+        if self.spec.normalize or values.ndim != 1 or values.size < 4:
             return None, None
         searched = prepare_search_input(
             values, self.resolution, self.use_preaggregation
         ).values
-        cache = EvaluationCache(searched, kernel=self.kernel)
-        if self.strategy != "asap" or searched.size < 4:
-            return cache, None
+        if searched.size < 4 or not np.isfinite(searched).all():
+            return None, None
         limit = resolve_max_window(searched, self.max_window)
-        return cache, self.acf_cache.get_or_compute(searched, limit)
+        return self.acf_cache.search_state(searched, limit, self.strategy, self.kernel)
 
 
 def smooth_many(
@@ -510,8 +522,8 @@ def smooth_many(
     fraction of the cost for grid-shaped strategies, whose candidate
     evaluations are batched into single vectorized kernel calls.
 
-    Construct a :class:`BatchEngine` directly to keep the ACF cache warm
-    across refreshes.
+    Construct a :class:`BatchEngine` directly to keep the search-state cache
+    warm across refreshes.
 
     >>> import numpy as np
     >>> from repro.engine import smooth_many
