@@ -5,8 +5,8 @@ The story in five acts:
 1. bring up a :class:`~repro.cluster.ShardedHub` with 4 process shards and
    a dozen live streams;
 2. serve a while (buffered ingest, one batched IPC round per shard per
-   tick), then take a durable checkpoint (:mod:`repro.persist` — one NPZ
-   file, no pickle);
+   tick), then take a durable checkpoint (:mod:`repro.persist` — one
+   file: a JSON manifest plus raw array bytes, no pickle);
 3. hard-kill one shard worker, mid-service;
 4. the next tick raises :class:`~repro.cluster.ShardDownError` — drop the
    dead shard and restore its streams from the checkpoint onto the
@@ -73,7 +73,7 @@ def main() -> None:
         frames_served += sum(len(f) for f in hub.tick().values())
         position += CHUNK
     print(f"2) served {WARM_ROUNDS} rounds ({frames_served} frames); checkpointing")
-    checkpoint_path = Path(tempfile.mkstemp(suffix=".npz", prefix="cluster-")[1])
+    checkpoint_path = Path(tempfile.mkstemp(suffix=".ckpt", prefix="cluster-")[1])
     hub.checkpoint(checkpoint_path)
     print(f"   wrote {checkpoint_path} ({checkpoint_path.stat().st_size} bytes)")
 

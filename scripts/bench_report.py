@@ -16,8 +16,12 @@ baseline entry names a benchmark and the speedup floor it must clear.  The
 check fails (exit 1) when a baselined benchmark is missing, failed identity,
 was run in ``--smoke`` mode (smoke sizes are identity gates, not performance
 measurements — floors can only be judged on full runs), or fell below its
-floor.  Benchmarks present in the reports but absent from the baselines are
-reported informationally and never gate.
+floor.  An entry may also carry a ``max_ratio`` ceiling on the benchmark's
+lower-is-better cost ratio (:data:`RATIO_KEYS` — for ``net``, the
+``wire_overhead`` of remote over in-process snapshots); a report above its
+ceiling, or without the ratio, fails the same way.  Benchmarks present in the
+reports but absent from the baselines are reported informationally and never
+gate.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ SPEEDUP_KEYS = {
     "kernels": "speedup",
     "messy": "speedup",
     "net": "pipelining_speedup",
+}
+
+# Lower-is-better cost ratios a baseline's ``max_ratio`` ceiling bounds.
+RATIO_KEYS = {
+    "net": "wire_overhead",
 }
 
 EXTRA_NOTES = {
@@ -165,6 +174,20 @@ def check_baselines(reports: list[dict], baselines_path: str) -> int:
             failures.append(f"{name}: speedup {speedup:.2f}x below ratcheted floor {minimum:.2f}x")
         else:
             print(f"ratchet ok: {name} {speedup:.2f}x >= {minimum:.2f}x")
+        if "max_ratio" in floor:
+            ceiling = float(floor["max_ratio"])
+            key = RATIO_KEYS.get(name)
+            ratio = payload.get(key) if key else None
+            if not isinstance(ratio, (int, float)):
+                failures.append(
+                    f"{name}: payload has no {key or 'ratio'} (ceiling {ceiling:.2f}x unchecked)"
+                )
+            elif ratio > ceiling:
+                failures.append(
+                    f"{name}: {key} {ratio:.2f}x above ratcheted ceiling {ceiling:.2f}x"
+                )
+            else:
+                print(f"ratchet ok: {name} {key} {ratio:.2f}x <= {ceiling:.2f}x")
     for failure in failures:
         print(f"RATCHET FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -181,7 +204,10 @@ def main(argv=None) -> int:
         "--check",
         metavar="BASELINES",
         default=None,
-        help="enforce speedup floors from this baselines JSON (exit 1 on violation)",
+        help=(
+            "enforce speedup floors and ratio ceilings from this baselines JSON "
+            "(exit 1 on violation)"
+        ),
     )
     parser.add_argument(
         "--output", default=None, help="also write the merged reports to this JSON file"

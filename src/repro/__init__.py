@@ -22,7 +22,7 @@ networked server by changing one argument::
     stream = client.stream(pane_size=4, refresh_interval=25)
     stream.ingest(timestamps, values)
     frames = stream.tick()
-    client.checkpoint("state.npz")         # durable; restores bit-identically
+    client.checkpoint("state.ckpt")        # durable; restores bit-identically
 
 The direct entry points (``smooth``, ``smooth_many``, ``StreamHub``,
 ``ShardedHub``, ...) remain first-class — they are thin shims over the same

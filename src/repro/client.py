@@ -17,8 +17,8 @@ configuration spelling.  :func:`connect` replaces that with one argument::
     stream = client.stream(pane_size=4)                 # StreamHandle
     stream.ingest(timestamps, values)                   # list[Frame]
     client.tick()                                       # {stream_id: [Frame, ...]}
-    client.checkpoint("state.npz")                      # durable snapshot
-    client = repro.client.restore("state.npz")          # resume, bit-identical
+    client.checkpoint("state.ckpt")                     # durable snapshot
+    client = repro.client.restore("state.ckpt")         # resume, bit-identical
 
 The same program scales from one in-process series to a multi-process
 sharded cluster to a networked server by changing the *backend* argument;

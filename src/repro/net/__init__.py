@@ -16,8 +16,8 @@ existing event loop) puts any hub — :class:`~repro.service.StreamHub` or a
     for event in client.pushes(timeout=1.0):
         event.frames  # delivered at each refresh boundary
 
-The wire protocol is the checkpoint codec's NPZ+JSON envelope behind an
-8-byte length-prefixed header — pickle-free, schema-stamped (one
+The wire protocol is the checkpoint codec's raw-buffer envelope (JSON
+manifest plus raw array bytes) behind an 8-byte length-prefixed header — pickle-free, schema-stamped (one
 ``SCHEMA_VERSION`` governs checkpoints *and* the protocol), bounded at
 ``MAX_MESSAGE_BYTES``.  See :mod:`repro.net.wire` for the message shapes,
 :mod:`repro.net.server` for subscription/backpressure semantics, and the

@@ -1,8 +1,8 @@
 """The network tier's message codec: result objects <-> wire trees <-> bytes.
 
 Every message on an ASAP connection is one :mod:`repro.persist.codec`
-envelope (the checkpoint NPZ+JSON format — no pickle is ever read or
-written) behind the codec's 8-byte length-prefixed header
+envelope (the checkpoint format: a JSON manifest plus raw array bytes —
+no pickle is ever read or written) behind the codec's 8-byte length-prefixed header
 (:func:`repro.persist.codec.frame_message`).  Because the payload *is* a
 codec envelope, the wire protocol's version is the checkpoint
 :data:`~repro.persist.codec.SCHEMA_VERSION`: a client and server built
@@ -78,9 +78,9 @@ def encode_message(state: dict, *, limit: int = MAX_MESSAGE_BYTES) -> bytes:
 def decode_payload(payload: bytes) -> dict:
     """Decode one message payload (the bytes *after* the header).
 
-    Wraps every codec failure — garbage bytes, a truncated NPZ, a schema
-    mismatch — in :class:`~repro.errors.WireProtocolError`, preserving the
-    codec's message (for a schema mismatch that message names both
+    Wraps every codec failure — garbage bytes, a truncated or hostile
+    envelope, a schema mismatch — in :class:`~repro.errors.WireProtocolError`,
+    preserving the codec's message (for a schema mismatch that message names both
     versions, which is exactly the handshake diagnostic).
     """
     try:

@@ -10,10 +10,10 @@ state durable:
 * :func:`restore` — rebuild it, with the repo-wide guarantee applied to
   durability: the restored hub emits **bit-identical** subsequent frames to
   one that was never interrupted;
-* :mod:`repro.persist.codec` — the wire format: one NPZ payload holding a
-  JSON manifest plus the state's arrays, versioned by
+* :mod:`repro.persist.codec` — the wire format: one raw-buffer envelope
+  holding a JSON manifest plus the state's arrays' raw bytes, versioned by
   :data:`~repro.persist.codec.SCHEMA_VERSION` and written/read entirely with
-  the standard library and numpy (no pickle).
+  the standard library and numpy (no pickle, no object dtypes).
 
 Derived caches are never persisted — they rebuild lazily after restore.
 """

@@ -1,28 +1,38 @@
-"""The checkpoint wire format: nested state dicts <-> one NPZ payload.
+"""The checkpoint wire format: nested state dicts <-> one raw-buffer envelope.
 
 Checkpoints are **dependency-free**: the only serialization machinery used is
-the standard library's :mod:`json` plus numpy's NPZ container (a zip of
-``.npy`` files), both of which every consumer of this repo already has.  No
-pickle is ever written or read (``np.load`` runs with ``allow_pickle=False``),
-so a checkpoint can be inspected, diffed, and loaded across Python versions
+the standard library's :mod:`json` and :mod:`struct` plus numpy's raw array
+buffers, all of which every consumer of this repo already has.  No pickle is
+ever written or read, and no object dtype ever crosses the boundary, so a
+checkpoint can be inspected, diffed, and loaded across Python versions
 without executing anything.
 
-**Layout.**  A payload is ``np.savez_compressed`` output with:
+**Layout.**  A payload is::
 
-* ``manifest`` — a UTF-8 JSON document stored as a ``uint8`` array:
-  ``{"schema": <int>, "kind": <str>, "state": <tree>}``.  The tree mirrors
+    ENVELOPE_MAGIC (4 bytes) | manifest length (big-endian u32) |
+    manifest (UTF-8 JSON) | the arrays' raw bytes, back to back
+
+* the manifest is ``{"schema": <int>, "kind": <str>, "state": <tree>,
+  "arrays": [[dtype.str, shape, offset, nbytes], ...]}``.  The tree mirrors
   the producer's ``state_dict()`` nesting; scalars (bool/int/float/str/None)
   are stored inline — floats round-trip exactly because :mod:`json` writes
   shortest-repr float64, and non-finite floats use JSON's ``NaN``/
   ``Infinity`` extension — and every numpy array is replaced by the marker
-  ``{"__npz__": "<entry>"}``;
-* one NPZ entry per array, named ``arr0``, ``arr1``, ... in tree order.
+  ``{"__npz__": "arrN"}``, ``N`` indexing ``arrays`` in tree order;
+* each array's bytes are its C-order ``tobytes()`` in its own dtype
+  (endianness included), ``offset`` counted from the end of the manifest.
 
 ``loads``/``load`` invert the transformation and enforce the schema version:
-a payload written by a *newer* schema is rejected with
-:class:`CheckpointError` naming both versions (the policy is a single
-monotone integer — any field change that old readers would misinterpret bumps
-it; see the README's "Cluster & durability" section).
+a payload written by another schema is rejected with :class:`CheckpointError`
+naming both versions (the policy is a single monotone integer — any field
+change that old readers would misinterpret bumps it; see the README's
+"Cluster & durability" section).  Every array descriptor is validated before
+any array byte is read — dtype on an allowlist of plain kinds (bool,
+numbers, bytes, unicode), non-negative dims, ``prod(shape) * itemsize ==
+nbytes``, contiguous in-bounds offsets, no trailing bytes — and each array is
+returned as an owned, writable copy.  Any malformed payload, hostile or
+corrupt, raises :class:`CheckpointError`, never a bare ``RecursionError`` or
+``TypeError``.
 
 **Wire framing.**  The network serving tier (:mod:`repro.net`) speaks this
 same envelope over sockets: every message is one ``dumps`` payload behind an
@@ -35,10 +45,10 @@ same :data:`SCHEMA_VERSION`, enforced in one place (``loads``).
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import re
 import struct
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +58,7 @@ from ..errors import CheckpointError, WireProtocolError
 __all__ = [
     "CheckpointError",
     "SCHEMA_VERSION",
+    "ENVELOPE_MAGIC",
     "dumps",
     "loads",
     "dump",
@@ -80,17 +91,38 @@ __all__ = [
 #: ``subscribe_queue``), which version-5 readers would reject as unknown
 #: fields; the same integer stamps every :mod:`repro.net` wire message, so a
 #: client and server disagreeing on any of the above fail the handshake.
-SCHEMA_VERSION = 6
+#: Version 7: the NPZ (zip + deflate) container is replaced by the raw-buffer
+#: envelope described above, which version-6 readers cannot parse.
+SCHEMA_VERSION = 7
+
+#: First bytes of every payload.
+ENVELOPE_MAGIC = b"ASRB"
 
 #: Marker key replacing numpy arrays in the JSON manifest tree.
 _ARRAY_MARKER = "__npz__"
 
+_ENVELOPE_HEADER = struct.Struct(">4sI")
 
-def _flatten(node, arrays: dict, path: str):
-    """Replace arrays with NPZ markers; validate everything else is JSON-safe."""
+#: The ``dtype.str`` an envelope may carry, checked by writer and reader
+#: alike: byte order, a plain kind (bool, signed/unsigned int, float,
+#: complex, bytes, unicode), a positive itemsize.  Object, void (structured
+#: or subarray) and datetime dtypes never match.
+_DTYPE_STR = re.compile(r"[<>|][biufcSU][1-9][0-9]*")
+
+#: Payloads written by schema <= 6 are zip archives (``np.savez_compressed``).
+_ZIP_MAGIC = b"PK\x03\x04"
+
+
+def _flatten(node, arrays: list, path: str):
+    """Replace arrays with markers; validate everything else is JSON-safe."""
     if isinstance(node, np.ndarray):
+        if not _DTYPE_STR.fullmatch(node.dtype.str):
+            raise CheckpointError(
+                f"array at {path!r} has unserializable dtype {node.dtype.str!r}; "
+                f"checkpoint arrays must be bool, numeric, bytes or unicode"
+            )
         entry = f"arr{len(arrays)}"
-        arrays[entry] = node
+        arrays.append(node)
         return {_ARRAY_MARKER: entry}
     if isinstance(node, dict):
         if _ARRAY_MARKER in node:
@@ -109,48 +141,106 @@ def _flatten(node, arrays: dict, path: str):
     )
 
 
-def _restore(node, archive):
+def _restore(node, arrays: dict):
     if isinstance(node, dict):
         if set(node) == {_ARRAY_MARKER}:
-            return archive[node[_ARRAY_MARKER]]
-        return {key: _restore(value, archive) for key, value in node.items()}
+            # pop: each array belongs to exactly one place in the tree.
+            return arrays.pop(node[_ARRAY_MARKER])
+        return {key: _restore(value, arrays) for key, value in node.items()}
     if isinstance(node, list):
-        return [_restore(value, archive) for value in node]
+        return [_restore(value, arrays) for value in node]
     return node
 
 
 def dumps(kind: str, state: dict) -> bytes:
-    """Encode one state tree as a schema-versioned NPZ payload."""
-    arrays: dict[str, np.ndarray] = {}
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "kind": str(kind),
-        "state": _flatten(state, arrays, "state"),
-    }
-    encoded = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, manifest=encoded, **arrays)
-    return buffer.getvalue()
+    """Encode one state tree as a schema-versioned raw-buffer envelope."""
+    arrays: list[np.ndarray] = []
+    tree = _flatten(state, arrays, "state")
+    buffers = [array.tobytes() for array in arrays]
+    descriptors = []
+    offset = 0
+    for array, buffer in zip(arrays, buffers):
+        descriptors.append([array.dtype.str, list(array.shape), offset, len(buffer)])
+        offset += len(buffer)
+    manifest = json.dumps(
+        {"schema": SCHEMA_VERSION, "kind": str(kind), "state": tree, "arrays": descriptors}
+    ).encode("utf-8")
+    return b"".join([_ENVELOPE_HEADER.pack(ENVELOPE_MAGIC, len(manifest)), manifest, *buffers])
+
+
+def _malformed(reason: str) -> CheckpointError:
+    return CheckpointError(f"malformed checkpoint payload: {reason}")
+
+
+def _array_layout(descriptors, body: int) -> list[tuple[np.dtype, tuple, int]]:
+    """Validate every array descriptor against a body of *body* bytes.
+
+    Returns ``(dtype, shape, offset)`` per array; touches no array bytes.  A
+    descriptor that does not unpack as four fields raises ``ValueError`` or
+    ``TypeError``, which :func:`loads` reports as malformed.
+    """
+    layout = []
+    expected = 0
+    for index, (dtype_str, shape, offset, nbytes) in enumerate(descriptors):
+        if not isinstance(dtype_str, str) or not _DTYPE_STR.fullmatch(dtype_str):
+            raise _malformed(f"array {index} has disallowed dtype {dtype_str!r}")
+        dtype = np.dtype(dtype_str)
+        if not isinstance(shape, list) or any(type(dim) is not int or dim < 0 for dim in shape):
+            raise _malformed(f"array {index} has invalid shape {shape!r}")
+        if type(offset) is not int or offset != expected or type(nbytes) is not int:
+            raise _malformed(f"array {index} must start at byte {expected} with an integer size")
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise _malformed(
+                f"array {index} declares {nbytes} bytes for shape {shape} of {dtype_str}"
+            )
+        if offset + nbytes > body:
+            raise _malformed(f"array {index} runs past the end of the payload")
+        layout.append((dtype, tuple(shape), offset))
+        expected = offset + nbytes
+    if expected != body:
+        raise _malformed(f"{body - expected} trailing bytes after the last array")
+    return layout
 
 
 def loads(data: bytes) -> tuple[str, dict]:
     """Decode a payload produced by :func:`dumps`; returns ``(kind, state)``."""
+    if data[:4] == _ZIP_MAGIC:
+        raise CheckpointError(
+            f"payload is an NPZ checkpoint from schema version <= 6; this reader "
+            f"(version {SCHEMA_VERSION}) reads only the raw-buffer envelope; "
+            f"re-checkpoint with a matching version of the library"
+        )
+    if len(data) < _ENVELOPE_HEADER.size:
+        raise _malformed(f"{len(data)} bytes is shorter than the envelope header")
+    magic, length = _ENVELOPE_HEADER.unpack_from(data)
+    if magic != ENVELOPE_MAGIC:
+        raise _malformed(f"bad envelope magic {magic!r}; not a repro checkpoint")
+    start = _ENVELOPE_HEADER.size + length
+    if start > len(data):
+        raise _malformed(f"manifest length {length} runs past the payload")
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            if "manifest" not in archive:
-                raise CheckpointError("payload has no manifest; not a repro checkpoint")
-            manifest = json.loads(bytes(archive["manifest"]).decode("utf-8"))
-            schema = manifest.get("schema")
-            if schema != SCHEMA_VERSION:
-                raise CheckpointError(
-                    f"checkpoint schema version {schema!r} is not supported by "
-                    f"this reader (version {SCHEMA_VERSION}); re-checkpoint with "
-                    f"a matching version of the library"
-                )
-            state = _restore(manifest["state"], archive)
-    except (zipfile.BadZipFile, ValueError, KeyError) as exc:
-        raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
-    return manifest["kind"], state
+        manifest = json.loads(data[_ENVELOPE_HEADER.size : start].decode("utf-8"))
+        if not isinstance(manifest, dict):
+            raise _malformed("manifest is not a JSON object")
+        schema = manifest.get("schema")
+        if schema != SCHEMA_VERSION:
+            raise CheckpointError(
+                f"checkpoint schema version {schema!r} is not supported by "
+                f"this reader (version {SCHEMA_VERSION}); re-checkpoint with "
+                f"a matching version of the library"
+            )
+        layout = _array_layout(manifest.get("arrays"), len(data) - start)
+        arrays = {
+            f"arr{index}": np.frombuffer(
+                data, dtype, count=math.prod(shape), offset=start + offset
+            ).reshape(shape).copy()
+            for index, (dtype, shape, offset) in enumerate(layout)
+        }
+        return manifest["kind"], _restore(manifest["state"], arrays)
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; a manifest
+        # nested past the interpreter's recursion limit is a RecursionError.
+        raise _malformed(f"{type(exc).__name__}: {exc}") from exc
 
 
 #: First bytes of every wire message; garbage (an HTTP request, say, or a

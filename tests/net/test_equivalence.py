@@ -213,7 +213,7 @@ class TestShardedHandshake:
 class TestDeterministicValues:
     def test_float_payloads_survive_the_wire_exactly(self, tier_server):
         """Adversarial float values (denormals, huge magnitudes, negative
-        zero) cross the NPZ envelope without a single bit of drift."""
+        zero) cross the codec envelope without a single bit of drift."""
         _, handle = tier_server
         local = repro.connect("local", spec=SPEC)
         remote = repro.connect(handle.url, spec=SPEC)

@@ -236,6 +236,29 @@ class TestHostileInput:
         assert reply["error"]["type"] == "WireProtocolError"
         sock.close()
 
+    @pytest.mark.parametrize("hostile", ["deep_nesting", "object_dtype", "huge_shape"])
+    def test_hostile_manifest_gets_named_error_then_eof(self, server, hostile):
+        """Manifests the codec refuses — nested past the recursion limit, an
+        object dtype, a 2**62-element shape — are answered with a named
+        protocol error before the hang-up, like any other garbage."""
+        head = '{"schema": %d, "kind": "%s", ' % (codec.SCHEMA_VERSION, wire.MESSAGE_KIND)
+        state = '"state": {"msg": "request", "id": 1, "args": {"a": {"__npz__": "arr0"}}}}'
+        manifest = {
+            "deep_nesting": head + '"arrays": [], "state": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "object_dtype": head + '"arrays": [["|O", [1], 0, 8]], ' + state,
+            "huge_shape": head + '"arrays": [["<f8", [%d], 0, 8]], ' % 2**62 + state,
+        }[hostile].encode()
+        payload = codec.ENVELOPE_MAGIC + struct.pack(">I", len(manifest)) + manifest + bytes(8)
+        sock = self._raw(server)
+        assert self._read_msg(sock)["msg"] == "hello"
+        sock.sendall(codec.WIRE_MAGIC + struct.pack(">I", len(payload)) + payload)
+        reply = self._read_msg(sock)
+        assert reply is not None and reply["msg"] == "error"
+        assert reply["error"]["type"] == "WireProtocolError"
+        assert "malformed" in reply["error"]["message"]
+        assert sock.recv(1) == b""
+        sock.close()
+
 
 class TestHandshake:
     def test_hello_carries_schema_and_kind(self, remote):
@@ -250,20 +273,16 @@ class TestHandshake:
         alien_schema = 999
 
         # Hand-craft a hello stamped with an alien schema version.
-        manifest_payload = codec.dumps(wire.MESSAGE_KIND, {"msg": "hello"})
-        # Rewrite the embedded schema integer by re-encoding at the JSON level.
-        import io
+        envelope = codec.dumps(wire.MESSAGE_KIND, {"msg": "hello"})
+        # Rewrite the embedded schema integer by re-encoding at the JSON
+        # level: envelope magic, u32 manifest length, manifest (no arrays).
         import json
 
-        import numpy as np
-
-        with np.load(io.BytesIO(manifest_payload), allow_pickle=False) as archive:
-            manifest = json.loads(bytes(archive["manifest"]).decode())
+        magic, length = struct.unpack(">4sI", envelope[:8])
+        manifest = json.loads(envelope[8 : 8 + length].decode())
         manifest["schema"] = alien_schema
-        encoded = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, manifest=encoded)
-        payload = buffer.getvalue()
+        encoded = json.dumps(manifest).encode()
+        payload = magic + struct.pack(">I", len(encoded)) + encoded
         hello = codec.WIRE_MAGIC + struct.pack(">I", len(payload)) + payload
 
         ready = threading.Event()

@@ -4,8 +4,8 @@ The properties the serving tier depends on:
 
 * a message is ``ASNP`` + big-endian u32 length + one codec envelope, and
   every malformed variant (short header, wrong magic, hostile length,
-  garbage payload, truncated NPZ) is rejected with a **named** error —
-  never a hang, never a pickle load;
+  garbage payload, truncated or byte-flipped envelope) is rejected with a
+  **named** error — never a hang, never a pickle load;
 * the envelope round-trips every result object bit-exactly (frames carry
   float64 arrays; ``tobytes()`` equality is the law here as everywhere);
 * exceptions cross the wire as their own types.
@@ -218,3 +218,38 @@ def test_envelope_round_trip_property(tree):
     assert len(payload) == length
     decoded = wire.decode_payload(payload)
     assert_tree_equal(decoded["args"]["tree"], tree)
+
+
+# -- hypothesis: a corrupted payload decodes or fails with the named error ------
+
+
+@given(tree=trees, data=st.data())
+def test_corrupted_payload_decodes_or_raises_wire_error(tree, data):
+    """Any truncation or single-byte flip of a valid payload either decodes
+    or raises :class:`WireProtocolError` — never another exception type,
+    which on the server would drop the connection without a named error."""
+    message = {"msg": "request", "id": 1, "op": "x", "args": {"tree": tree}}
+    payload = wire.encode_message(message)[codec.WIRE_HEADER_SIZE :]
+    if data.draw(st.booleans(), label="truncate"):
+        corrupted = payload[: data.draw(st.integers(0, len(payload) - 1), label="cut")]
+    else:
+        # Flips in the raw array bytes always decode (any bytes are valid
+        # floats), so half the draws aim at the header and JSON manifest.
+        manifest_end = 8 + struct.unpack(">I", payload[4:8])[0]
+        end = data.draw(st.sampled_from([manifest_end, len(payload)]), label="region")
+        index = data.draw(st.integers(0, end - 1), label="index")
+        flipped = payload[index] ^ data.draw(st.integers(1, 255), label="xor")
+        corrupted = payload[:index] + bytes([flipped]) + payload[index + 1 :]
+    try:
+        wire.decode_payload(corrupted)
+    except WireProtocolError:
+        pass
+
+
+def test_deeply_nested_manifest_is_a_wire_error():
+    depth = 100_000
+    manifest = b'{"schema": %d, "kind": "asap-net", "arrays": [], "state": ' % codec.SCHEMA_VERSION
+    manifest += b"[" * depth + b"]" * depth + b"}"
+    payload = codec.ENVELOPE_MAGIC + struct.pack(">I", len(manifest)) + manifest
+    with pytest.raises(WireProtocolError, match="malformed"):
+        wire.decode_payload(payload)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import io
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +83,178 @@ def test_codec_dump_load_path(tmp_path):
     kind, state = codec.load(path)
     assert kind == "unit"
     assert np.array_equal(state["a"], np.ones(3))
+
+
+def _bits(pattern: int) -> np.float64:
+    return np.array([pattern], dtype=np.uint64).view(np.float64)[0]
+
+
+ROUND_TRIP_ARRAYS = {
+    "zero_d": np.array(3.5),
+    "zero_d_int": np.array(-7, dtype=np.int64),
+    "empty": np.empty(0, dtype=np.float64),
+    "empty_2d": np.empty((0, 4), dtype=np.float64),
+    "empty_trailing": np.empty((3, 0), dtype=np.int64),
+    "strided_slice": np.arange(20, dtype=np.float64)[::3],
+    "column_slice": np.arange(12, dtype=np.float64).reshape(3, 4)[:, 1],
+    "reversed": np.arange(6, dtype=np.int64)[::-1],
+    "fortran_2d": np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4)),
+    "big_endian": np.array([1.5, -2.25, 1e300], dtype=">f8"),
+    "bool": np.array([True, False, True]),
+    "int64": np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64),
+    "uint8": np.arange(256, dtype=np.uint8),
+    "unicode": np.array(["naïve", "", "ascii"]),
+    "bytes": np.array([b"ab", b"\x00c"]),
+    "complex": np.array([1 + 2j, -0.0 - 1j]),
+    "float_edges": np.array(
+        [
+            -0.0,
+            5e-324,  # smallest denormal
+            np.finfo(np.float64).tiny / 2,  # a denormal
+            _bits(0x7FF8000000000001),  # quiet NaN with a payload
+            _bits(0x7FF0000000000001),  # signalling NaN bit pattern
+            _bits(0xFFF8000000000000),  # negative NaN
+            np.inf,
+            -np.inf,
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_ARRAYS))
+def test_codec_round_trips_array_bytes_and_dtype(name):
+    array = ROUND_TRIP_ARRAYS[name]
+    _, state = codec.loads(codec.dumps("unit", {"a": array, "nested": [array]}))
+    for back in (state["a"], state["nested"][0]):
+        assert back.dtype == array.dtype
+        assert back.shape == array.shape
+        assert back.tobytes() == array.tobytes()
+        # Owned, writable, and not aliased with its twin.
+        assert back.flags.writeable and back.flags.owndata
+    assert not np.shares_memory(state["a"], state["nested"][0])
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.array([object()]), np.array(["2017-01-01"], dtype="datetime64[D]"), np.zeros(2, "i4,f8")],
+    ids=["object", "datetime", "structured"],
+)
+def test_codec_refuses_to_encode_non_plain_dtypes(array):
+    with pytest.raises(CheckpointError, match="unserializable dtype"):
+        codec.dumps("unit", {"a": array})
+
+
+def forge(manifest, body: bytes = b"") -> bytes:
+    """A raw-buffer envelope around an arbitrary manifest."""
+    encoded = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    return codec.ENVELOPE_MAGIC + struct.pack(">I", len(encoded)) + encoded + body
+
+
+def forge_manifest(state, arrays=(), body: bytes = b"") -> bytes:
+    manifest = {"schema": SCHEMA_VERSION, "kind": "unit", "state": state, "arrays": arrays}
+    return forge(manifest, body)
+
+
+def forge_arrays(descriptors, body: bytes = b"") -> bytes:
+    state = {f"a{i}": {"__npz__": f"arr{i}"} for i in range(len(descriptors))}
+    return forge_manifest(state, descriptors, body)
+
+
+def test_forged_envelope_decodes():
+    """The forgery helpers speak the real layout (the cases below are not
+    rejected for some unrelated reason)."""
+    payload = forge_arrays([["<f8", [2], 0, 16]], np.array([1.0, 2.0]).tobytes())
+    _, state = codec.loads(payload)
+    assert state["a0"].tolist() == [1.0, 2.0]
+
+
+DEEP = 100_000
+#: case -> (payload, the reason the codec must name).  Matching the reason
+#: pins that the descriptor check itself fired, not a later numpy error.
+HOSTILE_PAYLOADS = {
+    "deep_nesting": (
+        forge(
+            b'{"schema": %d, "kind": "unit", "arrays": [], "state": ' % SCHEMA_VERSION
+            + b"[" * DEEP
+            + b"]" * DEEP
+            + b"}"
+        ),
+        "RecursionError",
+    ),
+    "object_dtype": (forge_arrays([["|O", [1], 0, 8]], bytes(8)), "disallowed dtype"),
+    "structured_dtype": (forge_arrays([["i4,f8", [1], 0, 12]], bytes(12)), "disallowed dtype"),
+    "non_string_dtype": (forge_arrays([[8, [1], 0, 8]], bytes(8)), "disallowed dtype"),
+    "nbytes_shape_mismatch": (forge_arrays([["<f8", [3], 0, 16]], bytes(16)), "declares 16"),
+    "offset_past_end": (
+        forge_arrays([["<f8", [1], 0, 8], ["<f8", [1], 8, 8]], bytes(8)),
+        "past the end",
+    ),
+    "nbytes_past_end": (forge_arrays([["<f8", [2], 0, 16]], bytes(8)), "past the end"),
+    "gap_between_arrays": (
+        forge_arrays([["<f8", [1], 0, 8], ["<f8", [1], 16, 8]], bytes(24)),
+        "must start at byte 8",
+    ),
+    "negative_dims": (forge_arrays([["<f8", [-1, -2], 0, 16]], bytes(16)), "invalid shape"),
+    "float_dims": (forge_arrays([["<f8", [2.0], 0, 16]], bytes(16)), "invalid shape"),
+    "huge_shape_small_nbytes": (forge_arrays([["<f8", [2**62], 0, 8]], bytes(8)), "declares 8"),
+    "huge_shape_huge_nbytes": (
+        forge_arrays([["<f8", [2**62], 0, 2**65]], bytes(8)),
+        "past the end",
+    ),
+    "trailing_bytes": (forge_arrays([["<f8", [1], 0, 8]], bytes(9)), "1 trailing bytes"),
+    "bad_descriptor_arity": (forge_arrays([["<f8", [1], 0]], bytes(8)), "ValueError"),
+    "arrays_not_a_list": (forge_manifest({}, arrays=3), "TypeError"),
+    "unknown_marker": (forge_manifest({"a": {"__npz__": "arr5"}}), "KeyError"),
+    "duplicate_marker": (  # two tree nodes may not alias one array
+        forge_manifest(
+            {"a": {"__npz__": "arr0"}, "b": {"__npz__": "arr0"}}, [["<f8", [1], 0, 8]], bytes(8)
+        ),
+        "KeyError",
+    ),
+    "unhashable_marker": (
+        forge_manifest({"a": {"__npz__": []}}, [["<f8", [1], 0, 8]], bytes(8)),
+        "TypeError",
+    ),
+    "manifest_length_past_payload": (
+        codec.ENVELOPE_MAGIC + struct.pack(">I", 1000) + b"{}",
+        "manifest length 1000",
+    ),
+    "manifest_not_a_dict": (forge([SCHEMA_VERSION, "unit"]), "not a JSON object"),
+    "manifest_not_utf8": (forge(b'{"kind": "\xff"}'), "UnicodeDecodeError"),
+    "manifest_not_json": (forge(b"{schema: 7"), "JSONDecodeError"),
+    "short_header": (codec.ENVELOPE_MAGIC + b"\x00", "shorter than the envelope header"),
+    "bad_magic": (b"ASXX" + bytes(8), "bad envelope magic"),
+    "no_kind": (forge({"schema": SCHEMA_VERSION, "state": {}, "arrays": []}), "KeyError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_PAYLOADS))
+def test_codec_rejects_hostile_payload_with_named_error(case):
+    payload, reason = HOSTILE_PAYLOADS[case]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="malformed") as excinfo:
+            codec.loads(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reason in str(excinfo.value)
+    # Rejected from the manifest alone: nothing near the declared size is
+    # ever allocated (the deep-nesting case parses ~200 KB of brackets).
+    assert peak < 64 * 1024 * 1024
+
+
+def test_codec_names_npz_checkpoints_from_older_schemas():
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, manifest=np.frombuffer(b'{"schema": 6}', dtype=np.uint8))
+    npz = buffer.getvalue()
+    for payload in (npz, npz[:4]):  # the zip is never parsed, only recognised
+        with pytest.raises(CheckpointError) as excinfo:
+            codec.loads(payload)
+        message = str(excinfo.value)
+        assert "NPZ checkpoint" in message
+        assert "schema version <= 6" in message
+        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 7
 
 
 # -- component state round trips ----------------------------------------------
