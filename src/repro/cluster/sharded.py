@@ -30,10 +30,12 @@ and the migrated stream's subsequent frames are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 
 from .. import persist
+from ..core.streaming import counters_from_state
 from ..net.wire import frame_from_state as _frame_from_state
 from ..net.wire import frame_state as _frame_state
 from ..persist.checkpoint import _read_state
@@ -46,6 +48,18 @@ from .shard import ClusterError, InProcessShard, ProcessShard, ShardDownError
 __all__ = ["ShardedHub"]
 
 _BACKENDS = {"inprocess": InProcessShard, "process": ProcessShard}
+
+_STATS_FIELDS = tuple(field.name for field in dataclasses.fields(HubStats))
+
+
+def _merge_stats(parts: list) -> Counter:
+    """Merge :class:`HubStats` mappings: every field sums except ``ticks``,
+    the maximum (shard clocks advance together; late joiners lag)."""
+    merged = Counter()
+    for part in parts:
+        merged.update(part)
+    merged["ticks"] = max(part["ticks"] for part in parts)
+    return merged
 
 
 class ShardedHub:
@@ -109,11 +123,11 @@ class ShardedHub:
         self._next_auto_id = 0
         self._next_shard_id = 0
         self._streams_migrated = 0
-        #: Lifetime counters of gracefully retired shards, folded into
-        #: :attr:`stats` so removing a shard never makes the aggregate dip.
-        #: (A *killed* shard's counters die with it — there is nobody left
-        #: to ask.)
-        self._retired_stats: list[HubStats] = []
+        #: Final :class:`HubStats` of gracefully retired shards, merged into
+        #: one mapping and into :attr:`stats` so removing a shard never makes
+        #: the aggregate dip.  (A *killed* shard's counters die with it —
+        #: there is nobody left to ask.)
+        self._retired = Counter(dict.fromkeys(_STATS_FIELDS, 0))
         self._frame_observers: list = []
         for _ in range(shards):
             self.add_shard()
@@ -212,7 +226,7 @@ class ShardedHub:
         moving = [(sid, owner) for sid, owner in self._streams.items() if owner == shard_id]
         self._migrate(moving, target=None)
         handle = self._shards.pop(shard_id)
-        self._retired_stats.append(handle.request("stats"))
+        self._retired = _merge_stats([self._retired, dataclasses.asdict(handle.request("stats"))])
         handle.shutdown()
 
     def kill_shard(self, shard_id: str) -> None:
@@ -268,7 +282,13 @@ class ShardedHub:
             new_owner = target if target is not None else self._ring.node_for(stream_id)
             if new_owner == old_owner:
                 continue
-            state = self._shards[old_owner].request("export", (stream_id, True))
+            try:
+                state = self._shards[old_owner].request("export", (stream_id, True))
+            except UnknownStreamError:
+                # Evicted shard-side since the last live-ids reply (e.g. by
+                # a create's LRU admission): heal the map, keep migrating.
+                del self._streams[stream_id]
+                continue
             self._shards[new_owner].request("import", state)
             self._streams[stream_id] = new_owner
             self._streams_migrated += 1
@@ -511,36 +531,13 @@ class ShardedHub:
 
         Counters sum across live shards plus gracefully retired ones (so
         :meth:`remove_shard` never makes the aggregate dip); ``ticks`` is the
-        shards' maximum (every :meth:`tick` advances each shard's clock once,
-        so the clocks agree for shards that joined at cluster birth and lag
-        for late joiners).
+        maximum over the same shards (every :meth:`tick` advances each
+        shard's clock once, so the clocks agree for shards that joined at
+        cluster birth and lag for late joiners — keeping retired clocks means
+        the maximum holds when only late joiners remain).
         """
-        per_shard = [stats for _shard_id, stats in self._fan_out("stats", None)]
-        per_shard.extend(self._retired_stats)
-        return HubStats(
-            sessions_active=sum(s.sessions_active for s in per_shard),
-            sessions_created=sum(s.sessions_created for s in per_shard),
-            sessions_closed=sum(s.sessions_closed for s in per_shard),
-            sessions_evicted=sum(s.sessions_evicted for s in per_shard),
-            ticks=max((s.ticks for s in per_shard), default=0),
-            points_ingested=sum(s.points_ingested for s in per_shard),
-            frames_emitted=sum(s.frames_emitted for s in per_shard),
-            refreshes_coalesced=sum(s.refreshes_coalesced for s in per_shard),
-            grid_kernel_calls=sum(s.grid_kernel_calls for s in per_shard),
-            views_served=sum(s.views_served for s in per_shard),
-            view_cache_hits=sum(s.view_cache_hits for s in per_shard),
-            sessions_imported=sum(s.sessions_imported for s in per_shard),
-            sessions_exported=sum(s.sessions_exported for s in per_shard),
-            warm_prefetches=sum(s.warm_prefetches for s in per_shard),
-            warm_fallbacks=sum(s.warm_fallbacks for s in per_shard),
-            gaps_filled=sum(s.gaps_filled for s in per_shard),
-            nan_dropped=sum(s.nan_dropped for s in per_shard),
-            late_accepted=sum(s.late_accepted for s in per_shard),
-            late_dropped=sum(s.late_dropped for s in per_shard),
-            backfills=sum(s.backfills for s in per_shard),
-            backfill_points=sum(s.backfill_points for s in per_shard),
-            backfill_elided=sum(s.backfill_elided for s in per_shard),
-        )
+        live = [dataclasses.asdict(stats) for _shard_id, stats in self._fan_out("stats", None)]
+        return HubStats(**_merge_stats([self._retired, *live]))
 
     def _fan_out(self, command: str, payload) -> list[tuple[str, object]]:
         """Submit one command to every shard, then collect every reply."""
@@ -589,7 +586,7 @@ class ShardedHub:
             "next_auto_id": self._next_auto_id,
             "next_shard_id": self._next_shard_id,
             "streams_migrated": self._streams_migrated,
-            "retired_stats": [dataclasses.asdict(s) for s in self._retired_stats],
+            "retired_stats": dict(self._retired),
             "streams": dict(self._streams),
             "pending": {
                 shard_id: [[sid, ts, vs] for sid, ts, vs in batches]
@@ -651,7 +648,7 @@ class ShardedHub:
         hub._next_auto_id = int(state["next_auto_id"])
         hub._next_shard_id = int(state["next_shard_id"])
         hub._streams_migrated = int(state["streams_migrated"])
-        hub._retired_stats = [HubStats(**retired) for retired in state["retired_stats"]]
+        hub._retired = counters_from_state(state["retired_stats"], _STATS_FIELDS)
         hub._frame_observers = []
         for shard_id in state["shard_order"]:
             handle = _BACKENDS[hub.backend](shard_id, hub._hub_kwargs, state["shards"][shard_id])

@@ -39,11 +39,12 @@ numerics honest:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import IncrementalDriftError, SpecError
+from ..errors import CheckpointError, IncrementalDriftError, SpecError
 from ..pyramid.rollup import Pyramid
 from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
 from ..pyramid.view import PyramidView, ViewSpec
@@ -109,6 +110,32 @@ _CONDITIONING_LIMIT = 256.0
 #: construction, at O(window log window) only for pathologically offset
 #: windows (e.g. epoch-timestamps with sub-second jitter).
 _EXACT_FALLBACK_RATIO = 1e6
+
+#: The lifetime counters the operator keeps in its own mapping.
+_OPERATOR_COUNTERS = (
+    "warm_prefetches",
+    "warm_fallbacks",
+    "backfills",
+    "backfill_points",
+    "backfill_elided",
+)
+
+
+def counters_from_state(state, names) -> Counter:
+    """Rebuild a serialized counter mapping over *names* (absent ones are 0).
+
+    Counters only ever grow, so an unknown name or a value that is not a
+    non-negative integer can only come from a corrupt or forged payload.
+    """
+    if not isinstance(state, dict):
+        raise CheckpointError(f"counters must be a mapping, got {type(state).__name__}")
+    unknown = sorted(set(state) - set(names))
+    if unknown:
+        raise CheckpointError(f"unknown counters {unknown}; expected a subset of {list(names)}")
+    for name, value in state.items():
+        if type(value) is not int or value < 0:
+            raise CheckpointError(f"counter {name!r} must be a non-negative integer, got {value!r}")
+    return Counter({**dict.fromkeys(names, 0), **state})
 
 
 @dataclass(frozen=True)
@@ -780,8 +807,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self.warm_start = bool(warm_start)
         self.kernel = kernel
         self._warm_trace: tuple[int, ...] | None = None
-        self._warm_prefetches = 0
-        self._warm_fallbacks = 0
+        # Lifetime counters owned by the operator itself (the quality
+        # counters live in the stages that count them; see `counters`).
+        self._counters = Counter(dict.fromkeys(_OPERATOR_COUNTERS, 0))
         # Reused (2, k, n) buffer for the prefetch kernel — scratch only,
         # never serialized; results are independent of its contents.
         self._probe_workspace: np.ndarray | None = None
@@ -806,9 +834,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self._refreshes_since_rebuild = 0
         self._full_recomputes = 0
         self._exact_fallbacks = 0
-        self._backfills = 0
-        self._backfill_points = 0
-        self._backfill_elided = 0
 
     @classmethod
     def from_spec(cls, spec) -> "StreamingASAP":
@@ -886,9 +911,22 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         return self._exact_fallbacks
 
     @property
+    def counters(self) -> dict[str, int]:
+        """Every lifetime counter this operator contributes to
+        :class:`~repro.service.HubStats`, by field name: the warm-start and
+        backfill counters plus the quality stages' counters.  Never reset."""
+        return {
+            **self._counters,
+            "gaps_filled": self.gaps_filled,
+            "nan_dropped": self.nan_dropped,
+            "late_accepted": self.late_accepted,
+            "late_dropped": self.late_dropped,
+        }
+
+    @property
     def warm_prefetches(self) -> int:
         """Refreshes whose search was seeded by a warm-start trace prefetch."""
-        return self._warm_prefetches
+        return self._counters["warm_prefetches"]
 
     @property
     def warm_fallbacks(self) -> int:
@@ -896,17 +934,17 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         (the stream drifted), paying ordinary single-probe kernel calls for
         the uncovered candidates.  Frames are unaffected — this counts lost
         speedup, not lost accuracy."""
-        return self._warm_fallbacks
+        return self._counters["warm_fallbacks"]
 
     @property
     def backfills(self) -> int:
         """Archive replays performed via :meth:`backfill`."""
-        return self._backfills
+        return self._counters["backfills"]
 
     @property
     def backfill_points(self) -> int:
         """Raw points ingested through the backfill lane (post-quality)."""
-        return self._backfill_points
+        return self._counters["backfill_points"]
 
     @property
     def backfill_elided(self) -> int:
@@ -914,7 +952,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
 
         Each still occupies its ``refresh_index`` slot, so frame numbering
         is unchanged — this counts saved work, not skipped state."""
-        return self._backfill_elided
+        return self._counters["backfill_elided"]
 
     # -- data-quality counters (0 whenever the quality stage is off) -----------
 
@@ -1164,11 +1202,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._fold(ts, vs, synth, frames, elide_interior=True)
         else:
             self._backfill_fast(ts, vs, synth, frames)
-        self._backfills += 1
         ingested = self._buffer.total_points - points_before
-        self._backfill_points += ingested
         elided = (self._refresh_count - refreshes_before) - len(frames)
-        self._backfill_elided += elided
+        self._counters.update(backfills=1, backfill_points=ingested, backfill_elided=elided)
         return BackfillResult(
             points=ingested,
             panes=self._buffer.panes_completed - panes_before,
@@ -1302,7 +1338,10 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         return tuple(frames)
 
     def reset(self) -> None:
-        """Drop all window state (e.g. the user scrolled to a new range)."""
+        """Drop all window state (e.g. the user scrolled to a new range).
+
+        Lifetime counters (:attr:`counters`, and the quality totals each
+        frame reports) are kept."""
         self._buffer.clear()
         if self._rolling is not None:
             self._rolling.clear()
@@ -1355,8 +1394,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             "panes_since_refresh": self._panes_since_refresh,
             "previous_window": self._previous_window,
             "warm_trace": None if self._warm_trace is None else list(self._warm_trace),
-            "warm_prefetches": self._warm_prefetches,
-            "warm_fallbacks": self._warm_fallbacks,
+            "counters": dict(self._counters),
             "refresh_due": self._refresh_due,
             "refresh_count": self._refresh_count,
             "searches_run": self._searches_run,
@@ -1365,9 +1403,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             "full_recomputes": self._full_recomputes,
             "exact_fallbacks": self._exact_fallbacks,
             "backfill": self.backfill_mode,
-            "backfills": self._backfills,
-            "backfill_points": self._backfill_points,
-            "backfill_elided": self._backfill_elided,
             "buffer": self._buffer.state_dict(),
             "rolling": None if self._rolling is None else self._rolling.state_dict(),
             "pyramid": None if self.pyramid is None else self.pyramid.state_dict(),
@@ -1420,8 +1455,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             if state["warm_trace"] is None
             else tuple(int(w) for w in state["warm_trace"])
         )
-        operator._warm_prefetches = int(state["warm_prefetches"])
-        operator._warm_fallbacks = int(state["warm_fallbacks"])
+        operator._counters = counters_from_state(state["counters"], _OPERATOR_COUNTERS)
         operator._refresh_due = bool(state["refresh_due"])
         operator._refresh_count = int(state["refresh_count"])
         operator._searches_run = int(state["searches_run"])
@@ -1429,9 +1463,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         operator._refreshes_since_rebuild = int(state["refreshes_since_rebuild"])
         operator._full_recomputes = int(state["full_recomputes"])
         operator._exact_fallbacks = int(state["exact_fallbacks"])
-        operator._backfills = int(state.get("backfills", 0))
-        operator._backfill_points = int(state.get("backfill_points", 0))
-        operator._backfill_elided = int(state.get("backfill_elided", 0))
         return operator
 
     # -- Algorithm 3 internals --------------------------------------------------
@@ -1580,7 +1611,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                     for w, r, k in zip(probes, rough, kurt)
                 )
                 warm_prefetched = True
-                self._warm_prefetches += 1
+                self._counters["warm_prefetches"] += 1
         if self.strategy == "asap":
             max_lag = self._resolved_max_lag(values.size)
             if use_incremental and self._rolling.lag_budget >= max_lag:
@@ -1600,7 +1631,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if warm_prefetched and cache.misses > 0:
             # The search left the prefetched trace (stream drift / regime
             # change) and paid single-probe kernel calls for the rest.
-            self._warm_fallbacks += 1
+            self._counters["warm_fallbacks"] += 1
         if warm_eligible:
             self._warm_trace = cache.touched_windows()
         self._searches_run += 1

@@ -93,7 +93,11 @@ __all__ = [
 #: client and server disagreeing on any of the above fail the handshake.
 #: Version 7: the NPZ (zip + deflate) container is replaced by the raw-buffer
 #: envelope described above, which version-6 readers cannot parse.
-SCHEMA_VERSION = 7
+#: Version 8: operator state keeps its warm-start and backfill counters in one
+#: ``counters`` mapping; a hub's ``counters`` also carry the operator totals
+#: of closed and evicted sessions (a version-7 reader would drop them), and a
+#: cluster's ``retired_stats`` is one mapping instead of a list.
+SCHEMA_VERSION = 8
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

@@ -148,11 +148,11 @@ class ReorderBuffer:
         return out_ts, out_vs
 
     def clear(self) -> None:
+        """Drop buffered points and the release watermark; the counters are
+        stream-lifetime totals and survive."""
         self._times = []
         self._values = []
         self._last_released = -np.inf
-        self.late_accepted = 0
-        self.late_dropped = 0
 
     # -- serialization -------------------------------------------------------
 
@@ -328,13 +328,12 @@ class StreamNormalizer:
         self.gaps_filled += missing
 
     def clear(self) -> None:
+        """Forget the cadence and last-seen point; the counters are
+        stream-lifetime totals and survive."""
         self.cadence = self.declared_cadence
         self._diff_samples = []
         self._last_t = None
         self._last_v = None
-        self.nan_dropped = 0
-        self.gaps_filled = 0
-        self.gaps_split = 0
 
     # -- serialization -------------------------------------------------------
 

@@ -32,13 +32,20 @@ on-demand boundary, together.  :class:`StreamHub` is that serving layer:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..core.batch import smooth
 from ..core.search import SearchResult
-from ..core.streaming import MIN_PANES_FOR_SEARCH, BackfillResult, Frame, StreamingASAP
+from ..core.streaming import (
+    MIN_PANES_FOR_SEARCH,
+    BackfillResult,
+    Frame,
+    StreamingASAP,
+    counters_from_state,
+)
 from ..engine.batch_engine import GRID_STRATEGY_STEPS, prefill_grid_caches
 from ..errors import HubAtCapacityError, HubError, UnknownStreamError
 from ..pyramid import ViewSpec
@@ -146,29 +153,33 @@ class ResolutionSnapshot:
 class HubStats:
     """Aggregate accounting across the hub's lifetime.
 
+    ``sessions_active`` and ``ticks`` are gauges (live sessions, the hub
+    clock).  Every other field is a **lifetime total** that never decreases:
+    it includes sessions since closed or evicted, survives checkpoint and
+    restore, and a session migrated to another hub
+    (:meth:`StreamHub.export_session` with ``remove=True``) carries its
+    operator's share along, so a cluster's sum stays exact.
+
+    ``points_ingested`` counts arrivals offered to ``ingest`` and
+    ``backfill``, including ones the quality stage later dropped.
     ``sessions_imported``/``sessions_exported`` count sessions that entered or
-    left this hub as state snapshots (:meth:`StreamHub.import_session` /
-    :meth:`StreamHub.export_session` with ``remove=True``) — the cluster
-    tier's migration and restore traffic — separately from sessions created
-    and closed through the ordinary lifecycle.
+    left this hub as state snapshots — the cluster tier's migration and
+    restore traffic — separately from sessions created and closed through the
+    ordinary lifecycle.
 
-    ``warm_prefetches``/``warm_fallbacks`` sum the warm-started-search
-    counters of the *currently active* sessions (see
-    :attr:`repro.core.streaming.StreamingASAP.warm_prefetches`): how many
-    refreshes were seeded by a stacked trace prefetch, and how many of those
-    left the trace anyway.  A rising fallback share means the streams are
-    drifting faster than the refresh cadence amortizes.
+    The last nine fields sum every session's operator counters
+    (:attr:`repro.core.streaming.StreamingASAP.counters`):
 
-    ``gaps_filled``/``nan_dropped``/``late_accepted``/``late_dropped`` sum
-    the data-quality counters of the currently active sessions (see
-    :mod:`repro.quality`): synthetic fill points, filtered non-finite
-    arrivals, and late data reordered or dropped at the watermark.  All zero
-    when no session enables the quality stage.
-
-    ``backfills``/``backfill_points``/``backfill_elided`` sum the archive
-    replay counters of the currently active sessions (see
-    :meth:`repro.core.streaming.StreamingASAP.backfill`): bulk-ingest calls,
-    points they carried, and interior frames the fast lane elided.
+    * warm-started search — refreshes seeded by a stacked trace prefetch,
+      and how many of those left the trace anyway.  A rising fallback share
+      means the streams are drifting faster than the refresh cadence
+      amortizes;
+    * data quality (:mod:`repro.quality`) — synthetic fill points, filtered
+      non-finite arrivals, and late data reordered or dropped at the
+      watermark.  All zero when no session enables the quality stage;
+    * archive replay (:meth:`repro.core.streaming.StreamingASAP.backfill`)
+      — bulk-ingest calls, points they carried, and interior frames the fast
+      lane elided.
     """
 
     sessions_active: int
@@ -193,6 +204,10 @@ class HubStats:
     backfills: int = 0
     backfill_points: int = 0
     backfill_elided: int = 0
+
+
+#: The :class:`HubStats` fields that are lifetime counters (all but the gauges).
+_COUNTERS = tuple(f.name for f in fields(HubStats) if f.name not in ("sessions_active", "ticks"))
 
 
 @dataclass
@@ -273,17 +288,8 @@ class StreamHub:
         self._lock = threading.RLock()
         self._next_auto_id = 0
         self._tick = 0
-        self._sessions_created = 0
-        self._sessions_closed = 0
-        self._sessions_evicted = 0
-        self._sessions_imported = 0
-        self._sessions_exported = 0
-        self._points_ingested = 0
-        self._frames_emitted = 0
-        self._refreshes_coalesced = 0
-        self._grid_kernel_calls = 0
-        self._views_served = 0
-        self._view_cache_hits = 0
+        # Hub-level counts plus the operator totals of retired sessions.
+        self._counters = Counter(dict.fromkeys(_COUNTERS, 0))
 
     def _check_pane_budget(self, config: StreamConfig) -> None:
         """Reject configurations whose window exceeds the per-session budget.
@@ -366,7 +372,7 @@ class StreamHub:
                 created_tick=self._tick,
                 last_active_tick=self._tick,
             )
-            self._sessions_created += 1
+            self._counters["sessions_created"] += 1
         if history is not None:
             timestamps, values = history
             self.backfill(stream_id, timestamps, values)
@@ -383,17 +389,18 @@ class StreamHub:
         the hub's ``frames_emitted`` and returned on the result.
         """
         session = self._get(stream_id)
+        vs = np.asarray(values, dtype=np.float64)
         with session.lock:
             if session.closed:
                 raise UnknownStreamError(stream_id)
-            result = session.operator.backfill(timestamps, values)
+            result = session.operator.backfill(timestamps, vs)
             session.last_active_tick = self._tick
             session.frames_emitted += len(result.frames)
         # Counted after session.lock is released; see _resolution_snapshot
         # for the lock-order rationale.
         with self._lock:
-            self._points_ingested += result.points
-            self._frames_emitted += len(result.frames)
+            self._counters["points_ingested"] += int(vs.size)
+            self._counters["frames_emitted"] += len(result.frames)
         if result.frames:
             self._notify_frames({stream_id: list(result.frames)})
         return result
@@ -418,25 +425,34 @@ class StreamHub:
             self._sessions.values(),
             key=lambda s: (s.last_active_tick, s.created_tick),
         )
-        with victim.lock:
-            victim.closed = True  # in-flight ingests must fail, as on close()
-        del self._sessions[victim.stream_id]
-        self._sessions_evicted += 1
+        self._retire_locked(victim, "sessions_evicted")
+
+    def _retire_locked(self, session: _Session, reason: str, flush: bool = False) -> list[Frame]:
+        """Take a session out of service for good (caller holds the registry lock).
+
+        The one exit for close and both evictions: in-flight ingests fail,
+        and the operator's lifetime counters fold into the hub's exactly
+        once — after the optional final flush, whose refreshes can still
+        count.  Registry and session stay locked throughout (the hub ->
+        session order), so :attr:`stats` never catches the session after it
+        left the registry but before its counters were folded.
+        """
+        del self._sessions[session.stream_id]
+        with session.lock:
+            session.closed = True
+            frames = list(session.operator.flush()) if flush else []
+            self._counters.update(session.operator.counters)
+        self._counters[reason] += 1
+        self._counters["frames_emitted"] += len(frames)
+        return frames
 
     def close(self, stream_id: str, flush: bool = True) -> list[Frame]:
         """Remove a session; with *flush*, emit its final pending frame(s)."""
         with self._lock:
-            session = self._sessions.pop(stream_id, None)
+            session = self._sessions.get(stream_id)
             if session is None:
                 raise UnknownStreamError(stream_id)
-            self._sessions_closed += 1
-        frames: list[Frame] = []
-        with session.lock:
-            session.closed = True
-            if flush:
-                frames = list(session.operator.flush())
-        with self._lock:
-            self._frames_emitted += len(frames)
+            frames = self._retire_locked(session, "sessions_closed", flush=flush)
         if frames:
             self._notify_frames({stream_id: frames})
         return frames
@@ -469,8 +485,8 @@ class StreamHub:
             session.last_active_tick = self._tick
             session.frames_emitted += len(frames)
         with self._lock:
-            self._points_ingested += int(vs.size)
-            self._frames_emitted += len(frames)
+            self._counters["points_ingested"] += int(vs.size)
+            self._counters["frames_emitted"] += len(frames)
         if frames:
             self._notify_frames({stream_id: frames})
         return frames
@@ -545,9 +561,8 @@ class StreamHub:
                 if not session.closed:
                     record(session, session.operator.refresh_if_due())
 
-        evicted = 0
-        if self.idle_ticks_before_eviction is not None:
-            with self._lock:
+        with self._lock:
+            if self.idle_ticks_before_eviction is not None:
                 stale = [
                     session
                     for session in self._sessions.values()
@@ -555,16 +570,10 @@ class StreamHub:
                     > self.idle_ticks_before_eviction
                 ]
                 for session in stale:
-                    with session.lock:
-                        session.closed = True  # as on close(): fail racing ingests
-                    del self._sessions[session.stream_id]
-                evicted = len(stale)
-
-        with self._lock:
-            self._refreshes_coalesced += coalesced
-            self._grid_kernel_calls += kernel_calls
-            self._sessions_evicted += evicted
-            self._frames_emitted += sum(len(frames) for frames in emitted.values())
+                    self._retire_locked(session, "sessions_evicted")
+            self._counters["refreshes_coalesced"] += coalesced
+            self._counters["grid_kernel_calls"] += kernel_calls
+            self._counters["frames_emitted"] += sum(len(frames) for frames in emitted.values())
         self._notify_frames(emitted)
         return emitted
 
@@ -714,9 +723,8 @@ class StreamHub:
         # hub-lock -> session-lock order used by create_stream's eviction and
         # tick's idle reaper (an ABBA deadlock).
         with self._lock:
-            self._views_served += 1
-            if cache_hit:
-                self._view_cache_hits += 1
+            self._counters["views_served"] += 1
+            self._counters["view_cache_hits"] += int(cache_hit)
         return snap
 
     #: Distinct (resolution, include_partial) views cached per session; the
@@ -752,14 +760,16 @@ class StreamHub:
         included (they rebuild lazily).  With ``remove=True`` the session is
         atomically taken out of this hub (no flush — every pending pane and
         partial pane travels with the state), which is the cluster tier's
-        migration primitive.
+        migration primitive.  The operator's lifetime counters travel inside
+        its state, so they leave this hub's :attr:`stats` and arrive with
+        :meth:`import_session` on the target — never counted twice.
         """
         if remove:
             with self._lock:
                 session = self._sessions.pop(stream_id, None)
                 if session is None:
                     raise UnknownStreamError(stream_id)
-                self._sessions_exported += 1
+                self._counters["sessions_exported"] += 1
             with session.lock:
                 session.closed = True  # as on close(): fail racing ingests
                 return self._session_state(session)
@@ -807,7 +817,7 @@ class StreamHub:
                 last_active_tick=int(state["last_active_tick"]),
                 frames_emitted=int(state["frames_emitted"]),
             )
-            self._sessions_imported += 1
+            self._counters["sessions_imported"] += 1
         return sid
 
     def state_dict(self) -> dict:
@@ -831,19 +841,7 @@ class StreamHub:
                 "idle_ticks_before_eviction": self.idle_ticks_before_eviction,
                 "tick": self._tick,
                 "next_auto_id": self._next_auto_id,
-                "counters": {
-                    "sessions_created": self._sessions_created,
-                    "sessions_closed": self._sessions_closed,
-                    "sessions_evicted": self._sessions_evicted,
-                    "sessions_imported": self._sessions_imported,
-                    "sessions_exported": self._sessions_exported,
-                    "points_ingested": self._points_ingested,
-                    "frames_emitted": self._frames_emitted,
-                    "refreshes_coalesced": self._refreshes_coalesced,
-                    "grid_kernel_calls": self._grid_kernel_calls,
-                    "views_served": self._views_served,
-                    "view_cache_hits": self._view_cache_hits,
-                },
+                "counters": dict(self._counters),
             }
             sessions = []
             for session in self._sessions.values():
@@ -869,18 +867,7 @@ class StreamHub:
         )
         hub._tick = int(state["tick"])
         hub._next_auto_id = int(state["next_auto_id"])
-        counters = state["counters"]
-        hub._sessions_created = int(counters["sessions_created"])
-        hub._sessions_closed = int(counters["sessions_closed"])
-        hub._sessions_evicted = int(counters["sessions_evicted"])
-        hub._sessions_imported = int(counters["sessions_imported"])
-        hub._sessions_exported = int(counters["sessions_exported"])
-        hub._points_ingested = int(counters["points_ingested"])
-        hub._frames_emitted = int(counters["frames_emitted"])
-        hub._refreshes_coalesced = int(counters["refreshes_coalesced"])
-        hub._grid_kernel_calls = int(counters["grid_kernel_calls"])
-        hub._views_served = int(counters["views_served"])
-        hub._view_cache_hits = int(counters["view_cache_hits"])
+        hub._counters = counters_from_state(state["counters"], _COUNTERS)
         for session_state in state["sessions"]:
             cfg = StreamConfig.from_dict(session_state["config"])
             hub._check_pane_budget(cfg)
@@ -896,50 +883,13 @@ class StreamHub:
 
     @property
     def stats(self) -> HubStats:
-        """Aggregate hub accounting (sessions, points, frames, coalescing)."""
+        """Aggregate hub accounting: the hub's own counters (retired
+        sessions' operator totals included) plus every live operator's."""
         with self._lock:
-            return HubStats(
-                sessions_active=len(self._sessions),
-                sessions_created=self._sessions_created,
-                sessions_closed=self._sessions_closed,
-                sessions_evicted=self._sessions_evicted,
-                ticks=self._tick,
-                points_ingested=self._points_ingested,
-                frames_emitted=self._frames_emitted,
-                refreshes_coalesced=self._refreshes_coalesced,
-                grid_kernel_calls=self._grid_kernel_calls,
-                views_served=self._views_served,
-                view_cache_hits=self._view_cache_hits,
-                sessions_imported=self._sessions_imported,
-                sessions_exported=self._sessions_exported,
-                warm_prefetches=sum(
-                    s.operator.warm_prefetches for s in self._sessions.values()
-                ),
-                warm_fallbacks=sum(
-                    s.operator.warm_fallbacks for s in self._sessions.values()
-                ),
-                gaps_filled=sum(
-                    s.operator.gaps_filled for s in self._sessions.values()
-                ),
-                nan_dropped=sum(
-                    s.operator.nan_dropped for s in self._sessions.values()
-                ),
-                late_accepted=sum(
-                    s.operator.late_accepted for s in self._sessions.values()
-                ),
-                late_dropped=sum(
-                    s.operator.late_dropped for s in self._sessions.values()
-                ),
-                backfills=sum(
-                    s.operator.backfills for s in self._sessions.values()
-                ),
-                backfill_points=sum(
-                    s.operator.backfill_points for s in self._sessions.values()
-                ),
-                backfill_elided=sum(
-                    s.operator.backfill_elided for s in self._sessions.values()
-                ),
-            )
+            merged = Counter(self._counters)
+            for session in self._sessions.values():
+                merged.update(session.operator.counters)
+            return HubStats(sessions_active=len(self._sessions), ticks=self._tick, **merged)
 
     def __repr__(self) -> str:
         with self._lock:

@@ -329,6 +329,23 @@ def test_direct_operations_heal_placement_after_eviction():
     hub.shutdown()
 
 
+def test_rebalancing_skips_streams_evicted_since_the_last_reply():
+    # Regression: remove_shard used to abort half-done (shard off the ring,
+    # still a member) when the map still named a stream the shard's LRU
+    # admission had evicted.
+    hub = ShardedHub(shards=2, max_sessions_per_shard=2, default_config=CONFIG)
+    for i in range(6):
+        hub.create_stream(f"s{i}")  # each shard silently evicts its oldest
+    hub.remove_shard("shard-0")
+    assert hub.shard_ids == ["shard-1"]
+    hub.tick()  # reconciles the survivor's own evictions
+    assert 0 < len(hub) <= 2
+    for sid in hub.stream_ids():
+        assert hub.shard_of(sid) == "shard-1"
+        hub.snapshot(sid)
+    hub.shutdown()
+
+
 # -- crash recovery ------------------------------------------------------------
 
 

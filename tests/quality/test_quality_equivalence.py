@@ -168,6 +168,23 @@ class TestMessyLedger:
         assert snapshot.gaps_filled == 50
         assert hub.stats.gaps_filled == 50
 
+    def test_reset_keeps_lifetime_counters(self):
+        ts, vs = self.messy_arrivals()
+        ts, vs = ts[:3000].copy(), vs[:3000].copy()
+        ts[[1000, 1001]] = ts[[1001, 1000]]  # reordered inside the watermark
+        ts[2500] = ts[2400]  # 100 points late: beyond the watermark
+        operator = StreamingASAP(**BASE, **QUALITY)
+        drive_operator(operator, ts, vs)
+        fields = ("gaps_filled", "nan_dropped", "late_accepted", "late_dropped")
+        before = {name: getattr(operator, name) for name in fields}
+        assert all(before.values()), before
+        operator.reset()
+        assert {name: getattr(operator, name) for name in fields} == before
+        tail = ts[-1] + 1.0 + np.arange(600, dtype=np.float64)
+        frames = drive_operator(operator, tail, np.sin(tail / 15.0))
+        for name in fields:
+            assert getattr(frames[-1].quality, name) >= before[name], name
+
     def test_counters_survive_checkpoint_round_trip(self):
         ts, vs = self.messy_arrivals()
         hub = StreamHub(default_config=StreamConfig(**BASE, **QUALITY))
