@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.streaming import StreamingASAP
 from repro.persist import checkpoint, restore
 from repro.service import StreamConfig, StreamHub
+from repro.spec import AsapSpec
 
 
 def make_series(length: int, seed: int) -> np.ndarray:
@@ -63,13 +64,16 @@ def make_series(length: int, seed: int) -> np.ndarray:
 
 def make_operator(args: argparse.Namespace, seeded: bool) -> StreamingASAP:
     return StreamingASAP(
-        pane_size=args.pane_size,
-        resolution=args.resolution,
-        refresh_interval=args.refresh_interval,
-        strategy="asap",
-        seed_from_previous=seeded,
-        incremental=True,
-        pyramid=True,
+        AsapSpec(
+            pane_size=args.pane_size,
+            resolution=args.resolution,
+            refresh_interval=args.refresh_interval,
+            strategy="asap",
+            seed_from_previous=seeded,
+            incremental=True,
+            keep_pane_sketches=True,
+            pyramid=True,
+        )
     )
 
 

@@ -2,6 +2,7 @@
 
 from repro.core.streaming import StreamingASAP
 from repro.experiments import fig10_streaming
+from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 from repro.timeseries import load
 
@@ -12,7 +13,14 @@ def test_streaming_push_throughput(benchmark):
 
     def stream_all():
         operator = StreamingASAP(
-            pane_size=pane_size, resolution=2000, refresh_interval=64
+            AsapSpec(
+                pane_size=pane_size,
+                resolution=2000,
+                refresh_interval=64,
+                incremental=False,
+                keep_pane_sketches=True,
+                pyramid=False,
+            )
         )
         for timestamp, value in series:
             operator.push(StreamPoint(timestamp, value))

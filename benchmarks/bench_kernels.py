@@ -41,6 +41,7 @@ import time
 import numpy as np
 
 from repro.core.streaming import StreamingASAP
+from repro.spec import AsapSpec
 from repro.spectral import accel
 from repro.spectral.convolution import (
     sma_grid_moments,
@@ -63,12 +64,16 @@ def make_series(length: int, seed: int) -> np.ndarray:
 
 def make_operator(warm_start, resolution, refresh_interval):
     return StreamingASAP(
-        pane_size=1,
-        resolution=resolution,
-        refresh_interval=refresh_interval,
-        strategy="asap",
-        incremental=True,
-        warm_start=warm_start,
+        AsapSpec(
+            pane_size=1,
+            resolution=resolution,
+            refresh_interval=refresh_interval,
+            strategy="asap",
+            incremental=True,
+            keep_pane_sketches=True,
+            pyramid=False,
+            warm_start=warm_start,
+        )
     )
 
 

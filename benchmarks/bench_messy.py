@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.streaming import StreamingASAP
 from repro.service import StreamConfig, StreamHub
+from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
 
@@ -84,14 +85,18 @@ def make_messy(values, ts, seed: int):
 
 def make_operator(quality: bool, resolution, refresh_interval, watermark):
     return StreamingASAP(
-        pane_size=2,
-        resolution=resolution,
-        refresh_interval=refresh_interval,
-        strategy="asap",
-        incremental=True,
-        normalize=quality,
-        cadence=1.0 if quality else None,
-        watermark=watermark if quality else 0,
+        AsapSpec(
+            pane_size=2,
+            resolution=resolution,
+            refresh_interval=refresh_interval,
+            strategy="asap",
+            incremental=True,
+            keep_pane_sketches=True,
+            pyramid=False,
+            normalize=quality,
+            cadence=1.0 if quality else None,
+            watermark=watermark if quality else 0,
+        )
     )
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.streaming import StreamingASAP
 from repro.service import StreamConfig, StreamHub
+from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
 
@@ -65,7 +66,17 @@ def baseline_config(config: StreamConfig) -> dict:
 
 def drive_loop(streams, ts, chunk, config: StreamConfig):
     """Per-point looped operators; returns (frames_by_stream, seconds)."""
-    operators = [StreamingASAP(**baseline_config(config)) for _ in streams]
+    operators = [
+        StreamingASAP(
+            AsapSpec(
+                **baseline_config(config),
+                incremental=False,
+                keep_pane_sketches=True,
+                pyramid=False,
+            )
+        )
+        for _ in streams
+    ]
     frames = [[] for _ in streams]
     length = ts.size
     started = time.perf_counter()

@@ -49,7 +49,8 @@ Packages:
 * :mod:`repro.timeseries` — series container, statistics, dataset
   reconstructions;
 * :mod:`repro.spectral` — FFT, moving-average kernels, alternative filters;
-* :mod:`repro.stream` — panes, windows, incremental aggregates;
+* :mod:`repro.stream` — panes, the moment sketch, the operator contract,
+  replay sources;
 * :mod:`repro.vis` — rasterization, pixel metrics, M4/PAA/simplification;
 * :mod:`repro.perception` — the simulated-observer user-study harness;
 * :mod:`repro.experiments` — regenerators for every table and figure.

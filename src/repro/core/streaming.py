@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import CheckpointError, IncrementalDriftError, SpecError
+from ..errors import CheckpointError, IncrementalDriftError
 from ..pyramid.rollup import Pyramid
 from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
 from ..pyramid.view import PyramidView, ViewSpec
+from ..spec import AsapSpec, require_spec
 from ..spectral import accel
 from ..spectral.convolution import cross_product_sums, sma_probe_moments
 from ..stream.operators import StreamOperator
@@ -111,14 +112,36 @@ _CONDITIONING_LIMIT = 256.0
 #: windows (e.g. epoch-timestamps with sub-second jitter).
 _EXACT_FALLBACK_RATIO = 1e6
 
-#: The lifetime counters the operator keeps in its own mapping.
-_OPERATOR_COUNTERS = (
+#: The operator's lifetime counters that are also :class:`~repro.service.HubStats`
+#: fields (see :attr:`StreamingASAP.counters`).
+_HUB_COUNTERS = (
     "warm_prefetches",
     "warm_fallbacks",
     "backfills",
     "backfill_points",
     "backfill_elided",
 )
+
+#: Every lifetime counter the operator keeps in its own mapping.
+_OPERATOR_COUNTERS = _HUB_COUNTERS + (
+    "searches_run",
+    "candidates_evaluated",
+    "full_recomputes",
+    "exact_fallbacks",
+)
+
+#: The spec's fields, which read through as operator attributes.
+_SPEC_FIELDS = frozenset(field.name for field in fields(AsapSpec))
+
+#: The fields of each nested state that the spec determines: a restored
+#: operator's parts must have exactly the shape its spec builds.
+_SPEC_SHAPED = {
+    "buffer": ("pane_size", "capacity", "journal", "keep_sketches", "track_quality"),
+    "rolling": ("capacity", "lag_budget"),
+    "pyramid": ("capacity", "level_ratios"),
+    "reorder": ("watermark",),
+    "normalizer": ("declared_cadence", "gap_policy", "gap_factor"),
+}
 
 
 def counters_from_state(state, names) -> Counter:
@@ -641,171 +664,64 @@ def _check_agreement(label: str, incremental: float, exact: float) -> None:
 class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     """Continuously smooth a stream, refreshing at human timescales.
 
-    Parameters
-    ----------
-    pane_size:
-        Raw arrivals per aggregated point (the point-to-pixel ratio).  Use 1
-        to disable pixel-aware preaggregation.
-    resolution:
-        Number of aggregated points kept in the visualized window (the
-        display width in pixels).
-    refresh_interval:
-        How many *aggregated* points to collect between searches.  1 refreshes
-        for every aggregated point (the paper's inefficient baseline); larger
-        values are the on-demand optimization.
-    strategy:
-        Search strategy per refresh: ``"asap"`` (default) or a baseline name.
-    max_window:
-        Optional cap on candidate windows, in aggregated units.
-    seed_from_previous:
-        Reuse the previous refresh's feasible window to seed pruning
-        (``CHECKLASTWINDOW``).  Only meaningful for the ASAP strategy.
-    incremental:
-        Maintain the window's ACF and moment statistics incrementally
-        (O(new panes) per refresh) instead of recomputing them from scratch
-        (O(window log window)).  Results agree with the from-scratch path to
-        the 1e-9 discipline; selected windows are identical in practice.
-    recompute_every:
-        With ``incremental=True``, rebuild the rolling sums from the window
-        contents every this-many refreshes to bound floating-point drift.
-    verify_incremental:
-        Exact-recompute escape hatch: with ``incremental=True``, also run the
-        from-scratch statistics on every refresh and raise
-        :class:`IncrementalDriftError` on disagreement beyond 1e-9.
-    keep_pane_sketches:
-        Retain per-pane :class:`~repro.stream.aggregates.MomentSketch` state
-        (raw-point window statistics via ``PaneBuffer.window_sketch``).  The
-        operator itself never needs them; serving layers turn this off to
-        halve batch-ingest cost.  Pane means — and therefore every frame —
-        are bit-identical either way.
-    pyramid:
-        Attach a multi-resolution rollup pyramid
-        (:class:`~repro.pyramid.Pyramid`) fed every completed pane, so the
-        same window can be served at many pixel widths via
-        :meth:`pyramid_view` without duplicating sessions.  Pass ``True`` to
-        build one sized to this operator's window (capacity ``resolution``,
-        default level ratios), or a pre-built pyramid of matching capacity.
-        The pyramid observes completions only — frames are bit-identical with
-        or without it.
-    warm_start:
-        Seed each refresh's search with the previous refresh's *probe trace*:
-        every window the last search touched (plus the previous winner's
-        neighborhood) is prefetched in **one** stacked kernel call before the
-        search runs, so a stable stream's refresh collapses from a long run
-        of single-window kernel dispatches to a single batched one plus cache
-        hits.  The search logic itself is untouched and the prefetched values
-        come from a kernel bit-identical to the cold path's, so frames are
-        bit-identical to ``warm_start=False`` — only the dispatch count
-        changes.  When the stream drifts and the search leaves the prefetched
-        trace, the extra probes fall through as ordinary cache misses (a
-        counted *fallback*, see :attr:`warm_fallbacks`).  Only adaptive
-        strategies (``"asap"``, ``"binary"``) participate; grid strategies
-        already evaluate their whole candidate grid in one call.
-    kernel:
-        Moment-kernel backend for per-refresh candidate evaluation
-        (``"grid"``, ``"scalar"``, or ``"numba"`` — see
-        :class:`~repro.core.smoothing.EvaluationCache`).  ``None`` resolves
-        through :func:`repro.spec.default_kernel` at each refresh, honoring
-        the ``ASAP_KERNEL`` environment variable.
-    watermark:
-        Depth (in points) of a :class:`~repro.quality.ReorderBuffer` placed
-        in front of the pane buffer.  Late arrivals within the watermark are
-        reordered into their correct pane (counted as
-        :attr:`late_accepted`); arrivals older than the newest released
-        point are counted-and-dropped (:attr:`late_dropped`), never
-        corrupting rolling state.  0 (the default) disables reordering —
-        arrivals bucket in arrival order exactly as before.
-    normalize:
-        Enable the stateful quality stage
-        (:class:`~repro.quality.StreamNormalizer`): non-finite values are
-        dropped and counted, cadence gaps are handled per ``gap_policy``,
-        and every frame reports per-window completeness.  On dense, ordered,
-        regular input the stage is a bit-identical no-op.
-    cadence / gap_policy:
-        Gap detection parameters for ``normalize=True``; see
-        :func:`repro.quality.normalize_series`.
-    backfill:
-        Lane selection for :meth:`backfill` (archive replay).  ``"auto"``
-        (the default) picks the vectorized fast lane — bulk pane folding,
-        chunk-cadence rolling replay, a single closing search — whenever
-        eliding the interior searches cannot change any frame (every
-        strategy except seeded ASAP, because ``CHECKLASTWINDOW``'s seed can
-        change the *selected* window), and otherwise the replay lane, which
-        runs every interior search but skips warm prefetch and frame
-        materialization.  ``"replay"`` forces the replay lane; ``"stream"``
-        forces plain batched streaming (the debug baseline).  Every lane
-        leaves the operator in a state whose subsequent frames are
-        bit-identical to having streamed the archive point by point.
+    Configured by one :class:`~repro.spec.AsapSpec`, kept as :attr:`spec`
+    (its docstring documents every knob).  Spec fields also read as
+    attributes (``op.strategy`` is ``op.spec.strategy``), except
+    :attr:`pyramid`, the attached pyramid or ``None``, and
+    :attr:`incremental`, which ``verify_incremental`` implies.  The operator
+    reads the streaming, quality, ``keep_pane_sketches`` and ``pyramid``
+    fields; ``use_preaggregation`` and the network knobs do not apply,
+    because the operator aggregates through ``pane_size``.  How the knobs
+    act here:
+
+    * ``incremental`` maintains the window's ACF and moment statistics in
+      O(new panes) per refresh instead of O(window log window); results agree
+      with the from-scratch path to the 1e-9 discipline.  ``recompute_every``
+      bounds drift with periodic exact rebuilds, and ``verify_incremental``
+      (which implies ``incremental``) also runs the from-scratch path on every
+      refresh and raises :class:`IncrementalDriftError` on disagreement.
+    * ``warm_start`` prefetches the previous refresh's probe trace in one
+      stacked kernel call, so a stable stream's search replays over cache
+      hits.  The search itself is untouched and the kernel is bit-identical
+      to the cold path's, so frames do not change; a search that leaves the
+      trace is a counted :attr:`warm_fallbacks`.  Only the adaptive
+      strategies (``"asap"``, ``"binary"``) participate.
+    * ``keep_pane_sketches`` retains per-pane raw-moment sketches the
+      operator never reads; ``pyramid`` attaches a
+      :class:`~repro.pyramid.Pyramid` of capacity ``resolution`` fed every
+      completed pane, so :meth:`pyramid_view` serves any pixel width.
+      Neither changes any frame.
+    * ``watermark`` puts a :class:`~repro.quality.ReorderBuffer` in front of
+      the panes (late points within it are reordered, older ones
+      counted-and-dropped); ``normalize`` adds the stateful
+      :class:`~repro.quality.StreamNormalizer` (``cadence``/``gap_policy``).
+      On dense, ordered, regular input both are bit-identical no-ops.
+    * ``backfill`` picks the :meth:`backfill` lane: ``"auto"`` takes the
+      vectorized fast lane whenever eliding interior searches cannot change
+      a frame (every strategy except seeded ASAP, whose ``CHECKLASTWINDOW``
+      seed can change the selected window) and the replay lane otherwise;
+      ``"replay"`` and ``"stream"`` force a lane.  Every lane leaves later
+      frames bit-identical to streaming the archive point by point.
     """
 
-    def __init__(
-        self,
-        pane_size: int,
-        resolution: int = 800,
-        refresh_interval: int = 10,
-        strategy: str = "asap",
-        max_window: int | None = None,
-        seed_from_previous: bool = True,
-        incremental: bool = False,
-        recompute_every: int = 64,
-        verify_incremental: bool = False,
-        keep_pane_sketches: bool = True,
-        pyramid: Pyramid | bool | None = None,
-        warm_start: bool = True,
-        kernel: str | None = None,
-        watermark: int = 0,
-        normalize: bool = False,
-        cadence: float | None = None,
-        gap_policy: str = "interpolate",
-        backfill: str = "auto",
-    ) -> None:
-        if refresh_interval < 1:
-            raise ValueError(f"refresh_interval must be >= 1, got {refresh_interval}")
-        if recompute_every < 1:
-            raise ValueError(f"recompute_every must be >= 1, got {recompute_every}")
-        if kernel is not None and kernel not in ("grid", "scalar", "numba"):
-            raise SpecError(f"kernel must be 'grid', 'scalar', or 'numba', got {kernel!r}")
-        if watermark < 0:
-            raise ValueError(f"watermark must be >= 0, got {watermark}")
-        if backfill not in ("auto", "replay", "stream"):
-            raise SpecError(
-                f"backfill must be 'auto', 'replay', or 'stream', got {backfill!r}"
-            )
-        self.backfill_mode = backfill
-        self.watermark = int(watermark)
-        self.normalize = bool(normalize)
-        self.cadence = None if cadence is None else float(cadence)
-        self.gap_policy = gap_policy
-        self._reorder = ReorderBuffer(watermark) if watermark > 0 else None
+    def __init__(self, spec: AsapSpec) -> None:
+        self.spec = require_spec(spec, "StreamingASAP(AsapSpec(...)) is its only constructor")
+        resolution = spec.resolution
+        self.incremental = spec.incremental or spec.verify_incremental
+        self._reorder = ReorderBuffer(spec.watermark) if spec.watermark > 0 else None
         self._normalizer = (
-            StreamNormalizer(cadence=cadence, gap_policy=gap_policy) if normalize else None
+            StreamNormalizer(cadence=spec.cadence, gap_policy=spec.gap_policy)
+            if spec.normalize
+            else None
         )
-        self.incremental = bool(incremental or verify_incremental)
-        self.recompute_every = recompute_every
-        self.verify_incremental = verify_incremental
-        if pyramid is True:
-            pyramid = Pyramid(capacity=resolution)
-        elif pyramid is False:
-            pyramid = None
-        if pyramid is not None and pyramid.capacity != resolution:
-            raise ValueError(
-                f"attached pyramid capacity {pyramid.capacity} must equal the "
-                f"operator resolution {resolution} (the pyramid mirrors the window)"
-            )
-        self.pyramid = pyramid
+        self.pyramid = Pyramid(capacity=resolution) if spec.pyramid else None
         self._buffer = PaneBuffer(
-            pane_size=pane_size,
+            pane_size=spec.pane_size,
             capacity=resolution,
-            journal=self.incremental or pyramid is not None,
-            keep_sketches=keep_pane_sketches,
-            track_quality=self.normalize,
+            journal=self.incremental or spec.pyramid,
+            keep_sketches=spec.keep_pane_sketches,
+            track_quality=spec.normalize,
         )
-        self.refresh_interval = refresh_interval
-        self.strategy = strategy
-        self.max_window = max_window
-        self.seed_from_previous = seed_from_previous
-        self.warm_start = bool(warm_start)
-        self.kernel = kernel
         self._warm_trace: tuple[int, ...] | None = None
         # Lifetime counters owned by the operator itself (the quality
         # counters live in the stages that count them; see `counters`).
@@ -819,7 +735,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             RollingWindowState(
                 capacity=resolution,
                 lag_budget=(
-                    self._lag_budget(resolution, max_window) if strategy == "asap" else 0
+                    self._lag_budget(resolution, spec.max_window)
+                    if spec.strategy == "asap"
+                    else 0
                 ),
             )
             if self.incremental
@@ -829,43 +747,18 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self._previous_window: int | None = None
         self._refresh_due = False
         self._refresh_count = 0
-        self._searches_run = 0
-        self._candidates_evaluated = 0
         self._refreshes_since_rebuild = 0
-        self._full_recomputes = 0
-        self._exact_fallbacks = 0
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: spec fields read through.
+        if name in _SPEC_FIELDS:
+            return getattr(self.spec, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
-    def from_spec(cls, spec) -> "StreamingASAP":
-        """Build an operator from an :class:`~repro.spec.AsapSpec`.
-
-        The one spec -> operator constructor, shared by the service tier's
-        sessions, the cluster tier, and the client façade (duck-typed on the
-        spec's streaming and serving fields, so this module needs no import
-        of the spec layer).  The spec's only batch-only knob
-        (``use_preaggregation``) does not apply here: the streaming path
-        aggregates through ``pane_size``.
-        """
-        return cls(
-            pane_size=spec.pane_size,
-            resolution=spec.resolution,
-            refresh_interval=spec.refresh_interval,
-            strategy=spec.strategy,
-            max_window=spec.max_window,
-            seed_from_previous=spec.seed_from_previous,
-            incremental=spec.incremental,
-            recompute_every=spec.recompute_every,
-            verify_incremental=spec.verify_incremental,
-            keep_pane_sketches=spec.keep_pane_sketches,
-            pyramid=spec.pyramid,
-            warm_start=spec.warm_start,
-            kernel=spec.kernel,
-            watermark=spec.watermark,
-            normalize=spec.normalize,
-            cadence=spec.cadence,
-            gap_policy=spec.gap_policy,
-            backfill=getattr(spec, "backfill", "auto"),
-        )
+    def from_spec(cls, spec: AsapSpec) -> "StreamingASAP":
+        """Build an operator from *spec*; the same as ``StreamingASAP(spec)``."""
+        return cls(spec)
 
     @staticmethod
     def _lag_budget(resolution: int, max_window: int | None) -> int:
@@ -886,12 +779,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     @property
     def searches_run(self) -> int:
         """Window searches executed (one per emitted frame)."""
-        return self._searches_run
+        return self._counters["searches_run"]
 
     @property
     def candidates_evaluated(self) -> int:
         """Total SMA evaluations across all searches."""
-        return self._candidates_evaluated
+        return self._counters["candidates_evaluated"]
 
     @property
     def points_ingested(self) -> int:
@@ -901,14 +794,14 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     @property
     def full_recomputes(self) -> int:
         """Periodic exact rebuilds of the incremental state so far."""
-        return self._full_recomputes
+        return self._counters["full_recomputes"]
 
     @property
     def exact_fallbacks(self) -> int:
         """Refreshes routed through the exact path because the window was too
         ill-conditioned (offset far exceeding spread) for any incremental
         formulation to match the scalar kernels to 1e-9."""
-        return self._exact_fallbacks
+        return self._counters["exact_fallbacks"]
 
     @property
     def counters(self) -> dict[str, int]:
@@ -916,12 +809,17 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         :class:`~repro.service.HubStats`, by field name: the warm-start and
         backfill counters plus the quality stages' counters.  Never reset."""
         return {
-            **self._counters,
+            **{name: self._counters[name] for name in _HUB_COUNTERS},
             "gaps_filled": self.gaps_filled,
             "nan_dropped": self.nan_dropped,
             "late_accepted": self.late_accepted,
             "late_dropped": self.late_dropped,
         }
+
+    @property
+    def backfill_mode(self) -> str:
+        """The :meth:`backfill` lane selection (the spec's ``backfill``)."""
+        return self.spec.backfill
 
     @property
     def warm_prefetches(self) -> int:
@@ -1032,8 +930,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """
         if self.pyramid is None:
             raise ValueError(
-                "no pyramid attached; construct StreamingASAP(..., pyramid=True) "
-                "to serve multi-resolution views"
+                "no pyramid attached; build the operator from a spec with "
+                "pyramid=True to serve multi-resolution views"
             )
         if sync:
             self._sync_pane_state()
@@ -1053,7 +951,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         completed = self._buffer.push(item.timestamp, item.value)
         if completed is not None:
             self._panes_since_refresh += 1
-            if self._panes_since_refresh >= self.refresh_interval:
+            if self._panes_since_refresh >= self.spec.refresh_interval:
                 self._panes_since_refresh = 0
                 frame = self._refresh()
                 if frame is not None:
@@ -1108,11 +1006,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         both frame-neutral — so only the batch's closing boundary pays for a
         rendered frame.
         """
+        interval = self.spec.refresh_interval
         i = 0
         n = vs.size
         while i < n:
             pane_size = self._buffer.pane_size
-            panes_needed = self.refresh_interval - self._panes_since_refresh
+            panes_needed = interval - self._panes_since_refresh
             points_to_boundary = (
                 pane_size - self._buffer.open_pane_points + (panes_needed - 1) * pane_size
             )
@@ -1123,11 +1022,11 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 synthetic=None if synth is None else synth[i : i + take],
             )
             i += take
-            if self._panes_since_refresh >= self.refresh_interval:
+            if self._panes_since_refresh >= interval:
                 self._panes_since_refresh = 0
                 if defer_boundary and i == n:
                     self._refresh_due = True
-                elif elide_interior and n - i >= self.refresh_interval * pane_size:
+                elif elide_interior and n - i >= interval * pane_size:
                     self._refresh(materialize=False)
                 else:
                     frame = self._refresh()
@@ -1153,7 +1052,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         through the quality stages, bulk pane folding, chunk-cadence replay
         of the rolling statistics, one bulk pyramid feed, and a single real
         search at the archive's closing refresh boundary (the fast lane; see
-        the ``backfill`` constructor knob for lane selection).  Interior
+        the spec's ``backfill`` knob for lane selection).  Interior
         refresh boundaries are *elided* — no frame is rendered for them —
         but every piece of carried state (pane window, rolling sums and
         their conditioning-rebuild schedule, pyramid levels, refresh ledger,
@@ -1169,7 +1068,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """
         frames: list[Frame] = []
         refreshes_before = self._refresh_count
-        searches_before = self._searches_run
+        searches_before = self.searches_run
         points_before = self._buffer.total_points
         panes_before = self._buffer.panes_completed
         self._run_due_refresh(frames)
@@ -1185,7 +1084,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             ts, vs = self._reorder.push_many(ts, vs)
         if self._normalizer is not None:
             ts, vs, synth = self._normalizer.process(ts, vs)
-        mode = self.backfill_mode
+        spec = self.spec
+        mode = spec.backfill
         if mode == "auto":
             # Eliding searches is frame-exact unless the search is seeded
             # from the previous winner (CHECKLASTWINDOW can change the
@@ -1193,8 +1093,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             # chain only a real per-boundary search reproduces) or every
             # refresh is contractually a verification point.
             fast = (
-                self.strategy != "asap" or not self.seed_from_previous
-            ) and not self.verify_incremental
+                spec.strategy != "asap" or not spec.seed_from_previous
+            ) and not spec.verify_incremental
             mode = "fast" if fast else "replay"
         if mode == "stream":
             self._fold(ts, vs, synth, frames)
@@ -1209,7 +1109,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             points=ingested,
             panes=self._buffer.panes_completed - panes_before,
             frames_elided=elided,
-            searches_run=self._searches_run - searches_before,
+            searches_run=self.searches_run - searches_before,
             mode=mode,
             frames=tuple(frames),
         )
@@ -1234,7 +1134,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if n == 0:
             return
         pane_size = self._buffer.pane_size
-        interval = self.refresh_interval
+        interval = self.spec.refresh_interval
         capacity = self._buffer.capacity
         p0 = self._panes_since_refresh
         pend0 = self._buffer.pending_completed if self._buffer.journal else 0
@@ -1300,16 +1200,16 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if self._rolling is not None:
             use_incremental = self._rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO
             if not use_incremental:
-                self._exact_fallbacks += 1
+                self._counters["exact_fallbacks"] += 1
             else:
                 self._refreshes_since_rebuild += 1
-                if self._refreshes_since_rebuild >= self.recompute_every:
+                if self._refreshes_since_rebuild >= self.spec.recompute_every:
                     self._refreshes_since_rebuild = 0
                     self._rolling.rebuild()
-                    self._full_recomputes += 1
+                    self._counters["full_recomputes"] += 1
                 self._rolling.roughness()
                 self._rolling.kurtosis()
-                if self.strategy == "asap":
+                if self.spec.strategy == "asap":
                     max_lag = self._resolved_max_lag(window_len)
                     if self._rolling.lag_budget >= max_lag:
                         self._rolling.correlations(max_lag)
@@ -1360,33 +1260,19 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     # -- serialization ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Full operator state: configuration, pane buffer, rolling sums, pyramid.
+        """Full operator state: spec, pane buffer, rolling sums, pyramid.
 
         The schema (documented in :mod:`repro.persist`) is everything a
         restored operator needs to emit **bit-identical** subsequent frames:
-        the refresh countdown, the previous window (``CHECKLASTWINDOW``'s
-        seed), the deferred-refresh flag, and every counter — plus the nested
-        state of the pane buffer, the incremental statistics, and the attached
+        the configuration once, as ``spec.to_dict()``; the refresh countdown,
+        the previous window (``CHECKLASTWINDOW``'s seed), the deferred-refresh
+        flag, and every counter; plus the nested state of the quality stages,
+        the pane buffer, the incremental statistics, and the attached
         pyramid.  Per-refresh evaluation caches are *not* persisted; they are
         rebuilt lazily on the next refresh.
         """
         return {
-            "pane_size": self._buffer.pane_size,
-            "resolution": self._buffer.capacity,
-            "refresh_interval": self.refresh_interval,
-            "strategy": self.strategy,
-            "max_window": self.max_window,
-            "seed_from_previous": self.seed_from_previous,
-            "incremental": self.incremental,
-            "recompute_every": self.recompute_every,
-            "verify_incremental": self.verify_incremental,
-            "keep_pane_sketches": self._buffer.keep_sketches,
-            "warm_start": self.warm_start,
-            "kernel": self.kernel,
-            "watermark": self.watermark,
-            "normalize": self.normalize,
-            "cadence": self.cadence,
-            "gap_policy": self.gap_policy,
+            "spec": self.spec.to_dict(),
             "reorder": None if self._reorder is None else self._reorder.state_dict(),
             "normalizer": (
                 None if self._normalizer is None else self._normalizer.state_dict()
@@ -1397,12 +1283,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             "counters": dict(self._counters),
             "refresh_due": self._refresh_due,
             "refresh_count": self._refresh_count,
-            "searches_run": self._searches_run,
-            "candidates_evaluated": self._candidates_evaluated,
             "refreshes_since_rebuild": self._refreshes_since_rebuild,
-            "full_recomputes": self._full_recomputes,
-            "exact_fallbacks": self._exact_fallbacks,
-            "backfill": self.backfill_mode,
             "buffer": self._buffer.state_dict(),
             "rolling": None if self._rolling is None else self._rolling.state_dict(),
             "pyramid": None if self.pyramid is None else self.pyramid.state_dict(),
@@ -1410,27 +1291,29 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamingASAP":
-        """Rebuild an operator from :meth:`state_dict` output (exact resume)."""
-        operator = cls(
-            pane_size=int(state["pane_size"]),
-            resolution=int(state["resolution"]),
-            refresh_interval=int(state["refresh_interval"]),
-            strategy=str(state["strategy"]),
-            max_window=None if state["max_window"] is None else int(state["max_window"]),
-            seed_from_previous=bool(state["seed_from_previous"]),
-            incremental=bool(state["incremental"]),
-            recompute_every=int(state["recompute_every"]),
-            verify_incremental=bool(state["verify_incremental"]),
-            keep_pane_sketches=bool(state["keep_pane_sketches"]),
-            pyramid=False,
-            warm_start=bool(state["warm_start"]),
-            kernel=None if state["kernel"] is None else str(state["kernel"]),
-            watermark=int(state["watermark"]),
-            normalize=bool(state["normalize"]),
-            cadence=None if state["cadence"] is None else float(state["cadence"]),
-            gap_policy=str(state["gap_policy"]),
-            backfill=str(state.get("backfill", "auto")),
-        )
+        """Rebuild an operator from :meth:`state_dict` output (exact resume).
+
+        The spec is validated by :meth:`AsapSpec.from_dict`, and each nested
+        state must have the shape that spec builds (pane size, capacities,
+        lag budget, which stages exist); a mismatch raises
+        :class:`~repro.errors.CheckpointError` naming the part and field.
+        """
+        operator = cls(AsapSpec.from_dict(state["spec"]))
+        built = operator.state_dict()
+        for part, keys in _SPEC_SHAPED.items():
+            got, want = state[part], built[part]
+            if (got is None) != (want is None):
+                built_or_not = "does not build" if want is None else "builds"
+                raise CheckpointError(
+                    f"operator state has {'a' if got is not None else 'no'} {part}, "
+                    f"but its spec {built_or_not} one"
+                )
+            for key in keys if got is not None else ():
+                if got[key] != want[key]:
+                    raise CheckpointError(
+                        f"operator {part} {key} {got[key]!r} does not match its "
+                        f"spec, which builds {want[key]!r}"
+                    )
         operator._reorder = (
             None if state["reorder"] is None else ReorderBuffer.from_state(state["reorder"])
         )
@@ -1458,11 +1341,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         operator._counters = counters_from_state(state["counters"], _OPERATOR_COUNTERS)
         operator._refresh_due = bool(state["refresh_due"])
         operator._refresh_count = int(state["refresh_count"])
-        operator._searches_run = int(state["searches_run"])
-        operator._candidates_evaluated = int(state["candidates_evaluated"])
         operator._refreshes_since_rebuild = int(state["refreshes_since_rebuild"])
-        operator._full_recomputes = int(state["full_recomputes"])
-        operator._exact_fallbacks = int(state["exact_fallbacks"])
         return operator
 
     # -- Algorithm 3 internals --------------------------------------------------
@@ -1497,7 +1376,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         return state
 
     def _resolved_max_lag(self, n: int) -> int:
-        lag = default_max_lag(n) if self.max_window is None else min(self.max_window, n - 1)
+        max_window = self.spec.max_window
+        lag = default_max_lag(n) if max_window is None else min(max_window, n - 1)
         return min(lag, n - 1)
 
     def _sync_pane_state(self) -> None:
@@ -1520,7 +1400,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         assert self._rolling is not None
         max_lag = self._resolved_max_lag(values.size)
         correlations = self._rolling.correlations(max_lag)
-        if self.verify_incremental:
+        if self.spec.verify_incremental:
             exact = autocorrelation(values, max_lag)
             worst = int(np.argmax(np.abs(correlations - exact)))
             _check_agreement(
@@ -1539,6 +1419,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         values = self._buffer.aggregated_values()
         if values.size < MIN_PANES_FOR_SEARCH:
             return None
+        spec = self.spec
         if cache is not None and (
             cache.values.size != values.size or not np.array_equal(cache.values, values)
         ):
@@ -1551,18 +1432,18 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             and self._rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO
         )
         if self._rolling is not None and not use_incremental:
-            self._exact_fallbacks += 1
+            self._counters["exact_fallbacks"] += 1
         if cache is None:
-            cache = EvaluationCache(values, kernel=self.kernel)
+            cache = EvaluationCache(values, kernel=spec.kernel)
             if use_incremental:
                 self._refreshes_since_rebuild += 1
-                if self._refreshes_since_rebuild >= self.recompute_every:
+                if self._refreshes_since_rebuild >= spec.recompute_every:
                     self._refreshes_since_rebuild = 0
                     self._rolling.rebuild()
-                    self._full_recomputes += 1
+                    self._counters["full_recomputes"] += 1
                 rolling_roughness = self._rolling.roughness()
                 rolling_kurtosis = self._rolling.kurtosis()
-                if self.verify_incremental:
+                if spec.verify_incremental:
                     _check_agreement(
                         "roughness", rolling_roughness, _scalar_roughness(values)
                     )
@@ -1580,15 +1461,15 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         # grid strategies are excluded (they already batch their grid).
         warm_prefetched = False
         warm_eligible = (
-            self.warm_start
-            and self.strategy in ADAPTIVE_STRATEGIES
+            spec.warm_start
+            and spec.strategy in ADAPTIVE_STRATEGIES
             and cache.backend in ("grid", "numba")
         )
         if materialize and warm_eligible and self._warm_trace is not None:
             probes = plan_warm_probes(
                 self._warm_trace,
                 self._previous_window,
-                resolve_max_window(values, self.max_window),
+                resolve_max_window(values, spec.max_window),
             )
             if len(probes) >= 2:
                 if cache.backend == "numba":
@@ -1612,7 +1493,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 )
                 warm_prefetched = True
                 self._counters["warm_prefetches"] += 1
-        if self.strategy == "asap":
+        if spec.strategy == "asap":
             max_lag = self._resolved_max_lag(values.size)
             if use_incremental and self._rolling.lag_budget >= max_lag:
                 acf = self._incremental_acf(values)
@@ -1620,22 +1501,21 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 acf = analyze_acf(values, max_lag=max_lag)
             state = (
                 self._check_last_window(values, cache)
-                if self.seed_from_previous
+                if spec.seed_from_previous
                 else SearchState.from_cache(cache)
             )
             search = asap_search(
-                values, max_window=self.max_window, acf=acf, state=state, cache=cache
+                values, max_window=spec.max_window, acf=acf, state=state, cache=cache
             )
         else:
-            search = run_strategy(self.strategy, values, self.max_window, cache=cache)
+            search = run_strategy(spec.strategy, values, spec.max_window, cache=cache)
         if warm_prefetched and cache.misses > 0:
             # The search left the prefetched trace (stream drift / regime
             # change) and paid single-probe kernel calls for the rest.
             self._counters["warm_fallbacks"] += 1
         if warm_eligible:
             self._warm_trace = cache.touched_windows()
-        self._searches_run += 1
-        self._candidates_evaluated += search.candidates_evaluated
+        self._counters.update(searches_run=1, candidates_evaluated=search.candidates_evaluated)
         self._previous_window = search.window
 
         if not materialize:

@@ -16,19 +16,27 @@ cache layer can evolve without a schema bump.
 Checkpoint **kinds** (the ``kind`` field of the payload):
 
 * ``"streamhub"`` — one :class:`StreamHub`: hub parameters, counters, and a
-  session list, each session carrying its config (a full
-  :class:`~repro.spec.AsapSpec` dict — the unified spec is the wire schema
-  for configuration), bookkeeping (created/last-active tick, frames
-  emitted), and the full
-  :meth:`~repro.core.streaming.StreamingASAP.state_dict` tree::
+  session list, each session carrying its bookkeeping (created/last-active
+  tick, frames emitted) and the full
+  :meth:`~repro.core.streaming.StreamingASAP.state_dict` tree.  The
+  operator state holds the session's one config, a full
+  :class:`~repro.spec.AsapSpec` dict (the unified spec is the wire schema
+  for configuration); restore validates it, holds it to the hub's pane
+  budget, and checks every nested part against the shape it builds::
 
       {"max_sessions": int, "max_panes_per_session": int,
        "default_config": {...AsapSpec fields...},
        "eviction_policy": str, "idle_ticks_before_eviction": int | None,
        "tick": int, "next_auto_id": int, "counters": {...},
-       "sessions": [{"stream_id": str, "config": {...},
-                     "created_tick": int, "last_active_tick": int,
-                     "frames_emitted": int, "operator": {...}}, ...]}
+       "sessions": [{"stream_id": str, "created_tick": int,
+                     "last_active_tick": int, "frames_emitted": int,
+                     "operator": {"spec": {...AsapSpec fields...},
+                                  "counters": {...},
+                                  "buffer": {...}, "rolling": {...} | None,
+                                  "pyramid": {...} | None,
+                                  "reorder": {...} | None,
+                                  "normalizer": {...} | None,
+                                  ...refresh bookkeeping...}}, ...]}
 
 * ``"sharded-hub"`` — one :class:`ShardedHub`: the ring/backend parameters,
   the stream->shard placement map, and one ``"streamhub"`` state per shard

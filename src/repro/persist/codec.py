@@ -97,7 +97,11 @@ __all__ = [
 #: ``counters`` mapping; a hub's ``counters`` also carry the operator totals
 #: of closed and evicted sessions (a version-7 reader would drop them), and a
 #: cluster's ``retired_stats`` is one mapping instead of a list.
-SCHEMA_VERSION = 8
+#: Version 9: operator state carries its configuration once, as ``spec`` (an
+#: :class:`~repro.spec.AsapSpec` dict), instead of 17 flat keys plus a second
+#: copy in the hub session's ``config``; the search and recompute counters
+#: moved into ``counters``.
+SCHEMA_VERSION = 9
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

@@ -214,7 +214,6 @@ _COUNTERS = tuple(f.name for f in fields(HubStats) if f.name not in ("sessions_a
 class _Session:
     stream_id: str
     operator: StreamingASAP
-    config: StreamConfig
     created_tick: int
     last_active_tick: int
     frames_emitted: int = 0
@@ -225,6 +224,11 @@ class _Session:
     view_cache: dict[tuple[int, bool], tuple[int, "ResolutionSnapshot"]] = field(
         default_factory=dict
     )
+
+    @property
+    def config(self) -> StreamConfig:
+        """The session's one config: the spec its operator was built from."""
+        return self.operator.spec
 
 
 class StreamHub:
@@ -368,7 +372,6 @@ class StreamHub:
             self._sessions[stream_id] = _Session(
                 stream_id=stream_id,
                 operator=cfg.build_operator(),
-                config=cfg,
                 created_tick=self._tick,
                 last_active_tick=self._tick,
             )
@@ -521,13 +524,11 @@ class StreamHub:
         singles: list[_Session] = []
         for session in due:
             operator = session.operator
+            spec = session.config
             with session.lock:
                 panes = operator.pane_count
-                if (
-                    operator.strategy in GRID_STRATEGY_STEPS
-                    and panes >= MIN_PANES_FOR_SEARCH
-                ):
-                    key = (operator.strategy, panes, operator.max_window)
+                if spec.strategy in GRID_STRATEGY_STEPS and panes >= MIN_PANES_FOR_SEARCH:
+                    key = (spec.strategy, panes, spec.max_window)
                     groups.setdefault(key, []).append(
                         (session, operator.aggregated_values())
                     )
@@ -753,8 +754,9 @@ class StreamHub:
     def export_session(self, stream_id: str, remove: bool = False) -> dict:
         """One session's full state as a plain dict (the persist-layer schema).
 
-        The returned tree — config, bookkeeping, and the operator's
-        :meth:`~repro.core.streaming.StreamingASAP.state_dict` — is exactly
+        The returned tree — bookkeeping plus the operator's
+        :meth:`~repro.core.streaming.StreamingASAP.state_dict`, which holds
+        the session's one config as its ``"spec"`` — is exactly
         what :meth:`import_session` needs to resume the session with
         bit-identical subsequent frames; per-session view caches are not
         included (they rebuild lazily).  With ``remove=True`` the session is
@@ -784,7 +786,6 @@ class StreamHub:
         """Serialize one session under its lock (caller holds it)."""
         return {
             "stream_id": session.stream_id,
-            "config": session.config.to_dict(),
             "created_tick": session.created_tick,
             "last_active_tick": session.last_active_tick,
             "frames_emitted": session.frames_emitted,
@@ -801,9 +802,7 @@ class StreamHub:
         overrides the exported id; the hub's pane budget and capacity policy
         apply as on :meth:`create_stream`.
         """
-        cfg = StreamConfig.from_dict(state["config"])
-        self._check_pane_budget(cfg)
-        operator = StreamingASAP.from_state(state["operator"])
+        operator = self._restore_operator(state["operator"])
         with self._lock:
             sid = stream_id if stream_id is not None else str(state["stream_id"])
             if sid in self._sessions:
@@ -812,7 +811,6 @@ class StreamHub:
             self._sessions[sid] = _Session(
                 stream_id=sid,
                 operator=operator,
-                config=cfg,
                 created_tick=int(state["created_tick"]),
                 last_active_tick=int(state["last_active_tick"]),
                 frames_emitted=int(state["frames_emitted"]),
@@ -869,17 +867,20 @@ class StreamHub:
         hub._next_auto_id = int(state["next_auto_id"])
         hub._counters = counters_from_state(state["counters"], _COUNTERS)
         for session_state in state["sessions"]:
-            cfg = StreamConfig.from_dict(session_state["config"])
-            hub._check_pane_budget(cfg)
             hub._sessions[str(session_state["stream_id"])] = _Session(
                 stream_id=str(session_state["stream_id"]),
-                operator=StreamingASAP.from_state(session_state["operator"]),
-                config=cfg,
+                operator=hub._restore_operator(session_state["operator"]),
                 created_tick=int(session_state["created_tick"]),
                 last_active_tick=int(session_state["last_active_tick"]),
                 frames_emitted=int(session_state["frames_emitted"]),
             )
         return hub
+
+    def _restore_operator(self, state: dict) -> StreamingASAP:
+        """Rebuild a checkpointed session's operator, its spec held to the
+        pane budget before any of its state is restored."""
+        self._check_pane_budget(StreamConfig.from_dict(state["spec"]))
+        return StreamingASAP.from_state(state)
 
     @property
     def stats(self) -> HubStats:

@@ -26,8 +26,9 @@ tier's forwarded config — duplicated by hand and drifting apart.
 
 Every tier consumes it: :func:`repro.core.batch.smooth` builds one from its
 kwargs (or accepts one via ``spec=``), ``StreamConfig`` *is* this class,
-:meth:`build_operator` is the one place a ``StreamingASAP`` is configured,
-and :func:`repro.client.connect` carries one as the session default.
+``StreamingASAP(spec)`` is the only way to configure a streaming operator
+(and its checkpoints carry the spec once), and :func:`repro.client.connect`
+carries one as the session default.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class AsapSpec:
         installed).  The default honours the ``ASAP_KERNEL`` environment
         variable at construction time.
 
-    Streaming knobs (read by ``StreamingASAP`` via :meth:`build_operator`):
+    Streaming knobs (read by ``StreamingASAP``):
 
     pane_size:
         Raw arrivals per aggregated point; 1 disables pixel-aware
@@ -185,8 +186,10 @@ class AsapSpec:
         beyond it are counted-and-dropped.  0 disables reordering.
 
     Defaults are the *serving* defaults (the hub tiers' historical
-    ``StreamConfig``); the standalone ``StreamingASAP`` constructor keeps its
-    historical research defaults and routes them through an explicit spec.
+    ``StreamConfig``), and they are the only defaults: ``StreamingASAP``
+    takes nothing but a spec.  The paper's research operator spells
+    ``incremental=False, keep_pane_sketches=True, pyramid=False`` explicitly,
+    as the Figure 10 and 11 experiments do.
     """
 
     resolution: int = DEFAULT_RESOLUTION
@@ -342,16 +345,10 @@ class AsapSpec:
     # -- builders ---------------------------------------------------------------
 
     def build_operator(self):
-        """A :class:`~repro.core.streaming.StreamingASAP` configured by this spec.
-
-        The one place streaming operators are configured: the service tier's
-        sessions, the cluster tier's shards, and the client façade all build
-        through here (``use_preaggregation`` and ``kernel`` do not apply to
-        the streaming path, which aggregates through ``pane_size``).
-        """
+        """A :class:`~repro.core.streaming.StreamingASAP` configured by this spec."""
         from .core.streaming import StreamingASAP
 
-        return StreamingASAP.from_spec(self)
+        return StreamingASAP(self)
 
     def smooth(self, data, *, cache=None, acf=None):
         """Smooth one series with this spec; see :func:`repro.core.batch.smooth`."""

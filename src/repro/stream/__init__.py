@@ -1,24 +1,14 @@
-"""Stream-processing substrate: aggregates, panes, windows, operators, sources."""
+"""Stream-processing substrate: panes, the moment sketch, operators, sources."""
 
-from .aggregates import MinMaxAggregate, MomentSketch, SumAggregate
+from .aggregates import MomentSketch
 from .panes import Pane, PaneBuffer
-from .windows import WindowSpec, iter_windows, slide_for_resolution, window_starts
-from .operators import FilterOperator, MapOperator, Pipeline, StreamOperator, run_stream
+from .operators import StreamOperator, run_stream
 from .sources import ChunkedReplaySource, ReplaySource, StreamPoint
 
 __all__ = [
-    "MinMaxAggregate",
     "MomentSketch",
-    "SumAggregate",
     "Pane",
     "PaneBuffer",
-    "WindowSpec",
-    "iter_windows",
-    "slide_for_resolution",
-    "window_starts",
-    "FilterOperator",
-    "MapOperator",
-    "Pipeline",
     "StreamOperator",
     "run_stream",
     "ChunkedReplaySource",

@@ -1,66 +1,22 @@
-"""Incremental aggregates for streaming windows.
+"""The incremental moment sketch for streaming windows.
 
 Streaming ASAP folds arriving points into pane subaggregates and must be able
 to compute the statistics its search needs — mean, variance, kurtosis —
-without replaying raw points (Section 4.5).  The workhorse here is
-:class:`MomentSketch`, an online tracker of the first four central moments
-that supports both single-value updates (Welford-style) and *merging* two
-sketches (Pébay's pairwise update formulas).  Merging is what makes
-pane-based subaggregation work: each pane keeps a sketch, and a window's
-statistics are the merge of its panes.
+without replaying raw points (Section 4.5).  :class:`MomentSketch` is an
+online tracker of the first four central moments that supports both
+single-value updates (Welford-style) and *merging* two sketches (Pébay's
+pairwise update formulas).  Merging is what makes pane-based subaggregation
+work: each pane keeps a sketch, and a window's statistics are the merge of
+its panes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MomentSketch", "MinMaxAggregate", "SumAggregate"]
-
-
-@dataclass
-class SumAggregate:
-    """Count and sum — enough to reconstruct pane means."""
-
-    count: int = 0
-    total: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-
-    def merge(self, other: "SumAggregate") -> None:
-        self.count += other.count
-        self.total += other.total
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("mean of an empty aggregate is undefined")
-        return self.total / self.count
-
-
-@dataclass
-class MinMaxAggregate:
-    """Running minimum and maximum."""
-
-    count: int = 0
-    minimum: float = field(default=float("inf"))
-    maximum: float = field(default=float("-inf"))
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def merge(self, other: "MinMaxAggregate") -> None:
-        self.count += other.count
-        if other.count:
-            self.minimum = min(self.minimum, other.minimum)
-            self.maximum = max(self.maximum, other.maximum)
+__all__ = ["MomentSketch"]
 
 
 @dataclass

@@ -3,16 +3,15 @@
 ASAP "acts as a transformation over fixed-size sliding windows over a single
 time series" (Section 2) and is deployed inside a stream-processing engine
 (MacroBase).  This module provides the minimal operator contract that the
-streaming ASAP implementation — and anything a user wants to compose around
-it — plugs into: push one point, optionally emit one output, chain operators
-into pipelines.
+streaming ASAP implementation plugs into: push one point, get zero or more
+outputs, flush at the end of the stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Generic, Iterable, Iterator, TypeVar
 
-__all__ = ["StreamOperator", "MapOperator", "FilterOperator", "Pipeline", "run_stream"]
+__all__ = ["StreamOperator", "run_stream"]
 
 TIn = TypeVar("TIn")
 TOut = TypeVar("TOut")
@@ -32,62 +31,6 @@ class StreamOperator(Generic[TIn, TOut]):
     def flush(self) -> Iterable[TOut]:
         """Emit any buffered trailing output at end-of-stream."""
         return ()
-
-
-class MapOperator(StreamOperator[TIn, TOut]):
-    """Apply a pure function to each item."""
-
-    def __init__(self, fn: Callable[[TIn], TOut]) -> None:
-        self._fn = fn
-
-    def push(self, item: TIn) -> Iterable[TOut]:
-        return (self._fn(item),)
-
-
-class FilterOperator(StreamOperator[TIn, TIn]):
-    """Drop items failing a predicate."""
-
-    def __init__(self, predicate: Callable[[TIn], bool]) -> None:
-        self._predicate = predicate
-
-    def push(self, item: TIn) -> Iterable[TIn]:
-        if self._predicate(item):
-            return (item,)
-        return ()
-
-
-class Pipeline(StreamOperator[TIn, TOut]):
-    """Sequential composition of operators.
-
-    Each stage's outputs fan into the next stage; flush cascades through the
-    stages in order so buffered state drains correctly.
-    """
-
-    def __init__(self, stages: Sequence[StreamOperator]) -> None:
-        if not stages:
-            raise ValueError("a pipeline needs at least one stage")
-        self._stages = list(stages)
-
-    def push(self, item: TIn) -> Iterable[TOut]:
-        current: list = [item]
-        for stage in self._stages:
-            produced: list = []
-            for element in current:
-                produced.extend(stage.push(element))
-            current = produced
-        return current
-
-    def flush(self) -> Iterable[TOut]:
-        # Items drained from stage k must still traverse stages k+1..n, and
-        # each stage flushes only after absorbing everything from upstream.
-        carried: list = []
-        for stage in self._stages:
-            processed: list = []
-            for element in carried:
-                processed.extend(stage.push(element))
-            processed.extend(stage.flush())
-            carried = processed
-        return carried
 
 
 def run_stream(operator: StreamOperator[TIn, TOut], items: Iterable[TIn]) -> Iterator[TOut]:

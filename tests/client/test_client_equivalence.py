@@ -18,6 +18,8 @@ from repro import ASAP, AsapSpec, ShardedHub, StreamHub, connect
 from repro.core.streaming import StreamingASAP
 from repro.service import StreamConfig
 
+from research_spec import research_spec
+
 
 def seeded_workload(n=6000, seed=20260729):
     rng = np.random.default_rng(seed)
@@ -66,14 +68,16 @@ class TestStreamingPathEquivalence:
     def test_legacy_constructor_and_spec_built_operator_agree(self):
         ts, vs = seeded_workload()
         legacy = StreamingASAP(
-            pane_size=SPEC.pane_size,
-            resolution=SPEC.resolution,
-            refresh_interval=SPEC.refresh_interval,
-            strategy=SPEC.strategy,
-            max_window=SPEC.max_window,
-            incremental=True,
-            keep_pane_sketches=False,
-            pyramid=True,
+            research_spec(
+                pane_size=SPEC.pane_size,
+                resolution=SPEC.resolution,
+                refresh_interval=SPEC.refresh_interval,
+                strategy=SPEC.strategy,
+                max_window=SPEC.max_window,
+                incremental=True,
+                keep_pane_sketches=False,
+                pyramid=True,
+            )
         )
         built = SPEC.build_operator()
         legacy_frames = legacy.push_many(ts, vs)

@@ -18,6 +18,8 @@ from repro.pyramid import Pyramid
 from repro.spec import AsapSpec
 from repro.stream.panes import PaneBuffer
 
+from research_spec import research_spec
+
 
 @pytest.fixture
 def series():
@@ -109,7 +111,7 @@ def test_spec_backfill_knob_validates():
     with pytest.raises(SpecError, match="backfill"):
         AsapSpec(backfill="bulk").validate()
     with pytest.raises(SpecError, match="backfill"):
-        StreamingASAP(pane_size=4, backfill="bulk")
+        StreamingASAP(research_spec(pane_size=4, backfill="bulk"))
 
 
 def test_spec_backfill_knob_reaches_operator(series):
@@ -126,7 +128,7 @@ def test_spec_backfill_knob_reaches_operator(series):
 
 def test_auto_mode_picks_fast_lane_when_seed_free(series):
     ts, vs = series
-    op = StreamingASAP(pane_size=4, refresh_interval=10, seed_from_previous=False)
+    op = StreamingASAP(research_spec(pane_size=4, refresh_interval=10, seed_from_previous=False))
     result = op.backfill(ts, vs)
     assert result.mode == "fast"
     assert result.searches_run == 1  # one closing search; interior elided
@@ -136,7 +138,7 @@ def test_auto_mode_picks_fast_lane_when_seed_free(series):
 
 def test_auto_mode_falls_back_to_replay_when_seeded(series):
     ts, vs = series
-    op = StreamingASAP(pane_size=4, refresh_interval=10, seed_from_previous=True)
+    op = StreamingASAP(research_spec(pane_size=4, refresh_interval=10, seed_from_previous=True))
     result = op.backfill(ts, vs)
     assert result.mode == "replay"
     assert result.searches_run > 1  # every boundary searched, frames elided
@@ -144,7 +146,7 @@ def test_auto_mode_falls_back_to_replay_when_seeded(series):
 
 
 def test_empty_backfill_is_a_no_op():
-    op = StreamingASAP(pane_size=4, refresh_interval=10, seed_from_previous=False)
+    op = StreamingASAP(research_spec(pane_size=4, refresh_interval=10, seed_from_previous=False))
     result = op.backfill([], [])
     assert result == BackfillResult(
         points=0, panes=0, frames_elided=0, searches_run=0, mode="fast"
@@ -154,7 +156,7 @@ def test_empty_backfill_is_a_no_op():
 
 
 def test_backfill_validates_shapes():
-    op = StreamingASAP(pane_size=4)
+    op = StreamingASAP(research_spec(pane_size=4))
     with pytest.raises(ValueError):
         op.backfill([1.0, 2.0], [1.0])
 
@@ -164,7 +166,7 @@ def test_backfill_validates_shapes():
 
 def test_backfill_counters_survive_state_round_trip(series):
     ts, vs = series
-    op = StreamingASAP(pane_size=4, refresh_interval=10, seed_from_previous=False)
+    op = StreamingASAP(research_spec(pane_size=4, refresh_interval=10, seed_from_previous=False))
     op.backfill(ts[:2000], vs[:2000])
     assert op.backfills == 1
     assert op.backfill_points == 2000

@@ -25,6 +25,8 @@ from repro.core.streaming import StreamingASAP
 from repro.persist import checkpoint, restore
 from repro.service import StreamConfig, StreamHub
 
+from research_spec import research_spec
+
 
 def assert_frames_identical(ours, theirs):
     assert len(ours) == len(theirs)
@@ -80,12 +82,12 @@ def stream_suffix(push, ts, vs, start, batch):
 @settings(max_examples=40)
 def test_backfill_then_stream_is_bit_identical(case):
     ts, vs, split, config, batch = case
-    ref = StreamingASAP(**config)
+    ref = StreamingASAP(research_spec(**config))
     ref_prefix = list(ref.push_many(ts[:split], vs[:split]))
     ref_prefix_points = ref.points_ingested
     ref_suffix = stream_suffix(ref.push_many, ts, vs, split, batch)
 
-    op = StreamingASAP(**config)
+    op = StreamingASAP(research_spec(**config))
     result = op.backfill(ts[:split], vs[:split])
     # The emitted frames are the tail of point-by-point replay's frames, and
     # the ledger accounts for every interior frame the lane skipped.

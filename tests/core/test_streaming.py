@@ -11,6 +11,8 @@ from repro.stream.operators import run_stream
 from repro.stream.sources import ReplaySource, StreamPoint
 from repro.timeseries import TimeSeries
 
+from research_spec import research_spec
+
 
 def stream_series(operator, series):
     return list(run_stream(operator, ReplaySource(series)))
@@ -19,7 +21,7 @@ def stream_series(operator, series):
 class TestRefreshCadence:
     def test_frames_emitted_every_interval(self, periodic_series):
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(pane_size=4, resolution=300, refresh_interval=25)
+        operator = StreamingASAP(research_spec(pane_size=4, resolution=300, refresh_interval=25))
         frames = stream_series(operator, series)
         # 2400 points / 4 per pane = 600 panes -> one frame per 25 panes,
         # minus the warm-up frames skipped below the minimum pane count.
@@ -27,13 +29,15 @@ class TestRefreshCadence:
         assert all(isinstance(f, Frame) for f in frames)
 
     def test_no_frames_below_minimum_panes(self):
-        operator = StreamingASAP(pane_size=1, resolution=100, refresh_interval=1)
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=100, refresh_interval=1))
         for i in range(7):
             assert operator.push(StreamPoint(float(i), 1.0 * i)) == ()
 
     def test_flush_emits_pending_frame(self, periodic_series):
         series = TimeSeries(periodic_series[:500])
-        operator = StreamingASAP(pane_size=1, resolution=600, refresh_interval=10_000)
+        operator = StreamingASAP(
+            research_spec(pane_size=1, resolution=600, refresh_interval=10_000)
+        )
         frames = []
         for point in ReplaySource(series):
             frames.extend(operator.push(point))
@@ -43,13 +47,13 @@ class TestRefreshCadence:
 
     def test_flush_is_noop_when_aligned(self, periodic_series):
         series = TimeSeries(periodic_series[:100])
-        operator = StreamingASAP(pane_size=1, resolution=200, refresh_interval=50)
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=200, refresh_interval=50))
         stream_series(operator, series)
         assert list(operator.flush()) == []
 
     def test_refresh_interval_validated(self):
         with pytest.raises(ValueError):
-            StreamingASAP(pane_size=1, refresh_interval=0)
+            StreamingASAP(research_spec(pane_size=1, refresh_interval=0))
 
 
 class TestWindowQuality:
@@ -57,7 +61,7 @@ class TestWindowQuality:
         # Once the full series is in the window, the streamed search must
         # agree with a batch search over the same aggregates.
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(pane_size=2, resolution=1200, refresh_interval=50)
+        operator = StreamingASAP(research_spec(pane_size=2, resolution=1200, refresh_interval=50))
         frames = stream_series(operator, series)
         # Compare against batch on the aggregated stream: pane_size 2 halves
         # the series, so smooth the bucket means directly.
@@ -72,7 +76,7 @@ class TestWindowQuality:
         periodic = np.sin(2 * np.pi * t / 20)[:1500] + 0.2 * rng.normal(size=1500)
         noise = rng.normal(size=1500)
         series = TimeSeries(np.concatenate([periodic, noise]))
-        operator = StreamingASAP(pane_size=1, resolution=1000, refresh_interval=100)
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=1000, refresh_interval=100))
         frames = stream_series(operator, series)
         early = frames[len(frames) // 3]
         late = frames[-1]
@@ -80,7 +84,7 @@ class TestWindowQuality:
 
     def test_frame_series_is_smoothed_window(self, periodic_series):
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(pane_size=2, resolution=400, refresh_interval=100)
+        operator = StreamingASAP(research_spec(pane_size=2, resolution=400, refresh_interval=100))
         frames = stream_series(operator, series)
         last = frames[-1]
         assert len(last.series) <= 400
@@ -90,7 +94,7 @@ class TestWindowQuality:
 class TestCounters:
     def test_counters_accumulate(self, periodic_series):
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(pane_size=2, resolution=400, refresh_interval=50)
+        operator = StreamingASAP(research_spec(pane_size=2, resolution=400, refresh_interval=50))
         frames = stream_series(operator, series)
         assert operator.refresh_count == len(frames)
         assert operator.searches_run == len(frames)
@@ -99,7 +103,7 @@ class TestCounters:
 
     def test_reset_clears_state(self, periodic_series):
         series = TimeSeries(periodic_series[:600])
-        operator = StreamingASAP(pane_size=1, resolution=300, refresh_interval=20)
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=300, refresh_interval=20))
         stream_series(operator, series)
         operator.reset()
         assert operator.points_ingested == 0
@@ -110,7 +114,7 @@ class TestConfigurations:
     def test_exhaustive_strategy_works(self, periodic_series):
         series = TimeSeries(periodic_series[:800])
         operator = StreamingASAP(
-            pane_size=1, resolution=900, refresh_interval=200, strategy="exhaustive"
+            research_spec(pane_size=1, resolution=900, refresh_interval=200, strategy="exhaustive")
         )
         frames = stream_series(operator, series)
         assert frames
@@ -124,10 +128,12 @@ class TestConfigurations:
 
         def run(seed_from_previous):
             operator = StreamingASAP(
-                pane_size=1,
-                resolution=2400,
-                refresh_interval=200,
-                seed_from_previous=seed_from_previous,
+                research_spec(
+                    pane_size=1,
+                    resolution=2400,
+                    refresh_interval=200,
+                    seed_from_previous=seed_from_previous,
+                )
             )
             frames = stream_series(operator, series)
             return [f.window for f in frames], operator.candidates_evaluated
@@ -140,7 +146,7 @@ class TestConfigurations:
     def test_max_window_respected(self, periodic_series):
         series = TimeSeries(periodic_series)
         operator = StreamingASAP(
-            pane_size=1, resolution=2400, refresh_interval=300, max_window=15
+            research_spec(pane_size=1, resolution=2400, refresh_interval=300, max_window=15)
         )
         frames = stream_series(operator, series)
         assert all(f.window <= 15 for f in frames)

@@ -25,6 +25,8 @@ from repro.core.streaming import (
 from repro.spectral.convolution import cross_product_sums
 from repro.stream.sources import StreamPoint
 
+from research_spec import research_spec
+
 
 def drive(operator, values, timestamps=None):
     ts = np.arange(len(values), dtype=np.float64) if timestamps is None else timestamps
@@ -151,13 +153,15 @@ class TestRollingWindowState:
 
 class TestIncrementalStreaming:
     def test_frames_match_from_scratch(self, periodic_series):
-        fresh = StreamingASAP(pane_size=2, resolution=400, refresh_interval=25)
+        fresh = StreamingASAP(research_spec(pane_size=2, resolution=400, refresh_interval=25))
         incremental = StreamingASAP(
-            pane_size=2,
-            resolution=400,
-            refresh_interval=25,
-            incremental=True,
-            recompute_every=8,
+            research_spec(
+                pane_size=2,
+                resolution=400,
+                refresh_interval=25,
+                incremental=True,
+                recompute_every=8,
+            )
         )
         assert_frames_equivalent(
             drive(fresh, periodic_series), drive(incremental, periodic_series)
@@ -169,19 +173,21 @@ class TestIncrementalStreaming:
         # escape hatch asserts 1e-9 agreement on every single refresh.
         values = 1e7 + rng.normal(size=2500).cumsum()
         operator = StreamingASAP(
-            pane_size=1,
-            resolution=300,
-            refresh_interval=10,
-            verify_incremental=True,
-            recompute_every=16,
+            research_spec(
+                pane_size=1,
+                resolution=300,
+                refresh_interval=10,
+                verify_incremental=True,
+                recompute_every=16,
+            )
         )
         frames = drive(operator, values)
         assert frames  # verification ran and never raised
 
     def test_frames_match_with_max_window(self, periodic_series):
         kwargs = dict(pane_size=1, resolution=600, refresh_interval=40, max_window=25)
-        fresh = StreamingASAP(**kwargs)
-        incremental = StreamingASAP(**kwargs, incremental=True)
+        fresh = StreamingASAP(research_spec(**kwargs))
+        incremental = StreamingASAP(research_spec(**kwargs, incremental=True))
         assert_frames_equivalent(
             drive(fresh, periodic_series), drive(incremental, periodic_series)
         )
@@ -192,8 +198,10 @@ class TestIncrementalStreaming:
         # twin driven through the identical schedule.
         rng = np.random.default_rng(99)
         kwargs = dict(pane_size=2, resolution=120, refresh_interval=7)
-        fresh = StreamingASAP(**kwargs)
-        incremental = StreamingASAP(**kwargs, verify_incremental=True, recompute_every=5)
+        fresh = StreamingASAP(research_spec(**kwargs))
+        incremental = StreamingASAP(
+            research_spec(**kwargs, verify_incremental=True, recompute_every=5)
+        )
         clock = 0.0
         for _ in range(60):
             action = rng.choice(["push", "push", "push", "flush", "reset"])
@@ -217,9 +225,9 @@ class TestIncrementalStreaming:
         rng = np.random.default_rng(3)
         ts = np.arange(periodic_series.size, dtype=np.float64)
         kwargs = dict(pane_size=3, resolution=250, refresh_interval=9, incremental=True)
-        pointwise = StreamingASAP(**kwargs)
+        pointwise = StreamingASAP(research_spec(**kwargs))
         frames_pointwise = drive(pointwise, periodic_series, ts)
-        batched = StreamingASAP(**kwargs)
+        batched = StreamingASAP(research_spec(**kwargs))
         frames_batched = []
         i = 0
         while i < periodic_series.size:
@@ -234,7 +242,9 @@ class TestIncrementalStreaming:
         assert pointwise.candidates_evaluated == batched.candidates_evaluated
 
     def test_deferred_boundary_refresh(self):
-        operator = StreamingASAP(pane_size=1, resolution=100, refresh_interval=10, incremental=True)
+        operator = StreamingASAP(
+            research_spec(pane_size=1, resolution=100, refresh_interval=10, incremental=True)
+        )
         ts = np.arange(20, dtype=np.float64)
         vs = np.sin(ts)
         assert operator.push_many(ts[:10], vs[:10], defer_boundary=True) == []
@@ -251,7 +261,7 @@ class TestIncrementalStreaming:
 
     def test_reset_clears_incremental_state(self, periodic_series):
         operator = StreamingASAP(
-            pane_size=1, resolution=100, refresh_interval=10, verify_incremental=True
+            research_spec(pane_size=1, resolution=100, refresh_interval=10, verify_incremental=True)
         )
         drive(operator, periodic_series[:400])
         operator.reset()
@@ -273,8 +283,10 @@ class TestIncrementalStreaming:
             ]
         )
         kwargs = dict(pane_size=1, resolution=300, refresh_interval=25)
-        fresh = StreamingASAP(**kwargs)
-        incremental = StreamingASAP(**kwargs, verify_incremental=True, recompute_every=8)
+        fresh = StreamingASAP(research_spec(**kwargs))
+        incremental = StreamingASAP(
+            research_spec(**kwargs, verify_incremental=True, recompute_every=8)
+        )
         frames_fresh = drive(fresh, values)
         frames_incremental = drive(incremental, values)
         assert incremental.exact_fallbacks > 0
@@ -287,21 +299,25 @@ class TestIncrementalStreaming:
 
     def test_well_conditioned_streams_stay_incremental(self, periodic_series):
         operator = StreamingASAP(
-            pane_size=1, resolution=300, refresh_interval=25, incremental=True
+            research_spec(pane_size=1, resolution=300, refresh_interval=25, incremental=True)
         )
         drive(operator, periodic_series)
         assert operator.exact_fallbacks == 0
 
     def test_non_asap_strategies_skip_lag_sums(self):
         operator = StreamingASAP(
-            pane_size=1, resolution=400, refresh_interval=10,
-            strategy="grid10", incremental=True,
+            research_spec(
+                pane_size=1, resolution=400, refresh_interval=10,
+                strategy="grid10", incremental=True,
+            )
         )
         assert operator._rolling.lag_budget == 0
         values = np.sin(np.arange(600) / 7.0) + 0.1 * np.cos(np.arange(600))
         frames = drive(operator, values)
         reference = drive(
-            StreamingASAP(pane_size=1, resolution=400, refresh_interval=10, strategy="grid10"),
+            StreamingASAP(
+                research_spec(pane_size=1, resolution=400, refresh_interval=10, strategy="grid10")
+            ),
             values,
         )
         assert_frames_equivalent(reference, frames)
@@ -312,4 +328,4 @@ class TestIncrementalStreaming:
 
     def test_recompute_every_validated(self):
         with pytest.raises(ValueError):
-            StreamingASAP(pane_size=1, recompute_every=0)
+            StreamingASAP(research_spec(pane_size=1, recompute_every=0))

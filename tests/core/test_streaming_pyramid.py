@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.preaggregation import bucket_means
 from repro.core.streaming import StreamingASAP
-from repro.pyramid import Pyramid, ViewSpec
+from repro.pyramid import ViewSpec
+
+from research_spec import research_spec
 
 
 def make_stream(n: int, seed: int = 11) -> tuple[np.ndarray, np.ndarray]:
@@ -25,21 +27,12 @@ def drive(operator: StreamingASAP, ts, values, chunk: int = 257):
 
 class TestAttachment:
     def test_pyramid_true_builds_matching_capacity(self):
-        operator = StreamingASAP(pane_size=4, resolution=200, pyramid=True)
+        operator = StreamingASAP(research_spec(pane_size=4, resolution=200, pyramid=True))
         assert operator.pyramid is not None
         assert operator.pyramid.capacity == 200
 
-    def test_prebuilt_pyramid_accepted(self):
-        pyramid = Pyramid(capacity=300)
-        operator = StreamingASAP(pane_size=2, resolution=300, pyramid=pyramid)
-        assert operator.pyramid is pyramid
-
-    def test_capacity_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            StreamingASAP(pane_size=2, resolution=300, pyramid=Pyramid(capacity=100))
-
     def test_no_pyramid_view_raises_with_guidance(self):
-        operator = StreamingASAP(pane_size=2, resolution=100)
+        operator = StreamingASAP(research_spec(pane_size=2, resolution=100))
         with pytest.raises(ValueError, match="pyramid=True"):
             operator.pyramid_view(50)
 
@@ -47,7 +40,9 @@ class TestAttachment:
 class TestFeed:
     def test_pyramid_mirrors_window_after_sync(self):
         ts, values = make_stream(12_000)
-        operator = StreamingASAP(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
+        operator = StreamingASAP(
+            research_spec(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
+        )
         drive(operator, ts, values)
         operator.pyramid_view(100)  # syncs
         assert np.array_equal(operator.pyramid.base_values(), operator.aggregated_values())
@@ -55,7 +50,9 @@ class TestFeed:
 
     def test_view_matches_direct_bucketing_of_window(self):
         ts, values = make_stream(12_000)
-        operator = StreamingASAP(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
+        operator = StreamingASAP(
+            research_spec(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
+        )
         drive(operator, ts, values)
         for resolution in (40, 55, 100, 199):
             view = operator.pyramid_view(resolution)
@@ -66,7 +63,9 @@ class TestFeed:
 
     def test_view_timestamps_are_pane_starts(self):
         ts, values = make_stream(4000)
-        operator = StreamingASAP(pane_size=4, resolution=500, refresh_interval=25, pyramid=True)
+        operator = StreamingASAP(
+            research_spec(pane_size=4, resolution=500, refresh_interval=25, pyramid=True)
+        )
         drive(operator, ts, values)
         view = operator.pyramid_view(ViewSpec(100))
         # pane start timestamps step by pane_size; view buckets by ratio panes
@@ -76,10 +75,12 @@ class TestFeed:
     def test_frames_identical_with_and_without_pyramid(self):
         ts, values = make_stream(9000, seed=3)
         with_pyramid = StreamingASAP(
-            pane_size=3, resolution=300, refresh_interval=30, incremental=True, pyramid=True
+            research_spec(
+                pane_size=3, resolution=300, refresh_interval=30, incremental=True, pyramid=True
+            )
         )
         without = StreamingASAP(
-            pane_size=3, resolution=300, refresh_interval=30, incremental=True
+            research_spec(pane_size=3, resolution=300, refresh_interval=30, incremental=True)
         )
         frames_a = drive(with_pyramid, ts, values)
         frames_b = drive(without, ts, values)
@@ -90,14 +91,14 @@ class TestFeed:
 
     def test_reset_clears_pyramid(self):
         ts, values = make_stream(2000)
-        operator = StreamingASAP(pane_size=2, resolution=200, pyramid=True)
+        operator = StreamingASAP(research_spec(pane_size=2, resolution=200, pyramid=True))
         drive(operator, ts, values)
         operator.reset()
         assert operator.pyramid.total_appended == 0
 
     def test_panes_completed_is_monotone_version(self):
         ts, values = make_stream(1000)
-        operator = StreamingASAP(pane_size=4, resolution=50, pyramid=True)
+        operator = StreamingASAP(research_spec(pane_size=4, resolution=50, pyramid=True))
         seen = []
         for start in range(0, 1000, 100):
             operator.push_many(ts[start : start + 100], values[start : start + 100])

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from repro.core.search import ADAPTIVE_STRATEGIES, plan_warm_probes
 from repro.core.streaming import StreamingASAP
 
+from research_spec import research_spec
+
 
 def run_pair(values, chunks, warm_kwargs=None, cold_kwargs=None, **kwargs):
     """Stream *values* through warm and cold operators, identically chunked."""
@@ -28,7 +30,7 @@ def run_pair(values, chunks, warm_kwargs=None, cold_kwargs=None, **kwargs):
         ("warm", True, warm_kwargs or {}),
         ("cold", False, cold_kwargs or {}),
     ):
-        op = StreamingASAP(warm_start=flag, **{**kwargs, **extra})
+        op = StreamingASAP(research_spec(warm_start=flag, **{**kwargs, **extra}))
         out = []
         start = 0
         for size in chunks:
@@ -174,7 +176,7 @@ class TestAccountingAndState:
     def test_counters_round_trip_through_state(self, rng):
         t = np.arange(1500, dtype=np.float64)
         values = np.sin(2 * np.pi * t / 50) + 0.2 * rng.normal(size=1500)
-        op = StreamingASAP(pane_size=1, resolution=300, refresh_interval=10)
+        op = StreamingASAP(research_spec(pane_size=1, resolution=300, refresh_interval=10))
         op.push_many(t, values)
         assert op.warm_prefetches > 0
         restored = StreamingASAP.from_state(op.state_dict())
@@ -186,7 +188,7 @@ class TestAccountingAndState:
     def test_restored_operator_continues_bit_identically(self, rng):
         t = np.arange(2400, dtype=np.float64)
         values = np.sin(2 * np.pi * t / 55) + 0.2 * rng.normal(size=2400)
-        live = StreamingASAP(pane_size=1, resolution=300, refresh_interval=10)
+        live = StreamingASAP(research_spec(pane_size=1, resolution=300, refresh_interval=10))
         live.push_many(t[:1200], values[:1200])
         restored = StreamingASAP.from_state(live.state_dict())
         frames_live = live.push_many(t[1200:], values[1200:])
@@ -197,7 +199,7 @@ class TestAccountingAndState:
     def test_reset_clears_trace(self, rng):
         t = np.arange(600, dtype=np.float64)
         values = np.sin(2 * np.pi * t / 30) + 0.1 * rng.normal(size=600)
-        op = StreamingASAP(pane_size=1, resolution=200, refresh_interval=10)
+        op = StreamingASAP(research_spec(pane_size=1, resolution=200, refresh_interval=10))
         op.push_many(t, values)
         assert op._warm_trace is not None
         op.reset()
@@ -217,7 +219,7 @@ class TestAccountingAndState:
         from repro.errors import SpecError
 
         with pytest.raises(SpecError, match="kernel"):
-            StreamingASAP(pane_size=1, kernel="fpga")
+            StreamingASAP(research_spec(pane_size=1, kernel="fpga"))
 
 
 class TestPlanWarmProbes:

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import RollingWindowState, StreamingASAP
+from repro.errors import SpecError
 from repro.persist import SCHEMA_VERSION, CheckpointError, checkpoint, restore
 from repro.persist import codec
 from repro.pyramid import Pyramid
 from repro.service import HubError, StreamConfig, StreamHub, UnknownStreamError
 from repro.stream.panes import PaneBuffer
+
+from research_spec import research_spec
 
 
 def make_wave(n, seed=0, offset=0.0):
@@ -254,7 +257,7 @@ def test_codec_names_npz_checkpoints_from_older_schemas():
         message = str(excinfo.value)
         assert "NPZ checkpoint" in message
         assert "schema version <= 6" in message
-        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 8
+        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 9
 
 
 # -- component state round trips ----------------------------------------------
@@ -331,11 +334,13 @@ def test_streaming_operator_resumes_bit_identically(incremental, pyramid):
 
     def build():
         return StreamingASAP(
-            pane_size=3,
-            resolution=256,
-            refresh_interval=7,
-            incremental=incremental,
-            pyramid=pyramid,
+            research_spec(
+                pane_size=3,
+                resolution=256,
+                refresh_interval=7,
+                incremental=incremental,
+                pyramid=pyramid,
+            )
         )
 
     baseline = build()
@@ -415,6 +420,66 @@ def test_export_unknown_stream():
         hub.export_session("ghost")
     with pytest.raises(UnknownStreamError):
         hub.export_session("ghost", remove=True)
+
+
+# -- restore holds each session to its one spec --------------------------------
+
+
+def exported_session():
+    hub, sid = hub_with_stream()
+    return hub.export_session(sid)
+
+
+def assert_restore_refuses(session_state, error, match):
+    """Both restore paths, import_session and StreamHub.from_state, refuse."""
+    target = StreamHub(max_panes_per_session=100, default_config=StreamConfig(resolution=64))
+    with pytest.raises(error, match=match):
+        target.import_session(session_state)
+    hub_state = target.state_dict()
+    hub_state["sessions"] = [session_state]
+    with pytest.raises(error, match=match):
+        StreamHub.from_state(hub_state)
+
+
+def test_restore_holds_the_operator_to_the_pane_budget():
+    session = exported_session()
+    big = StreamConfig(pane_size=2, resolution=5000, refresh_interval=5).build_operator()
+    big.push_many(np.arange(600, dtype=np.float64), make_wave(600))
+    session["operator"] = big.state_dict()
+    assert_restore_refuses(session, HubError, "max_panes_per_session")
+
+
+@pytest.mark.parametrize(
+    "forged, match",
+    [
+        ({"resolution": 32}, "buffer capacity"),
+        ({"pane_size": 4}, "buffer pane_size"),
+        ({"strategy": "grid2"}, "rolling lag_budget"),
+        ({"incremental": False}, "has a rolling"),
+        ({"pyramid": False}, "has a pyramid"),
+        ({"watermark": 4}, "has no reorder"),
+    ],
+)
+def test_restore_rejects_a_spec_the_operator_state_disagrees_with(forged, match):
+    session = exported_session()
+    session["operator"]["spec"].update(forged)
+    assert_restore_refuses(session, CheckpointError, match)
+
+
+def test_restore_rejects_an_unregistered_strategy():
+    session = exported_session()
+    session["operator"]["spec"]["strategy"] = "bogus"
+    assert_restore_refuses(session, SpecError, "strategy")
+
+
+@pytest.mark.parametrize("value", [-5, "7", True])
+@pytest.mark.parametrize(
+    "name", ["searches_run", "candidates_evaluated", "full_recomputes", "exact_fallbacks"]
+)
+def test_restore_rejects_forged_search_counters(name, value):
+    session = exported_session()
+    session["operator"]["counters"][name] = value
+    assert_restore_refuses(session, CheckpointError, "non-negative integer")
 
 
 # -- whole-hub checkpoint/restore ----------------------------------------------

@@ -25,16 +25,20 @@ from repro.core.streaming import StreamingASAP
 from repro.persist import checkpoint, restore
 from repro.service import StreamConfig, StreamHub
 
+from research_spec import research_spec
+
 
 def make_operator(watermark, normalize=True):
     return StreamingASAP(
-        pane_size=2,
-        resolution=60,
-        refresh_interval=5,
-        incremental=True,
-        normalize=normalize,
-        cadence=1.0 if normalize else None,
-        watermark=watermark,
+        research_spec(
+            pane_size=2,
+            resolution=60,
+            refresh_interval=5,
+            incremental=True,
+            normalize=normalize,
+            cadence=1.0 if normalize else None,
+            watermark=watermark,
+        )
     )
 
 

@@ -20,6 +20,8 @@ from repro.core.streaming import FrameQuality, StreamingASAP
 from repro.persist import checkpoint, restore
 from repro.service import StreamConfig, StreamHub
 
+from research_spec import research_spec
+
 LENGTH = 4000
 BATCH = 137
 
@@ -62,8 +64,8 @@ class TestDenseNoOp:
     )
     def test_operator_frames_bit_identical(self, knobs):
         ts, vs = dense_arrivals()
-        base = drive_operator(StreamingASAP(**BASE), ts, vs)
-        quality = drive_operator(StreamingASAP(**BASE, **knobs), ts, vs)
+        base = drive_operator(StreamingASAP(research_spec(**BASE)), ts, vs)
+        quality = drive_operator(StreamingASAP(research_spec(**BASE, **knobs)), ts, vs)
         assert_frames_bit_identical(quality, base)
         for frame in quality:
             assert frame.quality == FrameQuality()  # all-clean report
@@ -72,8 +74,8 @@ class TestDenseNoOp:
         # Releasing through the watermark in different batch sizes cannot
         # change the frames: the released sequence is prefix-deterministic.
         ts, vs = dense_arrivals()
-        a = drive_operator(StreamingASAP(**BASE, **QUALITY), ts, vs, batch=137)
-        b = drive_operator(StreamingASAP(**BASE, **QUALITY), ts, vs, batch=1000)
+        a = drive_operator(StreamingASAP(research_spec(**BASE, **QUALITY)), ts, vs, batch=137)
+        b = drive_operator(StreamingASAP(research_spec(**BASE, **QUALITY)), ts, vs, batch=1000)
         assert_frames_bit_identical(a, b)
 
     def test_hub_frames_and_snapshot(self):
@@ -149,7 +151,7 @@ class TestMessyLedger:
 
     def test_operator_counters_and_frame_quality(self):
         ts, vs = self.messy_arrivals()
-        operator = StreamingASAP(**BASE, **QUALITY)
+        operator = StreamingASAP(research_spec(**BASE, **QUALITY))
         frames = drive_operator(operator, ts, vs)
         assert operator.nan_dropped == 10
         assert operator.gaps_filled == 50  # 40 outage + 10 NaN slots refilled
@@ -173,7 +175,7 @@ class TestMessyLedger:
         ts, vs = ts[:3000].copy(), vs[:3000].copy()
         ts[[1000, 1001]] = ts[[1001, 1000]]  # reordered inside the watermark
         ts[2500] = ts[2400]  # 100 points late: beyond the watermark
-        operator = StreamingASAP(**BASE, **QUALITY)
+        operator = StreamingASAP(research_spec(**BASE, **QUALITY))
         drive_operator(operator, ts, vs)
         fields = ("gaps_filled", "nan_dropped", "late_accepted", "late_dropped")
         before = {name: getattr(operator, name) for name in fields}

@@ -18,6 +18,8 @@ from repro.service import (
 )
 from repro.stream.sources import StreamPoint
 
+from research_spec import research_spec
+
 
 def make_streams(n_streams: int, length: int, seed: int = 11) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -31,12 +33,14 @@ def make_streams(n_streams: int, length: int, seed: int = 11) -> list[np.ndarray
 
 def drive_baseline(config: StreamConfig, values: np.ndarray) -> list:
     operator = StreamingASAP(
-        pane_size=config.pane_size,
-        resolution=config.resolution,
-        refresh_interval=config.refresh_interval,
-        strategy=config.strategy,
-        max_window=config.max_window,
-        seed_from_previous=config.seed_from_previous,
+        research_spec(
+            pane_size=config.pane_size,
+            resolution=config.resolution,
+            refresh_interval=config.refresh_interval,
+            strategy=config.strategy,
+            max_window=config.max_window,
+            seed_from_previous=config.seed_from_previous,
+        )
     )
     frames = []
     for i, v in enumerate(values):

@@ -12,6 +12,8 @@ from repro.core.streaming import StreamingASAP
 from repro.service import StreamConfig
 from repro.spec import DEFAULT_RESOLUTION, resolve_spec
 
+from research_spec import research_spec
+
 
 class TestValidation:
     def test_defaults_are_valid(self):
@@ -151,17 +153,19 @@ class TestBuilders:
         spec = AsapSpec(pane_size=2, resolution=120, refresh_interval=6, max_window=30)
         built = spec.build_operator()
         legacy = StreamingASAP(
-            pane_size=2,
-            resolution=120,
-            refresh_interval=6,
-            strategy="asap",
-            max_window=30,
-            seed_from_previous=True,
-            incremental=True,
-            recompute_every=64,
-            verify_incremental=False,
-            keep_pane_sketches=False,
-            pyramid=True,
+            research_spec(
+                pane_size=2,
+                resolution=120,
+                refresh_interval=6,
+                strategy="asap",
+                max_window=30,
+                seed_from_previous=True,
+                incremental=True,
+                recompute_every=64,
+                verify_incremental=False,
+                keep_pane_sketches=False,
+                pyramid=True,
+            )
         )
         rng = np.random.default_rng(7)
         ts = np.arange(3000.0)

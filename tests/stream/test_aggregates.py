@@ -1,4 +1,4 @@
-"""Tests for incremental aggregates, especially the MomentSketch merge."""
+"""Tests for the MomentSketch, especially its merge."""
 
 from __future__ import annotations
 
@@ -7,44 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stream.aggregates import MinMaxAggregate, MomentSketch, SumAggregate
+from repro.stream.aggregates import MomentSketch
 from repro.timeseries.stats import kurtosis, variance
-
-
-class TestSumAggregate:
-    def test_update_and_mean(self):
-        agg = SumAggregate()
-        for v in (1.0, 2.0, 3.0):
-            agg.update(v)
-        assert agg.mean == pytest.approx(2.0)
-
-    def test_merge(self):
-        a, b = SumAggregate(), SumAggregate()
-        a.update(1.0)
-        b.update(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean == pytest.approx(2.0)
-
-    def test_empty_mean_rejected(self):
-        with pytest.raises(ValueError):
-            SumAggregate().mean
-
-
-class TestMinMaxAggregate:
-    def test_tracks_extremes(self):
-        agg = MinMaxAggregate()
-        for v in (3.0, -1.0, 2.0):
-            agg.update(v)
-        assert agg.minimum == -1.0
-        assert agg.maximum == 3.0
-
-    def test_merge_with_empty(self):
-        a = MinMaxAggregate()
-        a.update(1.0)
-        a.merge(MinMaxAggregate())
-        assert a.count == 1
-        assert a.minimum == 1.0
 
 
 class TestMomentSketchUpdate:

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.stream.operators import (
-    FilterOperator,
-    MapOperator,
-    Pipeline,
-    StreamOperator,
-    run_stream,
-)
+from repro.stream.operators import StreamOperator, run_stream
 from repro.stream.sources import ChunkedReplaySource, ReplaySource, StreamPoint
 from repro.timeseries import TimeSeries
 
@@ -38,38 +32,12 @@ class Batcher(StreamOperator):
 
 
 class TestBasicOperators:
-    def test_map(self):
-        op = MapOperator(lambda x: x * 2)
-        assert list(op.push(3)) == [6]
-
-    def test_filter(self):
-        op = FilterOperator(lambda x: x > 0)
-        assert list(op.push(1)) == [1]
-        assert list(op.push(-1)) == []
-
     def test_base_push_is_abstract(self):
         with pytest.raises(NotImplementedError):
             StreamOperator().push(1)
 
 
 class TestPipeline:
-    def test_stages_compose(self):
-        pipeline = Pipeline([MapOperator(lambda x: x + 1), FilterOperator(lambda x: x % 2 == 0)])
-        assert list(pipeline.push(1)) == [2]
-        assert list(pipeline.push(2)) == []
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            Pipeline([])
-
-    def test_flush_cascades_through_later_stages(self):
-        pipeline = Pipeline([Batcher(), MapOperator(lambda pair: sum(pair))])
-        outputs = []
-        for item in (1, 2, 3):
-            outputs.extend(pipeline.push(item))
-        outputs.extend(pipeline.flush())
-        assert outputs == [3, 3]
-
     def test_run_stream_drains(self):
         results = list(run_stream(Batcher(), [1, 2, 3]))
         assert results == [(1, 2), (3,)]

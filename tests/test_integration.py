@@ -13,6 +13,8 @@ from repro.timeseries import load, read_csv, write_csv
 from repro.vis.ascii_plot import ascii_chart
 from repro.vis.pixel_error import pixel_error
 
+from research_spec import research_spec
+
 
 class TestBatchPipeline:
     def test_load_smooth_render(self):
@@ -62,7 +64,7 @@ class TestStreamingPipeline:
         """Streaming over a stationary series should settle on the window a
         batch search would pick for the same aggregated data."""
         dataset = load("sine")
-        operator = StreamingASAP(pane_size=1, resolution=800, refresh_interval=80)
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=800, refresh_interval=80))
         frames = list(run_stream(operator, ReplaySource(dataset.series)))
         batch = smooth(dataset.series, resolution=800)
         assert frames[-1].window == batch.window
@@ -71,7 +73,9 @@ class TestStreamingPipeline:
         dataset = load("taxi")
         n = len(dataset.series)
         pane = max(n // 800, 1)
-        operator = StreamingASAP(pane_size=pane, resolution=800, refresh_interval=100)
+        operator = StreamingASAP(
+            research_spec(pane_size=pane, resolution=800, refresh_interval=100)
+        )
         frames = list(run_stream(operator, ReplaySource(dataset.series)))
         final = frames[-1]
         observer = Observer(seed=0)
