@@ -84,6 +84,8 @@ class RemoteBackend:
         timeout: float = 30.0,
         max_message_bytes: int = codec.MAX_MESSAGE_BYTES,
     ) -> None:
+        if max_message_bytes < 1:
+            raise NetError(f"max_message_bytes must be >= 1, got {max_message_bytes}")
         self._timeout = float(timeout)
         self._max_message_bytes = max_message_bytes
         self._default_config = spec

@@ -20,6 +20,24 @@ speak the same session API.  Every connection gets:
   multi-resolution view instead, computed once per (stream, resolution)
   per boundary and shared across subscribers.
 
+**Encode once, send many.**  Every body that more than one message
+carries is encoded once (:func:`repro.persist.codec.encode_body`) and each
+message is spliced around it (:func:`repro.net.wire.splice_message`),
+byte-identical to encoding the whole message:
+
+* a multi-resolution view's body is memoized per
+  :class:`~repro.service.hub.ResolutionSnapshot` *object*.  The hub's view
+  cache hands back the same frozen object (read-only arrays) until the
+  next pane completes, so every poll of an unchanged view, and the pushes
+  of the boundary that produced it, re-send the same bytes.  The memo
+  holds only a weak reference to the snapshot: its entry dies with the
+  object, when the hub drops the cache entry (a stale version, the
+  per-session bound, ``close``, eviction).  It needs no bound of its own.
+  Process-shard hubs return a fresh object per call and simply never hit;
+* at a push boundary, each stream's frames body and each view body are
+  encoded once and spliced per subscriber, whose messages differ only in
+  ``subscription``, ``seq`` and ``push_dropped``.
+
 **Backpressure.**  Pushes are queued per connection in a bounded outbox
 (``subscribe_queue`` messages) drained by a writer task; a slow reader
 drops the *oldest* queued push and the drop is counted — visible as a
@@ -40,6 +58,7 @@ import asyncio
 import collections
 import contextlib
 import threading
+import weakref
 from dataclasses import dataclass
 
 from ..errors import (
@@ -49,6 +68,7 @@ from ..errors import (
     WireProtocolError,
 )
 from ..persist import codec
+from ..service.hub import ResolutionSnapshot
 from ..spec import AsapSpec
 from . import wire
 
@@ -128,6 +148,8 @@ class AsapServer:
             raise NetError(f"max_connections must be >= 1, got {self.max_connections}")
         if self.subscribe_queue < 1:
             raise NetError(f"subscribe_queue must be >= 1, got {self.subscribe_queue}")
+        if max_message_bytes < 1:
+            raise NetError(f"max_message_bytes must be >= 1, got {max_message_bytes}")
         self.max_message_bytes = max_message_bytes
         self._host = host
         self._port = port
@@ -142,6 +164,8 @@ class AsapServer:
         self._requests_served = 0
         self._pushes_sent = 0
         self._push_dropped = 0
+        #: id(view) -> (weak reference to the view, its encoded body).
+        self._view_bodies: dict[int, tuple[weakref.ref, codec.EncodedBody]] = {}
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -230,7 +254,11 @@ class AsapServer:
             while not self._closed:
                 message = await self._read_message(reader)
                 response = self._process(conn, message)
-                writer.write(wire.encode_message(response, limit=self.max_message_bytes))
+                if isinstance(response.get("result"), codec.EncodedBody):
+                    data = wire.splice_message(response, limit=self.max_message_bytes)
+                else:
+                    data = wire.encode_message(response, limit=self.max_message_bytes)
+                writer.write(data)
                 await writer.drain()
         except ConnectionClosedError:
             pass  # the client hung up — every op it completed has applied
@@ -344,14 +372,33 @@ class AsapServer:
         emitted = self.hub.tick()
         return {"frames": {sid: wire.frames_state(frames) for sid, frames in emitted.items()}}
 
-    def _op_snapshot(self, conn, args) -> dict:
+    def _op_snapshot(self, conn, args) -> dict | codec.EncodedBody:
         resolution = args.get("resolution")
         snap = self.hub.snapshot(
             args["stream_id"],
             resolution=None if resolution is None else int(resolution),
             include_partial=bool(args.get("include_partial", False)),
         )
+        if isinstance(snap, ResolutionSnapshot):
+            return self._view_body(snap)
         return wire.snapshot_state(snap)
+
+    def _view_body(self, view: ResolutionSnapshot) -> codec.EncodedBody:
+        """*view*'s wire body, encoded once per view object (module docstring)."""
+        key = id(view)
+        entry = self._view_bodies.get(key)
+        if entry is not None and entry[0]() is view:
+            return entry[1]
+        body = codec.encode_body(wire.snapshot_state(view))
+        bodies = self._view_bodies
+
+        def forget(ref, key=key):
+            # Runs as the view is freed, before another object can take its
+            # id.  At worst a stray pop costs a later view one re-encode.
+            bodies.pop(key, None)
+
+        bodies[key] = (weakref.ref(view, forget), body)
+        return body
 
     def _op_close(self, conn, args) -> dict:
         frames = self.hub.close(args["stream_id"], flush=bool(args.get("flush", True)))
@@ -440,11 +487,11 @@ class AsapServer:
     def _dispatch_frames(self, frames: dict) -> None:
         if not self._connections:
             return
-        # Views are computed once per (stream, resolution, partial) per
-        # refresh boundary and shared across every subscriber — the same
-        # bytes a snapshot() call would serve right now.
-        view_cache: dict[tuple, dict | None] = {}
-        frame_cache: dict[str, list] = {}
+        # Each stream's frames and each (stream, resolution, partial) view
+        # are encoded once per refresh boundary and spliced into every
+        # subscriber's push: the same bytes a snapshot() call would serve.
+        view_bodies: dict[tuple, codec.EncodedBody | None] = {}
+        frame_bodies: dict[str, codec.EncodedBody] = {}
         for conn in list(self._connections):
             if conn.closing:
                 continue
@@ -452,16 +499,16 @@ class AsapServer:
                 if sub.stream_id not in frames:
                     continue
                 if sub.resolution is None:
-                    payload = frame_cache.get(sub.stream_id)
-                    if payload is None:
-                        payload = wire.frames_state(frames[sub.stream_id])
-                        frame_cache[sub.stream_id] = payload
-                    body = {"type": "frames", "frames": payload}
+                    body = frame_bodies.get(sub.stream_id)
+                    if body is None:
+                        body = codec.encode_body(wire.frames_state(frames[sub.stream_id]))
+                        frame_bodies[sub.stream_id] = body
+                    payload = {"type": "frames", "frames": body}
                 else:
                     key = (sub.stream_id, sub.resolution, sub.include_partial)
-                    if key not in view_cache:
+                    if key not in view_bodies:
                         try:
-                            view_cache[key] = wire.snapshot_state(
+                            view_bodies[key] = self._view_body(
                                 self.hub.snapshot(
                                     sub.stream_id,
                                     resolution=sub.resolution,
@@ -471,20 +518,20 @@ class AsapServer:
                         except Exception:
                             # Not servable at this width yet (or the stream
                             # just closed): skip this boundary, not the sub.
-                            view_cache[key] = None
-                    if view_cache[key] is None:
+                            view_bodies[key] = None
+                    if view_bodies[key] is None:
                         continue
-                    body = {"type": "view", "view": view_cache[key]}
+                    payload = {"type": "view", "view": view_bodies[key]}
                 sub.seq += 1
                 self._push_dropped += conn.reserve_push_slot(self.subscribe_queue)
-                message = wire.encode_message(
+                message = wire.splice_message(
                     {
                         "msg": "push",
                         "subscription": sub.sub_id,
                         "stream_id": sub.stream_id,
                         "seq": sub.seq,
                         "push_dropped": conn.push_dropped,
-                        "payload": body,
+                        "payload": payload,
                     },
                     limit=self.max_message_bytes,
                 )

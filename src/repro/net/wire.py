@@ -21,11 +21,23 @@ Message shapes (the ``state`` tree inside the envelope)::
      "push_dropped": int, "payload": {"type": "frames"|"view", ...}}
     {"msg": "error", "error": {...}}          # connection-level, then close
 
+**Encode once, splice per message.**  A server often sends one body many
+times: the same cached view to every poll until the next pane completes,
+the same frames or view to every subscriber of a refresh boundary.  Such a
+body is encoded once with :func:`~repro.persist.codec.encode_body`, and
+:func:`splice_message` frames each message around it, encoding only the
+small array-free head (``msg``, ``id``, ``ok``; or ``subscription``, ``seq``,
+``push_dropped``).  The spliced bytes equal :func:`encode_message` of the
+same dict byte for byte, so the protocol does not know the difference.
+
 This module also owns the **result serializers** — :class:`Frame`,
 ``SessionSnapshot``/``ResolutionSnapshot``, ``BackfillResult``, and
 ``HubStats`` as plain scalar/array trees — and the **error mapping** that
 carries :mod:`repro.errors` types across the wire by name, so a remote
 ``UnknownStreamError`` is an ``UnknownStreamError`` at the client too.
+The serializers read the result objects' flat fields directly and pass the
+read-only :class:`~repro.timeseries.series.TimeSeries` arrays through
+uncopied; the bytes they encode to are the same either way.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ __all__ = [
     "MESSAGE_KIND",
     "MAX_MESSAGE_BYTES",
     "encode_message",
+    "splice_message",
     "decode_payload",
     "frame_state",
     "frame_from_state",
@@ -75,6 +88,16 @@ def encode_message(state: dict, *, limit: int = MAX_MESSAGE_BYTES) -> bytes:
     return codec.frame_message(MESSAGE_KIND, state, limit=limit)
 
 
+def splice_message(head: dict, *, limit: int = MAX_MESSAGE_BYTES) -> bytes:
+    """:func:`encode_message` for a head holding one pre-encoded body.
+
+    *head* is the message with one :class:`~repro.persist.codec.EncodedBody`
+    in place of its array-carrying part; the result is byte-identical to
+    :func:`encode_message` of the full message, and *limit* applies alike.
+    """
+    return codec.frame_spliced(MESSAGE_KIND, head, limit=limit)
+
+
 def decode_payload(payload: bytes) -> dict:
     """Decode one message payload (the bytes *after* the header).
 
@@ -99,17 +122,34 @@ def decode_payload(payload: bytes) -> dict:
 # -- result serializers ---------------------------------------------------------
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+_SEARCH_FIELDS = _field_names(SearchResult)
+_QUALITY_FIELDS = _field_names(FrameQuality)
+_SESSION_FIELDS = _field_names(SessionSnapshot)
+_VIEW_FIELDS = tuple(
+    name for name in _field_names(ResolutionSnapshot) if name not in ("series", "search")
+)
+
+
+def _fields_state(obj, names) -> dict:
+    """A flat dataclass's fields, read directly (no ``asdict`` deep copy)."""
+    return {name: getattr(obj, name) for name in names}
+
+
 def frame_state(frame: Frame) -> dict:
     """A :class:`Frame` as plain scalars/arrays (codec-serializable)."""
     return {
-        "values": frame.series.values.copy(),
-        "timestamps": frame.series.timestamps.copy(),
+        "values": frame.series.values,
+        "timestamps": frame.series.timestamps,
         "name": frame.series.name,
         "window": frame.window,
-        "search": dataclasses.asdict(frame.search),
+        "search": _fields_state(frame.search, _SEARCH_FIELDS),
         "refresh_index": frame.refresh_index,
         "points_ingested": frame.points_ingested,
-        "quality": dataclasses.asdict(frame.quality),
+        "quality": _fields_state(frame.quality, _QUALITY_FIELDS),
     }
 
 
@@ -154,10 +194,6 @@ def backfill_from_state(state: dict) -> BackfillResult:
     )
 
 
-def _search_state(search: SearchResult | None):
-    return None if search is None else dataclasses.asdict(search)
-
-
 def _search_from_state(state) -> SearchResult | None:
     return None if state is None else SearchResult(**state)
 
@@ -165,19 +201,15 @@ def _search_from_state(state) -> SearchResult | None:
 def snapshot_state(snap) -> dict:
     """Either snapshot flavour as a tagged tree (``type`` discriminates)."""
     if isinstance(snap, SessionSnapshot):
-        state = dataclasses.asdict(snap)
+        state = _fields_state(snap, _SESSION_FIELDS)
         state["config"] = snap.config.to_dict()
         return {"type": "session", **state}
     if isinstance(snap, ResolutionSnapshot):
-        state = {
-            field.name: getattr(snap, field.name)
-            for field in dataclasses.fields(ResolutionSnapshot)
-            if field.name not in ("series", "search")
-        }
-        state["values"] = snap.series.values.copy()
-        state["timestamps"] = snap.series.timestamps.copy()
+        state = _fields_state(snap, _VIEW_FIELDS)
+        state["values"] = snap.series.values
+        state["timestamps"] = snap.series.timestamps
         state["name"] = snap.series.name
-        state["search"] = _search_state(snap.search)
+        state["search"] = None if snap.search is None else _fields_state(snap.search, _SEARCH_FIELDS)
         return {"type": "resolution", **state}
     raise NetError(f"unserializable snapshot type {type(snap).__name__!r}")
 

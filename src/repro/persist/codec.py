@@ -41,6 +41,16 @@ payload length (:func:`frame_message` / :func:`parse_header`).  Framing
 errors raise :class:`~repro.errors.WireProtocolError`; because the payload
 *is* a codec envelope, protocol versioning and checkpoint versioning are the
 same :data:`SCHEMA_VERSION`, enforced in one place (``loads``).
+
+**Encode once, splice many.**  :func:`encode_body` encodes one state subtree
+into an :class:`EncodedBody`: its JSON fragment, its array descriptors and
+its arrays' buffers.  :func:`frame_spliced` frames a small array-free *head*
+tree that holds one body somewhere inside it — a response head with the body
+under ``result``, a push head with it under ``payload`` — writing only the
+head's few keys per message.  Because the head carries no arrays, the body's
+markers and offsets are already the message's, and the spliced bytes equal
+:func:`frame_message` of the same tree byte for byte.  ``dumps`` is itself
+``encode_body`` plus the one manifest writer both paths share.
 """
 
 from __future__ import annotations
@@ -49,6 +59,8 @@ import json
 import math
 import re
 import struct
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +73,15 @@ __all__ = [
     "ENVELOPE_MAGIC",
     "dumps",
     "loads",
+    "EncodedBody",
+    "encode_body",
     "dump",
     "load",
     "WIRE_MAGIC",
     "WIRE_HEADER_SIZE",
     "MAX_MESSAGE_BYTES",
     "frame_message",
+    "frame_spliced",
     "parse_header",
 ]
 
@@ -160,20 +175,104 @@ def _restore(node, arrays: dict):
     return node
 
 
-def dumps(kind: str, state: dict) -> bytes:
-    """Encode one state tree as a schema-versioned raw-buffer envelope."""
+@dataclass(frozen=True, slots=True)
+class EncodedBody:
+    """One state subtree encoded once: JSON fragment, descriptors, buffers.
+
+    ``buffers`` are the subtree's arrays themselves (C-contiguous; a
+    non-contiguous array is the one case that is copied), not ``tobytes()``
+    copies: every message spliced from the body reads them when it is framed.
+    Cache a body only while its arrays cannot change, as with the read-only
+    arrays of a :class:`~repro.timeseries.series.TimeSeries`.
+    """
+
+    json: str
+    arrays_json: str
+    buffers: list
+    nbytes: int
+
+
+def encode_body(state) -> EncodedBody:
+    """Encode one state subtree for :func:`dumps` or :func:`frame_spliced`."""
     arrays: list[np.ndarray] = []
     tree = _flatten(state, arrays, "state")
-    buffers = [array.tobytes() for array in arrays]
+    buffers = [
+        array if array.flags.c_contiguous else np.ascontiguousarray(array) for array in arrays
+    ]
     descriptors = []
     offset = 0
-    for array, buffer in zip(arrays, buffers):
-        descriptors.append([array.dtype.str, list(array.shape), offset, len(buffer)])
-        offset += len(buffer)
-    manifest = json.dumps(
-        {"schema": SCHEMA_VERSION, "kind": str(kind), "state": tree, "arrays": descriptors}
+    for array in buffers:
+        descriptors.append([array.dtype.str, list(array.shape), offset, array.nbytes])
+        offset += array.nbytes
+    return EncodedBody(json.dumps(tree), json.dumps(descriptors), buffers, offset)
+
+
+def _envelope(kind: str, state_json: str, body: EncodedBody) -> list:
+    """The one manifest writer: an envelope's parts around *state_json*.
+
+    Writes exactly what ``json.dumps`` writes for the manifest dict (its
+    default separators; JSON text composes), so the state fragment can be
+    pre-encoded.  Returns ``[envelope header, manifest, *array buffers]``.
+    """
+    manifest = (
+        f'{{"schema": {SCHEMA_VERSION}, "kind": {json.dumps(str(kind))}, '
+        f'"state": {state_json}, "arrays": {body.arrays_json}}}'
     ).encode("utf-8")
-    return b"".join([_ENVELOPE_HEADER.pack(ENVELOPE_MAGIC, len(manifest)), manifest, *buffers])
+    return [_ENVELOPE_HEADER.pack(ENVELOPE_MAGIC, len(manifest)), manifest, *body.buffers]
+
+
+def dumps(kind: str, state: dict) -> bytes:
+    """Encode one state tree as a schema-versioned raw-buffer envelope."""
+    body = encode_body(state)
+    return b"".join(_envelope(kind, body.json, body))
+
+
+def _head_json(node, bodies: list, path: str) -> str:
+    """JSON text of an array-free head tree, with each body's fragment inlined.
+
+    Validates and converts like :func:`_flatten`, so the text equals
+    ``json.dumps`` of the flattened tree the same head would give.
+    """
+    if isinstance(node, dict):
+        if _ARRAY_MARKER in node:
+            raise CheckpointError(f"state dict at {path!r} uses the reserved key {_ARRAY_MARKER!r}")
+        items = [
+            f"{encode_basestring_ascii(str(key))}: {_head_json(value, bodies, f'{path}.{key}')}"
+            for key, value in node.items()
+        ]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(node, EncodedBody):
+        bodies.append(node)
+        return node.json
+    if isinstance(node, (list, tuple)):
+        items = [_head_json(value, bodies, f"{path}[{i}]") for i, value in enumerate(node)]
+        return "[" + ", ".join(items) + "]"
+    if node is not None and not isinstance(node, (str, int, float)):
+        if isinstance(node, np.ndarray):
+            raise CheckpointError(
+                f"spliced head has an array at {path!r}; arrays belong in the body"
+            )
+        node = _flatten(node, [], path)
+    return _scalar_json(node)
+
+
+def _scalar_json(value) -> str:
+    """``json.dumps`` of one flattened scalar, without building an encoder."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
 
 
 def _malformed(reason: str) -> CheckpointError:
@@ -275,13 +374,28 @@ def frame_message(kind: str, state: dict, *, limit: int = MAX_MESSAGE_BYTES) -> 
     enforces on receipt, so an oversized message fails loudly at its source
     instead of poisoning the peer's connection.
     """
-    payload = dumps(kind, state)
-    if len(payload) > limit:
+    return frame_spliced(kind, encode_body(state), limit=limit)
+
+
+def frame_spliced(kind: str, head, *, limit: int = MAX_MESSAGE_BYTES) -> bytes:
+    """One wire message for *head*, which holds exactly one :class:`EncodedBody`.
+
+    The head is everything else in the message — a few scalars and dicts,
+    no arrays — and is the only part encoded per call (a bare body is a
+    head too).  The bytes equal :func:`frame_message` of the same tree with
+    the body's state in place, and *limit* is enforced the same way.
+    """
+    bodies: list[EncodedBody] = []
+    state_json = _head_json(head, bodies, "state")
+    if len(bodies) != 1:
+        raise CheckpointError(f"a spliced head holds exactly one body, got {len(bodies)}")
+    parts = _envelope(kind, state_json, bodies[0])
+    size = _ENVELOPE_HEADER.size + len(parts[1]) + bodies[0].nbytes
+    if size > limit:
         raise WireProtocolError(
-            f"message payload is {len(payload)} bytes, over the "
-            f"{limit}-byte wire limit"
+            f"message payload is {size} bytes, over the {limit}-byte wire limit"
         )
-    return _WIRE_HEADER.pack(WIRE_MAGIC, len(payload)) + payload
+    return b"".join([_WIRE_HEADER.pack(WIRE_MAGIC, size), *parts])
 
 
 def parse_header(header: bytes, *, limit: int = MAX_MESSAGE_BYTES) -> int:

@@ -13,6 +13,7 @@ The properties the serving tier depends on:
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -32,6 +33,8 @@ from repro.errors import (
 from repro.net import wire
 from repro.persist import codec
 from repro.quality import FrameQuality
+from repro.service import StreamHub
+from repro.spec import AsapSpec
 from repro.timeseries.series import TimeSeries
 
 
@@ -81,6 +84,15 @@ class TestFraming:
         big = {"msg": "push", "blob": np.ones(1024, dtype=np.float64)}
         with pytest.raises(WireProtocolError, match="wire limit"):
             wire.encode_message(big, limit=64)
+
+    def test_spliced_head_must_be_array_free_with_one_body(self):
+        body = codec.encode_body({"values": np.ones(3)})
+        with pytest.raises(codec.CheckpointError, match="arrays belong in the body"):
+            wire.splice_message({"msg": "push", "extra": np.ones(2), "payload": body})
+        with pytest.raises(codec.CheckpointError, match="exactly one body"):
+            wire.splice_message({"msg": "push"})
+        with pytest.raises(codec.CheckpointError, match="exactly one body"):
+            wire.splice_message({"msg": "push", "a": body, "b": body})
 
     def test_garbage_payload_named_not_pickled(self):
         with pytest.raises(WireProtocolError, match="undecodable wire message"):
@@ -136,6 +148,48 @@ class TestResultSerializers:
         assert len(back.frames) == 2
         for a, b in zip(back.frames, result.frames):
             assert a.series.values.tobytes() == b.series.values.tobytes()
+
+    def test_serialized_bytes_match_the_deep_copying_trees(self):
+        """The serializers read fields directly and skip array copies; the
+        bytes they encode to are those of the ``dataclasses.asdict`` trees
+        with copied arrays that they replace."""
+        hub = StreamHub(default_config=AsapSpec(pane_size=4, resolution=10, refresh_interval=5))
+        hub.create_stream("s")
+        rng = np.random.default_rng(3)
+        frames = hub.ingest("s", np.arange(300.0), rng.normal(size=300).cumsum())
+        frame = frames[-1]
+        reference = {
+            "values": frame.series.values.copy(),
+            "timestamps": frame.series.timestamps.copy(),
+            "name": frame.series.name,
+            "window": frame.window,
+            "search": dataclasses.asdict(frame.search),
+            "refresh_index": frame.refresh_index,
+            "points_ingested": frame.points_ingested,
+            "quality": dataclasses.asdict(frame.quality),
+        }
+        assert codec.dumps("k", wire.frame_state(frame)) == codec.dumps("k", reference)
+
+        session = hub.snapshot("s")
+        reference = dataclasses.asdict(session)
+        reference["config"] = session.config.to_dict()
+        assert codec.dumps("k", wire.snapshot_state(session)) == codec.dumps(
+            "k", {"type": "session", **reference}
+        )
+
+        view = hub.snapshot("s", resolution=20)
+        reference = {
+            field.name: getattr(view, field.name)
+            for field in dataclasses.fields(view)
+            if field.name not in ("series", "search")
+        }
+        reference["values"] = view.series.values.copy()
+        reference["timestamps"] = view.series.timestamps.copy()
+        reference["name"] = view.series.name
+        reference["search"] = dataclasses.asdict(view.search)
+        assert codec.dumps("k", wire.snapshot_state(view)) == codec.dumps(
+            "k", {"type": "resolution", **reference}
+        )
 
     def test_unknown_snapshot_flavour_rejected(self):
         with pytest.raises(WireProtocolError, match="unknown snapshot flavour"):
@@ -208,9 +262,28 @@ def assert_tree_equal(a, b):
         assert a == b
 
 
-@given(tree=trees)
-def test_envelope_round_trip_property(tree):
-    """Any JSON-plus-arrays message body survives the wire bit-exactly."""
+#: Head scalars may be any JSON scalar, NaN and infinities included (a
+#: response echoes whatever request id the client sent).
+head_scalars = scalars | st.floats(width=64)
+
+
+def assert_splice_matches(head_with_body, full_message):
+    """Spliced bytes equal encode_message's, and so does the oversize error."""
+    expected = wire.encode_message(full_message)
+    assert wire.splice_message(head_with_body) == expected
+    limit = len(expected) - codec.WIRE_HEADER_SIZE - 1
+    with pytest.raises(WireProtocolError) as framed:
+        wire.encode_message(full_message, limit=limit)
+    with pytest.raises(WireProtocolError) as spliced:
+        wire.splice_message(head_with_body, limit=limit)
+    assert str(spliced.value) == str(framed.value)
+
+
+@given(tree=trees, request_id=head_scalars, stream_id=st.text(max_size=10), seq=st.integers(0, 2**40))
+def test_envelope_round_trip_property(tree, request_id, stream_id, seq):
+    """Any JSON-plus-arrays message body survives the wire bit-exactly, and
+    splicing it pre-encoded under a response or push head writes the same
+    bytes as encoding the whole message."""
     message = {"msg": "request", "id": 1, "op": "x", "args": {"tree": tree}}
     data = wire.encode_message(message)
     length = codec.parse_header(data[: codec.WIRE_HEADER_SIZE])
@@ -218,6 +291,15 @@ def test_envelope_round_trip_property(tree):
     assert len(payload) == length
     decoded = wire.decode_payload(payload)
     assert_tree_equal(decoded["args"]["tree"], tree)
+
+    body = codec.encode_body(tree)
+    response = {"msg": "response", "id": request_id, "ok": True}
+    assert_splice_matches({**response, "result": body}, {**response, "result": tree})
+    push = {"msg": "push", "subscription": 3, "stream_id": stream_id, "seq": seq, "push_dropped": 0}
+    assert_splice_matches(
+        {**push, "payload": {"type": "view", "view": body}},
+        {**push, "payload": {"type": "view", "view": tree}},
+    )
 
 
 # -- hypothesis: a corrupted payload decodes or fails with the named error ------
