@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import DataQualityError
 from ..quality.normalize import normalize_series
 from ..spec import DEFAULT_RESOLUTION, AsapSpec, resolve_spec, spec_backed
-from ..timeseries.series import TimeSeries
+from ..timeseries.series import TimeSeries, checked_values
 from .acf import ACFAnalysis
 from .preaggregation import expected_ratio, prepare_search_input
 from .result import SmoothingResult
@@ -45,22 +45,28 @@ def _coerce_series(data) -> TimeSeries:
     return TimeSeries(np.asarray(data, dtype=np.float64))
 
 
-def _input_series(data, spec: AsapSpec) -> TimeSeries:
-    """Coerce the batch input, applying the spec's quality stage if enabled.
+def _input_series(data, spec: AsapSpec) -> tuple[np.ndarray, TimeSeries | None]:
+    """The input's values, plus its :class:`TimeSeries` unless it is bare.
 
-    With ``spec.normalize`` off (the default) this is exactly
-    :func:`_coerce_series`.  On, the *raw* values and timestamps run through
-    :func:`repro.quality.normalize_series` with the spec's cadence and gap
-    policy first — before :class:`TimeSeries` construction, because NaN
-    dropping is part of the stage and ``TimeSeries`` rejects non-finite
-    values.  Dense regular input returns the same arrays (normalize's no-op
-    guarantee), so the coerced series is value-identical and the smoothing
-    output bit-identical.  The ``"split"`` policy yields multiple disjoint
-    segments — one smooth over them is not well defined, so it is rejected
-    here with a pointer to the explicit per-segment path.
+    With ``spec.normalize`` off (the default) a :class:`TimeSeries` passes
+    through, and a bare array is validated in place with the same errors
+    :class:`TimeSeries` raises — no copy and no implicit timestamps, since
+    the output reads only the bucket starts of those (``None`` tells
+    :func:`smooth` to use the implicit ``0..n-1``).  On, the *raw* values
+    and timestamps run through :func:`repro.quality.normalize_series` with
+    the spec's cadence and gap policy first — before :class:`TimeSeries`
+    construction, because NaN dropping is part of the stage and
+    ``TimeSeries`` rejects non-finite values.  Dense regular input returns
+    the same arrays (normalize's no-op guarantee), so the coerced series is
+    value-identical and the smoothing output bit-identical.  The ``"split"``
+    policy yields multiple disjoint segments — one smooth over them is not
+    well defined, so it is rejected here with a pointer to the explicit
+    per-segment path.
     """
     if not spec.normalize:
-        return _coerce_series(data)
+        if isinstance(data, TimeSeries):
+            return data.values, data
+        return checked_values(data, copy=False), None
     if spec.gap_policy == "split":
         raise DataQualityError(
             "gap_policy='split' yields disjoint segments, which a single "
@@ -74,12 +80,14 @@ def _input_series(data, spec: AsapSpec) -> TimeSeries:
         raw_vs, raw_ts, name = np.asarray(data, dtype=np.float64), None, None
     norm = normalize_series(raw_vs, raw_ts, cadence=spec.cadence, gap_policy=spec.gap_policy)
     if norm.values is raw_vs and (raw_ts is None or norm.timestamps is raw_ts):
-        return _coerce_series(data)  # dense no-op: keep the caller's arrays
-    return TimeSeries(norm.values, norm.timestamps, name=name)
+        series = _coerce_series(data)  # dense no-op: keep the caller's arrays
+    else:
+        series = TimeSeries(norm.values, norm.timestamps, name=name)
+    return series.values, series
 
 
 def _prepare(
-    series: TimeSeries,
+    values: np.ndarray,
     spec: AsapSpec,
     cache: EvaluationCache | None,
 ) -> tuple[np.ndarray, int, EvaluationCache]:
@@ -95,8 +103,8 @@ def _prepare(
     tests pin the values themselves.
     """
     if cache is not None:
-        ratio = expected_ratio(len(series), spec.resolution, spec.use_preaggregation)
-        expected_size = len(series) // ratio if ratio > 1 else len(series)
+        ratio = expected_ratio(values.size, spec.resolution, spec.use_preaggregation)
+        expected_size = values.size // ratio if ratio > 1 else values.size
         if cache.values.size != expected_size:
             raise ValueError(
                 f"supplied EvaluationCache holds {cache.values.size} values but the "
@@ -104,7 +112,7 @@ def _prepare(
                 "values the pipeline produces"
             )
         return cache.values, ratio, cache
-    staged = prepare_search_input(series.values, spec.resolution, spec.use_preaggregation)
+    staged = prepare_search_input(values, spec.resolution, spec.use_preaggregation)
     return staged.values, staged.ratio, EvaluationCache(staged.values, kernel=spec.kernel)
 
 
@@ -134,8 +142,8 @@ def find_window(
         use_preaggregation=use_preaggregation,
         kernel=kernel,
     )
-    series = _input_series(data, spec)
-    values, ratio, cache = _prepare(series, spec, cache)
+    values, _ = _input_series(data, spec)
+    values, ratio, cache = _prepare(values, spec, cache)
     result = run_strategy(spec.strategy, values, spec.max_window, cache=cache, acf=acf)
     return result, ratio
 
@@ -206,17 +214,20 @@ def smooth(
         use_preaggregation=use_preaggregation,
         kernel=kernel,
     )
-    series = _input_series(data, spec)
-    searched_values, ratio, cache = _prepare(series, spec, cache)
+    values, series = _input_series(data, spec)
+    searched_values, ratio, cache = _prepare(values, spec, cache)
 
     search = run_strategy(spec.strategy, searched_values, spec.max_window, cache=cache, acf=acf)
 
     smoothed_values = sma(searched_values, search.window)
-    n_buckets = searched_values.size
-    bucket_starts = np.arange(n_buckets) * ratio
-    bucket_timestamps = series.timestamps[bucket_starts]
-    out_timestamps = bucket_timestamps[: smoothed_values.size]
-    name = f"{series.name}:asap" if series.name else "asap"
+    bucket_starts = np.arange(smoothed_values.size) * ratio
+    if series is None:
+        # The implicit timestamps 0..n-1 at the bucket starts, bit for bit.
+        out_timestamps = bucket_starts.astype(np.float64)
+        name = "asap"
+    else:
+        out_timestamps = series.timestamps[bucket_starts]
+        name = f"{series.name}:asap" if series.name else "asap"
     smoothed = TimeSeries(smoothed_values, out_timestamps, name=name)
 
     # The search already measured the chosen window (and the window-1

@@ -26,6 +26,16 @@ call, the adaptive strategies (binary, ASAP) evaluate on demand through the
 same kernel, and callers (:func:`repro.core.batch.smooth`, the streaming
 operator, the batch engine) may pass a pre-filled cache to share work.
 
+The adaptive strategies are written once, as *step generators*
+(:func:`search_steps`): a generator runs the search over the cache, takes
+every cached evaluation itself (through the cache's hit accounting), and
+yields each window it still needs, receiving that window's
+:class:`~repro.core.smoothing.WindowEvaluation` back.  :func:`asap_search`
+and :func:`binary_search` drive their generator with the cache's
+single-window ``evaluate``; the batch engine drives many generators in
+lockstep and answers each round of requests with one stacked kernel call.
+Either way the search makes the same decisions over the same numbers.
+
 Every strategy reports how many candidates it actually considered
 (``candidates_evaluated``), the quantity Table 2 compares; memoization never
 changes that count — it only removes redundant kernel work.
@@ -35,13 +45,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
 from ..timeseries.stats import kurtosis, roughness
 from .acf import ACFAnalysis, analyze_acf, default_max_lag
 from .metrics import estimate_is_rougher
-from .smoothing import EvaluationCache
+from .smoothing import EvaluationCache, WindowEvaluation
 
 __all__ = [
     "SearchResult",
@@ -51,6 +62,7 @@ __all__ = [
     "binary_search",
     "asap_search",
     "search_periodic",
+    "search_steps",
     "resolve_max_window",
     "plan_warm_probes",
     "ADAPTIVE_STRATEGIES",
@@ -117,15 +129,19 @@ class SearchState:
         )
 
     def consider(self, evaluation) -> bool:
-        """Record one evaluated candidate; return True if it became the best."""
+        """Record one evaluated candidate; return whether it is feasible.
+
+        A feasible candidate rougher than the incumbent is still feasible:
+        the searches steer on feasibility, and improvement only moves the
+        incumbent.
+        """
         self.candidates_evaluated += 1
         if not evaluation.is_feasible(self.original_kurtosis):
             return False
         if evaluation.roughness < self.roughness:
             self.window = evaluation.window
             self.roughness = evaluation.roughness
-            return True
-        return False
+        return True
 
     def to_result(self, strategy: str, max_window: int) -> SearchResult:
         return SearchResult(
@@ -249,24 +265,42 @@ def binary_search(
     for aperiodic series and as Figure 8's `Binary` baseline.
     """
     cache = _resolve_cache(values, cache)
-    limit = resolve_max_window(cache.values, max_window)
-    state = SearchState.from_cache(cache)
-    _binary_search_range(cache, 2, limit, state)
-    return state.to_result("binary", limit)
+    return _drive(search_steps("binary", cache, max_window), cache)
 
 
-def _binary_search_range(
+#: A search step generator: yields each window it needs evaluated, receives
+#: that window's evaluation, and returns its result (or state) when done.
+SearchSteps = Generator[int, WindowEvaluation, SearchResult]
+
+
+def _drive(steps: Generator, cache: EvaluationCache):
+    """Run *steps* to completion, evaluating each request through *cache*."""
+    try:
+        window = next(steps)
+        while True:
+            window = steps.send(cache.evaluate(window))
+    except StopIteration as done:
+        return done.value
+
+
+def _bisection_steps(
     cache: EvaluationCache, head: int, tail: int, state: SearchState
-) -> None:
+) -> Generator[int, WindowEvaluation, None]:
     """Shared bisection: feasible midpoints push the search to larger windows."""
     while head <= tail:
         window = (head + tail) // 2
-        evaluation = cache.evaluate(window)
-        state.consider(evaluation)
-        if evaluation.is_feasible(state.original_kurtosis):
+        evaluation = cache.lookup(window)
+        if evaluation is None:
+            evaluation = yield window
+        if state.consider(evaluation):
             head = window + 1
         else:
             tail = window - 1
+
+
+def _binary_steps(cache: EvaluationCache, limit: int, state: SearchState) -> SearchSteps:
+    yield from _bisection_steps(cache, 2, limit, state)
+    return state.to_result("binary", limit)
 
 
 # -- ASAP (Algorithms 1 and 2) ------------------------------------------------
@@ -308,13 +342,20 @@ def search_periodic(
     printed conjunction does) weakens pruning without changing the result.
     """
     cache = _resolve_cache(values, cache)
-    arr = cache.values
-    candidate_list = list(candidates)
-    for index in range(len(candidate_list) - 1, -1, -1):
-        window = candidate_list[index]
+    windows = [int(window) for window in candidates]
+    return _drive(_periodic_steps(cache, windows, acf, state), cache)
+
+
+def _periodic_steps(
+    cache: EvaluationCache, candidates: list[int], acf: ACFAnalysis, state: SearchState
+) -> Generator[int, WindowEvaluation, SearchState]:
+    """Algorithm 1 as a step generator; see :func:`search_periodic`."""
+    size = cache.values.size
+    for index in range(len(candidates) - 1, -1, -1):
+        window = candidates[index]
         if window < state.lower_bound:
             break
-        if window < 2 or window > arr.size - 1:
+        if window < 2 or window > size - 1:
             continue
         if estimate_is_rougher(
             window,
@@ -323,9 +364,10 @@ def search_periodic(
             acf.correlation_at(state.window),
         ):
             continue
-        evaluation = cache.evaluate(window)
-        state.consider(evaluation)
-        if evaluation.is_feasible(state.original_kurtosis):
+        evaluation = cache.lookup(window)
+        if evaluation is None:
+            evaluation = yield window
+        if state.consider(evaluation):
             _update_lower_bound(state, window, acf)
             state.largest_feasible_idx = max(state.largest_feasible_idx, index)
     return state
@@ -359,16 +401,16 @@ def asap_search(
         Shared evaluation cache; created when absent.
     """
     cache = _resolve_cache(values, cache)
-    arr = cache.values
-    limit = resolve_max_window(arr, max_window)
-    if acf is None:
-        acf = analyze_acf(arr, max_lag=limit)
-    if state is None:
-        state = SearchState.from_cache(cache)
+    return _drive(search_steps("asap", cache, max_window, acf, state), cache)
 
+
+def _asap_steps(
+    cache: EvaluationCache, limit: int, acf: ACFAnalysis, state: SearchState
+) -> SearchSteps:
+    """Algorithm 2 as a step generator; see :func:`asap_search`."""
     peaks = [p for p in acf.peaks if 2 <= p <= limit]
     if acf.is_periodic and peaks:
-        state = search_periodic(arr, peaks, acf, state, cache=cache)
+        yield from _periodic_steps(cache, peaks, acf, state)
         if state.largest_feasible_idx >= 0:
             feasible_peak = peaks[state.largest_feasible_idx]
             if state.largest_feasible_idx + 1 < len(peaks):
@@ -378,10 +420,45 @@ def asap_search(
             head = max(state.lower_bound, feasible_peak + 1)
         else:
             head, tail = 2, limit
-        _binary_search_range(cache, head, min(tail, limit), state)
+        yield from _bisection_steps(cache, head, min(tail, limit), state)
     else:
-        _binary_search_range(cache, 2, limit, state)
+        yield from _bisection_steps(cache, 2, limit, state)
     return state.to_result("asap", limit)
+
+
+def search_steps(
+    strategy: str,
+    cache: EvaluationCache,
+    max_window: int | None = None,
+    acf: ACFAnalysis | None = None,
+    state: SearchState | None = None,
+) -> SearchSteps:
+    """The step generator of an adaptive strategy (``asap`` or ``binary``).
+
+    The generator runs the strategy over *cache*: it takes every evaluation
+    the cache already holds (counted as cache hits) and yields each window it
+    still needs; send it that window's
+    :class:`~repro.core.smoothing.WindowEvaluation`.  Its return value
+    (``StopIteration.value``) is the :class:`SearchResult`.  Driving it with
+    ``cache.evaluate`` is exactly :func:`run_strategy`; a caller that answers
+    the requests some other way (the batch engine's lockstep rounds) must
+    answer with the values ``cache.evaluate`` would produce.  *acf* is
+    computed when absent (``asap`` only); *state* seeds the search as in
+    :func:`asap_search`.
+    """
+    if strategy not in ADAPTIVE_STRATEGIES:
+        raise ValueError(
+            f"strategy {strategy!r} has no step generator; expected one of "
+            f"{', '.join(ADAPTIVE_STRATEGIES)}"
+        )
+    limit = resolve_max_window(cache.values, max_window)
+    if strategy == "asap" and acf is None:
+        acf = analyze_acf(cache.values, max_lag=limit)
+    if state is None:
+        state = SearchState.from_cache(cache)
+    if strategy == "binary":
+        return _binary_steps(cache, limit, state)
+    return _asap_steps(cache, limit, acf, state)
 
 
 #: Strategy registry for the Figure 8/9 sweeps: name -> callable with the

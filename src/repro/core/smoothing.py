@@ -134,7 +134,8 @@ class EvaluationCache:
     * the original series' roughness/kurtosis, computed once and shared by
       the search and the result assembly;
     * the *touched-window trace* — every window a search requested through
-      :meth:`evaluate`/:meth:`evaluate_many` — which the streaming operator's
+      :meth:`evaluate`/:meth:`evaluate_many` or found via :meth:`lookup` —
+      which the streaming operator's
       warm-started search prefetches on the next refresh
       (:meth:`touched_windows`; pre-fills via :meth:`seed` do not count).
 
@@ -194,6 +195,21 @@ class EvaluationCache:
         """Install precomputed evaluations (batch-engine pre-fill)."""
         for evaluation in evaluations:
             self._evaluations[evaluation.window] = evaluation
+
+    def lookup(self, window: int) -> WindowEvaluation | None:
+        """The memoized evaluation of *window* (a hit), or ``None`` — no kernel.
+
+        A hit counts exactly as in :meth:`evaluate` and enters the
+        touched-window trace; a miss records nothing, leaving the evaluation
+        (and its accounting) to whoever answers it.  The search step
+        generators of :mod:`repro.core.search` take their cached candidates
+        through here.
+        """
+        cached = self._evaluations.get(window)
+        if cached is not None:
+            self._touched.add(window)
+            self.hits += 1
+        return cached
 
     def evaluate(self, window: int) -> WindowEvaluation:
         """Evaluation of one candidate window, memoized."""

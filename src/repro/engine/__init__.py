@@ -19,9 +19,10 @@ package executes that workload through the single-series pipeline of
 **Equivalence guarantee.**  ``smooth_many(batch, **config)`` returns results
 bit-identical to ``[smooth(series, **config) for series in batch]`` for every
 strategy and input shape.  The batched kernels the engine actually drives —
-:func:`repro.spectral.convolution.sma_grid_moments` for the candidate grids
-and the row-wise original-moment reductions — produce, row for row, exactly
-the values the per-series pipeline computes through the same kernels, and
+:func:`repro.spectral.convolution.sma_grid_moments` for the candidate grids,
+:func:`repro.spectral.convolution.sma_probe_moments` for the lockstep rounds
+of the adaptive searches, and the row-wise original-moment reductions —
+produce, row for row, exactly the values the per-series pipeline computes, and
 the search-state cache only ever returns analyses and evaluations the
 per-series search would have computed itself, keyed by everything that
 search depends on (searched content and length, resolved ``max_window``,

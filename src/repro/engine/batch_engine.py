@@ -25,14 +25,24 @@ batch pays for its shared work once:
   :class:`~repro.engine.cache.ACFCache` keyed by searched content, so a
   refresh that resubmits an unchanged series replays its search over the
   memo: no FFT, moment kernel or candidate SMA.
+* **Lockstep cold searches** — on the serial path, the adaptive strategies
+  (ASAP, binary) search every *unseen* series of a batch together
+  (:func:`search_in_lockstep`): the searches run as step generators
+  (:func:`repro.core.search.search_steps`), grouped by searched length, and
+  each round the window every live search asks for is evaluated by one
+  stacked :func:`~repro.spectral.convolution.sma_probe_moments` call — a
+  dozen unseen series cost about as many kernel calls as the longest of
+  their searches, not the sum.  The per-series pipeline then replays each
+  search over its filled cache, the warm-start pattern (prefetch, then
+  replay) applied across series instead of across refreshes.
 * **Worker fan-out** — adaptive strategies and ragged batches can spread
-  across a thread or process pool.
+  across a thread or process pool (the lockstep rounds are serial-only).
 
 Because every path drives the same :func:`~repro.core.batch.smooth` code over
 the same numbers (the batched kernels are bit-identical to their scalar
 counterparts row by row), ``smooth_many`` returns exactly the results of the
-equivalent Python loop — guaranteed by the equivalence tests in
-``tests/engine``.
+equivalent Python loop — ``candidates_evaluated`` included — guaranteed by
+the equivalence tests in ``tests/engine``.
 """
 
 from __future__ import annotations
@@ -49,9 +59,9 @@ from ..core.batch import smooth
 from ..spec import AsapSpec, resolve_spec, spec_backed
 from ..core.preaggregation import expected_ratio, prepare_search_input
 from ..core.result import SmoothingResult
-from ..core.search import resolve_max_window
+from ..core.search import ADAPTIVE_STRATEGIES, resolve_max_window, search_steps
 from ..core.smoothing import EvaluationCache, WindowEvaluation
-from ..spectral.convolution import sma_grid_moments
+from ..spectral.convolution import sma_grid_moments, sma_probe_moments
 from ..timeseries.series import TimeSeries
 from .cache import ACFCache
 
@@ -61,6 +71,7 @@ __all__ = [
     "BatchStats",
     "smooth_many",
     "prefill_grid_caches",
+    "search_in_lockstep",
     "GRID_STRATEGY_STEPS",
 ]
 
@@ -114,16 +125,35 @@ class BatchResult:
         return iter(self.results)
 
     def __getitem__(self, key) -> SmoothingResult:
+        """The result at an index, or under a label that names one series.
+
+        A label several series share (two :class:`TimeSeries` with one
+        ``name``) raises :class:`KeyError` rather than pick one of them;
+        index those results by position.
+        """
         if isinstance(key, str):
-            try:
-                return self.results[self.labels.index(key)]
-            except ValueError:
-                raise KeyError(key) from None
+            count = self.labels.count(key)
+            if count == 0:
+                raise KeyError(key)
+            if count > 1:
+                raise KeyError(f"label {key!r} is ambiguous: {count} series share it")
+            return self.results[self.labels.index(key)]
         return self.results[key]
 
     def as_dict(self) -> dict[str, SmoothingResult]:
-        """Results keyed by label (mapping inputs round-trip through this)."""
-        return dict(zip(self.labels, self.results))
+        """Results keyed by label (mapping inputs round-trip through this).
+
+        Raises :class:`ValueError` naming a label several series share,
+        instead of silently keeping only the last of them.
+        """
+        mapping = dict(zip(self.labels, self.results))
+        if len(mapping) < len(self.labels):
+            duplicated = next(label for label in mapping if self.labels.count(label) > 1)
+            raise ValueError(
+                f"label {duplicated!r} names {self.labels.count(duplicated)} series; "
+                "results cannot be keyed by label (index them by position)"
+            )
+        return mapping
 
 
 def _normalize_batch(batch) -> tuple[list[str], list]:
@@ -242,6 +272,74 @@ def prefill_grid_caches(
     return caches
 
 
+def search_in_lockstep(
+    states, strategy: str, max_window: int | None = None
+) -> None:
+    """Run the cold searches among *states* in lockstep, filling their caches.
+
+    *states* are ``(EvaluationCache, ACFAnalysis | None)`` search states of
+    an adaptive strategy (``asap``/``binary``), as
+    :meth:`~repro.engine.cache.ACFCache.search_state` returns them.  The
+    states whose cache is still empty and evaluates on the numpy ``grid``
+    backend are deduplicated (one cache entry may serve several batch
+    members) and grouped by searched length.  Per group of two or more:
+
+    * the original moments of every member come from two row-wise
+      reductions, bit for bit the single-series ones;
+    * every member's search runs as a step generator
+      (:func:`~repro.core.search.search_steps`), and each round the window
+      every live search requests is evaluated by **one** stacked
+      :func:`~repro.spectral.convolution.sma_probe_moments` call, whose rows
+      are bit-identical to the single-window kernel the cache would run.
+
+    Each evaluation is seeded into its member's cache, so a later
+    :func:`~repro.core.batch.smooth` over the state replays the search on
+    cache hits and returns exactly what a cold search returns.  States
+    already searched, singletons and other backends are left to that replay.
+    """
+    unseen: dict[int, tuple[EvaluationCache, ACFAnalysis | None]] = {}
+    for cache, acf in states:
+        if cache.backend == "grid" and len(cache) == 0:
+            unseen.setdefault(id(cache), (cache, acf))
+    groups: dict[int, list[tuple[EvaluationCache, ACFAnalysis | None]]] = {}
+    for cache, acf in unseen.values():
+        groups.setdefault(cache.values.size, []).append((cache, acf))
+
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        batch = np.vstack([cache.values for cache, _ in members])
+        for cache, roughness, kurtosis in zip(
+            (cache for cache, _ in members), _row_roughness(batch), _row_kurtosis(batch)
+        ):
+            cache.seed_original(roughness, kurtosis)
+        # (row, cache, steps, requested window) per live search.
+        pending = []
+        for row, (cache, acf) in enumerate(members):
+            steps = search_steps(strategy, cache, max_window, acf)
+            try:
+                pending.append((row, cache, steps, next(steps)))
+            except StopIteration:
+                pass
+        while pending:
+            roughness, kurtosis = sma_probe_moments(
+                batch,
+                [window for _, _, _, window in pending],
+                rows=[row for row, _, _, _ in pending],
+            )
+            advanced = []
+            for (row, cache, steps, window), rough, kurt in zip(
+                pending, roughness.tolist(), kurtosis.tolist()
+            ):
+                evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
+                cache.seed((evaluation,))
+                try:
+                    advanced.append((row, cache, steps, steps.send(evaluation)))
+                except StopIteration:
+                    pass
+            pending = advanced
+
+
 @spec_backed(*AsapSpec.OPERATOR_FIELDS)
 class BatchEngine:
     """A configured multi-series smoothing engine, reusable across refreshes.
@@ -255,10 +353,11 @@ class BatchEngine:
         so validation and defaults are identical to the single-series path.
     workers:
         Fan the per-series work across this many workers.  ``None``/``0``/
-        ``1`` run serially.  Parallelism applies to the strategies the engine
-        cannot pre-batch (``asap``/``binary``) and to ragged batches; the
+        ``1`` run serially.  Parallelism applies to the adaptive strategies
+        (``asap``/``binary``) and to ragged batches; serially, the adaptive
+        strategies search a batch's unseen series in lockstep, and the
         grid-shaped strategies on equal-length batches use the batched
-        kernels instead, which beat thread fan-out on any core count.
+        kernels, which beat thread fan-out on any core count.
     executor:
         ``"thread"`` (default; shares the search-state cache) or ``"process"``
         (bypasses the shared cache, worth it only for very large per-series
@@ -439,10 +538,7 @@ class BatchEngine:
         workers = self._effective_workers()
 
         if workers <= 1:
-            return [
-                self._smooth_labeled(label, index, item, kwargs)
-                for index, (label, item) in enumerate(zip(labels, items))
-            ]
+            return self._serial_path(labels, items, kwargs)
 
         if self.executor == "process":
             payloads = [(item, kwargs) for item in items]
@@ -456,6 +552,35 @@ class BatchEngine:
                 for index, (label, item) in enumerate(zip(labels, items))
             ]
             return [future.result() for future in futures]
+
+    def _serial_path(self, labels, items, kwargs) -> list[SmoothingResult]:
+        """Serial execution: lockstep cold searches, then the per-series replay.
+
+        Every series' search state is looked up first (an input the lookup
+        rejects keeps its error, raised when its turn comes, so the first
+        failing index still wins); the adaptive strategies' cold searches
+        then run in lockstep (:func:`search_in_lockstep`), and
+        :func:`smooth` finishes each series over its filled state.
+        """
+        prepared: list = []
+        for item in items:
+            try:
+                prepared.append(self._prepared_search_state(item))
+            except Exception as exc:  # raised in batch order below
+                prepared.append(exc)
+        if self.strategy in ADAPTIVE_STRATEGIES:
+            states = [s for s in prepared if isinstance(s, tuple) and s[0] is not None]
+            search_in_lockstep(states, self.strategy, self.max_window)
+        results = []
+        for index, (label, item, state) in enumerate(zip(labels, items, prepared)):
+            try:
+                if isinstance(state, Exception):
+                    raise state
+                cache, acf = state
+                results.append(smooth(item, cache=cache, acf=acf, **kwargs))
+            except ValueError as exc:
+                raise _labeled(label, index, exc) from exc
+        return results
 
     def _collect(self, labels, futures: list[Future]) -> list[SmoothingResult]:
         results = []

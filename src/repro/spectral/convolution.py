@@ -278,7 +278,7 @@ def sma_window_moments(values, window: int) -> tuple[float, float]:
     squared = centered * centered
     second = squared.sum() / count
     fourth = (squared * squared).sum() / count
-    kurtosis = fourth / (second * second) if second > 0.0 else 0.0
+    kurtosis = float(fourth / (second * second)) if second > 0.0 else 0.0
 
     diff_count = max(count - 1.0, 1.0)
     diffs = np.zeros(n - 1, dtype=np.float64)
@@ -293,7 +293,9 @@ def sma_window_moments(values, window: int) -> tuple[float, float]:
     return roughness, kurtosis
 
 
-def sma_probe_moments(values, windows, workspace=None) -> tuple[np.ndarray, np.ndarray]:
+def sma_probe_moments(
+    values, windows, workspace=None, *, rows=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Roughness and kurtosis of ``SMA(x, w)`` for a small *probe set* of windows.
 
     Bit-identical to ``[sma_window_moments(values, w) for w in windows]`` — it
@@ -305,16 +307,25 @@ def sma_probe_moments(values, windows, workspace=None) -> tuple[np.ndarray, np.n
     kernel of the streaming operator: the previous refresh's probe trace is
     evaluated in a single call before the search replays over the cache.
 
-    Unlike :func:`sma_grid_moments` it never chunks (probe sets are small by
-    construction) and keeps the whole ``(len(windows), n)`` buffer resident;
-    prefer the grid kernel for large candidate grids.
+    With *rows*, ``values`` is a ``(m, n)`` batch of equal-length series and
+    output *i* is the moments of ``values[rows[i]]`` at ``windows[i]``,
+    bit-identical to ``sma_window_moments(values[rows[i]], windows[i])``.  A
+    row may appear several times, with different windows, and a window on
+    several rows.  This is the batch engine's lockstep kernel: one round of
+    every live search in a batch, one call.
+
+    Unlike :func:`sma_grid_moments` it never chunks (a probe set is a handful
+    of windows; a lockstep round one row per live search) and keeps the
+    whole ``(len(windows), n)`` buffer resident; prefer the grid kernel for
+    large candidate grids.
 
     Implementation notes on the bit-identity (and the speed):
 
     * each smoothed row is filled with the *same contiguous slice arithmetic*
       as the single-window kernel (one cheap dispatch pair per row — never
       the gather/fancy-index formulation, whose per-element cost would eat
-      the dispatch savings);
+      the dispatch savings); the prefix sums of a batch are one row-wise
+      ``cumsum``, which adds each row in the same order as the 1-D one;
     * the scalar kernel's zero padding beyond each row's valid span is
       reproduced with explicit small writes — per-row tail zeroing
       (``window - 1`` elements each) and the single boundary element of each
@@ -327,11 +338,30 @@ def sma_probe_moments(values, windows, workspace=None) -> tuple[np.ndarray, np.n
       every cell the reductions read is rewritten first, so stale workspace
       contents never leak into results.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    n = arr.size
+    batch = np.asarray(values, dtype=np.float64)
+    if rows is None:
+        if batch.ndim != 1:
+            raise ValueError(f"expected 1-D input, got shape {batch.shape}")
+        batch = batch[np.newaxis, :]
+    elif batch.ndim != 2:
+        raise ValueError(f"expected a 2-D batch with rows=, got shape {batch.shape}")
+    n = batch.shape[1]
     window_arr = _validated_window_grid(n, windows)
+    if rows is None:
+        row_list = [0] * window_arr.size
+    else:
+        row_list = [int(row) for row in rows]
+        if len(row_list) != window_arr.size:
+            raise ValueError(
+                f"rows has {len(row_list)} entries but windows has {window_arr.size}"
+            )
+        if not 0 <= min(row_list) <= max(row_list) < batch.shape[0]:
+            raise ValueError(f"rows must index the {batch.shape[0]} series of the batch")
+        # Prefix sums cost one pass per series, so take only the rows asked for.
+        used = sorted(set(row_list))
+        position = {row: i for i, row in enumerate(used)}
+        row_list = [position[row] for row in row_list]
+        batch = batch[used]
     k = window_arr.size
     spans = n - window_arr + 1
     counts = spans.astype(np.float64)
@@ -351,24 +381,26 @@ def sma_probe_moments(values, windows, workspace=None) -> tuple[np.ndarray, np.n
         smoothed = np.empty((k, n), dtype=np.float64)
         scratch = np.empty((k, n), dtype=np.float64)
 
-    prefix = np.zeros(n + 1, dtype=np.float64)
-    np.cumsum(arr, out=prefix[1:])
+    prefix = np.zeros((batch.shape[0], n + 1), dtype=np.float64)
+    np.cumsum(batch, axis=1, out=prefix[:, 1:])
     # Every row's zero tail lives in columns >= the smallest span; one block
     # write clears them all, and each row's valid slice is written on top.
     min_span = int(spans.min())
     smoothed[:, min_span:] = 0.0
     divisors = window_arr.astype(np.float64)
-    for i, window in enumerate(window_arr):
+    prefixes = list(prefix)
+    for i, (row, window) in enumerate(zip(row_list, window_arr.tolist())):
         if window == 1:
             # Window 1 is an exact identity in the scalar kernel; bypass the
             # prefix arithmetic (whose rounding would differ) for those rows.
             # Dividing by 1.0 below is bitwise exact, so the row survives the
             # shared divide untouched.
-            smoothed[i] = arr
+            smoothed[i] = batch[row]
         else:
-            span = int(spans[i])
+            span = n - window + 1
+            row_prefix = prefixes[row]
             np.subtract(
-                prefix[window : window + span], prefix[:span], out=smoothed[i, :span]
+                row_prefix[window : window + span], row_prefix[:span], out=smoothed[i, :span]
             )
     # One broadcast divide replaces a dispatch per row; elementwise division
     # is shape-independent, and the zero tails stay exactly +0.0.

@@ -31,6 +31,21 @@ def regular_timestamps(n: int, start: float = 0.0, step: float = 1.0) -> np.ndar
     return start + step * np.arange(n, dtype=np.float64)
 
 
+def checked_values(values, copy: bool = True) -> np.ndarray:
+    """*values* as a 1-D finite float64 array — :class:`TimeSeries`'s rules.
+
+    The one definition of what a series' values may be, and of the errors
+    for what they may not.  ``copy=False`` validates in place when *values*
+    already is a float64 array, for callers that only read it.
+    """
+    arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must be finite (no NaN/inf)")
+    return arr
+
+
 class TimeSeries:
     """An ordered sequence of (timestamp, value) pairs.
 
@@ -48,11 +63,7 @@ class TimeSeries:
     __slots__ = ("_values", "_timestamps", "name")
 
     def __init__(self, values, timestamps=None, name: str = "") -> None:
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"values must be 1-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite (no NaN/inf)")
+        arr = checked_values(values)
         if timestamps is None:
             ts = regular_timestamps(arr.size)
         else:

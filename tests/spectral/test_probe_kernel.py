@@ -101,6 +101,89 @@ class TestBitIdentity:
         assert_probe_matches_singles(values, windows)
 
 
+def assert_rows_match_singles(batch, rows, windows, workspace=None):
+    rough, kurt = sma_probe_moments(batch, windows, workspace, rows=rows)
+    assert rough.shape == kurt.shape == (len(windows),)
+    for i, (row, window) in enumerate(zip(rows, windows)):
+        rough_s, kurt_s = sma_window_moments(batch[row], window)
+        assert bits(rough_s) == bits(rough[i]), f"roughness differs at row {row}, window {window}"
+        assert bits(kurt_s) == bits(kurt[i]), f"kurtosis differs at row {row}, window {window}"
+
+
+class TestBatchRows:
+    """The 2-D form: output *i* is row ``rows[i]`` at ``windows[i]``."""
+
+    def test_windows_one_and_n_on_every_row(self):
+        batch = np.random.default_rng(1801).normal(size=(4, 90))
+        rows = [0, 1, 2, 3, 0, 1, 2, 3]
+        windows = [1, 1, 1, 1, 90, 90, 90, 90]
+        assert_rows_match_singles(batch, rows, windows)
+
+    def test_constant_rows(self):
+        batch = np.vstack([np.full(70, 4.25), np.zeros(70), np.arange(70.0)])
+        rows = [0, 0, 1, 1, 2, 0]
+        windows = [1, 7, 2, 70, 5, 69]
+        assert_rows_match_singles(batch, rows, windows)
+
+    def test_rows_at_small_and_large_scales(self):
+        rng = np.random.default_rng(1802)
+        batch = rng.normal(size=(3, 150)) * np.array([[1e-6], [1.0], [1e6]]) + 3.7
+        rows = [0, 1, 2, 2, 0]
+        windows = [3, 3, 3, 41, 149]
+        assert_rows_match_singles(batch, rows, windows)
+
+    def test_one_window_on_several_rows(self):
+        batch = np.random.default_rng(1803).normal(size=(5, 60))
+        assert_rows_match_singles(batch, [4, 0, 2, 2], [9, 9, 9, 9])
+
+    def test_several_windows_on_one_row_of_many(self):
+        batch = np.random.default_rng(1804).normal(size=(6, 80))
+        assert_rows_match_singles(batch, [3, 3, 3], [2, 40, 79])
+
+    def test_poisoned_workspace_is_invisible(self):
+        batch = np.random.default_rng(1805).normal(size=(3, 120))
+        rows, windows = [2, 0, 1, 0], [7, 2, 119, 30]
+        fresh = sma_probe_moments(batch, windows, rows=rows)
+        poisoned = np.full((2, 8, 120), np.nan)
+        for _ in range(2):
+            reused = sma_probe_moments(batch, windows, poisoned, rows=rows)
+            assert bits(fresh[0]) == bits(reused[0])
+            assert bits(fresh[1]) == bits(reused[1])
+        assert_rows_match_singles(batch, rows, windows, workspace=poisoned)
+
+    def test_one_row_batch_matches_the_1d_call(self):
+        values = np.random.default_rng(1806).normal(size=100)
+        windows = [1, 2, 50, 99, 100]
+        batched = sma_probe_moments(values[np.newaxis, :], windows, rows=[0] * 5)
+        single = sma_probe_moments(values, windows)
+        assert bits(batched[0]) == bits(single[0])
+        assert bits(batched[1]) == bits(single[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=2, max_value=120),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_property_random_requests(self, seed, m, n, scale):
+        probe_rng = np.random.default_rng(seed)
+        batch = probe_rng.normal(size=(m, n)) * scale
+        count = int(probe_rng.integers(1, 13))
+        rows = probe_rng.integers(0, m, size=count).tolist()
+        windows = probe_rng.integers(1, n + 1, size=count).tolist()
+        assert_rows_match_singles(batch, rows, windows)
+
+    def test_rejects_bad_rows(self):
+        batch = np.random.default_rng(1807).normal(size=(2, 10))
+        with pytest.raises(ValueError, match="2-D"):
+            sma_probe_moments(batch[0], [2], rows=[0])
+        with pytest.raises(ValueError, match="entries"):
+            sma_probe_moments(batch, [2, 3], rows=[0])
+        with pytest.raises(ValueError, match="index"):
+            sma_probe_moments(batch, [2], rows=[2])
+
+
 class TestValidation:
     def test_rejects_2d_input(self, rng):
         with pytest.raises(ValueError, match="1-D"):
