@@ -32,9 +32,15 @@ every cached evaluation itself (through the cache's hit accounting), and
 yields each window it still needs, receiving that window's
 :class:`~repro.core.smoothing.WindowEvaluation` back.  :func:`asap_search`
 and :func:`binary_search` drive their generator with the cache's
-single-window ``evaluate``; the batch engine drives many generators in
+single-window ``screen``; the batch engine drives many generators in
 lockstep and answers each round of requests with one stacked kernel call.
 Either way the search makes the same decisions over the same numbers.
+
+The adaptive searches evaluate *constraint-first*, as Algorithms 1-2 read:
+kurtosis for every candidate, roughness only for candidates that meet the
+original kurtosis (most do not).  An infeasible candidate's roughness is
+``nan`` and never read, so the decisions and results are those of a search
+that measured both.
 
 Every strategy reports how many candidates it actually considered
 (``candidates_evaluated``), the quantity Table 2 compares; memoization never
@@ -265,7 +271,8 @@ def binary_search(
     for aperiodic series and as Figure 8's `Binary` baseline.
     """
     cache = _resolve_cache(values, cache)
-    return _drive(search_steps("binary", cache, max_window), cache)
+    state = SearchState.from_cache(cache)
+    return _drive(search_steps("binary", cache, max_window, state=state), cache, state)
 
 
 #: A search step generator: yields each window it needs evaluated, receives
@@ -273,12 +280,19 @@ def binary_search(
 SearchSteps = Generator[int, WindowEvaluation, SearchResult]
 
 
-def _drive(steps: Generator, cache: EvaluationCache):
-    """Run *steps* to completion, evaluating each request through *cache*."""
+def _drive(steps: Generator, cache: EvaluationCache, state: SearchState):
+    """Run *steps* to completion, screening each request through *cache*.
+
+    Requests are screened at *state*'s original kurtosis, the threshold its
+    ``consider`` applies, so every feasible evaluation carries a measured
+    roughness even when *state* was built with a lower threshold than the
+    cache's.
+    """
+    floor = state.original_kurtosis
     try:
         window = next(steps)
         while True:
-            window = steps.send(cache.evaluate(window))
+            window = steps.send(cache.screen(window, floor))
     except StopIteration as done:
         return done.value
 
@@ -289,7 +303,7 @@ def _bisection_steps(
     """Shared bisection: feasible midpoints push the search to larger windows."""
     while head <= tail:
         window = (head + tail) // 2
-        evaluation = cache.lookup(window)
+        evaluation = cache.lookup(window, state.original_kurtosis)
         if evaluation is None:
             evaluation = yield window
         if state.consider(evaluation):
@@ -343,7 +357,7 @@ def search_periodic(
     """
     cache = _resolve_cache(values, cache)
     windows = [int(window) for window in candidates]
-    return _drive(_periodic_steps(cache, windows, acf, state), cache)
+    return _drive(_periodic_steps(cache, windows, acf, state), cache, state)
 
 
 def _periodic_steps(
@@ -364,7 +378,7 @@ def _periodic_steps(
             acf.correlation_at(state.window),
         ):
             continue
-        evaluation = cache.lookup(window)
+        evaluation = cache.lookup(window, state.original_kurtosis)
         if evaluation is None:
             evaluation = yield window
         if state.consider(evaluation):
@@ -401,7 +415,9 @@ def asap_search(
         Shared evaluation cache; created when absent.
     """
     cache = _resolve_cache(values, cache)
-    return _drive(search_steps("asap", cache, max_window, acf, state), cache)
+    if state is None:
+        state = SearchState.from_cache(cache)
+    return _drive(search_steps("asap", cache, max_window, acf, state), cache, state)
 
 
 def _asap_steps(
@@ -440,11 +456,13 @@ def search_steps(
     still needs; send it that window's
     :class:`~repro.core.smoothing.WindowEvaluation`.  Its return value
     (``StopIteration.value``) is the :class:`SearchResult`.  Driving it with
-    ``cache.evaluate`` is exactly :func:`run_strategy`; a caller that answers
-    the requests some other way (the batch engine's lockstep rounds) must
-    answer with the values ``cache.evaluate`` would produce.  *acf* is
-    computed when absent (``asap`` only); *state* seeds the search as in
-    :func:`asap_search`.
+    ``cache.screen(window, floor)``, where *floor* is the state's original
+    kurtosis (the cache's when *state* is ``None``), is exactly
+    :func:`run_strategy`; a caller that answers the requests some other way
+    (the batch engine's lockstep rounds) must answer with the values that
+    call would produce — roughness may be ``nan`` below the floor, since the
+    search never reads it there.  *acf* is computed when absent (``asap``
+    only); *state* seeds the search as in :func:`asap_search`.
     """
     if strategy not in ADAPTIVE_STRATEGIES:
         raise ValueError(

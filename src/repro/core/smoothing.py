@@ -27,13 +27,20 @@ candidates with one batched kernel call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SpecError
 from ..spectral import accel
-from ..spectral.convolution import sma, sma_grid_moments, sma_window_moments, sma_with_slide
+from ..spectral.convolution import (
+    _validate_window,
+    sma,
+    sma_grid_moments,
+    sma_window_moments,
+    sma_with_slide,
+)
 from ..timeseries.series import TimeSeries
 from ..timeseries.stats import kurtosis, roughness
 
@@ -51,7 +58,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowEvaluation:
-    """Quality metrics of one candidate window — one row of the search."""
+    """Quality metrics of one candidate window — one row of the search.
+
+    ``roughness`` is ``nan`` when the evaluation was *screened*
+    (:meth:`EvaluationCache.screen`): its kurtosis fell below the search's
+    constraint, so its roughness was never measured.  The searches read
+    roughness only of feasible candidates, so they never see that ``nan``;
+    :meth:`EvaluationCache.evaluate` completes a screened entry on demand.
+    """
 
     window: int
     roughness: float
@@ -95,6 +109,20 @@ def evaluate_window_grid(values, windows) -> list[WindowEvaluation]:
     ]
 
 
+def _answers(evaluation: WindowEvaluation | None, floor: float | None) -> bool:
+    """Whether a memoized *evaluation* serves a request screened at *floor*.
+
+    It does unless it is missing or the request needs a roughness that was
+    never measured: ``floor=None`` asks for full moments, a floor for
+    roughness only when the kurtosis meets it.
+    """
+    if evaluation is None:
+        return False
+    if not math.isnan(evaluation.roughness):
+        return True
+    return floor is not None and not evaluation.kurtosis >= floor
+
+
 def resolve_kernel(kernel: str | None) -> tuple[str, str]:
     """The ``(kernel, backend)`` pair an :class:`EvaluationCache` runs with.
 
@@ -133,11 +161,15 @@ class EvaluationCache:
       whole grid of candidates to one batched kernel call across many series;
     * the original series' roughness/kurtosis, computed once and shared by
       the search and the result assembly;
+    * constraint-first evaluation: searches request candidates through
+      :meth:`screen`, which measures roughness only for windows meeting the
+      original kurtosis (a screened entry holds ``nan`` roughness), while
+      :meth:`evaluate`/:meth:`evaluate_many` always return full moments;
     * the *touched-window trace* — every window a search requested through
-      :meth:`evaluate`/:meth:`evaluate_many` or found via :meth:`lookup` —
-      which the streaming operator's
-      warm-started search prefetches on the next refresh
-      (:meth:`touched_windows`; pre-fills via :meth:`seed` do not count).
+      :meth:`screen`/:meth:`evaluate`/:meth:`evaluate_many` or found via
+      :meth:`lookup` — which the streaming operator's warm-started search
+      prefetches on the next refresh (:meth:`touched_windows`; pre-fills via
+      :meth:`seed` do not count).
 
     ``kernel=None`` resolves through :func:`repro.spec.default_kernel`, so
     the ``ASAP_KERNEL`` environment variable selects the backend for every
@@ -196,27 +228,50 @@ class EvaluationCache:
         for evaluation in evaluations:
             self._evaluations[evaluation.window] = evaluation
 
-    def lookup(self, window: int) -> WindowEvaluation | None:
+    def lookup(self, window: int, floor: float) -> WindowEvaluation | None:
         """The memoized evaluation of *window* (a hit), or ``None`` — no kernel.
 
         A hit counts exactly as in :meth:`evaluate` and enters the
         touched-window trace; a miss records nothing, leaving the evaluation
-        (and its accounting) to whoever answers it.  The search step
+        (and its accounting) to whoever answers it.  An entry screened at a
+        higher floor than *floor* whose kurtosis passes *floor* is a miss:
+        its roughness is needed but was never measured.  The search step
         generators of :mod:`repro.core.search` take their cached candidates
         through here.
         """
         cached = self._evaluations.get(window)
-        if cached is not None:
-            self._touched.add(window)
-            self.hits += 1
+        if not _answers(cached, floor):
+            return None
+        self._touched.add(window)
+        self.hits += 1
         return cached
 
+    def screen(self, window: int, floor: float | None = None) -> WindowEvaluation:
+        """Evaluation of one candidate as a search needs it, memoized.
+
+        Kurtosis is always measured; roughness only when the kurtosis meets
+        *floor* (default: :attr:`original_kurtosis`, the paper's constraint),
+        and ``nan`` otherwise.  Hits, misses and the touched-window trace
+        count exactly as in :meth:`evaluate`.  The ``scalar`` and ``numba``
+        backends always measure both moments.
+        """
+        return self._evaluate(
+            window, self.original_kurtosis if floor is None else floor
+        )
+
     def evaluate(self, window: int) -> WindowEvaluation:
-        """Evaluation of one candidate window, memoized."""
-        window = int(window)
+        """Full evaluation of one candidate window, memoized.
+
+        A screened entry is completed (its roughness measured), so callers
+        reading ``roughness`` of any window get a number, never ``nan``.
+        """
+        _validate_window(self.values.size, window)
+        return self._evaluate(int(window), None)
+
+    def _evaluate(self, window: int, floor: float | None) -> WindowEvaluation:
         self._touched.add(window)
         cached = self._evaluations.get(window)
-        if cached is not None:
+        if _answers(cached, floor):
             self.hits += 1
             return cached
         self.misses += 1
@@ -230,16 +285,18 @@ class EvaluationCache:
             # bit-identical values to the grid kernel at a fraction of the
             # dispatch cost (binary search and streaming revalidation are
             # long runs of single-window misses).
-            rough, kurt = sma_window_moments(self.values, window)
+            rough, kurt = sma_window_moments(self.values, window, floor=floor)
             evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
         self._evaluations[window] = evaluation
         return evaluation
 
     def evaluate_many(self, windows) -> list[WindowEvaluation]:
-        """Evaluations for a whole candidate grid, one kernel call for misses."""
+        """Full evaluations for a whole candidate grid, one kernel call for misses."""
         window_list = [int(w) for w in windows]
         self._touched.update(window_list)
-        missing = sorted({w for w in window_list if w not in self._evaluations})
+        missing = sorted(
+            {w for w in window_list if not _answers(self._evaluations.get(w), None)}
+        )
         if missing:
             self.misses += len(missing)
             if self.backend == "scalar":

@@ -1368,7 +1368,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         previous = self._previous_window
         if previous is None or previous < 2 or previous > values.size - 1:
             return state
-        evaluation = cache.evaluate(previous)
+        evaluation = cache.screen(previous)
         if evaluation.kurtosis >= state.original_kurtosis:
             state.window = previous
             state.roughness = evaluation.roughness
@@ -1453,7 +1453,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 cache.seed_original(rolling_roughness, rolling_kurtosis)
         # Warm-started search: prefetch the previous refresh's probe trace
         # (plus the previous winner's neighborhood) in one stacked kernel
-        # call, then let the unchanged search replay over cache hits.  The
+        # call, screened at the original kurtosis exactly as the search
+        # screens, then let the unchanged search replay over cache hits.  The
         # prefetched values come from a kernel bit-identical to the cold
         # path's single-window probes, so the search makes identical
         # decisions and frames are bit-identical — only dispatch count
@@ -1486,7 +1487,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                             dtype=np.float64,
                         )
                         self._probe_workspace = workspace
-                    rough, kurt = sma_probe_moments(values, probes, workspace=workspace)
+                    rough, kurt = sma_probe_moments(
+                        values, probes, workspace, floor=cache.original_kurtosis
+                    )
                 cache.seed(
                     WindowEvaluation(window=w, roughness=float(r), kurtosis=float(k))
                     for w, r, k in zip(probes, rough, kurt)

@@ -289,8 +289,9 @@ def search_in_lockstep(
     * every member's search runs as a step generator
       (:func:`~repro.core.search.search_steps`), and each round the window
       every live search requests is evaluated by **one** stacked
-      :func:`~repro.spectral.convolution.sma_probe_moments` call, whose rows
-      are bit-identical to the single-window kernel the cache would run.
+      :func:`~repro.spectral.convolution.sma_probe_moments` call, each row
+      screened at its member's original kurtosis and bit-identical to the
+      single-window kernel the cache would run.
 
     Each evaluation is seeded into its member's cache, so a later
     :func:`~repro.core.batch.smooth` over the state replays the search on
@@ -326,6 +327,7 @@ def search_in_lockstep(
                 batch,
                 [window for _, _, _, window in pending],
                 rows=[row for row, _, _, _ in pending],
+                floor=[cache.original_kurtosis for _, cache, _, _ in pending],
             )
             advanced = []
             for (row, cache, steps, window), rough, kurt in zip(

@@ -33,6 +33,7 @@ summation order than the scalar two-pass reference).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 
 import numpy as np
@@ -65,12 +66,18 @@ _GRID_CHUNK_ELEMENTS = 65_536
 def _validate_window(n: int, window: int, label: str = "") -> None:
     """Shared window validation for every kernel in this module.
 
-    Messages always include the series length so that a failure inside a
-    batched call identifies exactly which input was too short; *label* (e.g.
+    A window must be an integer (Python or numpy; a float such as ``3.7`` or
+    even ``3.0`` is rejected, never truncated) in ``[1, n]``.  Messages
+    always include the series length so that a failure inside a batched call
+    identifies exactly which input was too short; *label* (e.g.
     ``"series 'cpu.load'"``) prefixes the message when batch callers know
     which row they are validating.
     """
     prefix = f"{label}: " if label else ""
+    if not isinstance(window, numbers.Integral):
+        raise ValueError(
+            f"{prefix}window must be an integer, got {window!r} (series length {n})"
+        )
     if window < 1:
         raise ValueError(
             f"{prefix}window must be >= 1, got {window} (series length {n})"
@@ -89,6 +96,7 @@ def sma(values, window: int) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected 1-D input, got shape {arr.shape}")
     _validate_window(arr.size, window)
+    window = int(window)
     if window == 1:
         return arr.copy()
     prefix = np.concatenate(([0.0], np.cumsum(arr)))
@@ -163,6 +171,7 @@ def sma2d(values, window: int) -> np.ndarray:
         raise ValueError(f"expected 2-D input, got shape {arr.shape}")
     batch, n = arr.shape
     _validate_window(n, window, label=f"batch of {batch} series")
+    window = int(window)
     if window == 1:
         return arr.copy()
     prefix = np.zeros((batch, n + 1), dtype=np.float64)
@@ -203,12 +212,15 @@ def sma_grid(values, windows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
-    window_arr = np.atleast_1d(np.asarray(windows, dtype=np.int64))
-    if window_arr.ndim != 1:
-        raise ValueError(f"windows must be a 1-D sequence, got shape {window_arr.shape}")
-    for window in window_arr:
-        _validate_window(n, int(window), label=label)
-    return window_arr
+    raw = np.atleast_1d(np.asarray(windows))
+    if raw.ndim != 1:
+        raise ValueError(f"windows must be a 1-D sequence, got shape {raw.shape}")
+    # One pass over plain ints; on failure, name the first offending window.
+    listed = raw.tolist()
+    if listed and (raw.dtype.kind not in "iu" or not 1 <= min(listed) <= max(listed) <= n):
+        for window in listed:
+            _validate_window(n, window, label=label)
+    return raw.astype(np.int64)
 
 
 def prefix_moment_stack(values, max_power: int = 4) -> np.ndarray:
@@ -247,7 +259,27 @@ def windowed_moment_sums(stack: np.ndarray, window: int) -> np.ndarray:
     return stack[:, window:] - stack[:, :-window]
 
 
-def sma_window_moments(values, window: int) -> tuple[float, float]:
+def _roughness(smoothed: np.ndarray, span: int, buffer: np.ndarray) -> float:
+    """Roughness of one zero-padded smoothed row: the std of its first diffs.
+
+    *smoothed* holds ``SMA(x, w)`` in its first *span* entries, zeros after;
+    *buffer* is scratch of at least ``len(smoothed) - 1`` floats.  The diffs
+    are reduced over the full padded width with exact ``+0.0`` past ``span -
+    1``, so both kernels that call this sum in the same pairwise tree.
+    """
+    if span < 2:
+        return 0.0
+    diffs = buffer[: smoothed.size - 1]
+    valid = diffs[: span - 1]
+    np.subtract(smoothed[1:span], smoothed[: span - 1], out=valid)
+    diffs[span - 1 :] = 0.0
+    diff_count = float(span - 1)
+    np.subtract(valid, diffs.sum() / diff_count, out=valid)
+    np.multiply(valid, valid, out=valid)
+    return math.sqrt(diffs.sum() / diff_count)
+
+
+def sma_window_moments(values, window: int, *, floor=None) -> tuple[float, float]:
     """Roughness and kurtosis of ``SMA(x, window)`` for one candidate window.
 
     Bit-identical to ``sma_grid_moments(values, [window])`` — it performs the
@@ -255,6 +287,10 @@ def sma_window_moments(values, window: int) -> tuple[float, float]:
     grid/batch bookkeeping — so single-candidate probes (binary-search steps,
     streaming revalidation of the previous window) skip the 3-D machinery.
     The equivalence is pinned by ``tests/spectral``.
+
+    With a kurtosis *floor*, roughness is measured only when
+    ``kurtosis >= floor`` (the search's constraint) and is ``nan`` — "not
+    measured; infeasible" — otherwise.  Kurtosis is always measured.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -279,64 +315,48 @@ def sma_window_moments(values, window: int) -> tuple[float, float]:
     second = squared.sum() / count
     fourth = (squared * squared).sum() / count
     kurtosis = float(fourth / (second * second)) if second > 0.0 else 0.0
-
-    diff_count = max(count - 1.0, 1.0)
-    diffs = np.zeros(n - 1, dtype=np.float64)
-    if span >= 2:
-        diffs[: span - 1] = smoothed[1:span] - smoothed[: span - 1]
-    diff_mean = diffs.sum() / diff_count
-    diff_centered = np.zeros(n - 1, dtype=np.float64)
-    if span >= 2:
-        diff_centered[: span - 1] = diffs[: span - 1] - diff_mean
-    diff_var = (diff_centered * diff_centered).sum() / diff_count
-    roughness = math.sqrt(diff_var) if count >= 2.0 else 0.0
-    return roughness, kurtosis
+    if floor is not None and not kurtosis >= floor:
+        return math.nan, kurtosis
+    return _roughness(smoothed, span, centered), kurtosis
 
 
 def sma_probe_moments(
-    values, windows, workspace=None, *, rows=None
+    values, windows, workspace=None, *, rows=None, floor=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roughness and kurtosis of ``SMA(x, w)`` for a small *probe set* of windows.
 
-    Bit-identical to ``[sma_window_moments(values, w) for w in windows]`` — it
-    builds the same zero-padded length-``n`` smoothed rows (window 1 bypasses
-    the prefix arithmetic exactly as the scalar kernel does) and reduces each
-    with the same final-axis sums — but performs every step as one stacked
-    array operation, so a handful of windows costs one numpy dispatch
-    sequence instead of one per window.  This is the warm-start prefetch
-    kernel of the streaming operator: the previous refresh's probe trace is
-    evaluated in a single call before the search replays over the cache.
+    Bit-identical to ``[sma_window_moments(values, w, floor=floor) for w
+    in windows]``: it builds the same zero-padded length-``n`` smoothed rows
+    (window 1 bypasses the prefix arithmetic exactly as the scalar kernel
+    does) and reduces each with the same final-axis sums.  The kurtosis
+    stage runs as one stacked array operation, so a handful of windows costs
+    one numpy dispatch sequence instead of one per window; roughness then
+    goes row by row through the single-window kernel's own routine.  This is
+    the warm-start prefetch kernel of the streaming operator: the previous
+    refresh's probe trace is evaluated in a single call before the search
+    replays over the cache.
 
     With *rows*, ``values`` is a ``(m, n)`` batch of equal-length series and
-    output *i* is the moments of ``values[rows[i]]`` at ``windows[i]``,
-    bit-identical to ``sma_window_moments(values[rows[i]], windows[i])``.  A
+    output *i* is the moments of ``values[rows[i]]`` at ``windows[i]``.  A
     row may appear several times, with different windows, and a window on
     several rows.  This is the batch engine's lockstep kernel: one round of
     every live search in a batch, one call.
 
-    Unlike :func:`sma_grid_moments` it never chunks (a probe set is a handful
-    of windows; a lockstep round one row per live search) and keeps the
-    whole ``(len(windows), n)`` buffer resident; prefer the grid kernel for
-    large candidate grids.
+    *floor* gates roughness as in :func:`sma_window_moments`: a scalar, or
+    one kurtosis floor per output.  Searches pass their original kurtosis,
+    and most candidates fall below it, so most rows cost only the stacked
+    kurtosis stage.  An empty probe set returns two empty arrays.
 
-    Implementation notes on the bit-identity (and the speed):
-
-    * each smoothed row is filled with the *same contiguous slice arithmetic*
-      as the single-window kernel (one cheap dispatch pair per row — never
-      the gather/fancy-index formulation, whose per-element cost would eat
-      the dispatch savings); the prefix sums of a batch are one row-wise
-      ``cumsum``, which adds each row in the same order as the 1-D one;
-    * the scalar kernel's zero padding beyond each row's valid span is
-      reproduced with explicit small writes — per-row tail zeroing
-      (``window - 1`` elements each) and the single boundary element of each
-      diff row — so every padded buffer holds exactly the scalar kernel's
-      bytes before each reduction, without any full-width mask pass;
-    * two ``(len(windows), n)`` buffers are threaded through every stage with
-      ``out=``.  Callers on a hot path (the streaming operator's warm-start
-      prefetch) can pass *workspace* — a C-contiguous float64 array of shape
-      ``(2, >= len(windows), >= n)`` — to reuse allocations across calls;
-      every cell the reductions read is rewritten first, so stale workspace
-      contents never leak into results.
+    Unlike :func:`sma_grid_moments` it never chunks and keeps the whole
+    ``(len(windows), n)`` buffer resident; prefer the grid kernel for large
+    candidate grids.  Each smoothed row is filled with the single-window
+    kernel's contiguous slice arithmetic and its zero tail with explicit
+    small writes, so every padded buffer holds exactly the single-window
+    kernel's bytes before each reduction.  Callers on a hot path can pass
+    *workspace* — a C-contiguous float64 array of shape
+    ``(2, >= len(windows), n)`` — to reuse allocations across calls;
+    every cell the reductions read is rewritten first, so stale workspace
+    contents never leak into results.
     """
     batch = np.asarray(values, dtype=np.float64)
     if rows is None:
@@ -347,23 +367,24 @@ def sma_probe_moments(
         raise ValueError(f"expected a 2-D batch with rows=, got shape {batch.shape}")
     n = batch.shape[1]
     window_arr = _validated_window_grid(n, windows)
+    k = window_arr.size
     if rows is None:
-        row_list = [0] * window_arr.size
+        row_list = [0] * k
     else:
         row_list = [int(row) for row in rows]
-        if len(row_list) != window_arr.size:
-            raise ValueError(
-                f"rows has {len(row_list)} entries but windows has {window_arr.size}"
-            )
-        if not 0 <= min(row_list) <= max(row_list) < batch.shape[0]:
+        if len(row_list) != k:
+            raise ValueError(f"rows has {len(row_list)} entries but windows has {k}")
+        if k and not 0 <= min(row_list) <= max(row_list) < batch.shape[0]:
             raise ValueError(f"rows must index the {batch.shape[0]} series of the batch")
         # Prefix sums cost one pass per series, so take only the rows asked for.
         used = sorted(set(row_list))
         position = {row: i for i, row in enumerate(used)}
         row_list = [position[row] for row in row_list]
         batch = batch[used]
-    k = window_arr.size
+    if k == 0:
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
     spans = n - window_arr + 1
+    span_list = spans.tolist()
     counts = spans.astype(np.float64)
 
     if (
@@ -385,8 +406,7 @@ def sma_probe_moments(
     np.cumsum(batch, axis=1, out=prefix[:, 1:])
     # Every row's zero tail lives in columns >= the smallest span; one block
     # write clears them all, and each row's valid slice is written on top.
-    min_span = int(spans.min())
-    smoothed[:, min_span:] = 0.0
+    smoothed[:, min(span_list) :] = 0.0
     divisors = window_arr.astype(np.float64)
     prefixes = list(prefix)
     for i, (row, window) in enumerate(zip(row_list, window_arr.tolist())):
@@ -408,41 +428,21 @@ def sma_probe_moments(
 
     means = smoothed.sum(axis=-1) / counts
     np.subtract(smoothed, means[:, np.newaxis], out=scratch)
-    for i, span in enumerate(spans):
+    for i, span in enumerate(span_list):
         scratch[i, span:] = 0.0
     np.multiply(scratch, scratch, out=scratch)
     second = scratch.sum(axis=-1) / counts
     np.multiply(scratch, scratch, out=scratch)
     fourth = scratch.sum(axis=-1) / counts
-    safe_second = np.where(second > 0.0, second, 1.0)
-    kurtosis = np.where(second > 0.0, fourth / (safe_second * safe_second), 0.0)
+    kurtosis = np.zeros(k)
+    np.divide(fourth, second * second, out=kurtosis, where=second > 0.0)
 
-    # diff(sma(x, w)) has n - w entries; its population std is the roughness.
-    # The first span-1 positions of each row are the valid diffs.  The
-    # full-width subtraction lands exact zeros beyond them on its own
-    # (0 - 0), except the one boundary element (0 - last smoothed value).
-    diff_counts = np.maximum(counts - 1.0, 1.0)
-    diffs = scratch[:, : max(n - 1, 0)]
-    np.subtract(smoothed[:, 1:], smoothed[:, :-1], out=diffs)
-    for i, span in enumerate(spans):
-        if span <= n - 1:
-            diffs[i, span - 1] = 0.0
-    diff_means = diffs.sum(axis=-1) / diff_counts
-    # Columns below the smallest span are valid diffs in every row: center
-    # them with one broadcast subtract, then finish each row's remainder
-    # (at most the window spread) individually.  Tails past span - 1 hold
-    # exact zeros and must stay untouched for the padded sums to agree.
-    shared = min_span - 1
-    if shared > 0:
-        np.subtract(
-            diffs[:, :shared], diff_means[:, np.newaxis], out=diffs[:, :shared]
-        )
-    for i, span in enumerate(spans):
-        row = diffs[i, shared : span - 1]
-        np.subtract(row, diff_means[i], out=row)
-    np.multiply(diffs, diffs, out=diffs)
-    diff_var = diffs.sum(axis=-1) / diff_counts
-    roughness = np.where(counts >= 2.0, np.sqrt(diff_var), 0.0)
+    # Scratch is free now: each measured row takes its own for the diffs.
+    floors = np.broadcast_to(0.0 if floor is None else floor, (k,)).tolist()
+    roughness = np.full(k, np.nan)
+    for i, (kurt, row_floor) in enumerate(zip(kurtosis.tolist(), floors)):
+        if floor is None or kurt >= row_floor:
+            roughness[i] = _roughness(smoothed[i], span_list[i], scratch[i])
     return roughness, kurtosis
 
 

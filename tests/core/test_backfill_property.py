@@ -79,7 +79,7 @@ def stream_suffix(push, ts, vs, start, batch):
 
 
 @given(case=backfill_cases())
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 def test_backfill_then_stream_is_bit_identical(case):
     ts, vs, split, config, batch = case
     ref = StreamingASAP(research_spec(**config))
@@ -107,7 +107,7 @@ def test_backfill_then_stream_is_bit_identical(case):
 
 
 @given(case=backfill_cases())
-@settings(max_examples=15)
+@settings(max_examples=15, deadline=None)
 def test_hub_backfill_survives_checkpoint_mid_suffix(case):
     ts, vs, split, config, batch = case
     cfg = StreamConfig(**config)
@@ -147,7 +147,7 @@ def test_hub_backfill_survives_checkpoint_mid_suffix(case):
 
 
 @given(case=backfill_cases())
-@settings(max_examples=10)
+@settings(max_examples=10, deadline=None)
 def test_sharded_backfill_matches_single_hub(case):
     ts, vs, split, config, batch = case
     cfg = StreamConfig(**config)

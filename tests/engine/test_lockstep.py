@@ -142,9 +142,9 @@ class TestStackedRounds:
         single_calls = []
         kernel = smoothing_module.sma_window_moments
 
-        def counting_single(values, window):
+        def counting_single(values, window, *, floor=None):
             single_calls.append(window)
-            return kernel(values, window)
+            return kernel(values, window, floor=floor)
 
         monkeypatch.setattr(smoothing_module, "sma_window_moments", counting_single)
         per_series = []
@@ -159,9 +159,9 @@ class TestStackedRounds:
         stacked = []
         probe = engine_module.sma_probe_moments
 
-        def counting_probe(values, windows, workspace=None, *, rows=None):
+        def counting_probe(values, windows, workspace=None, *, rows=None, floor=None):
             stacked.append(len(windows))
-            return probe(values, windows, workspace, rows=rows)
+            return probe(values, windows, workspace, rows=rows, floor=floor)
 
         monkeypatch.setattr(smoothing_module, "sma_window_moments", forbidden)
         monkeypatch.setattr(smoothing_module, "sma_grid_moments", forbidden)

@@ -143,3 +143,39 @@ class TestCrossProductSums:
             cross_product_sums(np.zeros(4), 4)
         with pytest.raises(ValueError):
             cross_product_sums(np.zeros(4), -1)
+
+
+class TestIntegerWindows:
+    """A window must be an integer: floats are rejected, never truncated."""
+
+    @pytest.mark.parametrize("window", [3.7, 3.0, np.float64(3.0), "3"])
+    def test_every_kernel_rejects_a_non_integer_window(self, window):
+        from repro.spectral.convolution import (
+            sma_grid_moments,
+            sma_probe_moments,
+            sma_window_moments,
+        )
+
+        values = np.random.default_rng(1910).normal(size=40)
+        for call in (
+            lambda: sma(values, window),
+            lambda: sma_window_moments(values, window),
+            lambda: sma_probe_moments(values, [window]),
+            lambda: sma_probe_moments(values, [2, window]),
+            lambda: sma_probe_moments(values[np.newaxis, :], [window], rows=[0]),
+            lambda: sma_grid_moments(values, [window]),
+        ):
+            with pytest.raises(ValueError, match="integer"):
+                call()
+
+    def test_python_and_numpy_integers_still_pass(self):
+        from repro.spectral.convolution import sma_probe_moments, sma_window_moments
+
+        values = np.random.default_rng(1911).normal(size=40)
+        want = sma_window_moments(values, 3)
+        for window in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert sma_window_moments(values, window) == want
+            assert np.array_equal(sma(values, window), sma(values, 3))
+        for windows in ([np.int64(3)], np.array([3], dtype=np.int32), range(3, 4)):
+            rough, kurt = sma_probe_moments(values, windows)
+            assert (rough[0], kurt[0]) == want

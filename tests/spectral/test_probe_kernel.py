@@ -195,3 +195,123 @@ class TestValidation:
             sma_probe_moments(values, [11])
         with pytest.raises(Exception):
             sma_probe_moments(values, [0])
+
+
+def assert_gated_like_ungated(values, windows, floor, rows=None):
+    """The floor changes nothing but roughness below it, which becomes nan."""
+    full_rough, full_kurt = sma_probe_moments(values, windows, rows=rows)
+    rough, kurt = sma_probe_moments(values, windows, rows=rows, floor=floor)
+    assert bits(kurt) == bits(full_kurt)
+    floors = np.broadcast_to(np.asarray(floor, dtype=np.float64), (len(windows),))
+    series = [values] * len(windows) if rows is None else [values[row] for row in rows]
+    for i, window in enumerate(windows):
+        single = sma_window_moments(series[i], window, floor=floors[i])
+        assert bits(single[1]) == bits(kurt[i])
+        if full_kurt[i] >= floors[i]:
+            assert bits(rough[i]) == bits(full_rough[i]), f"roughness differs at window {window}"
+            assert bits(single[0]) == bits(full_rough[i])
+        else:
+            assert np.isnan(rough[i]) and np.isnan(single[0]), f"window {window} was measured"
+    return rough
+
+
+class TestKurtosisFloor:
+    """Constraint-first: kurtosis for every row, roughness only at the floor or above."""
+
+    def test_floor_splits_a_window_sweep(self):
+        values = np.random.default_rng(1901).normal(size=200)
+        windows = list(range(1, 201))
+        _, kurt = sma_probe_moments(values, windows)
+        rough = assert_gated_like_ungated(values, windows, float(np.median(kurt)))
+        assert 0 < int(np.isnan(rough).sum()) < len(windows)
+
+    def test_floor_tie_is_measured(self):
+        values = np.random.default_rng(1902).normal(size=150)
+        windows = [2, 9, 33, 140]
+        full_rough, kurt = sma_probe_moments(values, windows)
+        for i in range(len(windows)):
+            rough = assert_gated_like_ungated(values, windows, kurt[i])
+            assert bits(rough[i]) == bits(full_rough[i])
+
+    def test_constant_rows_meet_a_zero_floor(self):
+        # Kurtosis is 0 on a constant row (and never negative), so a floor
+        # of 0 measures every row and any positive floor none of them.
+        for values in (np.zeros(40), np.full(40, 123.456)):
+            rough = assert_gated_like_ungated(values, [1, 2, 39, 40], 0.0)
+            assert not np.isnan(rough).any()
+        rough = assert_gated_like_ungated(np.zeros(40), [1, 2, 39, 40], 1e-300)
+        assert np.isnan(rough).all()
+
+    def test_windows_one_and_n(self):
+        values = np.random.default_rng(1903).normal(size=64) * 1e6 + 3.7
+        for floor in (-np.inf, 0.0, 1.0, 3.0, np.inf):
+            assert_gated_like_ungated(values, [1, 64], floor)
+
+    def test_infinite_floors_measure_all_or_nothing(self):
+        values = np.random.default_rng(1904).normal(size=90)
+        windows = [1, 3, 45, 89, 90]
+        full_rough, _ = sma_probe_moments(values, windows)
+        assert bits(sma_probe_moments(values, windows, floor=-np.inf)[0]) == bits(full_rough)
+        assert np.isnan(sma_probe_moments(values, windows, floor=np.inf)[0]).all()
+
+    def test_rows_with_one_floor_per_row(self):
+        rng = np.random.default_rng(1905)
+        batch = rng.normal(size=(3, 120)) * np.array([[1e-6], [1.0], [1e6]])
+        batch[2] = 5.0
+        rows = [0, 1, 2, 0, 1, 2, 0]
+        windows = [1, 2, 3, 60, 119, 120, 7]
+        _, kurt = sma_probe_moments(batch, windows, rows=rows)
+        floors = [kurt[0], 2.5, 0.0, kurt[3] + 1e-12, -1.0, 0.0, np.inf]
+        rough = assert_gated_like_ungated(batch, windows, floors, rows=rows)
+        assert not np.isnan(rough[[0, 2, 4, 5]]).any()
+        assert np.isnan(rough[[3, 6]]).all()
+
+    def test_poisoned_workspace_with_floor(self):
+        values = np.random.default_rng(1906).normal(size=120)
+        windows = [2, 7, 30, 119]
+        floor = float(np.median(sma_probe_moments(values, windows)[1]))
+        fresh = sma_probe_moments(values, windows, floor=floor)
+        poisoned = np.full((2, 8, 120), np.nan)
+        reused = sma_probe_moments(values, windows, poisoned, floor=floor)
+        assert bits(fresh[0]) == bits(reused[0]) and bits(fresh[1]) == bits(reused[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=2, max_value=200),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_property_random_floors(self, seed, m, n, scale):
+        probe_rng = np.random.default_rng(seed)
+        batch = probe_rng.normal(size=(m, n)) * scale
+        count = int(probe_rng.integers(1, 13))
+        rows = probe_rng.integers(0, m, size=count).tolist()
+        windows = probe_rng.integers(1, n + 1, size=count).tolist()
+        _, kurt = sma_probe_moments(batch, windows, rows=rows)
+        # Floors around the measured kurtoses, ties included.
+        floors = kurt + probe_rng.choice([-0.5, 0.0, 0.0, 0.5], size=count)
+        assert_gated_like_ungated(batch, windows, floors, rows=rows)
+        assert_gated_like_ungated(batch[0], windows, float(floors[0]))
+
+
+class TestEmptyProbeSet:
+    def test_empty_probe_set_returns_empty_arrays_like_the_grid_kernel(self):
+        from repro.spectral.convolution import sma_grid_moments
+
+        values = np.random.default_rng(1907).normal(size=50)
+        grid = sma_grid_moments(values, [])
+        for rough, kurt in (
+            sma_probe_moments(values, []),
+            sma_probe_moments(values, [], floor=1.0),
+            sma_probe_moments(np.vstack([values, values]), [], rows=[]),
+        ):
+            assert rough.shape == kurt.shape == grid[0].shape == (0,)
+            assert rough.dtype == kurt.dtype == np.float64
+
+    def test_empty_rows_must_still_match_windows(self):
+        batch = np.random.default_rng(1908).normal(size=(2, 10))
+        with pytest.raises(ValueError, match="entries"):
+            sma_probe_moments(batch, [2], rows=[])
+        with pytest.raises(ValueError, match="entries"):
+            sma_probe_moments(batch, [], rows=[0])
