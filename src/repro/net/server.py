@@ -38,10 +38,25 @@ byte-identical to encoding the whole message:
   encoded once and spliced per subscriber, whose messages differ only in
   ``subscription``, ``seq`` and ``push_dropped``.
 
-**Backpressure.**  Pushes are queued per connection in a bounded outbox
-(``subscribe_queue`` messages) drained by a writer task; a slow reader
-drops the *oldest* queued push and the drop is counted — visible as a
-``seq`` gap plus the running ``push_dropped`` counter on every later push.
+**Write-through delivery.**  A boundary is dispatched stream by stream, in
+the order the hub emitted it; only the subscriptions of the streams in the
+boundary are touched (they are indexed by stream id).  As soon as one
+stream's pushes for a connection are queued, they are written straight to
+the transport if nothing is ahead of them: the connection's writer task is
+idle and the transport holds no unsent bytes.  A push therefore leaves at
+its refresh boundary, not when the request loop next yields, and on the
+connection whose request produced it, it may precede that request's
+response (:class:`~repro.net.remote.RemoteBackend` stashes such pushes).
+Within one tick, pushes across streams follow the tick's emission order.
+
+**Backpressure.**  Otherwise — a congested transport, or a writer task
+already sending — the pushes wait in a bounded per-connection outbox
+(``subscribe_queue`` messages) that the writer task drains one push per
+transport drain.  A full outbox drops its *oldest* push, and the drop is
+counted; so is a push too big to frame, which never fails the request that
+produced it.  Each push's ``push_dropped`` is stamped when it is sent, so a
+``seq`` gap and the counter's advance arrive on the same push.
+``pushes_sent`` counts every push handed to the transport, by either path.
 Responses are never queued behind pushes and are never dropped.
 
 **Hub calls run on the event loop thread.**  That serializes all remote
@@ -80,10 +95,11 @@ DRAIN_TIMEOUT = 5.0
 
 
 class _Subscription:
-    __slots__ = ("sub_id", "stream_id", "resolution", "include_partial", "seq")
+    __slots__ = ("sub_id", "conn", "stream_id", "resolution", "include_partial", "seq")
 
-    def __init__(self, sub_id, stream_id, resolution, include_partial):
+    def __init__(self, sub_id, conn, stream_id, resolution, include_partial):
         self.sub_id = sub_id
+        self.conn = conn
         self.stream_id = stream_id
         self.resolution = resolution
         self.include_partial = include_partial
@@ -95,30 +111,16 @@ class _Connection:
 
     def __init__(self, writer):
         self.writer = writer
-        self.outbox: collections.deque[bytes] = collections.deque()
+        #: Queued push heads, each holding its pre-encoded body; the
+        #: ``push_dropped`` stamp and the framing happen when it is sent.
+        self.outbox: collections.deque[dict] = collections.deque()
+        #: Set from the moment the writer task is woken until its outbox
+        #: loop ends: while set, the writer task owns the outbox.
         self.wakeup = asyncio.Event()
         self.subs: dict[int, _Subscription] = {}
         self.push_dropped = 0
         self.closing = False
         self.writer_task: asyncio.Task | None = None
-
-    def reserve_push_slot(self, limit: int) -> int:
-        """Make room for one push (drop-oldest); returns how many dropped.
-
-        Called *before* the push is encoded, so the message's
-        ``push_dropped`` field covers every drop that precedes it — the
-        receiver's counter is exact at each delivery.
-        """
-        dropped = 0
-        while len(self.outbox) >= limit:
-            self.outbox.popleft()
-            self.push_dropped += 1
-            dropped += 1
-        return dropped
-
-    def enqueue_push(self, message: bytes) -> None:
-        self.outbox.append(message)
-        self.wakeup.set()
 
 
 class AsapServer:
@@ -158,6 +160,8 @@ class AsapServer:
         self._address: tuple[str, int] | None = None
         self._closed = False
         self._connections: set[_Connection] = set()
+        #: stream id -> {subscription id: subscription}, across connections.
+        self._subscribers: dict[str, dict[int, _Subscription]] = {}
         self._next_sub_id = 1
         self._connections_served = 0
         self._connections_rejected = 0
@@ -294,6 +298,8 @@ class AsapServer:
 
     def _drop_connection(self, conn: _Connection) -> None:
         self._connections.discard(conn)
+        for sub in conn.subs.values():
+            self._forget(sub)
         conn.subs.clear()
         conn.closing = True
         conn.wakeup.set()
@@ -304,12 +310,11 @@ class AsapServer:
         try:
             while True:
                 await conn.wakeup.wait()
-                conn.wakeup.clear()
-                while conn.outbox:
-                    data = conn.outbox.popleft()
+                while (data := self._next_push(conn)) is not None:
                     conn.writer.write(data)
-                    await conn.writer.drain()
                     self._pushes_sent += 1
+                    await conn.writer.drain()
+                conn.wakeup.clear()
                 if conn.closing:
                     return
         except (ConnectionError, asyncio.CancelledError, RuntimeError):
@@ -431,17 +436,27 @@ class AsapServer:
         resolution = args.get("resolution")
         sub = _Subscription(
             self._next_sub_id,
+            conn,
             stream_id,
             None if resolution is None else int(resolution),
             bool(args.get("include_partial", False)),
         )
         self._next_sub_id += 1
         conn.subs[sub.sub_id] = sub
+        self._subscribers.setdefault(stream_id, {})[sub.sub_id] = sub
         return {"subscription": sub.sub_id}
 
     def _op_unsubscribe(self, conn, args) -> dict:
         removed = conn.subs.pop(int(args["subscription"]), None)
+        if removed is not None:
+            self._forget(removed)
         return {"removed": removed is not None}
+
+    def _forget(self, sub: _Subscription) -> None:
+        subs = self._subscribers[sub.stream_id]
+        del subs[sub.sub_id]
+        if not subs:
+            del self._subscribers[sub.stream_id]
 
     def _op_server_stats(self, conn, args) -> dict:
         return self.server_stats()
@@ -485,57 +500,101 @@ class AsapServer:
                 loop.call_soon_threadsafe(self._dispatch_frames, frames)
 
     def _dispatch_frames(self, frames: dict) -> None:
-        if not self._connections:
-            return
-        # Each stream's frames and each (stream, resolution, partial) view
-        # are encoded once per refresh boundary and spliced into every
-        # subscriber's push: the same bytes a snapshot() call would serve.
-        view_bodies: dict[tuple, codec.EncodedBody | None] = {}
-        frame_bodies: dict[str, codec.EncodedBody] = {}
-        for conn in list(self._connections):
-            if conn.closing:
+        # Stream by stream, in the boundary's emission order: the stream's
+        # frames body and each of its (resolution, partial) views are
+        # encoded once and spliced into every subscriber's push, and each
+        # subscribing connection is flushed as soon as its pushes for the
+        # stream are queued.
+        for stream_id, stream_frames in frames.items():
+            subs = self._subscribers.get(stream_id)
+            if not subs:
                 continue
-            for sub in list(conn.subs.values()):
-                if sub.stream_id not in frames:
+            payloads: dict[tuple | None, dict | None] = {}
+            touched: dict[_Connection, None] = {}
+            for sub in subs.values():
+                if sub.conn.closing:
                     continue
-                if sub.resolution is None:
-                    body = frame_bodies.get(sub.stream_id)
-                    if body is None:
-                        body = codec.encode_body(wire.frames_state(frames[sub.stream_id]))
-                        frame_bodies[sub.stream_id] = body
-                    payload = {"type": "frames", "frames": body}
-                else:
-                    key = (sub.stream_id, sub.resolution, sub.include_partial)
-                    if key not in view_bodies:
-                        try:
-                            view_bodies[key] = self._view_body(
-                                self.hub.snapshot(
-                                    sub.stream_id,
-                                    resolution=sub.resolution,
-                                    include_partial=sub.include_partial,
-                                )
-                            )
-                        except Exception:
-                            # Not servable at this width yet (or the stream
-                            # just closed): skip this boundary, not the sub.
-                            view_bodies[key] = None
-                    if view_bodies[key] is None:
-                        continue
-                    payload = {"type": "view", "view": view_bodies[key]}
-                sub.seq += 1
-                self._push_dropped += conn.reserve_push_slot(self.subscribe_queue)
-                message = wire.splice_message(
-                    {
-                        "msg": "push",
-                        "subscription": sub.sub_id,
-                        "stream_id": sub.stream_id,
-                        "seq": sub.seq,
-                        "push_dropped": conn.push_dropped,
-                        "payload": payload,
-                    },
-                    limit=self.max_message_bytes,
-                )
-                conn.enqueue_push(message)
+                key = None if sub.resolution is None else (sub.resolution, sub.include_partial)
+                if key not in payloads:
+                    payloads[key] = self._push_payload(sub, stream_frames)
+                if payloads[key] is None:
+                    continue
+                self._queue_push(sub, payloads[key])
+                touched[sub.conn] = None
+            for conn in touched:
+                self._flush(conn)
+
+    def _push_payload(self, sub: _Subscription, frames: list) -> dict | None:
+        """The push payload *sub* gets for this boundary, or None to skip it."""
+        if sub.resolution is None:
+            return {"type": "frames", "frames": codec.encode_body(wire.frames_state(frames))}
+        try:
+            view = self.hub.snapshot(
+                sub.stream_id, resolution=sub.resolution, include_partial=sub.include_partial
+            )
+        except Exception:
+            # Not servable at this width yet (or the stream just closed):
+            # skip this boundary, not the subscription.
+            return None
+        return {"type": "view", "view": self._view_body(view)}
+
+    def _queue_push(self, sub: _Subscription, payload: dict) -> None:
+        """Queue one push on *sub*'s connection; a full outbox drops its
+        oldest push to make room."""
+        conn = sub.conn
+        sub.seq += 1
+        if len(conn.outbox) >= self.subscribe_queue:
+            conn.outbox.popleft()
+            conn.push_dropped += 1
+            self._push_dropped += 1
+        conn.outbox.append(
+            {
+                "msg": "push",
+                "subscription": sub.sub_id,
+                "stream_id": sub.stream_id,
+                "seq": sub.seq,
+                "push_dropped": None,
+                "payload": payload,
+            }
+        )
+
+    def _next_push(self, conn: _Connection) -> bytes | None:
+        """Take *conn*'s oldest queued push, framed; None when none is left.
+
+        ``push_dropped`` is stamped now, at send time, so it counts every
+        older push the connection lost: a ``seq`` gap and the counter's
+        advance arrive on the same push.  A push too big to frame is itself
+        dropped and counted; the request that produced it is unaffected.
+        """
+        while conn.outbox:
+            head = conn.outbox.popleft()
+            head["push_dropped"] = conn.push_dropped
+            try:
+                return wire.splice_message(head, limit=self.max_message_bytes)
+            except WireProtocolError:
+                conn.push_dropped += 1
+                self._push_dropped += 1
+        return None
+
+    def _flush(self, conn: _Connection) -> None:
+        """Write *conn*'s queued pushes through if nothing is ahead of them,
+        else wake its writer task.
+
+        Nothing is ahead when the writer task is neither woken nor mid-drain
+        and the transport is open and holds no unsent bytes (a closing
+        connection is never dispatched to).  The writer task instead sends
+        one push per drain, behind the transport's flow control, so a slow
+        reader's pushes wait in the bounded outbox.
+        """
+        transport = conn.writer.transport
+        if conn.wakeup.is_set() or transport.is_closing() or transport.get_write_buffer_size():
+            conn.wakeup.set()
+            return
+        messages = []
+        while (data := self._next_push(conn)) is not None:
+            messages.append(data)
+        conn.writer.writelines(messages)
+        self._pushes_sent += len(messages)
 
     # -- accounting -------------------------------------------------------------
 

@@ -9,12 +9,17 @@ them — no timing games required.
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import pytest
 
 from netutil import SPEC, make_arrivals
 from repro.errors import ConnectionClosedError, NetError, UnknownStreamError
+from repro.net import wire
 from repro.net.remote import RemoteBackend
 from repro.net.server import serve
+from repro.persist import codec
 from repro.service import StreamHub
 
 
@@ -140,6 +145,158 @@ class TestBackpressure:
             assert all(e.push_dropped == 0 for e in events)
             assert client.server_stats()["push_dropped"] == 0
             client.shutdown()
+        finally:
+            handle.stop()
+
+    def test_stalled_reader_drops_oldest_and_others_are_unaffected(self, hub):
+        handle = serve(hub, subscribe_queue=4)
+        try:
+            producer = RemoteBackend(*handle.address, spec=SPEC)
+            fast = RemoteBackend(*handle.address, spec=SPEC)
+            # Wide frames (about 13 kB a push) fill the socket buffers fast.
+            sid = producer.create_stream(
+                stream_id="s", config=SPEC.merge(resolution=400), history=make_arrivals(4000)
+            )
+            # A raw subscriber with a tiny receive buffer that stops reading
+            # once subscribed.
+            slow = socket.socket()
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.settimeout(10.0)
+            slow.connect(handle.address)
+            stream = slow.makefile("rb")
+
+            def read_message():
+                length = codec.parse_header(stream.read(codec.WIRE_HEADER_SIZE))
+                return wire.decode_payload(stream.read(length))
+
+            assert read_message()["msg"] == "hello"
+            slow.sendall(
+                wire.encode_message(
+                    {"msg": "request", "id": 1, "op": "subscribe", "args": {"stream_id": sid}}
+                )
+            )
+            slow_sub = read_message()["result"]["subscription"]
+            fast_sub = fast.subscribe(sid)
+
+            ts, vs = make_arrivals(20, start=4010)  # one interior boundary a batch
+            produced, fast_events = 0, []
+            for batch in range(2000):
+                if producer.server_stats()["push_dropped"] >= 5:
+                    break
+                produced += bool(producer.ingest(sid, ts + 20 * batch, vs))
+                fast_events += fast.pushes()
+            else:
+                pytest.fail("the stalled reader never lost a push")
+            fast_events += fast.wait_pushes(produced - len(fast_events), timeout=10)
+
+            # The fast subscriber got every push, in order, with no drops.
+            assert [(e.subscription, e.seq, e.push_dropped) for e in fast_events] == [
+                (fast_sub, seq, 0) for seq in range(1, produced + 1)
+            ]
+            # The stalled one gets the newest pushes; each seq gap arrives
+            # with the same advance of its drop counter.
+            delivered = []
+            while not delivered or delivered[-1]["seq"] < produced:
+                delivered.append(read_message())
+            assert {m["subscription"] for m in delivered} == {slow_sub}
+            seqs = [0] + [m["seq"] for m in delivered]
+            drops = [0] + [m["push_dropped"] for m in delivered]
+            for i in range(1, len(seqs)):
+                assert seqs[i] - seqs[i - 1] - 1 == drops[i] - drops[i - 1]
+            lost = produced - len(delivered)
+            assert lost > 0 and drops[-1] == lost
+            stats = producer.server_stats()
+            assert stats["push_dropped"] == lost
+            assert stats["pushes_sent"] == produced + len(delivered)
+            stream.close()
+            slow.close()
+            producer.shutdown()
+            fast.shutdown()
+        finally:
+            handle.stop()
+
+
+class TestWriteThrough:
+    """A push leaves at its refresh boundary: a frame observer registered
+    after the server's runs on the server's loop thread, which is blocked
+    until it returns, and reads the subscriber's socket from there."""
+
+    @staticmethod
+    def watch(hub, subscriber, count):
+        seen = []
+
+        def observer(frames):
+            events = subscriber.wait_pushes(count, timeout=2.0)
+            seen.append((threading.current_thread().name, list(frames), events))
+
+        hub.add_frame_observer(observer)
+        return seen, observer
+
+    def test_inline_boundary_push_is_sent_before_the_request_returns(self, server, hub, remote):
+        subscriber = RemoteBackend(*server.address, spec=SPEC)
+        sid = remote.create_stream(stream_id="s")
+        sub = subscriber.subscribe(sid)
+        seen, observer = self.watch(hub, subscriber, 1)
+        try:
+            inline = remote.ingest(sid, *make_arrivals(100))
+        finally:
+            hub.remove_frame_observer(observer)
+        assert inline
+        [(thread, streams, events)] = seen
+        assert thread == "asap-server" and streams == [sid]
+        assert [(e.subscription, e.seq, e.push_dropped) for e in events] == [(sub, 1, 0)]
+        pushed = events[0].frames
+        assert [f.series.values.tobytes() for f in pushed] == [
+            f.series.values.tobytes() for f in inline
+        ]
+        subscriber.shutdown()
+
+    def test_tick_pushes_each_due_stream_in_emission_order(self, server, hub, remote):
+        subscriber = RemoteBackend(*server.address, spec=SPEC)
+        ts, vs = make_arrivals(40)  # each lands on a deferred boundary
+        sids = [remote.create_stream(stream_id=name) for name in ("b", "a")]
+        subs = {sid: subscriber.subscribe(sid) for sid in sids}
+        for sid in sids:
+            assert remote.ingest(sid, ts, vs) == []
+        seen, observer = self.watch(hub, subscriber, 2)
+        try:
+            emitted = remote.tick()
+        finally:
+            hub.remove_frame_observer(observer)
+        [(thread, streams, events)] = seen
+        assert thread == "asap-server" and sorted(streams) == sorted(sids)
+        assert [e.stream_id for e in events] == streams
+        assert [e.subscription for e in events] == [subs[sid] for sid in streams]
+        for event in events:
+            [frame] = event.frames
+            [expected] = emitted[event.stream_id]
+            assert frame.series.values.tobytes() == expected.series.values.tobytes()
+        subscriber.shutdown()
+
+
+class TestUnframeablePush:
+    def test_oversized_push_is_dropped_not_the_producers_request(self, hub):
+        # The limit fits the producer's ingest response but not the push of
+        # the same three frames, whose head is larger.
+        handle = serve(hub, max_message_bytes=2052)
+        try:
+            producer = RemoteBackend(*handle.address, spec=SPEC)
+            subscriber = RemoteBackend(*handle.address, spec=SPEC)
+            sid = producer.create_stream(stream_id="s")
+            sub = subscriber.subscribe(sid)
+            ts, vs = make_arrivals(100)
+            assert len(producer.ingest(sid, ts, vs)) == 3
+            assert subscriber.pushes(timeout=0.2) == []
+            stats = producer.server_stats()
+            assert (stats["pushes_sent"], stats["push_dropped"]) == (0, 1)
+            # One more boundary's single frame fits: the subscriber sees the
+            # gap and the drop on the same push.
+            [frame] = producer.ingest(sid, ts[:20] + 100, vs[:20])
+            [event] = subscriber.wait_pushes(1, timeout=10)
+            assert (event.subscription, event.seq, event.push_dropped) == (sub, 2, 1)
+            assert event.frames[0].series.values.tobytes() == frame.series.values.tobytes()
+            producer.shutdown()
+            subscriber.shutdown()
         finally:
             handle.stop()
 
