@@ -5,7 +5,7 @@ fresh :class:`~repro.core.streaming.StreamingASAP` twice: once streamed
 through ``push_many`` (the pre-backfill replay path, one real refresh per
 boundary) and once through :meth:`~repro.core.streaming.StreamingASAP.
 backfill` (one batched quality pass, bulk pane folding, chunk-cadence rolling
-replay, one bulk pyramid feed, a single closing search).  The headline number
+replay, a single closing search).  The headline number
 is the *replay speedup* — backfill throughput over ``push_many`` throughput —
 which the ratchet floors.
 
@@ -124,7 +124,7 @@ def verify_lane(label, args, ts, vs, seeded: bool) -> dict:
         )
     suffix = stream_suffix(operator, ts, vs, split, batch)
     check_frames_bit_identical(f"{label} streamed suffix", suffix, ref_suffix)
-    if operator.pyramid is not None:
+    if operator.spec.pyramid:
         ours = operator.pyramid_view(64)
         theirs = reference.pyramid_view(64)
         if ours.values.tobytes() != theirs.values.tobytes():

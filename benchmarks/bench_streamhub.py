@@ -159,8 +159,8 @@ def run(args: argparse.Namespace) -> int:
         refresh_interval=args.refresh_interval,
         strategy=args.strategy,
         # This benchmark measures refresh throughput, not multi-resolution
-        # snapshots (bench_pyramid covers those).  The looped baseline never
-        # builds a pyramid, so the hub must not pay for one either.
+        # snapshots (bench_pyramid covers those), so both sides run with
+        # views off.
         pyramid=False,
     )
     streams = make_streams(args.streams, args.length, args.seed)

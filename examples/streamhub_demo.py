@@ -3,9 +3,10 @@
 Simulates a small fleet of metric streams — CPU, latency, queue depth — each
 delivering one scrape interval of points per round.  A single StreamHub hosts
 every stream: batch ingestion, refreshes coalesced on the shared tick,
-incremental per-refresh statistics (O(new panes), not O(window)), and — via
-each session's rollup pyramid — the same stream served at several pixel
-widths from one session (``snapshot(stream_id, resolution=...)``).
+incremental per-refresh statistics (O(new panes), not O(window)), and the
+same stream served at several pixel widths from one session
+(``snapshot(stream_id, resolution=...)``, bucketed on demand from the
+session's window).
 
 Run::
 
@@ -81,8 +82,8 @@ def main() -> None:
         )
 
     # Multi-resolution serving: the same stream rendered at three widths from
-    # one session — each snapshot comes from the session's shared rollup
-    # pyramid (nearest coarser level + residual re-bucket), no duplicate
+    # one session — each snapshot buckets the session's window on demand
+    # (nearest coarser rollup level + residual re-bucket), no duplicate
     # sessions, no re-ingestion.
     print("\napi.latency_ms served at three pixel widths from one session:")
     for width in (25, 50, 100):

@@ -35,7 +35,7 @@ Packages:
 * :mod:`repro.errors` — the consolidated exception surface;
 * :mod:`repro.core` — the ASAP operator (metrics, search, streaming);
 * :mod:`repro.engine` — the multi-series batch engine (``smooth_many``);
-* :mod:`repro.pyramid` — the multi-resolution rollup tier (``Pyramid``);
+* :mod:`repro.pyramid` — multi-resolution views, resolved on demand (``Pyramid``);
 * :mod:`repro.service` — the multi-tenant streaming service (``StreamHub``);
 * :mod:`repro.cluster` — the sharded serving tier (``ShardedHub``: consistent
   hashing, process shards, live rebalancing, crash recovery);

@@ -23,7 +23,7 @@ split, so sharding does not change any stream's frames.
 migrates exactly the streams whose owner changed, by shipping their
 persist-layer session snapshots (``export_session(remove=True)`` ->
 ``import_session``).  A snapshot carries the open partial pane, the pending
-journal, the rolling sums, and the pyramid, so migration drops zero panes
+journal, the rolling sums and the refresh countdown, so migration drops zero panes
 and the migrated stream's subsequent frames are bit-identical.
 """
 
@@ -193,7 +193,7 @@ class ShardedHub:
         """Bring up one shard and migrate the streams the ring now gives it.
 
         Migration ships each moving stream's persist-layer snapshot (open
-        pane, journal, rolling sums, pyramid included), so the moved streams'
+        pane, journal, rolling sums included), so the moved streams'
         subsequent frames are bit-identical and no pane is dropped.  Returns
         the new shard's id.
         """

@@ -99,15 +99,15 @@ def bucket_means(values, ratio: int, include_partial: bool = False) -> np.ndarra
     """Means of consecutive non-overlapping *ratio*-point buckets.
 
     The primitive every aggregation path shares: ``preaggregate``, the
-    pyramid's rollup levels, and the equivalence checks all call this, so
+    multi-resolution views, and the equivalence checks all call this, so
     "the bucketed series" has exactly one definition.  The trailing partial
     bucket (fewer than *ratio* points) is dropped unless *include_partial*,
     in which case its mean is appended as one final point.
 
     The reduction is a row-wise ``mean`` over the reshaped contiguous
     buffer, which does not depend on how many buckets are reduced at once —
-    bucketing a stream chunk by chunk (as the pyramid does) produces values
-    bit-identical to bucketing the concatenated whole.
+    bucketing any bucket-aligned slice of a stream produces values
+    bit-identical to the same buckets of the whole.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:

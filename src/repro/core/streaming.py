@@ -44,10 +44,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import CheckpointError, IncrementalDriftError
-from ..pyramid.rollup import Pyramid
-from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
+from ..errors import CheckpointError, DataQualityError, IncrementalDriftError
+from ..pyramid.rollup import resolve_view
 from ..pyramid.view import PyramidView, ViewSpec
+from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
 from ..spec import AsapSpec, require_spec
 from ..spectral import accel
 from ..spectral.convolution import cross_product_sums, sma_probe_moments
@@ -138,7 +138,6 @@ _SPEC_FIELDS = frozenset(field.name for field in fields(AsapSpec))
 _SPEC_SHAPED = {
     "buffer": ("pane_size", "capacity", "journal", "keep_sketches", "track_quality"),
     "rolling": ("capacity", "lag_budget"),
-    "pyramid": ("capacity", "level_ratios"),
     "reorder": ("watermark",),
     "normalizer": ("declared_cadence", "gap_policy", "gap_factor"),
 }
@@ -667,7 +666,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     Configured by one :class:`~repro.spec.AsapSpec`, kept as :attr:`spec`
     (its docstring documents every knob).  Spec fields also read as
     attributes (``op.strategy`` is ``op.spec.strategy``), except
-    :attr:`pyramid`, the attached pyramid or ``None``, and
     :attr:`incremental`, which ``verify_incremental`` implies.  The operator
     reads the streaming, quality, ``keep_pane_sketches`` and ``pyramid``
     fields; ``use_preaggregation`` and the network knobs do not apply,
@@ -687,15 +685,17 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
       trace is a counted :attr:`warm_fallbacks`.  Only the adaptive
       strategies (``"asap"``, ``"binary"``) participate.
     * ``keep_pane_sketches`` retains per-pane raw-moment sketches the
-      operator never reads; ``pyramid`` attaches a
-      :class:`~repro.pyramid.Pyramid` of capacity ``resolution`` fed every
-      completed pane, so :meth:`pyramid_view` serves any pixel width.
-      Neither changes any frame.
+      operator never reads.  ``pyramid`` keeps nothing: :meth:`pyramid_view`
+      resolves any pixel width on demand from the pane window, and
+      ``pyramid=False`` only refuses views.  Neither changes any frame.
     * ``watermark`` puts a :class:`~repro.quality.ReorderBuffer` in front of
       the panes (late points within it are reordered, older ones
       counted-and-dropped); ``normalize`` adds the stateful
       :class:`~repro.quality.StreamNormalizer` (``cadence``/``gap_policy``).
       On dense, ordered, regular input both are bit-identical no-ops.
+      With neither stage, a batch with a non-finite value or a timestamp
+      that does not strictly follow the last folded one is rejected whole
+      (:class:`~repro.errors.DataQualityError`) before any state changes.
     * ``backfill`` picks the :meth:`backfill` lane: ``"auto"`` takes the
       vectorized fast lane whenever eliding interior searches cannot change
       a frame (every strategy except seeded ASAP, whose ``CHECKLASTWINDOW``
@@ -714,14 +714,16 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             if spec.normalize
             else None
         )
-        self.pyramid = Pyramid(capacity=resolution) if spec.pyramid else None
         self._buffer = PaneBuffer(
             pane_size=spec.pane_size,
             capacity=resolution,
-            journal=self.incremental or spec.pyramid,
+            journal=self.incremental,
             keep_sketches=spec.keep_pane_sketches,
             track_quality=spec.normalize,
         )
+        # Timestamp of the last point folded while no quality stage runs: the
+        # next batch must start after it (see `_check_batch`).
+        self._last_timestamp: float | None = None
         self._warm_trace: tuple[int, ...] | None = None
         # Lifetime counters owned by the operator itself (the quality
         # counters live in the stages that count them; see `counters`).
@@ -918,24 +920,29 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """The aggregated window the next search would run over (a copy)."""
         return self._buffer.aggregated_values()
 
-    def pyramid_view(
-        self, spec: ViewSpec | int, sync: bool = True
-    ) -> PyramidView:
+    def aggregated_timestamps(self) -> np.ndarray:
+        """Start timestamp of each pane in :meth:`aggregated_values` (a copy)."""
+        return self._buffer.aggregated_timestamps()
+
+    def pyramid_view(self, spec: ViewSpec | int) -> PyramidView:
         """Resolve a multi-resolution view of the current window.
 
-        Requires a pyramid attached at construction.  With *sync* (the
-        default) any panes completed since the last refresh are folded into
-        the pyramid first, so the view always reflects every completed pane —
-        exactly the window :meth:`aggregated_values` exposes.
+        Computed on demand (:func:`~repro.pyramid.resolve_view`) from every
+        completed pane — exactly the window :meth:`aggregated_values`
+        exposes.  It reads and changes no other state, so a view never
+        changes a later frame.  Requires a spec with ``pyramid=True``.
         """
-        if self.pyramid is None:
+        if not self.spec.pyramid:
             raise ValueError(
-                "no pyramid attached; build the operator from a spec with "
+                "views are off; build the operator from a spec with "
                 "pyramid=True to serve multi-resolution views"
             )
-        if sync:
-            self._sync_pane_state()
-        return self.pyramid.view(spec)
+        return resolve_view(
+            self.aggregated_values(),
+            self.aggregated_timestamps(),
+            self._buffer.evicted_panes,
+            spec,
+        )
 
     # -- operator contract ----------------------------------------------------
 
@@ -946,9 +953,18 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             # same pipeline so per-point and batched ingestion stay
             # bit-identical (the boundary loop splits at the same states).
             return tuple(self.push_many([item.timestamp], [item.value]))
+        timestamp, value = float(item.timestamp), float(item.value)
+        last = self._last_timestamp
+        if not (
+            math.isfinite(timestamp)
+            and math.isfinite(value)
+            and (last is None or timestamp > last)
+        ):
+            self._check_batch(np.array([timestamp]), np.array([value]))
         frames: list[Frame] = []
         self._run_due_refresh(frames)
         completed = self._buffer.push(item.timestamp, item.value)
+        self._last_timestamp = timestamp
         if completed is not None:
             self._panes_since_refresh += 1
             if self._panes_since_refresh >= self.spec.refresh_interval:
@@ -975,19 +991,68 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         released points then pass through the normalizer (which may drop
         non-finite values and synthesize gap fills).  Both stages are
         prefix-deterministic over the released sequence, so batching
-        granularity never changes the frames.
+        granularity never changes the frames.  Without either stage the
+        batch is checked whole first (:meth:`_check_batch`).
         """
-        frames: list[Frame] = []
-        self._run_due_refresh(frames)
         ts = np.asarray(timestamps, dtype=np.float64)
         vs = np.asarray(values, dtype=np.float64)
+        checked = self._reorder is None and self._normalizer is None
+        if checked:
+            self._check_batch(ts, vs)
+        frames: list[Frame] = []
+        self._run_due_refresh(frames)
         synth = None
         if self._reorder is not None:
             ts, vs = self._reorder.push_many(ts, vs)
         if self._normalizer is not None:
             ts, vs, synth = self._normalizer.process(ts, vs)
         self._fold(ts, vs, synth, frames, defer_boundary=defer_boundary)
+        if checked and vs.size:
+            self._last_timestamp = float(ts[-1])
         return frames
+
+    def _check_batch(self, ts: np.ndarray, vs: np.ndarray) -> None:
+        """Reject a batch the panes cannot fold, before any state changes.
+
+        Used when no quality stage runs: nothing downstream repairs the
+        input, so one non-finite value or out-of-order timestamp would
+        poison the window and every later refresh.  Timestamps must be
+        finite, strictly increasing, and after the last folded one; values
+        must be finite.  The error names the first bad index.
+        """
+        if ts.ndim != 1 or vs.ndim != 1 or ts.size != vs.size:
+            raise DataQualityError(
+                f"timestamps and values must be equal-length 1-D arrays, "
+                f"got shapes {ts.shape} and {vs.shape}"
+            )
+        if vs.size == 0:
+            return
+        last = self._last_timestamp
+        if (
+            np.isfinite(ts[0])
+            and np.isfinite(ts[-1])
+            and (last is None or ts[0] > last)
+            and np.isfinite(vs).all()
+            and (ts[1:] > ts[:-1]).all()
+        ):
+            return
+        previous = np.empty_like(ts)
+        previous[0] = -np.inf if last is None else last
+        previous[1:] = ts[:-1]
+        ok = np.isfinite(vs) & np.isfinite(ts) & (ts > previous)
+        i = int(np.argmin(ok))
+        value, timestamp = float(vs[i]), float(ts[i])
+        if not math.isfinite(value):
+            reason = f"value {value!r} is not finite"
+        elif not math.isfinite(timestamp):
+            reason = f"timestamp {timestamp!r} is not finite"
+        else:
+            reason = f"timestamp {timestamp!r} does not follow {float(previous[i])!r}"
+        raise DataQualityError(
+            f"rejected a batch of {vs.size} points at index {i}: {reason}; "
+            f"nothing was folded (a spec with normalize=True or a watermark "
+            f"repairs messy input instead)"
+        )
 
     def _fold(
         self,
@@ -1050,12 +1115,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
 
         Ingests the whole history at batch-kernel speed: one batched pass
         through the quality stages, bulk pane folding, chunk-cadence replay
-        of the rolling statistics, one bulk pyramid feed, and a single real
+        of the rolling statistics, and a single real
         search at the archive's closing refresh boundary (the fast lane; see
         the spec's ``backfill`` knob for lane selection).  Interior
         refresh boundaries are *elided* — no frame is rendered for them —
         but every piece of carried state (pane window, rolling sums and
-        their conditioning-rebuild schedule, pyramid levels, refresh ledger,
+        their conditioning-rebuild schedule, refresh ledger,
         quality counters) advances exactly as if the archive had been
         streamed point by point, so **every subsequently streamed frame is
         bit-identical** to the stream-everything run.  Equivalently: a
@@ -1066,12 +1131,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         ``backfill → checkpoint`` writes a state whose restore streams on
         bit-identically.
         """
-        frames: list[Frame] = []
-        refreshes_before = self._refresh_count
-        searches_before = self.searches_run
-        points_before = self._buffer.total_points
-        panes_before = self._buffer.panes_completed
-        self._run_due_refresh(frames)
         ts = np.asarray(timestamps, dtype=np.float64)
         vs = np.asarray(values, dtype=np.float64)
         if ts.ndim != 1 or vs.ndim != 1 or ts.size != vs.size:
@@ -1079,6 +1138,15 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 f"backfill expects equal-length 1-D timestamps and values, "
                 f"got shapes {ts.shape} and {vs.shape}"
             )
+        checked = self._reorder is None and self._normalizer is None
+        if checked:
+            self._check_batch(ts, vs)
+        frames: list[Frame] = []
+        refreshes_before = self._refresh_count
+        searches_before = self.searches_run
+        points_before = self._buffer.total_points
+        panes_before = self._buffer.panes_completed
+        self._run_due_refresh(frames)
         synth = None
         if self._reorder is not None:
             ts, vs = self._reorder.push_many(ts, vs)
@@ -1102,6 +1170,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._fold(ts, vs, synth, frames, elide_interior=True)
         else:
             self._backfill_fast(ts, vs, synth, frames)
+        if checked and vs.size:
+            self._last_timestamp = float(ts[-1])
         ingested = self._buffer.total_points - points_before
         elided = (self._refresh_count - refreshes_before) - len(frames)
         self._counters.update(backfills=1, backfill_points=ingested, backfill_elided=elided)
@@ -1126,8 +1196,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         re-fed to the rolling state in exactly the chunks the streamed
         refreshes would have drained, with the per-boundary conditioning
         reads replayed in :meth:`_refresh`'s order between chunks.  The
-        pyramid *is* granularity-independent, so it takes one bulk feed.
-        The final chunk is requeued so the closing (real) refresh drains
+        final chunk is requeued so the closing (real) refresh drains
         precisely what its streamed counterpart would have.
         """
         n = vs.size
@@ -1157,8 +1226,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             means, times = self._buffer.drain_completed()
             chunk1 = pend0 + (interval - p0)
             split = chunk1 + (boundaries - 2) * interval
-            if self.pyramid is not None and split > 0:
-                self.pyramid.extend(means[:split], times[:split])
             start = 0
             for b in range(boundaries - 1):
                 end = chunk1 if b == 0 else start + interval
@@ -1170,7 +1237,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._buffer.requeue_completed(means[split:], times[split:])
         else:
             # Either a single boundary (the journal, if any, stays intact
-            # for the closing refresh to drain) or no journal consumers;
+            # for the closing refresh to drain) or no rolling statistics;
             # the refresh ledger still advances for elided boundaries.
             for b in range(boundaries - 1):
                 total = completed_before + (interval - p0) + b * interval
@@ -1245,13 +1312,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self._buffer.clear()
         if self._rolling is not None:
             self._rolling.clear()
-        if self.pyramid is not None:
-            self.pyramid.clear()
         if self._reorder is not None:
             self._reorder.clear()
         if self._normalizer is not None:
             self._normalizer.clear()
         self._panes_since_refresh = 0
+        self._last_timestamp = None
         self._previous_window = None
         self._warm_trace = None
         self._refresh_due = False
@@ -1260,16 +1326,17 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     # -- serialization ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Full operator state: spec, pane buffer, rolling sums, pyramid.
+        """Full operator state: spec, pane buffer, rolling sums, countdowns.
 
         The schema (documented in :mod:`repro.persist`) is everything a
         restored operator needs to emit **bit-identical** subsequent frames:
         the configuration once, as ``spec.to_dict()``; the refresh countdown,
-        the previous window (``CHECKLASTWINDOW``'s seed), the deferred-refresh
-        flag, and every counter; plus the nested state of the quality stages,
-        the pane buffer, the incremental statistics, and the attached
-        pyramid.  Per-refresh evaluation caches are *not* persisted; they are
-        rebuilt lazily on the next refresh.
+        the previous window (``CHECKLASTWINDOW``'s seed), the last folded
+        timestamp, the deferred-refresh flag, and every counter; plus the
+        nested state of the quality stages, the pane buffer and the
+        incremental statistics.  Views keep no state (they are computed from
+        the pane window), and per-refresh evaluation caches are rebuilt
+        lazily on the next refresh.
         """
         return {
             "spec": self.spec.to_dict(),
@@ -1278,6 +1345,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 None if self._normalizer is None else self._normalizer.state_dict()
             ),
             "panes_since_refresh": self._panes_since_refresh,
+            "last_timestamp": self._last_timestamp,
             "previous_window": self._previous_window,
             "warm_trace": None if self._warm_trace is None else list(self._warm_trace),
             "counters": dict(self._counters),
@@ -1286,7 +1354,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             "refreshes_since_rebuild": self._refreshes_since_rebuild,
             "buffer": self._buffer.state_dict(),
             "rolling": None if self._rolling is None else self._rolling.state_dict(),
-            "pyramid": None if self.pyramid is None else self.pyramid.state_dict(),
         }
 
     @classmethod
@@ -1300,7 +1367,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """
         operator = cls(AsapSpec.from_dict(state["spec"]))
         built = operator.state_dict()
-        for part, keys in _SPEC_SHAPED.items():
+        for part in _SPEC_SHAPED:
             got, want = state[part], built[part]
             if (got is None) != (want is None):
                 built_or_not = "does not build" if want is None else "builds"
@@ -1308,6 +1375,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                     f"operator state has {'a' if got is not None else 'no'} {part}, "
                     f"but its spec {built_or_not} one"
                 )
+        for part, keys in _SPEC_SHAPED.items():
+            got, want = state[part], built[part]
             for key in keys if got is not None else ():
                 if got[key] != want[key]:
                     raise CheckpointError(
@@ -1326,10 +1395,10 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         operator._rolling = (
             None if state["rolling"] is None else RollingWindowState.from_state(state["rolling"])
         )
-        operator.pyramid = (
-            None if state["pyramid"] is None else Pyramid.from_state(state["pyramid"])
-        )
         operator._panes_since_refresh = int(state["panes_since_refresh"])
+        operator._last_timestamp = (
+            None if state["last_timestamp"] is None else float(state["last_timestamp"])
+        )
         operator._previous_window = (
             None if state["previous_window"] is None else int(state["previous_window"])
         )
@@ -1381,20 +1450,16 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         return min(lag, n - 1)
 
     def _sync_pane_state(self) -> None:
-        """Fan journaled pane completions out to every derived-state consumer.
+        """Feed journaled pane completions to the rolling statistics.
 
-        One journal drain feeds both the rolling statistics (incremental
-        refresh) and the attached pyramid (multi-resolution views), so the
-        two can never observe different completion histories.
+        Only refreshes drain the journal, so the rolling sums always see the
+        same chunking whatever else (views, snapshots) happens in between.
         """
-        if self._rolling is None and self.pyramid is None:
+        if self._rolling is None:
             return
-        means, times = self._buffer.drain_completed()
+        means = self._buffer.drain_completed_means()
         if means.size:
-            if self._rolling is not None:
-                self._rolling.extend(means)
-            if self.pyramid is not None:
-                self.pyramid.extend(means, times)
+            self._rolling.extend(means)
 
     def _incremental_acf(self, values: np.ndarray) -> ACFAnalysis:
         assert self._rolling is not None

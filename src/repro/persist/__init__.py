@@ -2,7 +2,7 @@
 
 The serving tiers (:mod:`repro.service`, :mod:`repro.cluster`) hold all of
 their state in process memory: pane buffers and open panes, rolling
-ACF/moment sums, pyramid levels, refresh countdowns.  This package makes that
+ACF/moment sums, refresh countdowns.  This package makes that
 state durable:
 
 * :func:`checkpoint` — snapshot a :class:`~repro.service.StreamHub` or

@@ -7,11 +7,12 @@
 repo-wide discipline applied to durability: a restored hub emits
 **bit-identical** subsequent frames to one that was never interrupted,
 because every float the refresh path depends on (pane means, open-pane
-sketches, rolling lag/moment/flow sums, pyramid buckets and carry-overs,
-refresh countdowns, the previous window) is persisted exactly.  Derived
-caches (per-refresh evaluation caches, per-session view caches) are *never*
-persisted — they are rebuilt lazily, so a checkpoint stays small and the
-cache layer can evolve without a schema bump.
+sketches, rolling lag/moment/flow sums, refresh countdowns, the previous
+window, the last folded timestamp) is persisted exactly.  Resolution views
+keep no state (they are computed from the pane window on demand), and
+derived caches (per-refresh evaluation caches, per-session view caches)
+are *never* persisted — they are rebuilt lazily, so a checkpoint stays
+small and the cache layer can evolve without a schema bump.
 
 Checkpoint **kinds** (the ``kind`` field of the payload):
 
@@ -33,7 +34,6 @@ Checkpoint **kinds** (the ``kind`` field of the payload):
                      "operator": {"spec": {...AsapSpec fields...},
                                   "counters": {...},
                                   "buffer": {...}, "rolling": {...} | None,
-                                  "pyramid": {...} | None,
                                   "reorder": {...} | None,
                                   "normalizer": {...} | None,
                                   ...refresh bookkeeping...}}, ...]}

@@ -116,7 +116,11 @@ __all__ = [
 #: :class:`~repro.spec.AsapSpec` dict), instead of 17 flat keys plus a second
 #: copy in the hub session's ``config``; the search and recompute counters
 #: moved into ``counters``.
-SCHEMA_VERSION = 9
+#: Version 10: operator state drops its ``pyramid`` (views are computed from
+#: the pane window on demand), its pane journal exists only with incremental
+#: statistics, and it gains ``last_timestamp`` (the ordering check on input
+#: without a quality stage).
+SCHEMA_VERSION = 10
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

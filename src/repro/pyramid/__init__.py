@@ -1,50 +1,36 @@
-"""repro.pyramid — the multi-resolution rollup tier.
+"""repro.pyramid — multi-resolution views of one window.
 
 Pixel-aware pre-aggregation (Section 4.4) is ASAP's biggest speedup lever,
 and the serving workload multiplies it: many clients chart the *same* stream
 at *different* pixel widths.  Instead of one pinned-resolution session per
-client, a :class:`Pyramid` mirrors a stream's sliding window once and
-maintains geometric rollup levels (1/4/16/64 base points per bucket)
-incrementally in O(new values); a :class:`ViewSpec` then resolves any
-requested pixel width to the nearest coarser level whose ratio divides the
-window's point-to-pixel ratio, plus a residual re-bucket.
+client, one session retains the stream's window once and a
+:class:`ViewSpec` resolves any requested pixel width on demand
+(:func:`resolve_view`): level buckets at the nearest geometric ratio
+(1/4/16/64 base points per bucket) that divides the window's point-to-pixel
+ratio, then a residual re-bucket.  Nothing is maintained between views, so
+a stream that is never viewed pays nothing for being viewable (the paper's
+on-demand refresh, Section 4.5, applied to its pre-aggregation).
 
 The resulting :class:`PyramidView` carries exactly the series the direct
 pipeline (:func:`repro.core.preaggregation.prepare_search_input`) would have
 searched — bit-identical when a level matches the ratio (residual 1), within
 1e-9 otherwise — plus the ``window_in_original_units`` map back to base
-units, so every consumer (the streaming operator's attached pyramid, the
-StreamHub's ``snapshot(stream_id, resolution=...)``) serves results
-equivalent to running the from-scratch operator on the directly
-pre-aggregated window.
-
-Maintenance is exact (the same reshape/mean reduction as ``bucket_means``,
-with raw-tail carry-over across batch boundaries), and the drift guard
-mirrors :class:`repro.core.streaming.RollingWindowState`:
-``Pyramid.verify_levels()`` recomputes every coverable bucket from the base
-mirror and raises :class:`PyramidDriftError` on any disagreement;
-``Pyramid.rebuild()`` forces the recomputation.
+units, so every consumer (the streaming operator's
+:meth:`~repro.core.streaming.StreamingASAP.pyramid_view`, the StreamHub's
+``snapshot(stream_id, resolution=...)``) serves results equivalent to
+running the from-scratch operator on the directly pre-aggregated window.
+:class:`Pyramid` is the standalone form: a bounded base window plus
+:meth:`Pyramid.view`, which calls the same function.
 """
 
-from .rollup import (
-    DEFAULT_LEVEL_RATIOS,
-    LevelStats,
-    Pyramid,
-    PyramidDriftError,
-    PyramidError,
-    PyramidLevel,
-    PyramidStats,
-)
+from .rollup import DEFAULT_LEVEL_RATIOS, Pyramid, PyramidError, resolve_view
 from .view import PyramidView, ViewSpec
 
 __all__ = [
     "DEFAULT_LEVEL_RATIOS",
-    "LevelStats",
     "Pyramid",
-    "PyramidDriftError",
     "PyramidError",
-    "PyramidLevel",
-    "PyramidStats",
     "PyramidView",
     "ViewSpec",
+    "resolve_view",
 ]

@@ -1,36 +1,25 @@
-"""The multi-resolution rollup store: geometric pre-aggregation levels.
+"""Multi-resolution views: geometric rollup levels, resolved on demand.
 
-One :class:`Pyramid` mirrors a sliding window of base values (for the
-streaming operator, completed pane means) and maintains, incrementally, a
-small set of coarser rollup levels at geometric bucket ratios (1/4/16/64 by
-default).  Each level holds the means of consecutive non-overlapping
-``ratio``-point buckets of the base stream, aligned to *global* base indices
-(bucket ``b`` always covers base values ``[b*ratio, (b+1)*ratio)`` no matter
-when it was computed), so any two clients asking for the same span get the
-same buckets.
+A view at some pixel width is the window bucketed at the direct pipeline's
+point-to-pixel ratio.  :func:`resolve_view` serves it in two stages: level
+buckets at the coarsest geometric ratio (1/4/16/64 by default) that divides
+the view's ratio, then a residual re-bucket of ``ratio / level_ratio`` level
+buckets per view bucket.  Buckets are aligned to *global* base indices
+(level bucket ``b`` always covers base values ``[b*level_ratio,
+(b+1)*level_ratio)`` no matter when it was computed), so any two clients
+asking for the same span get the same buckets.
 
-**Incrementality.**  ``extend`` costs O(new values x levels): each level
-carries over the raw tail of its currently-open bucket (fewer than ``ratio``
-values) and completes buckets with the same row-wise reshape/mean reduction
-:func:`repro.core.preaggregation.bucket_means` uses, so level contents are
-*bit-identical* to bucketing the concatenated stream from scratch — there is
-no incremental-summation drift to bound in the first place.  The exact-
-rebuild guard mirrors :class:`repro.core.streaming.RollingWindowState` all
-the same: :meth:`verify_levels` recomputes every coverable bucket from the
-retained base window and raises :class:`PyramidDriftError` on any
-disagreement, and :meth:`rebuild` forces the recomputation, exactly as the
-rolling state's ``verify_incremental`` / ``rebuild`` pair does for its sums.
-
-**Bounded memory.**  The base level retains ``capacity`` values (the mirror
-of the streaming window); each rollup level retains just enough buckets to
-cover that window (``ceil(capacity/ratio) + 1`` for alignment slack), so the
-whole pyramid costs ~``capacity * sum(1/ratio)`` extra floats — about 1.33x
-the window for the default ratios.
+Nothing is maintained between views.  Every bucket a view serves lies inside
+the retained window, and :func:`~repro.core.preaggregation.bucket_means`
+reduces each bucket on its own, so computing the level buckets when the view
+is asked for gives the values an incrementally maintained level would hold,
+bit for bit.  A consumer that already retains the window (the streaming
+operator's pane buffer) calls :func:`resolve_view` on it directly;
+:class:`Pyramid` is the standalone spelling: a bounded base window plus
+:meth:`Pyramid.view`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,244 +29,144 @@ from .view import PyramidView, ViewSpec
 
 __all__ = [
     "Pyramid",
-    "PyramidLevel",
-    "PyramidStats",
-    "LevelStats",
     "PyramidError",
-    "PyramidDriftError",
     "DEFAULT_LEVEL_RATIOS",
+    "resolve_view",
 ]
 
 #: Geometric rollup ratios: each level buckets 4x coarser than the previous.
 DEFAULT_LEVEL_RATIOS = (1, 4, 16, 64)
 
-_EMPTY = np.empty(0, dtype=np.float64)
-
 
 class PyramidError(RuntimeError):
-    """Base class for pyramid failures."""
+    """A view cannot be served (e.g. the window is empty)."""
 
 
-class PyramidDriftError(PyramidError):
-    """A rollup level disagrees with a from-scratch re-bucket of the base."""
+def _level_ratios(level_ratios) -> tuple[int, ...]:
+    """*level_ratios* sorted and deduplicated, with ratio 1 always present."""
+    ratios = sorted({int(r) for r in level_ratios} | {1})
+    if ratios[0] < 1:
+        raise ValueError(f"level ratios must be >= 1, got {ratios[0]}")
+    return tuple(ratios)
 
 
-@dataclass(frozen=True)
-class LevelStats:
-    """Accounting for one rollup level."""
+def _serving_plan(
+    window_length: int, window_start: int, ratio: int, level_ratios
+) -> tuple[int, int, int, int]:
+    """``(level_ratio, residual, first_bucket, view_buckets)`` for *ratio*.
 
-    ratio: int
-    retained: int
-    completed: int
-    evicted: int
-    partial_values: int
-
-
-@dataclass(frozen=True)
-class PyramidStats:
-    """Accounting across all levels of one pyramid."""
-
-    total_appended: int
-    levels: tuple[LevelStats, ...]
-
-    @property
-    def retained_values(self) -> int:
-        """Total floats retained across every level (memory proxy)."""
-        return sum(level.retained + level.partial_values for level in self.levels)
-
-
-class PyramidLevel:
-    """One rollup level: bucket means at a fixed ratio, maintained incrementally.
-
-    ``completed`` counts every bucket ever finished (global bucket indices);
-    the retained window is the most recent ``capacity`` of them.  The open
-    bucket's raw values are carried over between ``extend`` calls so a bucket
-    straddling two calls is reduced exactly as if its values had arrived
-    together.
+    Prefers the coarsest dividing level, degrading to a finer one when head
+    alignment leaves it unable to fill even one view bucket (tiny windows);
+    the base level always can (``window // ratio >= 1`` by construction of
+    the ratio).  ``first_bucket`` is the first level bucket wholly inside the
+    window, in global level-bucket units.
     """
-
-    __slots__ = (
-        "ratio",
-        "capacity",
-        "_means",
-        "_times",
-        "_tail_values",
-        "_tail_times",
-        "completed",
-        "evicted",
+    if ratio < 1:
+        raise ValueError(f"ratio must be >= 1, got {ratio}")
+    total = window_start + window_length
+    divisors = [r for r in level_ratios if r <= ratio and ratio % r == 0]
+    for level_ratio in reversed(divisors):
+        residual = ratio // level_ratio
+        first = -(-window_start // level_ratio)
+        buckets = (total // level_ratio - first) // residual
+        if buckets >= 1:
+            return level_ratio, residual, first, buckets
+    raise PyramidError(
+        f"window of {window_length} base values cannot fill one ratio-{ratio} bucket"
     )
 
-    def __init__(self, ratio: int, capacity: int) -> None:
-        if ratio < 1:
-            raise ValueError(f"ratio must be >= 1, got {ratio}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.ratio = ratio
-        self.capacity = capacity
-        self._means = RollingArray(capacity)
-        self._times = RollingArray(capacity)
-        self._tail_values = _EMPTY
-        self._tail_times = _EMPTY
-        self.completed = 0
-        self.evicted = 0
 
-    def __len__(self) -> int:
-        return len(self._means)
+def resolve_view(
+    values: np.ndarray,
+    timestamps: np.ndarray,
+    window_start: int,
+    spec: ViewSpec | int,
+    level_ratios=DEFAULT_LEVEL_RATIOS,
+) -> PyramidView:
+    """Resolve one client view over a retained window.
 
-    @property
-    def first_retained(self) -> int:
-        """Global index of the oldest retained bucket."""
-        return self.completed - len(self._means)
-
-    @property
-    def partial_values(self) -> int:
-        """Base values carried in the open (incomplete) bucket."""
-        return self._tail_values.size
-
-    def values(self) -> np.ndarray:
-        """Means of the retained buckets, oldest first (a copy)."""
-        return self._means.view().copy()
-
-    def timestamps(self) -> np.ndarray:
-        """First base timestamp of each retained bucket (a copy)."""
-        return self._times.view().copy()
-
-    def values_view(self) -> np.ndarray:
-        """The retained means without a copy; valid until the next extend."""
-        return self._means.view()
-
-    def timestamps_view(self) -> np.ndarray:
-        return self._times.view()
-
-    def extend(self, values: np.ndarray, timestamps: np.ndarray) -> None:
-        """Fold a batch of base values in, completing any filled buckets."""
-        if values.size == 0:
-            return
-        if self.ratio == 1:
-            self._append_buckets(values, timestamps)
-            return
-        ratio = self.ratio
-        combined = np.concatenate([self._tail_values, values])
-        combined_times = np.concatenate([self._tail_times, timestamps])
-        full = combined.size // ratio
-        if full:
-            span = full * ratio
-            # The canonical reduction — bucket values have exactly one
-            # definition, shared with the direct pre-aggregation path.
-            means = bucket_means(combined[:span], ratio)
-            self._append_buckets(means, combined_times[:span:ratio])
-            self._tail_values = combined[span:].copy()
-            self._tail_times = combined_times[span:].copy()
-        else:
-            self._tail_values = combined
-            self._tail_times = combined_times
-
-    def _append_buckets(self, means: np.ndarray, starts: np.ndarray) -> None:
-        self._means.append_many(np.ascontiguousarray(means))
-        self._times.append_many(np.ascontiguousarray(starts))
-        self.completed += means.size
-        overflow = len(self._means) - self.capacity
-        if overflow > 0:
-            self._means.popleft(overflow)
-            self._times.popleft(overflow)
-            self.evicted += overflow
-
-    def replace_retained(self, means: np.ndarray, starts: np.ndarray) -> None:
-        """Install *means* as the retained bucket suffix ending at ``completed``.
-
-        Used by :meth:`Pyramid.rebuild`; ``completed`` is preserved (the
-        buckets are the same buckets, recomputed), eviction accounting counts
-        any no-longer-covered leading buckets as evicted.
-        """
-        previously_retained = len(self._means)
-        self._means.clear()
-        self._times.clear()
-        self._means.append_many(np.ascontiguousarray(means))
-        self._times.append_many(np.ascontiguousarray(starts))
-        if means.size < previously_retained:
-            self.evicted += previously_retained - means.size
-
-    def clear(self) -> None:
-        self._means.clear()
-        self._times.clear()
-        self._tail_values = _EMPTY
-        self._tail_times = _EMPTY
-        self.completed = 0
-        self.evicted = 0
-
-    def state_dict(self) -> dict:
-        """Retained buckets, the open bucket's carry-over, and the counters."""
-        return {
-            "ratio": self.ratio,
-            "capacity": self.capacity,
-            "means": self._means.view().copy(),
-            "times": self._times.view().copy(),
-            "tail_values": self._tail_values.copy(),
-            "tail_times": self._tail_times.copy(),
-            "completed": self.completed,
-            "evicted": self.evicted,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PyramidLevel":
-        """Rebuild a level from :meth:`state_dict` output (exact resume)."""
-        level = cls(ratio=int(state["ratio"]), capacity=int(state["capacity"]))
-        level._means.append_many(np.asarray(state["means"], dtype=np.float64))
-        level._times.append_many(np.asarray(state["times"], dtype=np.float64))
-        level._tail_values = np.asarray(state["tail_values"], dtype=np.float64).copy()
-        level._tail_times = np.asarray(state["tail_times"], dtype=np.float64).copy()
-        level.completed = int(state["completed"])
-        level.evicted = int(state["evicted"])
-        return level
-
-    def __repr__(self) -> str:
-        return (
-            f"PyramidLevel(ratio={self.ratio}, retained={len(self)}/{self.capacity}, "
-            f"completed={self.completed}, partial={self.partial_values})"
-        )
+    *values*/*timestamps* are the window, oldest first, and *window_start*
+    is the global base index of its first value; *level_ratios* are the
+    bucket sizes a view may serve from (ratio 1 is always added).  The
+    ratio is the direct pipeline's
+    (:func:`~repro.core.preaggregation.expected_ratio`); the values are
+    ``bucket_means(bucket_means(window[span], level_ratio),
+    residual)`` over the bucket-aligned span the plan picks, so they equal
+    direct bucketing of that span bit for bit when ``residual == 1`` or
+    ``level_ratio == 1``, and within 1e-9 otherwise.  Up to
+    ``level_ratio - 1`` of the oldest window values fall before the first
+    whole level bucket and are not served (the window head is mid-eviction
+    anyway).  With ``include_partial`` the values after the last complete
+    view bucket are appended as one final (under-weighted) point.
+    """
+    if isinstance(spec, (int, np.integer)):
+        spec = ViewSpec(resolution=int(spec))
+    n = values.size
+    if n == 0:
+        raise PyramidError("cannot view an empty window")
+    ratio = expected_ratio(n, spec.resolution)
+    level_ratio, residual, first, buckets = _serving_plan(
+        n, window_start, ratio, _level_ratios(level_ratios)
+    )
+    base_start = first * level_ratio
+    base_end = base_start + buckets * ratio
+    start = base_start - window_start
+    stop = base_end - window_start
+    view_values = bucket_means(bucket_means(values[start:stop], level_ratio), residual)
+    view_times = timestamps[start:stop:ratio].copy()
+    partial_points = 0
+    if spec.include_partial and stop < n:
+        view_values = np.append(view_values, values[stop:].mean())
+        view_times = np.append(view_times, timestamps[stop])
+        partial_points = n - stop
+        base_end = window_start + n
+    return PyramidView(
+        values=view_values,
+        timestamps=view_times,
+        ratio=ratio,
+        level_ratio=level_ratio,
+        residual=residual,
+        base_start=base_start,
+        base_end=base_end,
+        partial_points=partial_points,
+    )
 
 
 class Pyramid:
-    """A multi-resolution rollup store over a sliding window of base values.
+    """A bounded window of base values that serves multi-resolution views.
 
     Parameters
     ----------
     capacity:
-        Base values retained (the mirror of the consumer's window, e.g. the
-        streaming operator's ``resolution`` in panes).
+        Base values retained (the sliding window; older values are evicted).
     level_ratios:
-        Rollup bucket sizes.  Ratio 1 (the base mirror) is always present;
-        the remaining ratios should grow geometrically (the default
+        Rollup bucket sizes a view may serve from.  Ratio 1 is always
+        present; the remaining ratios should grow geometrically (the default
         1/4/16/64 keeps every view's residual re-bucket small).
     """
 
     def __init__(self, capacity: int, level_ratios=DEFAULT_LEVEL_RATIOS) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        ratios = sorted({int(r) for r in level_ratios} | {1})
-        if ratios[0] < 1:
-            raise ValueError(f"level ratios must be >= 1, got {ratios[0]}")
         self.capacity = capacity
-        self.level_ratios = tuple(ratios)
-        self._levels: dict[int, PyramidLevel] = {}
-        for ratio in self.level_ratios:
-            level_capacity = capacity if ratio == 1 else -(-capacity // ratio) + 1
-            self._levels[ratio] = PyramidLevel(ratio, level_capacity)
-        self._base = self._levels[1]
+        self.level_ratios = _level_ratios(level_ratios)
+        self._values = RollingArray(capacity)
+        self._times = RollingArray(capacity)
+        self._appended = 0
 
     # -- ingest ----------------------------------------------------------------
 
     @property
     def total_appended(self) -> int:
         """Base values ever ingested — the version counter for view caches."""
-        return self._base.completed
+        return self._appended
 
     def append(self, value: float, timestamp: float | None = None) -> None:
         """Fold one base value in (convenience wrapper over :meth:`extend`)."""
         self.extend([value], None if timestamp is None else [timestamp])
 
     def extend(self, values, timestamps=None) -> None:
-        """Fold a batch of base values into every level, O(len x levels).
+        """Append a batch of base values, evicting beyond ``capacity``.
 
         *timestamps* defaults to the global base index (as float64), so a
         pyramid fed values alone still has a consistent time axis.
@@ -286,11 +175,7 @@ class Pyramid:
         if vs.ndim != 1:
             raise ValueError(f"expected a 1-D batch, got shape {vs.shape}")
         if timestamps is None:
-            ts = np.arange(
-                self.total_appended,
-                self.total_appended + vs.size,
-                dtype=np.float64,
-            )
+            ts = np.arange(self._appended, self._appended + vs.size, dtype=np.float64)
         else:
             ts = np.asarray(timestamps, dtype=np.float64)
             if ts.shape != vs.shape:
@@ -298,13 +183,20 @@ class Pyramid:
                     f"timestamps and values must have equal lengths, "
                     f"got {ts.size} and {vs.size}"
                 )
-        for level in self._levels.values():
-            level.extend(vs, ts)
+        keep = min(vs.size, self.capacity)
+        self._values.append_many(np.ascontiguousarray(vs[vs.size - keep :]))
+        self._times.append_many(np.ascontiguousarray(ts[ts.size - keep :]))
+        overflow = len(self._values) - self.capacity
+        if overflow > 0:
+            self._values.popleft(overflow)
+            self._times.popleft(overflow)
+        self._appended += vs.size
 
     def clear(self) -> None:
         """Drop all state (e.g. the consumer's window was reset)."""
-        for level in self._levels.values():
-            level.clear()
+        self._values.clear()
+        self._times.clear()
+        self._appended = 0
 
     @classmethod
     def build_from(
@@ -314,15 +206,9 @@ class Pyramid:
         capacity: int | None = None,
         level_ratios=DEFAULT_LEVEL_RATIOS,
     ) -> "Pyramid":
-        """Bulk-construct a pyramid over a full history in one pass.
+        """Construct a pyramid over a full history in one call.
 
-        Level maintenance is batch-granularity-independent (each level
-        carries its open bucket's raw tail and completes buckets with the
-        canonical :func:`~repro.core.preaggregation.bucket_means`
-        reduction), so one bulk :meth:`extend` yields levels bit-identical
-        to feeding the same history value by value — this constructor is
-        the backfill-lane spelling of that fact.  *capacity* defaults to
-        the history length (retain everything).
+        *capacity* defaults to the history length (retain everything).
         """
         vs = np.asarray(values, dtype=np.float64)
         if vs.ndim != 1:
@@ -336,69 +222,45 @@ class Pyramid:
     # -- serialization ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Every level's buckets and carry-over (see :mod:`repro.persist`).
-
-        The maintenance path is exact, so a pyramid restored by
-        :meth:`from_state` completes, evicts, and serves views bit-identically
-        to an uninterrupted one fed the same subsequent values.
-        """
+        """The retained window and the append counter (exact resume)."""
         return {
             "capacity": self.capacity,
             "level_ratios": list(self.level_ratios),
-            "levels": [self._levels[ratio].state_dict() for ratio in self.level_ratios],
+            "values": self._values.view().copy(),
+            "timestamps": self._times.view().copy(),
+            "total_appended": self._appended,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "Pyramid":
-        """Rebuild a pyramid from :meth:`state_dict` output (exact resume)."""
+        """Rebuild a pyramid from :meth:`state_dict` output."""
         pyramid = cls(
             capacity=int(state["capacity"]),
             level_ratios=tuple(int(r) for r in state["level_ratios"]),
         )
-        for level_state in state["levels"]:
-            restored = PyramidLevel.from_state(level_state)
-            pyramid._levels[restored.ratio] = restored
-        pyramid._base = pyramid._levels[1]
+        pyramid._values.append_many(np.asarray(state["values"], dtype=np.float64))
+        pyramid._times.append_many(np.asarray(state["timestamps"], dtype=np.float64))
+        pyramid._appended = int(state["total_appended"])
         return pyramid
 
     # -- introspection ---------------------------------------------------------
 
-    def level(self, ratio: int) -> PyramidLevel:
-        """The rollup level at *ratio* (KeyError when not configured)."""
-        return self._levels[ratio]
-
     @property
     def window_start(self) -> int:
         """Global base index of the oldest retained base value."""
-        return self._base.first_retained
+        return self._appended - len(self._values)
 
     @property
     def window_length(self) -> int:
-        """Base values currently retained (== the consumer's window length)."""
-        return len(self._base)
+        """Base values currently retained."""
+        return len(self._values)
 
     def base_values(self) -> np.ndarray:
         """The retained base window, oldest first (a copy)."""
-        return self._base.values()
+        return self._values.view().copy()
 
     def base_timestamps(self) -> np.ndarray:
-        return self._base.timestamps()
-
-    @property
-    def stats(self) -> PyramidStats:
-        return PyramidStats(
-            total_appended=self.total_appended,
-            levels=tuple(
-                LevelStats(
-                    ratio=level.ratio,
-                    retained=len(level),
-                    completed=level.completed,
-                    evicted=level.evicted,
-                    partial_values=level.partial_values,
-                )
-                for level in self._levels.values()
-            ),
-        )
+        return self._times.view().copy()
 
     def __repr__(self) -> str:
         return (
@@ -421,169 +283,16 @@ class Pyramid:
         """``(level_ratio, residual)`` a view at effective *ratio* serves from.
 
         The nearest coarser level whose ratio divides the requested one and
-        whose retained, window-aligned buckets can fill at least one view
-        bucket right now; ratio 1 always qualifies, so resolution never
-        fails — it only degrades to a direct re-bucket of the base mirror.
-        This is exactly the selection :meth:`view` makes (one shared
-        implementation), so predicting a view's serving level is reliable.
+        whose window-aligned buckets can fill at least one view bucket right
+        now; ratio 1 always qualifies.  This is the selection :meth:`view`
+        makes (one shared plan), so predicting a view's serving level is
+        reliable.
         """
-        plan = self._serving_plan(ratio)
-        return plan[0].ratio, plan[1]
-
-    def _serving_plan(self, ratio: int) -> tuple[PyramidLevel, int, int, int]:
-        """``(level, residual, first_bucket, view_buckets)`` for *ratio*.
-
-        Prefers the coarsest dividing level, degrading to a finer one when
-        head alignment leaves it unable to fill even one view bucket (tiny
-        windows); the base level always can (``window // ratio >= 1`` by
-        construction of the ratio).
-        """
-        if ratio < 1:
-            raise ValueError(f"ratio must be >= 1, got {ratio}")
-        window_start = self.window_start
-        divisors = [r for r in self.level_ratios if r <= ratio and ratio % r == 0]
-        for level_ratio in reversed(divisors):
-            residual = ratio // level_ratio
-            level = self._levels[level_ratio]
-            first_needed = -(-window_start // level_ratio)
-            first = max(first_needed, level.first_retained)
-            buckets = (level.completed - first) // residual
-            if buckets >= 1:
-                return level, residual, first, buckets
-        raise PyramidError(
-            f"window of {self.window_length} base values cannot fill one "
-            f"ratio-{ratio} bucket"
-        )
+        plan = _serving_plan(self.window_length, self.window_start, ratio, self.level_ratios)
+        return plan[0], plan[1]
 
     def view(self, spec: ViewSpec | int) -> PyramidView:
-        """Resolve one client view; see :class:`~repro.pyramid.view.ViewSpec`.
-
-        The returned values equal direct bucketing of the covered base span
-        (``bucket_means(base[start:end], ratio)``): bit-identical when a
-        level matches the ratio exactly (``residual == 1``, including the
-        always-available base level), within 1e-9 otherwise.  The covered
-        span is bucket-aligned: up to ``level_ratio - 1`` of the oldest
-        window values fall before the first whole retained bucket and are
-        not served (the window head is mid-eviction anyway).
-        """
-        if isinstance(spec, (int, np.integer)):
-            spec = ViewSpec(resolution=int(spec))
-        n = self.window_length
-        if n == 0:
-            raise PyramidError("cannot view an empty pyramid")
-        ratio = self.view_ratio(spec.resolution)
-        window_start = self.window_start
-        total = self._base.completed
-        if ratio == 1:
-            return PyramidView(
-                values=self._base.values(),
-                timestamps=self._base.timestamps(),
-                ratio=1,
-                level_ratio=1,
-                residual=1,
-                base_start=window_start,
-                base_end=total,
-                partial_points=0,
-            )
-        level, residual, first, buckets = self._serving_plan(ratio)
-        level_ratio = level.ratio
-        offset = first - level.first_retained
-        span = buckets * residual
-        # The residual re-bucket goes through the same canonical reduction
-        # (ratio 1 degenerates to a copy).
-        values = bucket_means(level.values_view()[offset : offset + span], residual)
-        timestamps = level.timestamps_view()[offset : offset + span : residual].copy()
-        base_start = first * level_ratio
-        base_end = base_start + buckets * ratio
-        partial_points = 0
-        if spec.include_partial:
-            remainder = total - base_end
-            if remainder > 0:
-                base_view = self._base.values_view()
-                tail = base_view[n - remainder :]
-                values = np.append(values, tail.mean())
-                timestamps = np.append(
-                    timestamps,
-                    self._base.timestamps_view()[n - remainder],
-                )
-                partial_points = remainder
-                base_end = total
-        return PyramidView(
-            values=values,
-            timestamps=timestamps,
-            ratio=ratio,
-            level_ratio=level_ratio,
-            residual=residual,
-            base_start=base_start,
-            base_end=base_end,
-            partial_points=partial_points,
+        """Resolve one client view; see :func:`resolve_view`."""
+        return resolve_view(
+            self._values.view(), self._times.view(), self.window_start, spec, self.level_ratios
         )
-
-    # -- drift guard -----------------------------------------------------------
-
-    def _coverable(self, level: PyramidLevel) -> tuple[int, int, np.ndarray]:
-        """``(first_bucket, count, expected_means)`` recomputable from base."""
-        window_start = self.window_start
-        first = max(-(-window_start // level.ratio), level.first_retained)
-        count = level.completed - first
-        if count <= 0:
-            return first, 0, _EMPTY
-        base_view = self._base.values_view()
-        start = first * level.ratio - window_start
-        expected = bucket_means(base_view[start : start + count * level.ratio], level.ratio)
-        return first, count, expected
-
-    def verify_levels(self, tolerance: float = 0.0) -> int:
-        """Recompute every coverable bucket from the base mirror and compare.
-
-        The pyramid's maintenance is exact, so the default tolerance is 0.0
-        — any disagreement at all raises :class:`PyramidDriftError`.  Returns
-        the number of buckets checked.  This is the same escape hatch
-        ``verify_incremental`` provides for the rolling window sums.
-        """
-        checked = 0
-        for level in self._levels.values():
-            if level.ratio == 1:
-                continue
-            first, count, expected = self._coverable(level)
-            if count == 0:
-                continue
-            offset = first - level.first_retained
-            stored = level.values_view()[offset : offset + count]
-            diff = np.abs(stored - expected)
-            worst = float(diff.max()) if diff.size else 0.0
-            if worst > tolerance:
-                bucket = first + int(np.argmax(diff))
-                raise PyramidDriftError(
-                    f"level ratio {level.ratio} bucket {bucket} drifted by "
-                    f"{worst!r} (> {tolerance!r})"
-                )
-            checked += count
-        return checked
-
-    def rebuild(self) -> None:
-        """Recompute every level's retained buckets from the base mirror.
-
-        After a rebuild each rollup level holds exactly the from-scratch
-        bucketing of the retained base window (buckets older than the window
-        are dropped — they are no longer recomputable).  The incremental
-        path already produces these exact values, so this exists as the same
-        belt-and-braces recovery ``RollingWindowState.rebuild`` provides.
-        """
-        window_start = self.window_start
-        base_view = self._base.values_view()
-        base_times = self._base.timestamps_view()
-        for level in self._levels.values():
-            if level.ratio == 1:
-                continue
-            first, count, expected = self._coverable(level)
-            start = first * level.ratio - window_start
-            starts = base_times[start : start + count * level.ratio : level.ratio]
-            level.replace_retained(expected, np.asarray(starts))
-            # The open bucket's carry-over is recomputable only while its raw
-            # values are still inside the base mirror; otherwise the carried
-            # tail (exact by construction) is kept as-is.
-            tail_base = level.completed * level.ratio - window_start
-            if tail_base >= 0:
-                level._tail_values = base_view[tail_base:].copy()
-                level._tail_times = base_times[tail_base:].copy()

@@ -1,7 +1,7 @@
 """View resolution: requested pixel width -> pyramid level + residual re-bucket.
 
-A client asks for a pixel width; the pyramid owns rollup levels at a few
-geometric ratios.  :class:`ViewSpec` names the request and
+A client asks for a pixel width; views bucket the window through rollup
+levels at a few geometric ratios.  :class:`ViewSpec` names the request and
 :class:`PyramidView` is the resolved answer: the bucketed series at exactly
 the point-to-pixel ratio the direct pipeline would have used, assembled from
 the *nearest coarser level whose ratio divides it* plus a residual re-bucket

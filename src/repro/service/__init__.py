@@ -19,9 +19,9 @@ that workload on top of the single-stream operator of
   maintenance rather than O(window log window) recomputation, with the same
   1e-9 agreement discipline (and its ``verify_incremental`` escape hatch)
   as the rest of the repo;
-* multi-resolution serving — each session carries one shared rollup pyramid
-  (:mod:`repro.pyramid`), so ``snapshot(stream_id, resolution=...)`` serves
-  any number of per-client pixel widths from one session instead of N
+* multi-resolution serving — ``snapshot(stream_id, resolution=...)``
+  buckets the session's window on demand (:mod:`repro.pyramid`), so one
+  session serves any number of per-client pixel widths instead of N
   duplicate sessions, with results equivalent to the from-scratch pipeline
   on the directly pre-aggregated window.
 """

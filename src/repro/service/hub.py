@@ -126,7 +126,7 @@ class ResolutionSnapshot:
     ``window * ratio``) and ``window_original_units`` (raw points,
     ``window * ratio * pane_size``).  ``base_start``/``base_end`` are global
     pane indices of the span the view covers; ``ratio``/``level_ratio``/
-    ``residual`` describe how the pyramid resolved the request.  The values
+    ``residual`` describe how the view was resolved.  The values
     are equivalent to running the from-scratch pipeline on the directly
     pre-aggregated span (windows equal, values within 1e-9).
     """
@@ -605,12 +605,13 @@ class StreamHub:
         (:class:`SessionSnapshot`), exactly as before.
 
         With *resolution*: a **multi-resolution view** — the session's
-        current window re-served at that pixel width from the session's
-        shared rollup pyramid (:class:`ResolutionSnapshot`).  Any number of
-        clients can snapshot the same stream at different widths from the
-        one session; each view's search input comes from the pyramid level
-        nearest the width's point-to-pixel ratio (plus a residual
-        re-bucket), and the smoothed output is equivalent to running the
+        current window re-served at that pixel width (:class:`ResolutionSnapshot`).
+        Any number of clients can snapshot the same stream at different
+        widths from the one session; each view's search input is bucketed on
+        demand from the session's window through the rollup level nearest
+        the width's point-to-pixel ratio (plus a residual re-bucket), so a
+        snapshot never changes the session's later frames.  The smoothed
+        output is equivalent to running the
         from-scratch pipeline on the directly pre-aggregated window (windows
         equal, values within 1e-9).  Views are cached per (resolution,
         include_partial) until the next pane completes, so repeated polls
@@ -650,14 +651,20 @@ class StreamHub:
     def _resolution_snapshot(
         self, session: _Session, resolution: int, include_partial: bool
     ) -> ResolutionSnapshot:
-        """Serve one multi-resolution view from the session's pyramid."""
+        """Serve one multi-resolution view, computed from the session's window.
+
+        The view is resolved on demand from the operator's pane window
+        (:meth:`~repro.core.streaming.StreamingASAP.pyramid_view`), which
+        changes no operator state, and smoothed; the result is cached per
+        ``(resolution, include_partial)`` until the next pane completes.
+        """
         if resolution < 1:
             raise HubError(f"resolution must be >= 1, got {resolution}")
         with session.lock:
             if session.closed:
                 raise UnknownStreamError(session.stream_id)
             operator = session.operator
-            if operator.pyramid is None:
+            if not operator.spec.pyramid:
                 raise HubError(
                     f"stream {session.stream_id!r} was created with "
                     f"StreamConfig(pyramid=False); re-create it with "
@@ -796,8 +803,8 @@ class StreamHub:
         """Adopt a session exported by :meth:`export_session`; returns its id.
 
         The session resumes exactly where the export left it — refresh
-        countdown, previous window, open partial pane, incremental sums, and
-        pyramid included — so frames it emits here are bit-identical to the
+        countdown, previous window, open partial pane and incremental sums
+        included — so frames it emits here are bit-identical to the
         ones it would have emitted on the exporting hub.  *stream_id*
         overrides the exported id; the hub's pane budget and capacity policy
         apply as on :meth:`create_stream`.

@@ -153,7 +153,9 @@ class AsapSpec:
     keep_pane_sketches:
         Retain per-pane raw-moment state the serving path never reads.
     pyramid:
-        Attach a rollup pyramid so one session serves any pixel width.
+        Serve multi-resolution views, so one session serves any pixel width.
+        Views are computed from the window on demand and keep no state;
+        ``False`` only refuses them.
     max_connections:
         Network serving tier (:mod:`repro.net`) only: concurrent client
         connections one :class:`~repro.net.AsapServer` accepts; connection

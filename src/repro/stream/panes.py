@@ -201,7 +201,7 @@ class PaneBuffer:
         When True, the mean and start timestamp of every completed pane are
         additionally appended to a journal drained by
         :meth:`drain_completed` — the feed for incrementally maintained
-        window statistics and for attached rollup pyramids (evictions need
+        window statistics (evictions need
         no journal entry: a consumer replaying appends against the same
         ``capacity`` reproduces the eviction order exactly).
     keep_sketches:
@@ -430,7 +430,7 @@ class PaneBuffer:
     @property
     def panes_completed(self) -> int:
         """Panes ever completed (retained + evicted) — a monotone version
-        counter for consumers caching derived state (e.g. pyramid views)."""
+        counter for consumers caching derived state (e.g. resolution views)."""
         return len(self._means) + self._evicted_panes
 
     @property
@@ -487,9 +487,8 @@ class PaneBuffer:
         Requires ``journal=True``; consumers replaying these appends against a
         window of the same ``capacity`` observe the exact append/evict order
         the buffer itself went through.  There is one journal: a drain hands
-        the pending completions to its caller, who is responsible for feeding
-        every downstream consumer (the streaming operator fans one drain out
-        to the rolling statistics and the attached pyramid).
+        the pending completions to its caller (the streaming operator feeds
+        them to its rolling statistics).
         """
         if not self.journal:
             raise ValueError("PaneBuffer was constructed with journal=False")

@@ -99,7 +99,7 @@ def test_backfill_then_stream_is_bit_identical(case):
     assert result.points == ref_prefix_points
     suffix = stream_suffix(op.push_many, ts, vs, split, batch)
     assert_frames_identical(suffix, ref_suffix)
-    if op.pyramid is not None and op.panes_completed:
+    if op.spec.pyramid and op.panes_completed:
         ours = op.pyramid_view(16)
         theirs = ref.pyramid_view(16)
         assert ours.values.tobytes() == theirs.values.tobytes()

@@ -1,4 +1,4 @@
-"""Tests for StreamingASAP's attached multi-resolution pyramid."""
+"""Tests for StreamingASAP's multi-resolution views (resolved from its pane window)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.preaggregation import bucket_means
 from repro.core.streaming import StreamingASAP
-from repro.pyramid import ViewSpec
+from repro.pyramid import PyramidError, ViewSpec
 
 from research_spec import research_spec
 
@@ -27,9 +27,13 @@ def drive(operator: StreamingASAP, ts, values, chunk: int = 257):
 
 class TestAttachment:
     def test_pyramid_true_builds_matching_capacity(self):
+        # Views cover the operator's window: `resolution` panes once full.
         operator = StreamingASAP(research_spec(pane_size=4, resolution=200, pyramid=True))
-        assert operator.pyramid is not None
-        assert operator.pyramid.capacity == 200
+        ts, values = make_stream(4 * 500)
+        drive(operator, ts, values)
+        view = operator.pyramid_view(200)
+        assert view.ratio == 1 and view.base_length == 200
+        assert (view.base_start, view.base_end) == (300, 500)
 
     def test_no_pyramid_view_raises_with_guidance(self):
         operator = StreamingASAP(research_spec(pane_size=2, resolution=100))
@@ -44,9 +48,11 @@ class TestFeed:
             research_spec(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
         )
         drive(operator, ts, values)
-        operator.pyramid_view(100)  # syncs
-        assert np.array_equal(operator.pyramid.base_values(), operator.aggregated_values())
-        assert operator.pyramid.verify_levels() > 0
+        # A ratio-1 view is the window itself, timestamps included.
+        view = operator.pyramid_view(operator.pane_count)
+        assert view.ratio == 1
+        assert np.array_equal(view.values, operator.aggregated_values())
+        assert view.base_end == operator.panes_completed
 
     def test_view_matches_direct_bucketing_of_window(self):
         ts, values = make_stream(12_000)
@@ -56,8 +62,8 @@ class TestFeed:
         drive(operator, ts, values)
         for resolution in (40, 55, 100, 199):
             view = operator.pyramid_view(resolution)
-            base = operator.pyramid.base_values()
-            start = view.base_start - operator.pyramid.window_start
+            base = operator.aggregated_values()
+            start = view.base_start - (operator.panes_completed - operator.pane_count)
             direct = bucket_means(base[start : start + view.base_length], view.ratio)
             assert np.allclose(view.values, direct, rtol=0, atol=1e-9)
 
@@ -94,7 +100,10 @@ class TestFeed:
         operator = StreamingASAP(research_spec(pane_size=2, resolution=200, pyramid=True))
         drive(operator, ts, values)
         operator.reset()
-        assert operator.pyramid.total_appended == 0
+        with pytest.raises(PyramidError, match="empty"):
+            operator.pyramid_view(50)
+        operator.push_many(ts[:400] + 1e6, values[:400])
+        assert operator.pyramid_view(50).base_start == 0
 
     def test_panes_completed_is_monotone_version(self):
         ts, values = make_stream(1000)

@@ -1,11 +1,12 @@
-"""Property-based tests: pyramid contents == direct preaggregation, always.
+"""Property-based tests: pyramid views == direct preaggregation, always.
 
 Random series / chunking / ratio / level combinations, driven by hypothesis
-(falling back to its seeded database-less mode in CI): every rollup level's
-retained buckets must equal the direct ``bucket_means`` of the same base
-span bit for bit, every view must match direct bucketing of its covered span
-to the repo's 1e-9 discipline (bit for bit when no residual re-bucket is
-involved), and ``window_in_original_units`` must round-trip.
+(falling back to its seeded database-less mode in CI): the base window must
+mirror the trailing values, every view's level buckets must equal the direct
+``bucket_means`` of the same global span bit for bit, every view must match
+direct bucketing of its covered span to the repo's 1e-9 discipline (bit for
+bit when no residual re-bucket is involved), and
+``window_in_original_units`` must round-trip.
 """
 
 from __future__ import annotations
@@ -52,25 +53,19 @@ def test_pyramid_matches_direct_preaggregation(scenario):
     window = full_history[max(n - capacity, 0) :]
     assert np.array_equal(pyramid.base_values(), window)
 
-    # 2. Every level's retained buckets equal direct bucketing of the
-    #    matching global span, bit for bit.
-    for ratio in pyramid.level_ratios:
-        if ratio == 1:
-            continue
-        level = pyramid.level(ratio)
-        if len(level) == 0:
-            continue
-        first = level.first_retained
-        expected = bucket_means(full_history[first * ratio :], ratio)[: len(level)]
-        assert np.array_equal(level.values(), expected)
-
-    # 3. The internal drift guard agrees.
-    pyramid.verify_levels()
-
-    # 4. Views match direct bucketing of the span they claim to cover.
+    # 2. The view's level buckets equal direct bucketing of the matching
+    #    global span, bit for bit, and start on a level boundary.
     if pyramid.window_length == 0:
         return
     view = pyramid.view(ViewSpec(resolution, include_partial=include_partial))
+    assert view.base_start % view.level_ratio == 0
+    assert view.base_start >= pyramid.window_start
+    complete_end = view.base_end - view.partial_points
+    levels = bucket_means(full_history[view.base_start : complete_end], view.level_ratio)
+    served = view.values[: view.values.size - (1 if view.partial_points else 0)]
+    assert np.array_equal(served, bucket_means(levels, view.residual))
+
+    # 3. Views match direct bucketing of the span they claim to cover.
     span = full_history[view.base_start : view.base_end]
     direct = bucket_means(span, view.ratio, include_partial=include_partial)
     assert view.values.size == direct.size
@@ -79,7 +74,7 @@ def test_pyramid_matches_direct_preaggregation(scenario):
     if view.residual == 1 or view.level_ratio == 1:
         assert np.array_equal(view.values, direct)
 
-    # 5. window_in_original_units round-trips for every expressible window.
+    # 4. window_in_original_units round-trips for every expressible window.
     for window_size in (1, 2, max(view.values.size // 10, 1)):
         original = view.window_in_original_units(window_size)
         assert original == window_size * view.ratio

@@ -1,4 +1,9 @@
-"""Tests for the multi-resolution rollup store (repro.pyramid)."""
+"""Tests for the standalone multi-resolution window (repro.pyramid.Pyramid).
+
+Views are resolved on demand from the retained base window, so the level
+buckets a view serves are checked against direct bucketing of the same
+global span, whatever chunking fed the window.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +14,13 @@ from repro.core.preaggregation import bucket_means
 from repro.pyramid import (
     DEFAULT_LEVEL_RATIOS,
     Pyramid,
-    PyramidDriftError,
     PyramidError,
-    PyramidLevel,
     ViewSpec,
 )
 
 
 def feed_chunked(pyramid: Pyramid, values, seed: int = 0, max_chunk: int = 97) -> None:
-    """Feed values in randomized chunk sizes (the incremental path)."""
+    """Feed values in randomized chunk sizes."""
     rng = np.random.default_rng(seed)
     i = 0
     while i < len(values):
@@ -26,25 +29,37 @@ def feed_chunked(pyramid: Pyramid, values, seed: int = 0, max_chunk: int = 97) -
         i += step
 
 
+def exact_level_view(pyramid: Pyramid, ratio: int):
+    """A view whose ratio is exactly *ratio* (served from that level, residual 1)."""
+    view = pyramid.view(ViewSpec(pyramid.window_length // ratio))
+    assert (view.ratio, view.level_ratio, view.residual) == (ratio, ratio, 1)
+    return view
+
+
 class TestLevelMaintenance:
     def test_level_means_match_direct_bucketing_bit_for_bit(self, rng):
         values = rng.normal(size=4096)
         pyramid = Pyramid(capacity=4096)
         feed_chunked(pyramid, values, seed=1)
         for ratio in DEFAULT_LEVEL_RATIOS[1:]:
-            level = pyramid.level(ratio)
+            view = exact_level_view(pyramid, ratio)
             expected = bucket_means(values, ratio)
-            stored = level.values()
-            assert np.array_equal(stored, expected[len(expected) - len(stored) :])
+            assert np.array_equal(view.values, expected)
 
     def test_carry_over_across_chunk_boundaries(self, rng):
-        # Chunks of 1 force every bucket to straddle extend calls.
+        # Chunks of 1 put every bucket across extend calls.
         values = rng.normal(size=300)
         pyramid = Pyramid(capacity=300, level_ratios=(1, 7))
         for value in values:
             pyramid.append(value)
-        assert np.array_equal(pyramid.level(7).values(), bucket_means(values, 7))
-        assert pyramid.level(7).partial_values == 300 % 7
+        view = pyramid.view(ViewSpec(300 // 7, include_partial=True))
+        assert (view.ratio, view.level_ratio) == (7, 7)
+        assert np.array_equal(view.values[:-1], bucket_means(values, 7))
+        assert view.partial_points == 300 % 7
+        bulk = Pyramid.build_from(values, level_ratios=(1, 7))
+        assert bulk.view(ViewSpec(300 // 7, include_partial=True)).values.tobytes() == (
+            view.values.tobytes()
+        )
 
     def test_base_level_mirrors_window(self, rng):
         values = rng.normal(size=1000)
@@ -59,24 +74,26 @@ class TestLevelMaintenance:
         pyramid = Pyramid(capacity=512)
         feed_chunked(pyramid, values, seed=3)
         for ratio in (4, 16, 64):
-            level = pyramid.level(ratio)
-            # Retained bucket b covers values[b*ratio : (b+1)*ratio] globally.
-            first = level.first_retained
-            expected = bucket_means(values[first * ratio :], ratio)[: len(level)]
-            assert np.array_equal(level.values(), expected)
+            view = exact_level_view(pyramid, ratio)
+            # View bucket b covers values[b*ratio : (b+1)*ratio] globally.
+            assert view.base_start % ratio == 0
+            assert view.base_start >= pyramid.window_start
+            expected = bucket_means(values[view.base_start : view.base_end], ratio)
+            assert np.array_equal(view.values, expected)
 
     def test_default_timestamps_are_global_indices(self):
         pyramid = Pyramid(capacity=64, level_ratios=(1, 4))
         pyramid.extend(np.ones(10))
         pyramid.extend(np.ones(10))
         assert np.array_equal(pyramid.base_timestamps(), np.arange(20.0))
-        assert np.array_equal(pyramid.level(4).timestamps(), [0.0, 4.0, 8.0, 12.0, 16.0])
+        assert np.array_equal(pyramid.view(5).timestamps, [0.0, 4.0, 8.0, 12.0, 16.0])
 
     def test_explicit_timestamps(self):
         pyramid = Pyramid(capacity=64, level_ratios=(1, 3))
         pyramid.extend([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
-        assert np.array_equal(pyramid.level(3).timestamps(), [10.0, 40.0])
-        assert np.array_equal(pyramid.level(3).values(), [2.0, 5.0])
+        view = pyramid.view(2)
+        assert np.array_equal(view.timestamps, [10.0, 40.0])
+        assert np.array_equal(view.values, [2.0, 5.0])
 
     def test_clear(self, rng):
         pyramid = Pyramid(capacity=64)
@@ -84,19 +101,8 @@ class TestLevelMaintenance:
         pyramid.clear()
         assert pyramid.total_appended == 0
         assert pyramid.window_length == 0
-        assert all(stat.retained == 0 for stat in pyramid.stats.levels)
-
-    def test_stats(self, rng):
-        pyramid = Pyramid(capacity=100, level_ratios=(1, 10))
-        pyramid.extend(rng.normal(size=205))
-        stats = pyramid.stats
-        assert stats.total_appended == 205
-        by_ratio = {level.ratio: level for level in stats.levels}
-        assert by_ratio[1].retained == 100
-        assert by_ratio[1].evicted == 105
-        assert by_ratio[10].completed == 20
-        assert by_ratio[10].partial_values == 5
-        assert stats.retained_values > 0
+        with pytest.raises(PyramidError, match="empty"):
+            pyramid.view(4)
 
 
 class TestValidation:
@@ -105,10 +111,6 @@ class TestValidation:
             Pyramid(capacity=0)
         with pytest.raises(ValueError):
             Pyramid(capacity=10, level_ratios=(0, 4))
-        with pytest.raises(ValueError):
-            PyramidLevel(ratio=1, capacity=0)
-        with pytest.raises(ValueError):
-            PyramidLevel(ratio=0, capacity=4)
 
     def test_ratio_one_always_present(self):
         pyramid = Pyramid(capacity=16, level_ratios=(4, 16))
@@ -122,37 +124,3 @@ class TestValidation:
     def test_empty_view_rejected(self):
         with pytest.raises(PyramidError, match="empty"):
             Pyramid(capacity=16).view(4)
-
-
-class TestDriftGuard:
-    def test_verify_levels_passes_and_counts(self, rng):
-        pyramid = Pyramid(capacity=500)
-        feed_chunked(pyramid, rng.normal(size=3000), seed=4)
-        assert pyramid.verify_levels() > 0
-
-    def test_verify_levels_detects_injected_drift(self, rng):
-        pyramid = Pyramid(capacity=500)
-        feed_chunked(pyramid, rng.normal(size=3000), seed=5)
-        level = pyramid.level(16)
-        level._means.view()[-1] += 1e-6  # simulate a corrupted bucket
-        with pytest.raises(PyramidDriftError, match="ratio 16"):
-            pyramid.verify_levels()
-
-    def test_rebuild_restores_exactness(self, rng):
-        pyramid = Pyramid(capacity=500)
-        feed_chunked(pyramid, rng.normal(size=3000), seed=6)
-        pyramid.level(16)._means.view()[-1] += 1e-6
-        pyramid.rebuild()
-        assert pyramid.verify_levels() > 0
-
-    def test_rebuild_is_idempotent_on_exact_state(self, rng):
-        pyramid = Pyramid(capacity=400)
-        feed_chunked(pyramid, rng.normal(size=2000), seed=7)
-        before = {r: pyramid.level(r).values() for r in pyramid.level_ratios}
-        views_before = {r: pyramid.view(ViewSpec(25)).values for r in (1,)}
-        pyramid.rebuild()
-        for ratio in pyramid.level_ratios:
-            after = pyramid.level(ratio).values()
-            expected = before[ratio][len(before[ratio]) - len(after) :]
-            assert np.array_equal(after, expected)
-        assert np.array_equal(pyramid.view(ViewSpec(25)).values, views_before[1])

@@ -41,11 +41,11 @@ class TestResolutionSnapshot:
         operator = hub._sessions["metric"].operator
         for resolution in (64, 100, 128, 256, 500):
             snap = hub.snapshot(sid, resolution=resolution)
-            pyramid = operator.pyramid
-            base = pyramid.base_values()
-            times = pyramid.base_timestamps()
-            start = snap.base_start - pyramid.window_start
-            stop = snap.base_end - pyramid.window_start
+            base = operator.aggregated_values()
+            times = operator.aggregated_timestamps()
+            window_start = operator.panes_completed - operator.pane_count
+            start = snap.base_start - window_start
+            stop = snap.base_end - window_start
             direct_values = bucket_means(base[start:stop], snap.ratio)
             direct_times = times[start:stop:snap.ratio][: direct_values.size]
             direct = smooth(
