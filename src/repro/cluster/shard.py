@@ -2,7 +2,11 @@
 
 A shard is a complete :class:`~repro.service.StreamHub` driven through a
 small command protocol — ``("ingest", payload)`` in, ``("ok", result)`` or
-``("error", exception)`` out.  Two interchangeable backends implement it:
+``("error", exception)`` out.  The ``"batch"`` command (a coordinator's
+buffered ingests plus, optionally, the tick) replies
+``(inline, ticked, live_ids, rejected)``: a buffered batch the hub rejects
+is listed with its :class:`~repro.errors.DataQualityError` instead of
+aborting the command.  Two interchangeable backends implement it:
 
 * :class:`InProcessShard` — the hub lives in the coordinator's process and
   commands dispatch as direct calls.  Deterministic and cheap: the backend
@@ -31,6 +35,7 @@ import traceback
 
 from ..errors import (
     ClusterError,
+    DataQualityError,
     RemoteShardError,
     ShardDownError,
     ShardProtocolError,
@@ -69,6 +74,7 @@ def _dispatch(hub: StreamHub, command: str, payload):
     if command == "batch":
         ingests, run_tick = payload
         inline: dict[str, list] = {}
+        rejected: list[tuple[str, DataQualityError]] = []
         for stream_id, timestamps, values in ingests:
             try:
                 frames = hub.ingest(stream_id, timestamps, values)
@@ -78,10 +84,16 @@ def _dispatch(hub: StreamHub, command: str, payload):
                 # raised at the ingest call.  The live-ids reply below lets
                 # the coordinator reconcile its placement map.
                 continue
+            except DataQualityError as exc:
+                # A rejected batch changed nothing; the other buffered
+                # batches and the tick still run, and the coordinator raises
+                # the rejection once every shard has replied.
+                rejected.append((stream_id, exc))
+                continue
             if frames:
                 inline.setdefault(stream_id, []).extend(frames)
         ticked = hub.tick() if run_tick else {}
-        return inline, ticked, hub.stream_ids()
+        return inline, ticked, hub.stream_ids(), rejected
     if command == "ingest":
         stream_id, timestamps, values = payload
         return hub.ingest(stream_id, timestamps, values)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .. import persist
 from ..core.streaming import counters_from_state
+from ..errors import DataQualityError
 from ..net.wire import frame_from_state as _frame_from_state
 from ..net.wire import frame_state as _frame_state
 from ..persist.checkpoint import _read_state
@@ -120,6 +121,9 @@ class ShardedHub:
         #: tick (rebalancing, checkpointing); they surface at the next tick,
         #: exactly where buffered-ingest frames are promised to appear.
         self._stashed_frames: dict[str, list] = {}
+        #: (stream id, error) of buffered batches a shard rejected; the next
+        #: tick raises them.
+        self._rejected: list[tuple[str, DataQualityError]] = []
         self._next_auto_id = 0
         self._next_shard_id = 0
         self._streams_migrated = 0
@@ -301,10 +305,23 @@ class ShardedHub:
         """
         pending = self._pending.pop(shard_id, None)
         if pending:
-            inline, _ticked, live_ids = self._shards[shard_id].request("batch", (pending, False))
-            for stream_id, frames in inline.items():
-                self._stashed_frames.setdefault(stream_id, []).extend(frames)
-            self._reconcile(shard_id, live_ids)
+            reply = self._shards[shard_id].request("batch", (pending, False))
+            self._deliver(shard_id, reply, self._stashed_frames)
+
+    def _deliver(self, shard_id: str, reply, frames: dict[str, list]) -> None:
+        """Fold one shard's ``"batch"`` reply into *frames* and the map.
+
+        Inline frames go first, tick frames after; the shard's rejected
+        buffered batches queue for the next :meth:`tick` to raise; its
+        live-ids reply reconciles the placement map.
+        """
+        inline, ticked, live_ids, rejected = reply
+        for stream_id, stream_frames in inline.items():
+            frames.setdefault(stream_id, []).extend(stream_frames)
+        for stream_id, stream_frames in ticked.items():
+            frames.setdefault(stream_id, []).extend(stream_frames)
+        self._rejected.extend(rejected)
+        self._reconcile(shard_id, live_ids)
 
     def _reconcile(self, shard_id: str, live_ids) -> None:
         """Prune placements for sessions the shard no longer serves.
@@ -370,9 +387,9 @@ class ShardedHub:
             mine = [entry for entry in self._pending.get(owner, []) if entry[0] == stream_id]
             if mine:
                 self._discard_pending(stream_id, owner)
-                inline, _ticked, live_ids = self._shards[owner].request("batch", (mine, False))
-                frames.extend(inline.get(stream_id, []))
-                self._reconcile(owner, live_ids)
+                flushed: dict[str, list] = {}
+                self._deliver(owner, self._shards[owner].request("batch", (mine, False)), flushed)
+                frames.extend(flushed.get(stream_id, []))
         else:
             self._discard_pending(stream_id, owner)
         try:
@@ -429,10 +446,8 @@ class ShardedHub:
         mine = [entry for entry in self._pending.get(owner, []) if entry[0] == stream_id]
         if mine:
             self._discard_pending(stream_id, owner)
-            inline, _ticked, live_ids = self._shards[owner].request("batch", (mine, False))
-            for sid, frames in inline.items():
-                self._stashed_frames.setdefault(sid, []).extend(frames)
-            self._reconcile(owner, live_ids)
+            reply = self._shards[owner].request("batch", (mine, False))
+            self._deliver(owner, reply, self._stashed_frames)
             owner = self.shard_of(stream_id)  # raises if evicted during the flush
         result = self._request_for_stream(
             owner, stream_id, "backfill", (stream_id, timestamps, values)
@@ -462,6 +477,15 @@ class ShardedHub:
         Raises :class:`ShardDownError` naming any dead shard(s); frames
         already collected from healthy shards ride on the exception's
         ``partial_frames`` (their ticks have run and cannot be replayed).
+
+        A buffered batch a shard rejects (:class:`~repro.errors.DataQualityError`,
+        e.g. a NaN or a replayed timestamp) changes nothing, exactly as the
+        rejected :meth:`StreamHub.ingest` call would; the shard still
+        delivers its other batches and ticks.  Once every reply is
+        collected, the tick raises ``DataQualityError`` naming each rejected
+        stream, and the frames it collected surface at the next tick.  A
+        rejection found by an out-of-tick flush (rebalancing, ``close``,
+        ``backfill``) raises at the next tick the same way.
         """
         pending = self._pending
         self._pending = {}
@@ -481,21 +505,31 @@ class ShardedHub:
         # surface first — they are older than anything this tick produces.
         frames: dict[str, list] = self._stashed_frames
         self._stashed_frames = {}
+        failures: list[Exception] = []
         for shard_id in submitted:
             try:
-                inline, ticked, live_ids = self._shards[shard_id].result()
+                reply = self._shards[shard_id].result()
             except ShardDownError:
                 down.append(shard_id)
                 if pending.get(shard_id):  # delivery unconfirmed; keep the batch
                     self._pending[shard_id] = pending[shard_id]
                 continue
-            for stream_id, stream_frames in inline.items():
-                frames.setdefault(stream_id, []).extend(stream_frames)
-            for stream_id, stream_frames in ticked.items():
-                frames.setdefault(stream_id, []).extend(stream_frames)
-            self._reconcile(shard_id, live_ids)
+            except Exception as exc:  # the shard's own error: collect the rest first
+                failures.append(exc)
+                continue
+            self._deliver(shard_id, reply, frames)
         if down:
             raise ShardDownError(down, partial_frames=frames)
+        if failures or self._rejected:
+            # The collected frames surface at the next tick, as flushed ones do.
+            self._stashed_frames = frames
+            if failures:
+                raise failures[0]
+            rejected, self._rejected = self._rejected, []
+            message = "; ".join(
+                f"buffered batch for stream {sid!r} rejected: {exc}" for sid, exc in rejected
+            )
+            raise DataQualityError(message)
         self._notify_frames(frames)
         return frames
 
@@ -649,6 +683,7 @@ class ShardedHub:
         hub._next_shard_id = int(state["next_shard_id"])
         hub._streams_migrated = int(state["streams_migrated"])
         hub._retired = counters_from_state(state["retired_stats"], _STATS_FIELDS)
+        hub._rejected = []
         hub._frame_observers = []
         for shard_id in state["shard_order"]:
             handle = _BACKENDS[hub.backend](shard_id, hub._hub_kwargs, state["shards"][shard_id])

@@ -39,6 +39,7 @@ numerics honest:
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -205,6 +206,24 @@ class BackfillResult:
     def frame(self) -> Frame | None:
         """The final frame of the backfill, if a refresh boundary was reached."""
         return self.frames[-1] if self.frames else None
+
+
+_probe_scratch = threading.local()
+
+
+def _probe_workspace(rows: int, n: int) -> np.ndarray:
+    """A C-contiguous ``(2, rows, n)`` view of this thread's probe scratch.
+
+    Every operator on a thread shares one flat float64 buffer, grown to the
+    largest ``2 * rows * n`` asked for, so a hub's streams reuse one
+    cache-resident scratch instead of keeping one workspace each.  Scratch
+    only, never serialized: the prefetch kernel rewrites every cell it reads.
+    """
+    size = 2 * rows * n
+    buffer = getattr(_probe_scratch, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _probe_scratch.buffer = np.empty(size, dtype=np.float64)
+    return buffer[:size].reshape(2, rows, n)
 
 
 class RollingWindowState:
@@ -728,9 +747,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         # Lifetime counters owned by the operator itself (the quality
         # counters live in the stages that count them; see `counters`).
         self._counters = Counter(dict.fromkeys(_OPERATOR_COUNTERS, 0))
-        # Reused (2, k, n) buffer for the prefetch kernel — scratch only,
-        # never serialized; results are independent of its contents.
-        self._probe_workspace: np.ndarray | None = None
         # Lag sums are only ever read by the ASAP strategy's ACF; other
         # strategies keep just the O(1)-per-pane moment sums.
         self._rolling = (
@@ -1541,19 +1557,11 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 if cache.backend == "numba":
                     rough, kurt = accel.sma_grid_moments_numba(values, probes)
                 else:
-                    workspace = self._probe_workspace
-                    if (
-                        workspace is None
-                        or workspace.shape[1] < len(probes)
-                        or workspace.shape[2] != values.size
-                    ):
-                        workspace = np.empty(
-                            (2, max(len(probes) + 8, 16), values.size),
-                            dtype=np.float64,
-                        )
-                        self._probe_workspace = workspace
                     rough, kurt = sma_probe_moments(
-                        values, probes, workspace, floor=cache.original_kurtosis
+                        values,
+                        probes,
+                        _probe_workspace(len(probes), values.size),
+                        floor=cache.original_kurtosis,
                     )
                 cache.seed(
                     WindowEvaluation(window=w, roughness=float(r), kurtosis=float(k))

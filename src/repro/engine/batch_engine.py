@@ -24,7 +24,9 @@ batch pays for its shared work once:
   :class:`~repro.core.smoothing.EvaluationCache` from an
   :class:`~repro.engine.cache.ACFCache` keyed by searched content, so a
   refresh that resubmits an unchanged series replays its search over the
-  memo: no FFT, moment kernel or candidate SMA.
+  memo: no FFT, moment kernel or candidate SMA.  Serially the whole batch is
+  looked up at once (:meth:`~repro.engine.cache.ACFCache.search_states`), so
+  its unseen series share stacked FFT calls per searched length.
 * **Lockstep cold searches** — on the serial path, the adaptive strategies
   (ASAP, binary) search every *unseen* series of a batch together
   (:func:`search_in_lockstep`): the searches run as step generators
@@ -63,6 +65,7 @@ from ..core.search import ADAPTIVE_STRATEGIES, resolve_max_window, search_steps
 from ..core.smoothing import EvaluationCache, WindowEvaluation
 from ..spectral.convolution import sma_grid_moments, sma_probe_moments
 from ..timeseries.series import TimeSeries
+from ..timeseries.stats import row_kurtosis
 from .cache import ACFCache
 
 __all__ = [
@@ -205,16 +208,6 @@ def _row_roughness(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(centered * centered, axis=1))
 
 
-def _row_kurtosis(rows: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`repro.timeseries.stats.kurtosis`, bit for bit."""
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    second = np.mean(centered * centered, axis=1)
-    fourth = np.mean(centered ** 4, axis=1)
-    degenerate = second == 0.0
-    safe = np.where(degenerate, 1.0, second)
-    return np.where(degenerate, 0.0, fourth / (safe * safe))
-
-
 def _smooth_one(payload) -> SmoothingResult:
     """Process-pool task: smooth one series with the given configuration."""
     item, kwargs = payload
@@ -253,7 +246,7 @@ def prefill_grid_caches(
     grid = list(range(2, limit + 1, GRID_STRATEGY_STEPS[strategy]))
 
     original_roughness = _row_roughness(rows)
-    original_kurtosis = _row_kurtosis(rows)
+    original_kurtosis = row_kurtosis(rows)
     grid_roughness, grid_kurtosis = sma_grid_moments(rows, grid)
 
     caches: list[EvaluationCache] = []
@@ -311,7 +304,7 @@ def search_in_lockstep(
             continue
         batch = np.vstack([cache.values for cache, _ in members])
         for cache, roughness, kurtosis in zip(
-            (cache for cache, _ in members), _row_roughness(batch), _row_kurtosis(batch)
+            (cache for cache, _ in members), _row_roughness(batch), row_kurtosis(batch)
         ):
             cache.seed_original(roughness, kurtosis)
         # (row, cache, steps, requested window) per live search.
@@ -558,18 +551,12 @@ class BatchEngine:
     def _serial_path(self, labels, items, kwargs) -> list[SmoothingResult]:
         """Serial execution: lockstep cold searches, then the per-series replay.
 
-        Every series' search state is looked up first (an input the lookup
-        rejects keeps its error, raised when its turn comes, so the first
-        failing index still wins); the adaptive strategies' cold searches
-        then run in lockstep (:func:`search_in_lockstep`), and
-        :func:`smooth` finishes each series over its filled state.
+        The batch's search states come from one lookup
+        (:meth:`_search_states`); the adaptive strategies' cold searches then
+        run in lockstep (:func:`search_in_lockstep`), and :func:`smooth`
+        finishes each series over its filled state.
         """
-        prepared: list = []
-        for item in items:
-            try:
-                prepared.append(self._prepared_search_state(item))
-            except Exception as exc:  # raised in batch order below
-                prepared.append(exc)
+        prepared = self._search_states(items)
         if self.strategy in ADAPTIVE_STRATEGIES:
             states = [s for s in prepared if isinstance(s, tuple) and s[0] is not None]
             search_in_lockstep(states, self.strategy, self.max_window)
@@ -584,6 +571,37 @@ class BatchEngine:
                 raise _labeled(label, index, exc) from exc
         return results
 
+    def _search_states(self, items) -> list:
+        """Every item's search state, ``(None, None)``, or its error, in order.
+
+        Every series is preaggregated first (an input that step rejects
+        keeps its error, raised when its turn comes, so the first failing
+        index still wins), and the states come from one
+        :meth:`~repro.engine.cache.ACFCache.search_states` lookup, whose ACF
+        misses share stacked FFT calls per searched length.  The searched
+        values are dropped on return: the states hold their own copies.
+        """
+        requests: list = []
+        for item in items:
+            try:
+                requests.append(self._search_request(item))
+            except Exception as exc:
+                requests.append(exc)
+        found = iter(
+            self.acf_cache.search_states(
+                [r for r in requests if isinstance(r, tuple)], self.strategy, self.kernel
+            )
+        )
+        prepared: list = []
+        for request in requests:
+            if isinstance(request, tuple):
+                prepared.append(next(found))
+            elif request is None:
+                prepared.append((None, None))
+            else:
+                prepared.append(request)
+        return prepared
+
     def _collect(self, labels, futures: list[Future]) -> list[SmoothingResult]:
         results = []
         for index, (label, future) in enumerate(zip(labels, futures)):
@@ -595,37 +613,37 @@ class BatchEngine:
 
     def _smooth_labeled(self, label, index, item, kwargs) -> SmoothingResult:
         try:
-            cache, acf = self._prepared_search_state(item)
+            request = self._search_request(item)
+            if request is None:
+                return smooth(item, **kwargs)
+            cache, acf = self.acf_cache.search_state(*request, self.strategy, self.kernel)
             return smooth(item, cache=cache, acf=acf, **kwargs)
         except ValueError as exc:
             raise _labeled(label, index, exc) from exc
 
-    def _prepared_search_state(
-        self, item
-    ) -> tuple[EvaluationCache | None, ACFAnalysis | None]:
-        """The series' search state from the engine-wide LRU: cache and ACF.
+    def _search_request(self, item) -> tuple[np.ndarray, int] | None:
+        """The ``(searched values, max_window)`` key of the series' search state.
 
         Preaggregation runs here exactly as the pipeline would run it, and the
-        searched values key the :class:`~repro.engine.cache.ACFCache`.  A
-        series seen before gets back its ACF analysis and the evaluation cache
-        its earlier search filled, so :func:`smooth` replays that search
+        searched values key the engine-wide :class:`~repro.engine.cache.ACFCache`.
+        A series seen before gets back its ACF analysis and the evaluation
+        cache its earlier search filled, so :func:`smooth` replays that search
         without an FFT or a kernel call; an unseen one gets a fresh state its
         search fills for the next refresh.  Either way the state holds
         precisely the values the search would derive on its own, preserving
         the equivalence guarantee.  Inputs the pipeline rejects (too short,
-        non-finite) or rewrites (``normalize``) get no state, so
+        non-finite) or rewrites (``normalize``) get no state (``None``), so
         :func:`smooth` runs end to end and raises or normalizes itself.
         """
         values = _item_values(item)
         if self.spec.normalize or values.ndim != 1 or values.size < 4:
-            return None, None
+            return None
         searched = prepare_search_input(
             values, self.resolution, self.use_preaggregation
         ).values
         if searched.size < 4 or not np.isfinite(searched).all():
-            return None, None
-        limit = resolve_max_window(searched, self.max_window)
-        return self.acf_cache.search_state(searched, limit, self.strategy, self.kernel)
+            return None
+        return searched, resolve_max_window(searched, self.max_window)
 
 
 def smooth_many(

@@ -16,6 +16,18 @@ with no FFT, moment kernel or candidate SMA.  Because the analysis and the
 kernels are deterministic, the replay returns bit for bit what the search
 computes from scratch, ``candidates_evaluated`` included.
 
+A whole batch is looked up at once with :meth:`ACFCache.search_states`:
+its ACF misses are analyzed by one stacked
+:func:`~repro.core.acf.analyze_acf` call per ``(length, max_window)``
+group (one forward and one inverse FFT per chunk of rows), each row
+bit-identical to the one-series analysis; :meth:`ACFCache.search_state` is
+the one-series case.
+A new state's original moments are filled by the search (or the engine's
+lockstep rounds) through :func:`repro.timeseries.stats.kurtosis`, whose
+fourth moment is the squares squared, ``sq = c*c; mean(sq*sq)``: the
+candidate kernels' definition, so the original series' kurtosis equals
+the window-1 candidate's bit for bit.
+
 Memory: an entry holds a copy of its searched values, an analysis of at
 most ``max_window`` lags and the evaluations its search touched (at most
 ``max_window``; every one of them for exhaustive search), so the footprint is
@@ -55,9 +67,12 @@ class ACFCache:
 
     ``hits``/``misses`` count the lookups that resolve an ACF analysis, as
     they always have: with the ASAP strategy every series is exactly one of
-    the two.  Thread-safe: the engine's thread pool probes it concurrently,
-    and two threads searching the same state only ever fill its memo with
-    the same deterministic evaluations.
+    the two.  A batch lookup (:meth:`search_states`) counts, orders and
+    evicts exactly as the same requests looked up one by one, a series
+    repeated within the batch included; only the FFTs are shared.
+    Thread-safe: the engine's thread pool probes it concurrently, and two
+    threads searching the same state only ever fill its memo with the same
+    deterministic evaluations.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -78,28 +93,58 @@ class ACFCache:
         ceiling (:func:`repro.core.search.resolve_max_window`).  On a miss
         the state starts empty — the caller's search fills the returned
         cache in place — and holds a private copy of *values*, so mutating
-        the caller's array later cannot corrupt it.
+        the caller's array later cannot corrupt it.  The one-series case of
+        :meth:`search_states`.
         """
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        return self.search_states([(values, max_window)], strategy, kernel)[0]
+
+    def search_states(
+        self, requests, strategy: str, kernel: str | None = None
+    ) -> list[tuple[EvaluationCache, ACFAnalysis | None]]:
+        """The search state of every ``(values, max_window)`` request, in order.
+
+        Returns what :meth:`search_state` on each request in turn returns —
+        the same states, hit/miss counts and LRU order, a repeated series
+        included — but the ASAP strategy's misses share one stacked
+        :func:`~repro.core.acf.analyze_acf` call per ``(length,
+        max_window)`` group (one FFT pair per chunk of rows) instead of one
+        FFT pair per series.
+        """
         kernel, backend = resolve_kernel(kernel)
-        key = (_fingerprint(arr), arr.size, int(max_window), strategy, backend)
         with_acf = strategy == "asap"
+        keyed = []
+        for values, max_window in requests:
+            arr = np.ascontiguousarray(values, dtype=np.float64)
+            keyed.append(((_fingerprint(arr), arr.size, int(max_window), strategy, backend), arr))
         with self._lock:
-            state = self._entries.get(key)
-            if state is not None:
-                self._entries.move_to_end(key)
-                self.hits += with_acf
-                return state
-        arr = arr.copy()
-        acf = analyze_acf(arr, max_lag=max_window) if with_acf else None
-        state = (EvaluationCache(arr, kernel=kernel), acf)
+            known = {key: self._entries.get(key) for key, _ in keyed}
+        analyses: dict[tuple, ACFAnalysis | None] = {}
+        if with_acf:
+            # A state evicted before its turn below misses again, and its
+            # analysis is the deterministic one it already holds.
+            analyses = {key: state[1] for key, state in known.items() if state is not None}
+            groups: dict[tuple[int, int], dict[tuple, np.ndarray]] = {}
+            for key, arr in keyed:
+                if known[key] is None:
+                    groups.setdefault(key[1:3], {})[key] = arr
+            for (_, max_lag), members in groups.items():
+                rows = np.vstack(list(members.values()))
+                analyses.update(zip(members, analyze_acf(rows, max_lag=max_lag)))
+        states = []
         with self._lock:
-            self.misses += with_acf
-            self._entries[key] = state
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return state
+            for key, arr in keyed:
+                state = self._entries.get(key)
+                if state is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += with_acf
+                else:
+                    state = (EvaluationCache(arr.copy(), kernel=kernel), analyses.get(key))
+                    self.misses += with_acf
+                    self._entries[key] = state
+                    while len(self._entries) > self.maxsize:
+                        self._entries.popitem(last=False)
+                states.append(state)
+        return states
 
     def get_or_compute(self, values, max_lag: int) -> ACFAnalysis:
         """The ACF analysis of *values* at *max_lag*, computed at most once."""

@@ -22,6 +22,7 @@ __all__ = [
     "variance",
     "std",
     "kurtosis",
+    "row_kurtosis",
     "zscore",
     "first_differences",
     "roughness",
@@ -64,6 +65,21 @@ def std(values) -> float:
     return float(np.sqrt(variance(values)))
 
 
+def _second_and_fourth(centered: np.ndarray):
+    """Second and fourth central moments along the last axis of *centered*.
+
+    The one definition of the fourth moment: the squares squared
+    (``sq = c*c; mean(sq*sq)``), with the same operations the candidate
+    kernels (:func:`repro.spectral.convolution.sma_window_moments`) run —
+    sums divided by the count, which is what ``np.mean`` computes, at less
+    dispatch — and about 30x cheaper than ``c ** 4``, which calls ``pow``
+    per element.
+    """
+    count = centered.shape[-1]
+    squared = centered * centered
+    return squared.sum(axis=-1) / count, (squared * squared).sum(axis=-1) / count
+
+
 def kurtosis(values) -> float:
     """Non-excess kurtosis: ``E[(X-mu)^4] / E[(X-mu)^2]^2``.
 
@@ -73,16 +89,28 @@ def kurtosis(values) -> float:
     the ratio is undefined; following the convention of the reference
     implementation we return 0.0 so that a flat (fully smoothed) series never
     satisfies a ``>=`` kurtosis constraint against a non-degenerate original.
+
+    Bit for bit ``sma_window_moments(values, 1)[1]``: window 1 is the series
+    itself, and both reduce it with the same operations.
     """
     arr = _as_float_array(values)
     if arr.size == 0:
         raise ValueError("kurtosis of an empty series is undefined")
-    centered = arr - arr.mean()
-    second = np.mean(centered * centered)
+    second, fourth = _second_and_fourth(arr - arr.sum() / arr.size)
     if second == 0.0:
         return 0.0
-    fourth = np.mean(centered ** 4)
     return float(fourth / (second * second))
+
+
+def row_kurtosis(rows) -> np.ndarray:
+    """:func:`kurtosis` of every row of a 2-D array, bit for bit."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D batch, got shape {arr.shape}")
+    second, fourth = _second_and_fourth(arr - arr.sum(axis=1, keepdims=True) / arr.shape[1])
+    degenerate = second == 0.0
+    safe = np.where(degenerate, 1.0, second)
+    return np.where(degenerate, 0.0, fourth / (safe * safe))
 
 
 def zscore(values) -> np.ndarray:
@@ -226,13 +254,7 @@ def rolling_kurtosis(values, window: int) -> np.ndarray:
 
     starts = np.flatnonzero(flagged)
     if starts.size:
-        rows = _windowed_rows(arr, starts, window)
-        row_centered = rows - rows.mean(axis=1, keepdims=True)
-        row_second = np.mean(row_centered * row_centered, axis=1)
-        row_fourth = np.mean(row_centered ** 4, axis=1)
-        nonzero = row_second != 0.0
-        row_safe = np.where(nonzero, row_second, 1.0)
-        out[starts] = np.where(nonzero, row_fourth / (row_safe * row_safe), 0.0)
+        out[starts] = row_kurtosis(_windowed_rows(arr, starts, window))
     return out
 
 
@@ -283,16 +305,12 @@ def moment_summary(values) -> MomentSummary:
     if arr.size == 0:
         raise ValueError("cannot summarize an empty series")
     mu = float(arr.mean())
-    centered = arr - mu
-    second = float(np.mean(centered * centered))
-    if second == 0.0:
-        kurt = 0.0
-    else:
-        kurt = float(np.mean(centered ** 4) / (second * second))
+    second, fourth = _second_and_fourth(arr - mu)
+    kurt = 0.0 if second == 0.0 else float(fourth / (second * second))
     return MomentSummary(
         count=int(arr.size),
         mean=mu,
-        variance=second,
+        variance=float(second),
         std=float(np.sqrt(second)),
         kurtosis=kurt,
         roughness=roughness(arr),

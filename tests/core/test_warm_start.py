@@ -222,6 +222,61 @@ class TestAccountingAndState:
             StreamingASAP(research_spec(pane_size=1, kernel="fpga"))
 
 
+class TestSharedProbeScratch:
+    """Every operator on a thread prefetches into one shared scratch buffer."""
+
+    SPECS = (
+        dict(pane_size=1, resolution=300, refresh_interval=10),
+        dict(pane_size=2, resolution=200, refresh_interval=7, max_window=60),
+        dict(pane_size=1, resolution=500, refresh_interval=13, strategy="binary"),
+        dict(pane_size=3, resolution=120, refresh_interval=5, max_window=9),
+    )
+
+    @staticmethod
+    def streams(count, length):
+        rng = np.random.default_rng(20172220)
+        t = np.arange(length, dtype=np.float64)
+        waves = [
+            np.sin(2 * np.pi * t / rng.uniform(20, 90)) + 0.3 * rng.normal(size=length)
+            for _ in range(count)
+        ]
+        return t, waves
+
+    def test_interleaved_operators_match_each_run_alone(self):
+        import threading
+
+        t, values = self.streams(len(self.SPECS), 3000)
+        chunk = 97
+
+        def run_alone(kwargs, x, out):
+            op = StreamingASAP(research_spec(**kwargs))
+            for start in range(0, t.size, chunk):
+                out.extend(op.push_many(t[start : start + chunk], x[start : start + chunk]))
+            out.append(op.warm_prefetches)
+
+        alone = []
+        for kwargs, x in zip(self.SPECS, values):
+            out = []
+            # A fresh thread starts from a fresh scratch buffer.
+            worker = threading.Thread(target=run_alone, args=(kwargs, x, out))
+            worker.start()
+            worker.join()
+            alone.append(out)
+
+        ops = [StreamingASAP(research_spec(**kwargs)) for kwargs in self.SPECS]
+        interleaved = [[] for _ in ops]
+        for start in range(0, t.size, chunk):
+            for op, x, out in zip(ops, values, interleaved):
+                out.extend(op.push_many(t[start : start + chunk], x[start : start + chunk]))
+        for op, out in zip(ops, interleaved):
+            out.append(op.warm_prefetches)
+
+        for lone, shared in zip(alone, interleaved):
+            assert lone[-1] == shared[-1] > 0
+            assert_frames_bit_identical(lone[:-1], shared[:-1])
+            assert [repr(f.search) for f in lone[:-1]] == [repr(f.search) for f in shared[:-1]]
+
+
 class TestPlanWarmProbes:
     def test_merges_trace_and_neighborhood(self):
         probes = plan_warm_probes((5, 9, 30), 9, limit=40)
