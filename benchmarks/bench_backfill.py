@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.streaming import StreamingASAP
 from repro.persist import checkpoint, restore
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
 from repro.spec import AsapSpec
 
 
@@ -71,8 +71,6 @@ def make_operator(args: argparse.Namespace, seeded: bool) -> StreamingASAP:
             strategy="asap",
             seed_from_previous=seeded,
             incremental=True,
-            keep_pane_sketches=True,
-            pyramid=True,
         )
     )
 
@@ -124,11 +122,10 @@ def verify_lane(label, args, ts, vs, seeded: bool) -> dict:
         )
     suffix = stream_suffix(operator, ts, vs, split, batch)
     check_frames_bit_identical(f"{label} streamed suffix", suffix, ref_suffix)
-    if operator.spec.pyramid:
-        ours = operator.pyramid_view(64)
-        theirs = reference.pyramid_view(64)
-        if ours.values.tobytes() != theirs.values.tobytes():
-            fail(f"{label}: pyramid views diverge after backfill")
+    ours = operator.pyramid_view(64)
+    theirs = reference.pyramid_view(64)
+    if ours.values.tobytes() != theirs.values.tobytes():
+        fail(f"{label}: pyramid views diverge after backfill")
     return {
         f"{result.mode}_frames_checked": len(suffix) + len(result.frames),
         f"{result.mode}_frames_elided": result.frames_elided,
@@ -140,7 +137,7 @@ def verify_provisioning(args, ts, vs) -> dict:
     """backfill -> checkpoint -> restore streams on bit-identically (hub tier)."""
     split = int(ts.size * 0.8)
     batch = 251
-    config = StreamConfig(
+    config = AsapSpec(
         pane_size=args.pane_size,
         resolution=args.resolution,
         refresh_interval=args.refresh_interval,

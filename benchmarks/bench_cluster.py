@@ -43,7 +43,8 @@ import numpy as np
 
 from repro.cluster import ShardDownError, ShardedHub
 from repro.persist import checkpoint, restore
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
+from repro.spec import AsapSpec
 
 
 def usable_cpus() -> int:
@@ -204,7 +205,7 @@ def verify_restore(streams, ts, chunk, config, shards, reference, split) -> dict
 
 
 def run(args: argparse.Namespace) -> int:
-    config = StreamConfig(
+    config = AsapSpec(
         pane_size=args.pane_size,
         resolution=args.resolution,
         refresh_interval=args.refresh_interval,

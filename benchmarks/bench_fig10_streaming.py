@@ -18,8 +18,6 @@ def test_streaming_push_throughput(benchmark):
                 resolution=2000,
                 refresh_interval=64,
                 incremental=False,
-                keep_pane_sketches=True,
-                pyramid=False,
             )
         )
         for timestamp, value in series:

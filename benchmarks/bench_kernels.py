@@ -70,8 +70,6 @@ def make_operator(warm_start, resolution, refresh_interval):
             refresh_interval=refresh_interval,
             strategy="asap",
             incremental=True,
-            keep_pane_sketches=True,
-            pyramid=False,
             warm_start=warm_start,
         )
     )

@@ -42,7 +42,7 @@ import time
 import numpy as np
 
 from repro.core.streaming import StreamingASAP
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
 from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
@@ -91,8 +91,6 @@ def make_operator(quality: bool, resolution, refresh_interval, watermark):
             refresh_interval=refresh_interval,
             strategy="asap",
             incremental=True,
-            keep_pane_sketches=True,
-            pyramid=False,
             normalize=quality,
             cadence=1.0 if quality else None,
             watermark=watermark if quality else 0,
@@ -142,7 +140,7 @@ def verify_hub_dense_noop(ts, vs, batch, resolution, refresh_interval, watermark
     """The serving tier preserves the no-op: hub frames and clean counters."""
     results = {}
     for quality in (False, True):
-        config = StreamConfig(
+        config = AsapSpec(
             pane_size=2,
             resolution=resolution,
             refresh_interval=refresh_interval,

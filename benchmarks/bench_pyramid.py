@@ -41,7 +41,8 @@ import numpy as np
 
 from repro import smooth
 from repro.core.preaggregation import bucket_means
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
+from repro.spec import AsapSpec
 from repro.timeseries import TimeSeries
 
 
@@ -59,7 +60,7 @@ def make_streams(n_streams: int, length: int, seed: int) -> list[np.ndarray]:
     return streams
 
 
-def build_hub(streams, ts, config: StreamConfig, warm_points: int):
+def build_hub(streams, ts, config: AsapSpec, warm_points: int):
     hub = StreamHub(max_sessions=len(streams), default_config=config)
     ids = [hub.create_stream(f"stream-{i}") for i in range(len(streams))]
     for start in range(0, warm_points, 4096):
@@ -179,7 +180,7 @@ def time_rounds(hub, ids, streams, ts, warm, resolutions, args):
 
 def run(args: argparse.Namespace) -> int:
     resolutions = tuple(args.resolutions)
-    config = StreamConfig(
+    config = AsapSpec(
         pane_size=args.pane_size,
         resolution=args.window,
         refresh_interval=args.refresh_interval,

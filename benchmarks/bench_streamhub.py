@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from repro.core.streaming import StreamingASAP
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
 from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
@@ -53,7 +53,7 @@ def make_streams(n_streams: int, length: int, seed: int) -> list[np.ndarray]:
     return streams
 
 
-def baseline_config(config: StreamConfig) -> dict:
+def baseline_config(config: AsapSpec) -> dict:
     return dict(
         pane_size=config.pane_size,
         resolution=config.resolution,
@@ -64,18 +64,10 @@ def baseline_config(config: StreamConfig) -> dict:
     )
 
 
-def drive_loop(streams, ts, chunk, config: StreamConfig):
+def drive_loop(streams, ts, chunk, config: AsapSpec):
     """Per-point looped operators; returns (frames_by_stream, seconds)."""
     operators = [
-        StreamingASAP(
-            AsapSpec(
-                **baseline_config(config),
-                incremental=False,
-                keep_pane_sketches=True,
-                pyramid=False,
-            )
-        )
-        for _ in streams
+        StreamingASAP(AsapSpec(**baseline_config(config), incremental=False)) for _ in streams
     ]
     frames = [[] for _ in streams]
     length = ts.size
@@ -90,7 +82,7 @@ def drive_loop(streams, ts, chunk, config: StreamConfig):
     return frames, time.perf_counter() - started
 
 
-def drive_hub(streams, ts, chunk, config: StreamConfig):
+def drive_hub(streams, ts, chunk, config: AsapSpec):
     """StreamHub serving; returns (frames_by_stream, seconds)."""
     hub = StreamHub(max_sessions=len(streams), default_config=config)
     ids = [hub.create_stream() for _ in streams]
@@ -153,15 +145,11 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = StreamConfig(
+    config = AsapSpec(
         pane_size=args.pane_size,
         resolution=args.resolution,
         refresh_interval=args.refresh_interval,
         strategy=args.strategy,
-        # This benchmark measures refresh throughput, not multi-resolution
-        # snapshots (bench_pyramid covers those), so both sides run with
-        # views off.
-        pyramid=False,
     )
     streams = make_streams(args.streams, args.length, args.seed)
     ts = np.arange(args.length, dtype=np.float64)

@@ -53,7 +53,16 @@ EXTRA_NOTES = {
         f"refresh {p.get('refresh', {}).get('refresh_series_per_second', 0.0):.0f} series/s"
     ),
     "kernels": lambda p: f"fallbacks {p.get('fallback_rate', 0.0):.1%}",
-    "messy": lambda p: f"{p.get('gaps_filled', 0)} gap points filled",
+    "messy": lambda p: (
+        f"{p.get('gaps_filled', 0)} gap points filled; "
+        f"dense off {p.get('dense_off_points_per_second', 0.0):,.0f} points/s"
+    ),
+    # A ratio moves when either side does: show both absolute rates, so a
+    # baseline that lost dead work reads as such, not as a slower hub.
+    "streamhub": lambda p: (
+        f"hub {p.get('hub_frames_per_second', 0.0):,.0f} frames/s, "
+        f"loop {p.get('loop_frames_per_second', 0.0):,.0f} frames/s"
+    ),
     "pyramid": lambda p: f"{p.get('view_cache_hits', 0)} view-cache hits",
     "cluster": lambda p: f"{p.get('params', {}).get('shards', '?')} shards",
     "backfill": lambda p: f"seeded replay lane {p.get('replay_speedup', 0.0):.2f}x",

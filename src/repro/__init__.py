@@ -49,7 +49,7 @@ Packages:
 * :mod:`repro.timeseries` — series container, statistics, dataset
   reconstructions;
 * :mod:`repro.spectral` — FFT, moving-average kernels, alternative filters;
-* :mod:`repro.stream` — panes, the moment sketch, the operator contract,
+* :mod:`repro.stream` — panes (count and mean), the operator contract,
   replay sources;
 * :mod:`repro.vis` — rasterization, pixel metrics, M4/PAA/simplification;
 * :mod:`repro.perception` — the simulated-observer user-study harness;
@@ -75,7 +75,7 @@ from .net import AsapServer, PushEvent, RemoteBackend, serve
 from .persist import checkpoint, restore
 from .pyramid import Pyramid, PyramidView, ViewSpec
 from .quality import FrameQuality, normalize_series
-from .service import StreamConfig, StreamHub
+from .service import StreamHub
 from .spec import AsapSpec
 from .timeseries import TimeSeries
 
@@ -102,7 +102,6 @@ __all__ = [
     "ShardedHub",
     "SmoothingResult",
     "SpecError",
-    "StreamConfig",
     "StreamHandle",
     "StreamHub",
     "StreamingASAP",

@@ -41,8 +41,9 @@ from ..net.wire import frame_from_state as _frame_from_state
 from ..net.wire import frame_state as _frame_state
 from ..persist.checkpoint import _read_state
 from ..persist.codec import CheckpointError
-from ..service import HubStats, StreamConfig, UnknownStreamError
+from ..service import HubStats, UnknownStreamError
 from ..service.hub import allocate_auto_id
+from ..spec import AsapSpec
 from .ring import HashRing
 from .shard import ClusterError, InProcessShard, ProcessShard, ShardDownError
 
@@ -94,7 +95,7 @@ class ShardedHub:
         replicas: int = 64,
         max_sessions_per_shard: int = 1024,
         max_panes_per_session: int = 4096,
-        default_config: StreamConfig | None = None,
+        default_config: AsapSpec | None = None,
         eviction_policy: str = "lru",
         idle_ticks_before_eviction: int | None = None,
     ) -> None:
@@ -166,7 +167,7 @@ class ShardedHub:
     # -- shard membership ------------------------------------------------------
 
     @property
-    def default_config(self) -> StreamConfig | None:
+    def default_config(self) -> AsapSpec | None:
         """The cluster-wide default session spec (``None`` = shard default).
 
         Mirrors :attr:`StreamHub.default_config` so callers (e.g. the client
@@ -174,7 +175,7 @@ class ShardedHub:
         wire form internally.
         """
         wire = self._hub_kwargs["default_config"]
-        return None if wire is None else StreamConfig.from_dict(wire)
+        return None if wire is None else AsapSpec.from_dict(wire)
 
     @property
     def shard_ids(self) -> list[str]:
@@ -346,7 +347,7 @@ class ShardedHub:
     def create_stream(
         self,
         stream_id: str | None = None,
-        config: StreamConfig | None = None,
+        config: AsapSpec | None = None,
         history: tuple | None = None,
         **overrides,
     ) -> str:
@@ -656,7 +657,7 @@ class ShardedHub:
             default_config=(
                 None
                 if kwargs["default_config"] is None
-                else StreamConfig.from_dict(kwargs["default_config"]).to_dict()
+                else AsapSpec.from_dict(kwargs["default_config"]).to_dict()
             ),
             eviction_policy=str(kwargs["eviction_policy"]),
             idle_ticks_before_eviction=(

@@ -137,7 +137,7 @@ _SPEC_FIELDS = frozenset(field.name for field in fields(AsapSpec))
 #: The fields of each nested state that the spec determines: a restored
 #: operator's parts must have exactly the shape its spec builds.
 _SPEC_SHAPED = {
-    "buffer": ("pane_size", "capacity", "journal", "keep_sketches", "track_quality"),
+    "buffer": ("pane_size", "capacity", "journal", "track_quality"),
     "rolling": ("capacity", "lag_budget"),
     "reorder": ("watermark",),
     "normalizer": ("declared_cadence", "gap_policy", "gap_factor"),
@@ -686,10 +686,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     (its docstring documents every knob).  Spec fields also read as
     attributes (``op.strategy`` is ``op.spec.strategy``), except
     :attr:`incremental`, which ``verify_incremental`` implies.  The operator
-    reads the streaming, quality, ``keep_pane_sketches`` and ``pyramid``
-    fields; ``use_preaggregation`` and the network knobs do not apply,
-    because the operator aggregates through ``pane_size``.  How the knobs
-    act here:
+    reads the streaming and quality fields; ``use_preaggregation`` and the
+    network knobs do not apply, because the operator aggregates through
+    ``pane_size``.  How the knobs act here:
 
     * ``incremental`` maintains the window's ACF and moment statistics in
       O(new panes) per refresh instead of O(window log window); results agree
@@ -703,10 +702,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
       to the cold path's, so frames do not change; a search that leaves the
       trace is a counted :attr:`warm_fallbacks`.  Only the adaptive
       strategies (``"asap"``, ``"binary"``) participate.
-    * ``keep_pane_sketches`` retains per-pane raw-moment sketches the
-      operator never reads.  ``pyramid`` keeps nothing: :meth:`pyramid_view`
-      resolves any pixel width on demand from the pane window, and
-      ``pyramid=False`` only refuses views.  Neither changes any frame.
+    * Panes keep their count and mean only, and views keep nothing:
+      :meth:`pyramid_view` resolves any pixel width on demand from the pane
+      window and changes no frame.
     * ``watermark`` puts a :class:`~repro.quality.ReorderBuffer` in front of
       the panes (late points within it are reordered, older ones
       counted-and-dropped); ``normalize`` adds the stateful
@@ -737,7 +735,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             pane_size=spec.pane_size,
             capacity=resolution,
             journal=self.incremental,
-            keep_sketches=spec.keep_pane_sketches,
             track_quality=spec.normalize,
         )
         # Timestamp of the last point folded while no quality stage runs: the
@@ -946,13 +943,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         Computed on demand (:func:`~repro.pyramid.resolve_view`) from every
         completed pane — exactly the window :meth:`aggregated_values`
         exposes.  It reads and changes no other state, so a view never
-        changes a later frame.  Requires a spec with ``pyramid=True``.
+        changes a later frame.
         """
-        if not self.spec.pyramid:
-            raise ValueError(
-                "views are off; build the operator from a spec with "
-                "pyramid=True to serve multi-resolution views"
-            )
         return resolve_view(
             self.aggregated_values(),
             self.aggregated_timestamps(),

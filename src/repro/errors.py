@@ -57,7 +57,7 @@ class SpecError(ValueError):
 
     Raised by :class:`repro.spec.AsapSpec` (and therefore by every entry
     point that builds its configuration through the spec: ``smooth``,
-    ``find_window``, ``ASAP``, ``BatchEngine``, ``StreamConfig``,
+    ``find_window``, ``ASAP``, ``BatchEngine``, the hub tiers,
     ``connect``).  The message always names the offending field.
     """
 

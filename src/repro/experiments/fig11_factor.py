@@ -74,7 +74,7 @@ def _build_operator(config: Config, n: int, resolution: int) -> StreamingASAP:
     else:
         refresh = 1
     strategy = "asap" if config.autocorrelation else "exhaustive"
-    # The lesion grid as a spec; serving-tier extras stay off so each cell
+    # The lesion grid as a spec; incremental statistics stay off so each cell
     # measures exactly the factor combination the figure names.
     return AsapSpec(
         pane_size=pane_size,
@@ -82,8 +82,6 @@ def _build_operator(config: Config, n: int, resolution: int) -> StreamingASAP:
         refresh_interval=refresh,
         strategy=strategy,
         incremental=False,
-        keep_pane_sketches=True,
-        pyramid=False,
     ).build_operator()
 
 

@@ -6,8 +6,8 @@
 (:mod:`repro.persist.codec`); ``restore`` rebuilds it.  The guarantee is the
 repo-wide discipline applied to durability: a restored hub emits
 **bit-identical** subsequent frames to one that was never interrupted,
-because every float the refresh path depends on (pane means, open-pane
-sketches, rolling lag/moment/flow sums, refresh countdowns, the previous
+because every float the refresh path depends on (pane means, the open
+pane's count and running mean, rolling lag/moment/flow sums, refresh countdowns, the previous
 window, the last folded timestamp) is persisted exactly.  Resolution views
 keep no state (they are computed from the pane window on demand), and
 derived caches (per-refresh evaluation caches, per-session view caches)
@@ -29,6 +29,7 @@ Checkpoint **kinds** (the ``kind`` field of the payload):
        "default_config": {...AsapSpec fields...},
        "eviction_policy": str, "idle_ticks_before_eviction": int | None,
        "tick": int, "next_auto_id": int, "counters": {...},
+       "stashed_frames": {stream_id: [...frames...]},
        "sessions": [{"stream_id": str, "created_tick": int,
                      "last_active_tick": int, "frames_emitted": int,
                      "operator": {"spec": {...AsapSpec fields...},

@@ -88,7 +88,7 @@ __all__ = [
 #: Bumped on any incompatible change to the manifest layout or any producer's
 #: ``state_dict()`` fields.  Readers reject payloads with a different version.
 #: Version 2: session/default configs are full :class:`repro.spec.AsapSpec`
-#: dicts (the version-1 ``StreamConfig`` fields plus ``use_preaggregation``
+#: dicts (the version-1 hub config fields plus ``use_preaggregation``
 #: and ``kernel``), which version-1 readers would reject as unknown fields.
 #: Version 3: specs gain ``warm_start``; operator state gains ``warm_start``,
 #: ``kernel``, the warm probe trace (``warm_trace``), and the
@@ -120,7 +120,12 @@ __all__ = [
 #: the pane window on demand), its pane journal exists only with incremental
 #: statistics, and it gains ``last_timestamp`` (the ordering check on input
 #: without a quality stage).
-SCHEMA_VERSION = 10
+#: Version 11: a pane buffer keeps no per-pane moment sketches (its ``panes``
+#: arrays and sketch flag are gone, and the open pane is
+#: ``start_time``/``count``/``mean``), and a spec drops its two serving
+#: switches for pane sketches and views (19 fields).  A hub's state gains
+#: ``stashed_frames``: the frames of a tick that raised, returned by the next.
+SCHEMA_VERSION = 11
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

@@ -7,9 +7,9 @@ that workload on top of the single-stream operator of
 
 * :class:`StreamHub` — create/ingest/tick/snapshot/close streaming sessions
   by stream id, with thread-safe ingestion, bounded session and pane budgets,
-  and LRU/idle eviction; sessions are configured by ``StreamConfig``, which
-  *is* the unified :class:`~repro.spec.AsapSpec` (one class, one validation,
-  one wire format across every tier);
+  and LRU/idle eviction; sessions are configured by the unified
+  :class:`~repro.spec.AsapSpec` (one class, one validation, one wire format
+  across every tier);
 * coalesced refreshes — refresh boundaries landing on the same tick are
   executed together, and grid-strategy sessions over equal-length windows
   share a single batched kernel call
@@ -32,7 +32,6 @@ from .hub import (
     HubStats,
     ResolutionSnapshot,
     SessionSnapshot,
-    StreamConfig,
     StreamHub,
     UnknownStreamError,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "HubStats",
     "ResolutionSnapshot",
     "SessionSnapshot",
-    "StreamConfig",
     "StreamHub",
     "UnknownStreamError",
 ]

@@ -6,8 +6,8 @@ on-demand boundary, together.  :class:`StreamHub` is that serving layer:
 
 * **Sessions by id** — ``create_stream`` / ``ingest`` / ``tick`` /
   ``snapshot`` / ``close``; each session wraps a
-  :class:`~repro.core.streaming.StreamingASAP` configured by a
-  :class:`StreamConfig` (incremental refresh on by default).
+  :class:`~repro.core.streaming.StreamingASAP` built from an
+  :class:`~repro.spec.AsapSpec` (incremental refresh on by default).
 * **Deferred-boundary coalescing** — an ingest whose refresh boundary lands
   exactly at the end of the batch *defers* the refresh
   (:meth:`~repro.core.streaming.StreamingASAP.push_many` with
@@ -53,7 +53,6 @@ from ..spec import AsapSpec
 from ..timeseries.series import TimeSeries
 
 __all__ = [
-    "StreamConfig",
     "StreamHub",
     "HubStats",
     "SessionSnapshot",
@@ -79,17 +78,6 @@ def allocate_auto_id(prefix: str, counter: int, taken) -> tuple[str, int]:
     return candidate, counter
 
 
-#: Per-session configuration *is* the unified spec (:class:`repro.spec.AsapSpec`):
-#: the historical ``StreamConfig`` fields are the spec's streaming + serving
-#: knobs, with identical names and defaults (``incremental=True`` so a refresh
-#: costs O(new panes) of bookkeeping, ``keep_pane_sketches=False`` to skip
-#: per-pane state the serving path never reads, ``pyramid=True`` for
-#: multi-resolution snapshots — none of which changes any emitted frame).
-#: Operators are built from the spec (:meth:`~repro.spec.AsapSpec.build_operator`),
-#: so the service tier has no hand-copied constructor to drift.
-StreamConfig = AsapSpec
-
-
 @dataclass(frozen=True)
 class SessionSnapshot:
     """Read-only view of one session's state (no refresh is triggered).
@@ -108,7 +96,7 @@ class SessionSnapshot:
     frames_emitted: int
     created_tick: int
     last_active_tick: int
-    config: StreamConfig
+    config: AsapSpec
     completeness: float = 1.0
     gaps_filled: int = 0
     nan_dropped: int = 0
@@ -226,7 +214,7 @@ class _Session:
     )
 
     @property
-    def config(self) -> StreamConfig:
+    def config(self) -> AsapSpec:
         """The session's one config: the spec its operator was built from."""
         return self.operator.spec
 
@@ -257,7 +245,7 @@ class StreamHub:
         self,
         max_sessions: int = 1024,
         max_panes_per_session: int = 4096,
-        default_config: StreamConfig | None = None,
+        default_config: AsapSpec | None = None,
         eviction_policy: str = "lru",
         idle_ticks_before_eviction: int | None = None,
     ) -> None:
@@ -278,7 +266,7 @@ class StreamHub:
             )
         self.max_sessions = max_sessions
         self.max_panes_per_session = max_panes_per_session
-        self.default_config = default_config or StreamConfig()
+        self.default_config = default_config or AsapSpec()
         if default_config is not None:
             # An explicit default that no create_stream call could ever
             # satisfy is a configuration bug worth failing at once; the
@@ -289,13 +277,15 @@ class StreamHub:
         self.idle_ticks_before_eviction = idle_ticks_before_eviction
         self._sessions: dict[str, _Session] = {}
         self._frame_observers: list = []
+        # Frames of a tick that raised, returned first by the next tick.
+        self._stashed_frames: dict[str, list[Frame]] = {}
         self._lock = threading.RLock()
         self._next_auto_id = 0
         self._tick = 0
         # Hub-level counts plus the operator totals of retired sessions.
         self._counters = Counter(dict.fromkeys(_COUNTERS, 0))
 
-    def _check_pane_budget(self, config: StreamConfig) -> None:
+    def _check_pane_budget(self, config: AsapSpec) -> None:
         """Reject configurations whose window exceeds the per-session budget.
 
         A session retains up to ``resolution`` completed panes, so the pane
@@ -347,13 +337,13 @@ class StreamHub:
     def create_stream(
         self,
         stream_id: str | None = None,
-        config: StreamConfig | None = None,
+        config: AsapSpec | None = None,
         history: tuple | None = None,
         **overrides,
     ) -> str:
         """Register a new streaming session and return its id.
 
-        *overrides* patch individual :class:`StreamConfig` fields on top of
+        *overrides* patch individual :class:`~repro.spec.AsapSpec` fields on top of
         *config* (or the hub default), e.g. ``create_stream(pane_size=4)``.
 
         *history* is an optional ``(timestamps, values)`` archive folded into
@@ -509,10 +499,21 @@ class StreamHub:
         due sessions (ASAP/binary, or singleton groups) refresh individually
         on their incremental state.  Also advances the hub clock and reaps
         idle sessions when ``idle_ticks_before_eviction`` is set.
+
+        A refresh that raises (e.g. ``verify_incremental``'s
+        :class:`~repro.errors.IncrementalDriftError`) does not starve the
+        other due sessions: every due session refreshes, reaping and
+        counters run, and then the first error is raised with every failing
+        stream id in its message.  The frames that tick produced are kept
+        and returned first by the next tick (and checkpointed meanwhile).
         """
         with self._lock:
             self._tick += 1
             sessions = list(self._sessions.values())
+            # Frames of a tick that raised are older than anything this one
+            # produces.
+            emitted: dict[str, list[Frame]] = self._stashed_frames
+            self._stashed_frames = {}
 
         due: list[_Session] = []
         for session in sessions:
@@ -535,13 +536,24 @@ class StreamHub:
                 else:
                     singles.append(session)
 
-        emitted: dict[str, list[Frame]] = {}
+        produced = 0
+        failures: list[tuple[str, Exception]] = []
 
-        def record(session: _Session, frame: Frame | None) -> None:
-            if frame is None:
-                return
-            emitted.setdefault(session.stream_id, []).append(frame)
-            session.frames_emitted += 1
+        def refresh(session: _Session, cache=None) -> None:
+            nonlocal produced
+            with session.lock:
+                if session.closed:
+                    return
+                try:
+                    frame = session.operator.refresh_if_due(cache=cache)
+                except Exception as exc:  # collected: the other sessions still refresh
+                    failures.append((session.stream_id, exc))
+                    return
+                if frame is None:
+                    return
+                emitted.setdefault(session.stream_id, []).append(frame)
+                session.frames_emitted += 1
+                produced += 1
 
         coalesced = 0
         kernel_calls = 0
@@ -554,13 +566,9 @@ class StreamHub:
             kernel_calls += 1
             coalesced += len(members)
             for (session, _values), cache in zip(members, caches):
-                with session.lock:
-                    if not session.closed:
-                        record(session, session.operator.refresh_if_due(cache=cache))
+                refresh(session, cache)
         for session in singles:
-            with session.lock:
-                if not session.closed:
-                    record(session, session.operator.refresh_if_due())
+            refresh(session)
 
         with self._lock:
             if self.idle_ticks_before_eviction is not None:
@@ -574,7 +582,16 @@ class StreamHub:
                     self._retire_locked(session, "sessions_evicted")
             self._counters["refreshes_coalesced"] += coalesced
             self._counters["grid_kernel_calls"] += kernel_calls
-            self._counters["frames_emitted"] += sum(len(frames) for frames in emitted.values())
+            self._counters["frames_emitted"] += produced
+            if failures:
+                for stream_id, frames in self._stashed_frames.items():
+                    emitted.setdefault(stream_id, []).extend(frames)
+                self._stashed_frames = emitted
+        if failures:
+            first = failures[0][1]
+            named = ", ".join(repr(stream_id) for stream_id, _exc in failures)
+            first.args = (f"refresh failed for stream(s) {named}: {first}",)
+            raise first
         self._notify_frames(emitted)
         return emitted
 
@@ -615,8 +632,7 @@ class StreamHub:
         from-scratch pipeline on the directly pre-aggregated window (windows
         equal, values within 1e-9).  Views are cached per (resolution,
         include_partial) until the next pane completes, so repeated polls
-        between refreshes are free.  Requires
-        ``StreamConfig(pyramid=True)`` (the default).
+        between refreshes are free.
         """
         session = self._get(stream_id)
         if resolution is not None:
@@ -664,12 +680,6 @@ class StreamHub:
             if session.closed:
                 raise UnknownStreamError(session.stream_id)
             operator = session.operator
-            if not operator.spec.pyramid:
-                raise HubError(
-                    f"stream {session.stream_id!r} was created with "
-                    f"StreamConfig(pyramid=False); re-create it with "
-                    f"pyramid=True to serve multi-resolution snapshots"
-                )
             key = (int(resolution), bool(include_partial))
             version = operator.panes_completed
             cached = session.view_cache.get(key)
@@ -826,7 +836,8 @@ class StreamHub:
         return sid
 
     def state_dict(self) -> dict:
-        """The whole hub — parameters, counters, and every session's state.
+        """The whole hub — parameters, counters, frames stashed by a tick
+        that raised, and every session's state.
 
         The registry lock is held for the whole serialization (counters and
         sessions captured together), so a checkpoint taken while other
@@ -837,6 +848,8 @@ class StreamHub:
         ingest/snapshot paths (which never hold a session lock while
         acquiring the registry lock).
         """
+        from ..net.wire import frames_state  # the wire codec imports this module
+
         with self._lock:
             state = {
                 "max_sessions": self.max_sessions,
@@ -847,6 +860,10 @@ class StreamHub:
                 "tick": self._tick,
                 "next_auto_id": self._next_auto_id,
                 "counters": dict(self._counters),
+                "stashed_frames": {
+                    stream_id: frames_state(frames)
+                    for stream_id, frames in self._stashed_frames.items()
+                },
             }
             sessions = []
             for session in self._sessions.values():
@@ -859,10 +876,12 @@ class StreamHub:
     @classmethod
     def from_state(cls, state: dict) -> "StreamHub":
         """Rebuild a hub from :meth:`state_dict` output (exact resume)."""
+        from ..net.wire import frames_from_state  # the wire codec imports this module
+
         hub = cls(
             max_sessions=int(state["max_sessions"]),
             max_panes_per_session=int(state["max_panes_per_session"]),
-            default_config=StreamConfig.from_dict(state["default_config"]),
+            default_config=AsapSpec.from_dict(state["default_config"]),
             eviction_policy=str(state["eviction_policy"]),
             idle_ticks_before_eviction=(
                 None
@@ -873,6 +892,10 @@ class StreamHub:
         hub._tick = int(state["tick"])
         hub._next_auto_id = int(state["next_auto_id"])
         hub._counters = counters_from_state(state["counters"], _COUNTERS)
+        hub._stashed_frames = {
+            str(stream_id): frames_from_state(frames)
+            for stream_id, frames in state["stashed_frames"].items()
+        }
         for session_state in state["sessions"]:
             hub._sessions[str(session_state["stream_id"])] = _Session(
                 stream_id=str(session_state["stream_id"]),
@@ -886,7 +909,7 @@ class StreamHub:
     def _restore_operator(self, state: dict) -> StreamingASAP:
         """Rebuild a checkpointed session's operator, its spec held to the
         pane budget before any of its state is restored."""
-        self._check_pane_budget(StreamConfig.from_dict(state["spec"]))
+        self._check_pane_budget(AsapSpec.from_dict(state["spec"]))
         return StreamingASAP.from_state(state)
 
     @property

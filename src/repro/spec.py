@@ -4,7 +4,7 @@ The ASAP paper presents one operator with a handful of knobs: target
 resolution, window ceiling, search strategy, pixel-aware preaggregation, and
 the streaming refresh cadence.  Before this module, each serving tier spelled
 those knobs its own way — ``smooth()`` kwargs, the ``ASAP`` dataclass,
-``StreamingASAP.__init__``, the service tier's ``StreamConfig``, the cluster
+``StreamingASAP.__init__``, the service tier's stream config, the cluster
 tier's forwarded config — duplicated by hand and drifting apart.
 
 :class:`AsapSpec` is the single source of truth:
@@ -25,7 +25,7 @@ tier's forwarded config — duplicated by hand and drifting apart.
   applied, equal to constructing one from scratch.
 
 Every tier consumes it: :func:`repro.core.batch.smooth` builds one from its
-kwargs (or accepts one via ``spec=``), ``StreamConfig`` *is* this class,
+kwargs (or accepts one via ``spec=``), the hub tiers take one per stream,
 ``StreamingASAP(spec)`` is the only way to configure a streaming operator
 (and its checkpoints carry the spec once), and :func:`repro.client.connect`
 carries one as the session default.
@@ -148,14 +148,9 @@ class AsapSpec:
         batched streaming, the debug baseline).  All lanes leave subsequent
         streamed frames bit-identical to point-by-point ingestion.
 
-    Serving knobs (read by the hub tiers):
+    Serving knobs (read by the network tier; every session serves
+    multi-resolution views, computed from its window on demand):
 
-    keep_pane_sketches:
-        Retain per-pane raw-moment state the serving path never reads.
-    pyramid:
-        Serve multi-resolution views, so one session serves any pixel width.
-        Views are computed from the window on demand and keep no state;
-        ``False`` only refuses them.
     max_connections:
         Network serving tier (:mod:`repro.net`) only: concurrent client
         connections one :class:`~repro.net.AsapServer` accepts; connection
@@ -187,11 +182,16 @@ class AsapSpec:
         points within the watermark land in their correct pane, points
         beyond it are counted-and-dropped.  0 disables reordering.
 
-    Defaults are the *serving* defaults (the hub tiers' historical
-    ``StreamConfig``), and they are the only defaults: ``StreamingASAP``
-    takes nothing but a spec.  The paper's research operator spells
-    ``incremental=False, keep_pane_sketches=True, pyramid=False`` explicitly,
-    as the Figure 10 and 11 experiments do.
+    Defaults are the *serving* defaults, and they are the only defaults:
+    ``StreamingASAP`` takes nothing but a spec.  The paper's research
+    operator recomputes its window statistics from scratch on every refresh;
+    it spells ``incremental=False`` explicitly, as the Figure 10 and 11
+    experiments do.  Its panes are the serving panes (count and mean; the
+    search reads one value per pane).
+
+    Fields retired in schema 11 (the pane-sketch and view switches; see the
+    README) are unknown fields: a mapping or JSON document that still names
+    one is rejected by :meth:`from_dict` with a :class:`SpecError` naming it.
     """
 
     resolution: int = DEFAULT_RESOLUTION
@@ -206,8 +206,6 @@ class AsapSpec:
     recompute_every: int = 64
     verify_incremental: bool = False
     warm_start: bool = True
-    keep_pane_sketches: bool = False
-    pyramid: bool = True
     max_connections: int = 64
     subscribe_queue: int = 256
     normalize: bool = False
@@ -232,7 +230,7 @@ class AsapSpec:
         "warm_start",
         "backfill",
     )
-    SERVING_FIELDS = ("keep_pane_sketches", "pyramid", "max_connections", "subscribe_queue")
+    SERVING_FIELDS = ("max_connections", "subscribe_queue")
     QUALITY_FIELDS = ("normalize", "cadence", "gap_policy", "watermark")
 
     def __post_init__(self) -> None:
@@ -260,8 +258,6 @@ class AsapSpec:
         _require_bool("incremental", self.incremental)
         _require_bool("verify_incremental", self.verify_incremental)
         _require_bool("warm_start", self.warm_start)
-        _require_bool("keep_pane_sketches", self.keep_pane_sketches)
-        _require_bool("pyramid", self.pyramid)
         _require_int("max_connections", self.max_connections, minimum=1)
         _require_int("subscribe_queue", self.subscribe_queue, minimum=1)
         _require_bool("normalize", self.normalize)

@@ -1,12 +1,10 @@
-"""Stream-processing substrate: panes, the moment sketch, operators, sources."""
+"""Stream-processing substrate: panes, operators, sources."""
 
-from .aggregates import MomentSketch
 from .panes import Pane, PaneBuffer
 from .operators import StreamOperator, run_stream
 from .sources import ChunkedReplaySource, ReplaySource, StreamPoint
 
 __all__ = [
-    "MomentSketch",
     "Pane",
     "PaneBuffer",
     "StreamOperator",

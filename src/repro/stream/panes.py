@@ -5,56 +5,58 @@ the incoming data into disjoint segments (i.e., panes)" (Section 4.5, citing
 Li et al., "No pane, no gain").  Streaming ASAP maintains a linked list of
 pane subaggregates whose size equals the point-to-pixel ratio: each pane
 collapses ``pane_size`` raw arrivals into one aggregated point, and the
-visible window is a bounded deque of completed panes.
+visible window is a bounded run of completed panes.
 
 :class:`PaneBuffer` is that structure.  It exposes the aggregated series (one
-value per completed pane) for the search routine, evicts panes beyond the
-configured capacity, and keeps per-pane :class:`MomentSketch` state so window
-statistics remain available without raw data.
+value per completed pane) for the search routine and evicts panes beyond the
+configured capacity.  A pane is its arrival count and Welford running mean —
+the one value per pane the search reads.
 
 Two serving-path refinements over the original per-point structure:
 
-* completed-pane means and start timestamps are mirrored into contiguous
-  rolling arrays, so :meth:`PaneBuffer.aggregated_values` is a memcpy of a
-  slice instead of a Python iteration over the deque — the per-refresh read
+* completed-pane means and start timestamps live in contiguous rolling
+  arrays, so :meth:`PaneBuffer.aggregated_values` is a memcpy of a slice
+  instead of a Python iteration over pane objects — the per-refresh read
   path of the streaming operator;
-* :meth:`PaneBuffer.extend` folds whole panes with vectorized Welford updates
-  (bit-identical to the per-point recurrence, candidate by candidate), so
-  batch ingestion — the StreamHub hot path — costs O(pane_size) numpy passes
-  per call instead of O(points) Python-level updates.
+* :meth:`PaneBuffer.extend` folds whole panes with vectorized Welford mean
+  updates (bit-identical to the per-point recurrence), so batch ingestion —
+  the StreamHub hot path — costs O(pane_size) numpy passes per call instead
+  of O(points) Python-level updates.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .aggregates import MomentSketch
 
 __all__ = ["Pane", "PaneBuffer", "DiscardedState", "RollingArray"]
 
 
-@dataclass
 class Pane:
-    """One disjoint segment of the stream, pre-aggregated to a single point."""
+    """One disjoint segment of the stream, pre-aggregated to a single point.
 
-    start_time: float
-    sketch: MomentSketch = field(default_factory=MomentSketch)
+    ``mean`` is the Welford running mean of the pane's arrivals; it is the
+    same operation sequence as :func:`_bulk_welford_means`, so a pane folded
+    point by point and one folded in bulk hold bit-identical means.
+    """
+
+    __slots__ = ("start_time", "count", "_mean")
+
+    def __init__(self, start_time: float, count: int = 0, mean: float = 0.0) -> None:
+        self.start_time = start_time
+        self.count = count
+        self._mean = mean
 
     def update(self, value: float) -> None:
-        self.sketch.update(value)
-
-    @property
-    def count(self) -> int:
-        return self.sketch.count
+        self.count += 1
+        self._mean += (value - self._mean) / self.count
 
     @property
     def mean(self) -> float:
-        if self.sketch.count == 0:
+        if self.count == 0:
             raise ValueError("mean of an empty pane is undefined")
-        return self.sketch.mean
+        return self._mean
 
 
 @dataclass(frozen=True)
@@ -142,48 +144,16 @@ class RollingArray:
 def _bulk_welford_means(block: np.ndarray) -> np.ndarray:
     """Per-row Welford means of a ``(panes, pane_size)`` block.
 
-    The mean recurrence of :meth:`MomentSketch.update` does not depend on the
-    higher-moment state, so replaying just ``mean += delta / count`` column by
-    column yields means bit-identical to the full sketch chain at a fraction
-    of the work — the sketch-free fast path of batch ingestion.
+    Replays :meth:`Pane.update`'s ``mean += (value - mean) / count`` column
+    by column with array operands, so every row's mean is bit-identical to
+    folding that row's values through a pane one at a time — the property
+    that keeps batch ingestion interchangeable with the per-point path.
     """
     n_panes, pane_size = block.shape
     mean = np.zeros(n_panes, dtype=np.float64)
     for j in range(pane_size):
         mean = mean + (block[:, j] - mean) / (j + 1)
     return mean
-
-
-def _bulk_welford(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row Welford/Terriberry moments of a ``(panes, pane_size)`` block.
-
-    Replays :meth:`repro.stream.aggregates.MomentSketch.update` column by
-    column with array operands, so every row's ``(mean, m2, m3, m4)`` is
-    bit-identical to folding that row's values through a sketch one at a
-    time — the property that keeps batch ingestion interchangeable with the
-    per-point path.
-    """
-    n_panes, pane_size = block.shape
-    mean = np.zeros(n_panes, dtype=np.float64)
-    m2 = np.zeros(n_panes, dtype=np.float64)
-    m3 = np.zeros(n_panes, dtype=np.float64)
-    m4 = np.zeros(n_panes, dtype=np.float64)
-    for j in range(pane_size):
-        n1 = j
-        count = j + 1
-        delta = block[:, j] - mean
-        delta_n = delta / count
-        delta_n2 = delta_n * delta_n
-        term1 = delta * delta_n * n1
-        mean = mean + delta_n
-        m4 = m4 + (
-            term1 * delta_n2 * (count * count - 3 * count + 3)
-            + 6.0 * delta_n2 * m2
-            - 4.0 * delta_n * m3
-        )
-        m3 = m3 + (term1 * delta_n * (count - 2) - 3.0 * delta_n * m2)
-        m2 = m2 + term1
-    return mean, m2, m3, m4
 
 
 class PaneBuffer:
@@ -204,12 +174,6 @@ class PaneBuffer:
         window statistics (evictions need
         no journal entry: a consumer replaying appends against the same
         ``capacity`` reproduces the eviction order exactly).
-    keep_sketches:
-        When False, completed panes keep only their mean and start timestamp
-        (no retained :class:`Pane`/:class:`MomentSketch` objects), which cuts
-        batch-ingest cost roughly in half; :meth:`window_sketch` becomes
-        unavailable.  Aggregated means are bit-identical either way — the
-        Welford mean recurrence does not depend on the higher moments.
     track_quality:
         When True, the buffer keeps a per-pane count of *synthetic* points
         (gap fills marked by the quality stage via the ``synthetic``
@@ -230,7 +194,6 @@ class PaneBuffer:
         pane_size: int,
         capacity: int,
         journal: bool = False,
-        keep_sketches: bool = True,
         track_quality: bool = False,
     ) -> None:
         if pane_size < 1:
@@ -240,9 +203,7 @@ class PaneBuffer:
         self.pane_size = pane_size
         self.capacity = capacity
         self.journal = journal
-        self.keep_sketches = keep_sketches
         self.track_quality = track_quality
-        self._panes: deque[Pane] = deque()
         self._means = RollingArray(capacity)
         self._times = RollingArray(capacity)
         self._synth = RollingArray(capacity) if track_quality else None
@@ -256,8 +217,6 @@ class PaneBuffer:
     # -- ingest --------------------------------------------------------------
 
     def _complete(self, pane: Pane) -> None:
-        if self.keep_sketches:
-            self._panes.append(pane)
         self._means.append(pane.mean)
         self._times.append(pane.start_time)
         if self._synth is not None:
@@ -267,8 +226,6 @@ class PaneBuffer:
             self._pending_means.append(pane.mean)
             self._pending_times.append(pane.start_time)
         if len(self._means) > self.capacity:
-            if self._panes:
-                self._panes.popleft()
             self._means.popleft()
             self._times.popleft()
             if self._synth is not None:
@@ -345,7 +302,6 @@ class PaneBuffer:
                     ts[i : i + skipped_span : self.pane_size].tolist()
                 )
             self._evicted_panes += skipped + len(self._means)
-            self._panes.clear()
             self._means.clear()
             self._times.clear()
             if self._synth is not None:
@@ -359,23 +315,7 @@ class PaneBuffer:
             block = vs[i : i + span].reshape(n_full, self.pane_size)
             starts = np.array(ts[i : i + span : self.pane_size], dtype=np.float64)
             pane_size = self.pane_size
-            if self.keep_sketches:
-                mean, m2, m3, m4 = _bulk_welford(block)
-                self._panes.extend(
-                    Pane(
-                        start_time=float(starts[p]),
-                        sketch=MomentSketch(
-                            count=pane_size,
-                            mean=float(mean[p]),
-                            m2=float(m2[p]),
-                            m3=float(m3[p]),
-                            m4=float(m4[p]),
-                        ),
-                    )
-                    for p in range(n_full)
-                )
-            else:
-                mean = _bulk_welford_means(block)
+            mean = _bulk_welford_means(block)
             self._means.append_many(mean)
             self._times.append_many(starts)
             if self._synth is not None:
@@ -394,11 +334,6 @@ class PaneBuffer:
                 self._pending_times.extend(starts.tolist())
             overflow = len(self._means) - self.capacity
             if overflow > 0:
-                if overflow >= len(self._panes):
-                    self._panes.clear()
-                else:
-                    for _ in range(overflow):
-                        self._panes.popleft()
                 self._means.popleft(overflow)
                 self._times.popleft(overflow)
                 if self._synth is not None:
@@ -471,15 +406,6 @@ class PaneBuffer:
         """Start timestamp of each completed pane."""
         return self._times.view().copy()
 
-    def window_sketch(self) -> MomentSketch:
-        """Merged moments across every completed pane (raw-point statistics)."""
-        if not self.keep_sketches:
-            raise ValueError("PaneBuffer was constructed with keep_sketches=False")
-        merged = MomentSketch()
-        for pane in self._panes:
-            merged.merge(pane.sketch)
-        return merged
-
     def drain_completed(self) -> tuple[np.ndarray, np.ndarray]:
         """Journaled ``(means, start timestamps)`` of panes completed since
         the last drain.
@@ -544,7 +470,6 @@ class PaneBuffer:
             open_pane_points=self.open_pane_points,
             open_pane_start=self.open_pane_start,
         )
-        self._panes.clear()
         self._means.clear()
         self._times.clear()
         if self._synth is not None:
@@ -572,16 +497,15 @@ class PaneBuffer:
         """Full buffer state as plain scalars/arrays (see :mod:`repro.persist`).
 
         Captures everything ingestion semantics depend on — retained means
-        and timestamps, per-pane sketches when kept, the *open* partial pane,
-        the pending journal, and the eviction counters — so a buffer restored
-        by :meth:`from_state` folds subsequent points exactly as the original
-        would have (completions, evictions, and journal entries included).
+        and timestamps, the *open* partial pane, the pending journal, and the
+        eviction counters — so a buffer restored by :meth:`from_state` folds
+        subsequent points exactly as the original would have (completions,
+        evictions, and journal entries included).
         """
-        state = {
+        return {
             "pane_size": self.pane_size,
             "capacity": self.capacity,
             "journal": self.journal,
-            "keep_sketches": self.keep_sketches,
             "track_quality": self.track_quality,
             "synth": (
                 np.empty(0, dtype=np.float64)
@@ -597,17 +521,6 @@ class PaneBuffer:
             "pending_times": np.asarray(self._pending_times, dtype=np.float64),
             "open": None if self._open is None else _pane_state(self._open),
         }
-        if self.keep_sketches:
-            panes = list(self._panes)
-            state["panes"] = {
-                "start_time": np.array([p.start_time for p in panes], dtype=np.float64),
-                "count": np.array([p.sketch.count for p in panes], dtype=np.int64),
-                "mean": np.array([p.sketch.mean for p in panes], dtype=np.float64),
-                "m2": np.array([p.sketch.m2 for p in panes], dtype=np.float64),
-                "m3": np.array([p.sketch.m3 for p in panes], dtype=np.float64),
-                "m4": np.array([p.sketch.m4 for p in panes], dtype=np.float64),
-            }
-        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "PaneBuffer":
@@ -616,7 +529,6 @@ class PaneBuffer:
             pane_size=int(state["pane_size"]),
             capacity=int(state["capacity"]),
             journal=bool(state["journal"]),
-            keep_sketches=bool(state["keep_sketches"]),
             track_quality=bool(state.get("track_quality", False)),
         )
         buffer._means.append_many(np.asarray(state["means"], dtype=np.float64))
@@ -630,49 +542,12 @@ class PaneBuffer:
         buffer._pending_times = list(np.asarray(state["pending_times"], dtype=np.float64))
         if state["open"] is not None:
             buffer._open = _pane_from_state(state["open"])
-        if buffer.keep_sketches:
-            panes = state["panes"]
-            starts = np.asarray(panes["start_time"], dtype=np.float64)
-            counts = np.asarray(panes["count"], dtype=np.int64)
-            means = np.asarray(panes["mean"], dtype=np.float64)
-            m2s = np.asarray(panes["m2"], dtype=np.float64)
-            m3s = np.asarray(panes["m3"], dtype=np.float64)
-            m4s = np.asarray(panes["m4"], dtype=np.float64)
-            buffer._panes.extend(
-                Pane(
-                    start_time=float(starts[i]),
-                    sketch=MomentSketch(
-                        count=int(counts[i]),
-                        mean=float(means[i]),
-                        m2=float(m2s[i]),
-                        m3=float(m3s[i]),
-                        m4=float(m4s[i]),
-                    ),
-                )
-                for i in range(starts.size)
-            )
         return buffer
 
 
 def _pane_state(pane: Pane) -> dict:
-    return {
-        "start_time": pane.start_time,
-        "count": pane.sketch.count,
-        "mean": pane.sketch.mean,
-        "m2": pane.sketch.m2,
-        "m3": pane.sketch.m3,
-        "m4": pane.sketch.m4,
-    }
+    return {"start_time": pane.start_time, "count": pane.count, "mean": pane.mean}
 
 
 def _pane_from_state(state: dict) -> Pane:
-    return Pane(
-        start_time=float(state["start_time"]),
-        sketch=MomentSketch(
-            count=int(state["count"]),
-            mean=float(state["mean"]),
-            m2=float(state["m2"]),
-            m3=float(state["m3"]),
-            m4=float(state["m4"]),
-        ),
-    )
+    return Pane(float(state["start_time"]), int(state["count"]), float(state["mean"]))

@@ -16,7 +16,6 @@ import pytest
 import repro
 from repro import ASAP, AsapSpec, ShardedHub, StreamHub, connect
 from repro.core.streaming import StreamingASAP
-from repro.service import StreamConfig
 
 from research_spec import research_spec
 
@@ -75,8 +74,6 @@ class TestStreamingPathEquivalence:
                 strategy=SPEC.strategy,
                 max_window=SPEC.max_window,
                 incremental=True,
-                keep_pane_sketches=False,
-                pyramid=True,
             )
         )
         built = SPEC.build_operator()
@@ -88,7 +85,7 @@ class TestStreamingPathEquivalence:
 
     def test_direct_hub_and_client_emit_identical_frames(self):
         ts, vs = seeded_workload()
-        hub = StreamHub(default_config=StreamConfig(**SPEC.to_dict()))
+        hub = StreamHub(default_config=AsapSpec(**SPEC.to_dict()))
         sid = hub.create_stream("s")
         direct = drive(hub, sid, ts, vs)
 

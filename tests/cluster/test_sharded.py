@@ -16,9 +16,10 @@ from repro.cluster import (
     ShardProtocolError,
 )
 from repro.persist.codec import CheckpointError
-from repro.service import StreamConfig, StreamHub, UnknownStreamError
+from repro.service import StreamHub, UnknownStreamError
+from repro.spec import AsapSpec
 
-CONFIG = StreamConfig(pane_size=4, resolution=100, refresh_interval=8)
+CONFIG = AsapSpec(pane_size=4, resolution=100, refresh_interval=8)
 CHUNK = 96
 
 

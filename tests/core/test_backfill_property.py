@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from repro.cluster import ShardedHub
 from repro.core.streaming import StreamingASAP
 from repro.persist import checkpoint, restore
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
+from repro.spec import AsapSpec
 
 from research_spec import research_spec
 
@@ -99,7 +100,7 @@ def test_backfill_then_stream_is_bit_identical(case):
     assert result.points == ref_prefix_points
     suffix = stream_suffix(op.push_many, ts, vs, split, batch)
     assert_frames_identical(suffix, ref_suffix)
-    if op.spec.pyramid and op.panes_completed:
+    if op.panes_completed:
         ours = op.pyramid_view(16)
         theirs = ref.pyramid_view(16)
         assert ours.values.tobytes() == theirs.values.tobytes()
@@ -110,7 +111,7 @@ def test_backfill_then_stream_is_bit_identical(case):
 @settings(max_examples=15, deadline=None)
 def test_hub_backfill_survives_checkpoint_mid_suffix(case):
     ts, vs, split, config, batch = case
-    cfg = StreamConfig(**config)
+    cfg = AsapSpec(**config)
 
     ref = StreamHub(default_config=cfg)
     rid = ref.create_stream()
@@ -150,7 +151,7 @@ def test_hub_backfill_survives_checkpoint_mid_suffix(case):
 @settings(max_examples=10, deadline=None)
 def test_sharded_backfill_matches_single_hub(case):
     ts, vs, split, config, batch = case
-    cfg = StreamConfig(**config)
+    cfg = AsapSpec(**config)
 
     ref = StreamHub(default_config=cfg)
     rid = ref.create_stream()

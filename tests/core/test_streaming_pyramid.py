@@ -28,24 +28,19 @@ def drive(operator: StreamingASAP, ts, values, chunk: int = 257):
 class TestAttachment:
     def test_pyramid_true_builds_matching_capacity(self):
         # Views cover the operator's window: `resolution` panes once full.
-        operator = StreamingASAP(research_spec(pane_size=4, resolution=200, pyramid=True))
+        operator = StreamingASAP(research_spec(pane_size=4, resolution=200))
         ts, values = make_stream(4 * 500)
         drive(operator, ts, values)
         view = operator.pyramid_view(200)
         assert view.ratio == 1 and view.base_length == 200
         assert (view.base_start, view.base_end) == (300, 500)
 
-    def test_no_pyramid_view_raises_with_guidance(self):
-        operator = StreamingASAP(research_spec(pane_size=2, resolution=100))
-        with pytest.raises(ValueError, match="pyramid=True"):
-            operator.pyramid_view(50)
-
 
 class TestFeed:
     def test_pyramid_mirrors_window_after_sync(self):
         ts, values = make_stream(12_000)
         operator = StreamingASAP(
-            research_spec(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
+            research_spec(pane_size=5, resolution=400, refresh_interval=20)
         )
         drive(operator, ts, values)
         # A ratio-1 view is the window itself, timestamps included.
@@ -57,7 +52,7 @@ class TestFeed:
     def test_view_matches_direct_bucketing_of_window(self):
         ts, values = make_stream(12_000)
         operator = StreamingASAP(
-            research_spec(pane_size=5, resolution=400, refresh_interval=20, pyramid=True)
+            research_spec(pane_size=5, resolution=400, refresh_interval=20)
         )
         drive(operator, ts, values)
         for resolution in (40, 55, 100, 199):
@@ -70,7 +65,7 @@ class TestFeed:
     def test_view_timestamps_are_pane_starts(self):
         ts, values = make_stream(4000)
         operator = StreamingASAP(
-            research_spec(pane_size=4, resolution=500, refresh_interval=25, pyramid=True)
+            research_spec(pane_size=4, resolution=500, refresh_interval=25)
         )
         drive(operator, ts, values)
         view = operator.pyramid_view(ViewSpec(100))
@@ -79,25 +74,25 @@ class TestFeed:
         assert np.all(np.diff(view.timestamps) == expected_step)
 
     def test_frames_identical_with_and_without_pyramid(self):
+        # Views are computed on demand: polling them between chunks changes
+        # no frame of the operator that serves them.
         ts, values = make_stream(9000, seed=3)
-        with_pyramid = StreamingASAP(
-            research_spec(
-                pane_size=3, resolution=300, refresh_interval=30, incremental=True, pyramid=True
-            )
-        )
-        without = StreamingASAP(
-            research_spec(pane_size=3, resolution=300, refresh_interval=30, incremental=True)
-        )
-        frames_a = drive(with_pyramid, ts, values)
-        frames_b = drive(without, ts, values)
-        assert len(frames_a) == len(frames_b)
+        spec = research_spec(pane_size=3, resolution=300, refresh_interval=30, incremental=True)
+        polled, plain = StreamingASAP(spec), StreamingASAP(spec)
+        frames_a, frames_b = [], []
+        for start in range(0, values.size, 257):
+            chunk = slice(start, start + 257)
+            frames_a.extend(polled.push_many(ts[chunk], values[chunk]))
+            frames_b.extend(plain.push_many(ts[chunk], values[chunk]))
+            if polled.pane_count:
+                polled.pyramid_view(ViewSpec(max(polled.pane_count // 3, 1), True))
+        assert len(frames_a) == len(frames_b) > 0
         for a, b in zip(frames_a, frames_b):
-            assert a.window == b.window
-            assert np.array_equal(a.series.values, b.series.values)
+            assert a == b
 
     def test_reset_clears_pyramid(self):
         ts, values = make_stream(2000)
-        operator = StreamingASAP(research_spec(pane_size=2, resolution=200, pyramid=True))
+        operator = StreamingASAP(research_spec(pane_size=2, resolution=200))
         drive(operator, ts, values)
         operator.reset()
         with pytest.raises(PyramidError, match="empty"):
@@ -107,7 +102,7 @@ class TestFeed:
 
     def test_panes_completed_is_monotone_version(self):
         ts, values = make_stream(1000)
-        operator = StreamingASAP(research_spec(pane_size=4, resolution=50, pyramid=True))
+        operator = StreamingASAP(research_spec(pane_size=4, resolution=50))
         seen = []
         for start in range(0, 1000, 100):
             operator.push_many(ts[start : start + 100], values[start : start + 100])

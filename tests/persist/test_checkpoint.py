@@ -15,7 +15,8 @@ from repro.errors import SpecError
 from repro.persist import SCHEMA_VERSION, CheckpointError, checkpoint, restore
 from repro.persist import codec
 from repro.pyramid import Pyramid
-from repro.service import HubError, StreamConfig, StreamHub, UnknownStreamError
+from repro.service import HubError, StreamHub, UnknownStreamError
+from repro.spec import AsapSpec
 from repro.stream.panes import PaneBuffer
 
 from research_spec import research_spec
@@ -257,20 +258,21 @@ def test_codec_names_npz_checkpoints_from_older_schemas():
         message = str(excinfo.value)
         assert "NPZ checkpoint" in message
         assert "schema version <= 6" in message
-        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 10
+        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 11
 
 
 # -- component state round trips ----------------------------------------------
 
 
-@pytest.mark.parametrize("keep_sketches", [True, False])
-def test_pane_buffer_state_round_trip(keep_sketches):
-    buffer = PaneBuffer(pane_size=4, capacity=16, journal=True, keep_sketches=keep_sketches)
+@pytest.mark.parametrize("track_quality", [True, False])
+def test_pane_buffer_state_round_trip(track_quality):
+    buffer = PaneBuffer(pane_size=4, capacity=16, journal=True, track_quality=track_quality)
     values = make_wave(103)
     ts = np.arange(103, dtype=np.float64)
-    buffer.extend(ts[:50], values[:50])
+    synthetic = np.arange(103) % 5 == 0
+    buffer.extend(ts[:50], values[:50], synthetic[:50])
     buffer.drain_completed()  # leave a partially drained journal behind
-    buffer.extend(ts[50:103], values[50:103])  # open pane: 103 % 4 = 3 points
+    buffer.extend(ts[50:103], values[50:103], synthetic[50:103])  # open pane: 3 points
 
     clone = PaneBuffer.from_state(buffer.state_dict())
     assert np.array_equal(clone.aggregated_values(), buffer.aggregated_values())
@@ -278,9 +280,9 @@ def test_pane_buffer_state_round_trip(keep_sketches):
     assert clone.total_points == buffer.total_points
     assert clone.evicted_panes == buffer.evicted_panes
     assert clone.open_pane_points == buffer.open_pane_points == 3
-    if keep_sketches:
-        a, b = buffer.window_sketch(), clone.window_sketch()
-        assert (a.count, a.mean, a.m2, a.m3, a.m4) == (b.count, b.mean, b.m2, b.m3, b.m4)
+    assert clone.state_dict()["open"] == buffer.state_dict()["open"]
+    assert clone.window_synthetic_points == buffer.window_synthetic_points
+    assert (buffer.window_synthetic_points > 0) == track_quality
 
     # Identical behavior from here on: same completions and journal entries.
     more = make_wave(37, seed=5)
@@ -327,8 +329,8 @@ def test_pyramid_state_round_trip():
 
 
 @pytest.mark.parametrize("incremental", [False, True])
-@pytest.mark.parametrize("pyramid", [False, True])
-def test_streaming_operator_resumes_bit_identically(incremental, pyramid):
+@pytest.mark.parametrize("through_codec", [False, True])
+def test_streaming_operator_resumes_bit_identically(incremental, through_codec):
     values = make_wave(3000, seed=11)
     ts = np.arange(3000, dtype=np.float64)
 
@@ -339,7 +341,6 @@ def test_streaming_operator_resumes_bit_identically(incremental, pyramid):
                 resolution=256,
                 refresh_interval=7,
                 incremental=incremental,
-                pyramid=pyramid,
             )
         )
 
@@ -349,7 +350,10 @@ def test_streaming_operator_resumes_bit_identically(incremental, pyramid):
     interrupted = build()
     split = 1357  # mid-pane, mid-refresh-interval
     frames = list(interrupted.push_many(ts[:split], values[:split]))
-    clone = StreamingASAP.from_state(interrupted.state_dict())
+    state = interrupted.state_dict()
+    if through_codec:
+        state = codec.loads(codec.dumps("operator", state))[1]
+    clone = StreamingASAP.from_state(state)
     assert clone.points_ingested == interrupted.points_ingested
     frames += list(clone.push_many(ts[split:], values[split:]))
 
@@ -365,7 +369,7 @@ def test_streaming_operator_resumes_bit_identically(incremental, pyramid):
 
 
 def hub_with_stream(**config_overrides):
-    hub = StreamHub(default_config=StreamConfig(pane_size=2, resolution=64, refresh_interval=5))
+    hub = StreamHub(default_config=AsapSpec(pane_size=2, resolution=64, refresh_interval=5))
     sid = hub.create_stream("s", **config_overrides)
     values = make_wave(600)
     hub.ingest(sid, np.arange(600, dtype=np.float64), values)
@@ -432,7 +436,7 @@ def exported_session():
 
 def assert_restore_refuses(session_state, error, match):
     """Both restore paths, import_session and StreamHub.from_state, refuse."""
-    target = StreamHub(max_panes_per_session=100, default_config=StreamConfig(resolution=64))
+    target = StreamHub(max_panes_per_session=100, default_config=AsapSpec(resolution=64))
     with pytest.raises(error, match=match):
         target.import_session(session_state)
     hub_state = target.state_dict()
@@ -443,7 +447,7 @@ def assert_restore_refuses(session_state, error, match):
 
 def test_restore_holds_the_operator_to_the_pane_budget():
     session = exported_session()
-    big = StreamConfig(pane_size=2, resolution=5000, refresh_interval=5).build_operator()
+    big = AsapSpec(pane_size=2, resolution=5000, refresh_interval=5).build_operator()
     big.push_many(np.arange(600, dtype=np.float64), make_wave(600))
     session["operator"] = big.state_dict()
     assert_restore_refuses(session, HubError, "max_panes_per_session")
@@ -503,7 +507,7 @@ def test_checkpoint_restore_round_trip_bytes_and_path(tmp_path):
 def test_restored_hub_emits_bit_identical_frames():
     values = make_wave(2000, seed=4)
     ts = np.arange(2000, dtype=np.float64)
-    config = StreamConfig(pane_size=4, resolution=128, refresh_interval=6)
+    config = AsapSpec(pane_size=4, resolution=128, refresh_interval=6)
 
     def drive(hub, lo, hi):
         collected = []

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core.streaming import StreamingASAP
 from repro.persist import checkpoint, restore
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
+from repro.spec import AsapSpec
 
 from research_spec import research_spec
 
@@ -123,7 +124,7 @@ def test_beyond_watermark_counted_and_dropped(stream, displace):
 def test_ledger_survives_checkpoint_round_trip(stream, split):
     ts, vs, order, watermark, _ = stream
     hub = StreamHub(
-        default_config=StreamConfig(
+        default_config=AsapSpec(
             pane_size=2,
             resolution=60,
             refresh_interval=5,

@@ -18,7 +18,8 @@ import pytest
 from repro.cluster import ShardedHub
 from repro.core.streaming import FrameQuality, StreamingASAP
 from repro.persist import checkpoint, restore
-from repro.service import StreamConfig, StreamHub
+from repro.service import StreamHub
+from repro.spec import AsapSpec
 
 from research_spec import research_spec
 
@@ -82,7 +83,7 @@ class TestDenseNoOp:
         ts, vs = dense_arrivals()
         frames = {}
         for on in (False, True):
-            config = StreamConfig(**BASE, **(QUALITY if on else {}))
+            config = AsapSpec(**BASE, **(QUALITY if on else {}))
             hub = StreamHub(default_config=config)
             sid = hub.create_stream()
             frames[on] = []
@@ -105,7 +106,7 @@ class TestDenseNoOp:
         ts, vs = dense_arrivals()
         views = {}
         for on in (False, True):
-            config = StreamConfig(**BASE, **(dict(normalize=True, cadence=1.0) if on else {}))
+            config = AsapSpec(**BASE, **(dict(normalize=True, cadence=1.0) if on else {}))
             hub = StreamHub(default_config=config)
             sid = hub.create_stream()
             hub.ingest(sid, ts, vs)
@@ -117,7 +118,7 @@ class TestDenseNoOp:
         ts, vs = dense_arrivals()
         frames = {}
         for on in (False, True):
-            config = StreamConfig(**BASE, **(QUALITY if on else {}))
+            config = AsapSpec(**BASE, **(QUALITY if on else {}))
             hub = ShardedHub(shards=3, default_config=config)
             for i in range(4):
                 hub.create_stream(f"s{i}")
@@ -162,7 +163,7 @@ class TestMessyLedger:
 
     def test_hub_snapshot_aggregates(self):
         ts, vs = self.messy_arrivals()
-        hub = StreamHub(default_config=StreamConfig(**BASE, **QUALITY))
+        hub = StreamHub(default_config=AsapSpec(**BASE, **QUALITY))
         sid = hub.create_stream()
         hub.ingest(sid, ts, vs)
         snapshot = hub.snapshot(sid)
@@ -189,7 +190,7 @@ class TestMessyLedger:
 
     def test_counters_survive_checkpoint_round_trip(self):
         ts, vs = self.messy_arrivals()
-        hub = StreamHub(default_config=StreamConfig(**BASE, **QUALITY))
+        hub = StreamHub(default_config=AsapSpec(**BASE, **QUALITY))
         sid = hub.create_stream()
         half = ts.size // 2
         before = list(hub.ingest(sid, ts[:half], vs[:half]))
@@ -206,7 +207,7 @@ class TestMessyLedger:
         order = np.arange(ts.size)
         for start in range(0, ts.size, 16):
             order[start : start + 16] = start + rng.permutation(min(16, ts.size - start))
-        hub = ShardedHub(shards=2, default_config=StreamConfig(**BASE, **QUALITY))
+        hub = ShardedHub(shards=2, default_config=AsapSpec(**BASE, **QUALITY))
         hub.create_stream("s0")
         hub.ingest("s0", ts[order][:2000], vs[order][:2000])
         assert hub.stats.late_accepted > 0

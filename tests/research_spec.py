@@ -2,14 +2,14 @@
 
 ``StreamingASAP`` takes only an :class:`~repro.spec.AsapSpec`, whose defaults
 are the serving defaults.  Most operator-level tests pin the paper's research
-configuration instead: from-scratch window statistics, per-pane sketches
-kept, no pyramid.  :func:`research_spec` spells those three fields once;
-any field a test passes overrides them.
+configuration instead: window statistics recomputed from scratch on every
+refresh.  :func:`research_spec` spells that field once; any field a test
+passes overrides it.
 """
 
 from repro.spec import AsapSpec
 
-RESEARCH_FIELDS = {"incremental": False, "keep_pane_sketches": True, "pyramid": False}
+RESEARCH_FIELDS = {"incremental": False}
 
 
 def research_spec(**fields) -> AsapSpec:

@@ -38,9 +38,10 @@ from hypothesis import strategies as st
 from repro.cluster import ShardedHub
 from repro.core.streaming import StreamingASAP
 from repro.persist import CheckpointError, checkpoint, restore
-from repro.service import HubStats, StreamConfig, StreamHub, UnknownStreamError
+from repro.service import HubStats, StreamHub, UnknownStreamError
+from repro.spec import AsapSpec
 
-MESSY = StreamConfig(
+MESSY = AsapSpec(
     pane_size=2,
     resolution=40,
     refresh_interval=4,
@@ -409,7 +410,7 @@ def messy_archive():
 
 def test_points_ingested_counts_arrivals_on_every_path():
     ts, vs = messy_archive()
-    spec = StreamConfig(pane_size=2, resolution=100, normalize=True, watermark=5)
+    spec = AsapSpec(pane_size=2, resolution=100, normalize=True, watermark=5)
     via = {}
     for path in ("ingest", "backfill"):
         hub = StreamHub(default_config=spec)

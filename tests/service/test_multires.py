@@ -7,14 +7,15 @@ import pytest
 
 from repro import smooth
 from repro.core.preaggregation import bucket_means
-from repro.service import HubError, ResolutionSnapshot, StreamConfig, StreamHub
+from repro.service import HubError, ResolutionSnapshot, StreamHub
+from repro.spec import AsapSpec, SpecError
 from repro.timeseries import TimeSeries
 
 
 def make_hub(n: int = 24_000, seed: int = 5, **config):
     defaults = dict(pane_size=6, resolution=1024, refresh_interval=32)
     defaults.update(config)
-    hub = StreamHub(default_config=StreamConfig(**defaults))
+    hub = StreamHub(default_config=AsapSpec(**defaults))
     sid = hub.create_stream("metric")
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64)
@@ -126,12 +127,14 @@ class TestResolutionSnapshot:
 
 class TestErrors:
     def test_pyramid_disabled_names_remediation(self):
-        hub, sid = make_hub(pyramid=False)
-        with pytest.raises(HubError, match="pyramid=True"):
-            hub.snapshot(sid, resolution=100)
+        # Every session serves views; the retired switch is an unknown field
+        # whose error lists the fields a spec does take.
+        hub, _sid = make_hub(n=100)
+        with pytest.raises(SpecError, match=r"unknown spec field\(s\): pyramid; known fields"):
+            hub.create_stream(pyramid=False)
 
     def test_insufficient_data(self):
-        hub = StreamHub(default_config=StreamConfig(pane_size=1, resolution=100))
+        hub = StreamHub(default_config=AsapSpec(pane_size=1, resolution=100))
         sid = hub.create_stream()
         hub.ingest(sid, np.arange(5.0), np.ones(5))
         with pytest.raises(HubError, match="ingest more data"):
@@ -161,7 +164,7 @@ class TestPaneBudgetValidation:
         with pytest.raises(HubError, match="max_panes_per_session"):
             StreamHub(
                 max_panes_per_session=100,
-                default_config=StreamConfig(resolution=200),
+                default_config=AsapSpec(resolution=200),
             )
 
     def test_builtin_default_config_not_preemptively_validated(self):

@@ -12,10 +12,10 @@ from repro.core.streaming import StreamingASAP
 from repro.service import (
     HubAtCapacityError,
     HubError,
-    StreamConfig,
     StreamHub,
     UnknownStreamError,
 )
+from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
 from research_spec import research_spec
@@ -31,7 +31,7 @@ def make_streams(n_streams: int, length: int, seed: int = 11) -> list[np.ndarray
     return streams
 
 
-def drive_baseline(config: StreamConfig, values: np.ndarray) -> list:
+def drive_baseline(config: AsapSpec, values: np.ndarray) -> list:
     operator = StreamingASAP(
         research_spec(
             pane_size=config.pane_size,
@@ -74,7 +74,7 @@ def assert_frames_equivalent(fresh, hub_frames):
 
 class TestLifecycle:
     def test_create_ingest_close(self):
-        hub = StreamHub(default_config=StreamConfig(resolution=100))
+        hub = StreamHub(default_config=AsapSpec(resolution=100))
         sid = hub.create_stream()
         assert sid in hub and len(hub) == 1
         frames = hub.ingest(sid, np.arange(30.0), np.sin(np.arange(30.0)))
@@ -96,7 +96,7 @@ class TestLifecycle:
         assert auto != "cpu.load"
 
     def test_config_overrides(self):
-        hub = StreamHub(default_config=StreamConfig(pane_size=1, resolution=200))
+        hub = StreamHub(default_config=AsapSpec(pane_size=1, resolution=200))
         sid = hub.create_stream(pane_size=4, refresh_interval=5)
         snapshot = hub.snapshot(sid)
         assert snapshot.config.pane_size == 4
@@ -104,7 +104,7 @@ class TestLifecycle:
         assert snapshot.config.resolution == 200
 
     def test_snapshot_reflects_progress(self):
-        hub = StreamHub(default_config=StreamConfig(resolution=50, refresh_interval=10))
+        hub = StreamHub(default_config=AsapSpec(resolution=50, refresh_interval=10))
         sid = hub.create_stream()
         hub.ingest(sid, np.arange(25.0), np.sin(np.arange(25.0)))
         snapshot = hub.snapshot(sid)
@@ -128,7 +128,7 @@ class TestParityWithLoopedStreaming:
     def test_hub_frames_match_looped_operators(self):
         # The headline contract: a hub serving N streams emits, per stream,
         # exactly the frames an independent per-point StreamingASAP would.
-        config = StreamConfig(pane_size=2, resolution=150, refresh_interval=15)
+        config = AsapSpec(pane_size=2, resolution=150, refresh_interval=15)
         streams = make_streams(8, 900)
         hub = StreamHub(default_config=config)
         ids = [hub.create_stream() for _ in streams]
@@ -139,7 +139,7 @@ class TestParityWithLoopedStreaming:
     def test_parity_with_unaligned_chunks(self):
         # Chunks that cross refresh boundaries mid-batch refresh inline and
         # must still land on identical buffer states.
-        config = StreamConfig(pane_size=1, resolution=120, refresh_interval=11)
+        config = AsapSpec(pane_size=1, resolution=120, refresh_interval=11)
         streams = make_streams(4, 700, seed=23)
         hub = StreamHub(default_config=config)
         ids = [hub.create_stream() for _ in streams]
@@ -148,7 +148,7 @@ class TestParityWithLoopedStreaming:
             assert_frames_equivalent(drive_baseline(config, values), hub_frames[sid])
 
     def test_grid_strategy_coalescing_is_exact(self):
-        config = StreamConfig(pane_size=1, resolution=90, refresh_interval=30, strategy="grid2")
+        config = AsapSpec(pane_size=1, resolution=90, refresh_interval=30, strategy="grid2")
         streams = make_streams(6, 600, seed=37)
         hub = StreamHub(default_config=config)
         ids = [hub.create_stream() for _ in streams]
@@ -162,7 +162,7 @@ class TestParityWithLoopedStreaming:
 
 class TestBackpressureAndEviction:
     def test_lru_eviction_at_capacity(self):
-        hub = StreamHub(max_sessions=3, default_config=StreamConfig(resolution=50))
+        hub = StreamHub(max_sessions=3, default_config=AsapSpec(resolution=50))
         first, second, third = (hub.create_stream() for _ in range(3))
         hub.tick()  # advance the clock so activity ordering is visible
         hub.ingest(first, [0.0], [1.0])  # first is now the most recent
@@ -189,7 +189,7 @@ class TestBackpressureAndEviction:
     def test_idle_eviction_on_tick(self):
         hub = StreamHub(
             idle_ticks_before_eviction=2,
-            default_config=StreamConfig(resolution=50),
+            default_config=AsapSpec(resolution=50),
         )
         active = hub.create_stream()
         idle = hub.create_stream()
@@ -201,7 +201,7 @@ class TestBackpressureAndEviction:
         assert hub.stats.sessions_evicted == 1
 
     def test_stats_accounting(self):
-        hub = StreamHub(default_config=StreamConfig(resolution=60, refresh_interval=10))
+        hub = StreamHub(default_config=AsapSpec(resolution=60, refresh_interval=10))
         sid = hub.create_stream()
         hub.ingest(sid, np.arange(40.0), np.sin(np.arange(40.0)))
         hub.tick()
@@ -216,7 +216,7 @@ class TestBackpressureAndEviction:
 
 class TestThreadSafety:
     def test_concurrent_ingest_across_streams(self):
-        hub = StreamHub(default_config=StreamConfig(resolution=100, refresh_interval=10))
+        hub = StreamHub(default_config=AsapSpec(resolution=100, refresh_interval=10))
         streams = make_streams(8, 400, seed=91)
         ids = [hub.create_stream() for _ in streams]
         ts = np.arange(400, dtype=np.float64)
@@ -242,7 +242,7 @@ class TestThreadSafety:
         # A close() that lands between ingest's registry lookup and its
         # session-lock acquisition must make the ingest fail, not silently
         # feed an orphaned operator.
-        hub = StreamHub(default_config=StreamConfig(resolution=50))
+        hub = StreamHub(default_config=AsapSpec(resolution=50))
         sid = hub.create_stream()
         stale = hub._sessions[sid]
         hub.close(sid)
@@ -281,10 +281,10 @@ class TestThreadSafety:
         # be ignored, not trusted.
         from repro.core.smoothing import EvaluationCache
 
-        config = StreamConfig(pane_size=1, resolution=60, refresh_interval=20, strategy="grid2")
+        config = AsapSpec(pane_size=1, resolution=60, refresh_interval=20, strategy="grid2")
         ts = np.arange(60.0)
         vs = np.sin(ts / 3.0) + 0.1 * np.cos(ts)
-        reference = StreamConfig(**{**config.__dict__, "incremental": False}).build_operator()
+        reference = AsapSpec(**{**config.__dict__, "incremental": False}).build_operator()
         expected = reference.push_many(ts[:40], vs[:40])
 
         operator = config.build_operator()

@@ -9,7 +9,6 @@ import pytest
 import repro
 from repro import AsapSpec, SpecError
 from repro.core.streaming import StreamingASAP
-from repro.service import StreamConfig
 from repro.spec import DEFAULT_RESOLUTION, resolve_spec
 
 from research_spec import research_spec
@@ -37,12 +36,12 @@ class TestValidation:
             ("recompute_every", 0),
             ("use_preaggregation", 1),
             ("incremental", "yes"),
-            ("pyramid", None),
+            ("pyramid", None),  # retired in schema 11: now an unknown field
         ],
     )
     def test_bad_field_named_in_error(self, field, value):
         with pytest.raises(SpecError, match=field):
-            AsapSpec(**{field: value})
+            AsapSpec.from_dict({field: value})
 
     def test_spec_error_is_value_error(self):
         # Back-compat: `except ValueError` call sites keep working.
@@ -144,10 +143,21 @@ class TestBuilders:
         for name in STRATEGIES:
             assert AsapSpec(strategy=name).strategy == name
 
-    def test_stream_config_is_the_spec(self):
-        # The service tier's config *is* the unified spec: one class, one
-        # set of defaults, no hand-copied constructor to drift.
-        assert StreamConfig is AsapSpec
+    @pytest.mark.parametrize("retired", ["keep_pane_sketches", "pyramid"])
+    def test_retired_fields_are_rejected(self, retired):
+        # Specs written before schema 11 may name the retired serving
+        # switches; every reader rejects them by name instead of ignoring them.
+        data = {**AsapSpec().to_dict(), retired: True}
+        for attempt in (
+            lambda: AsapSpec.from_dict(data),
+            lambda: AsapSpec.from_json(json.dumps(data)),
+            lambda: AsapSpec().merge(**{retired: True}),
+        ):
+            with pytest.raises(SpecError, match=f"unknown spec field\\(s\\): {retired}"):
+                attempt()
+        assert len(dataclasses.fields(AsapSpec)) == 19
+        assert not hasattr(repro, "StreamConfig")
+        assert not hasattr(repro.service, "StreamConfig")
 
     def test_build_operator_matches_legacy_constructor(self):
         spec = AsapSpec(pane_size=2, resolution=120, refresh_interval=6, max_window=30)
@@ -163,8 +173,6 @@ class TestBuilders:
                 incremental=True,
                 recompute_every=64,
                 verify_incremental=False,
-                keep_pane_sketches=False,
-                pyramid=True,
             )
         )
         rng = np.random.default_rng(7)

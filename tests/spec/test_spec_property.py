@@ -32,8 +32,6 @@ _FIELD_STRATEGIES = {
     "incremental": st.booleans(),
     "recompute_every": st.integers(min_value=1, max_value=10_000),
     "verify_incremental": st.booleans(),
-    "keep_pane_sketches": st.booleans(),
-    "pyramid": st.booleans(),
     "warm_start": st.booleans(),
     "normalize": st.booleans(),
     "cadence": st.none()

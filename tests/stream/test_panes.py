@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.stream.panes import PaneBuffer
-from repro.timeseries.stats import kurtosis
 
 
 class TestPaneCompletion:
@@ -62,27 +61,10 @@ class TestEviction:
         assert buffer.evicted_panes == 0
 
 
-class TestWindowSketch:
-    def test_sketch_merges_panes(self, rng):
-        values = rng.normal(size=60)
-        buffer = PaneBuffer(pane_size=5, capacity=100)
-        buffer.extend(range(60), values)
-        sketch = buffer.window_sketch()
-        assert sketch.count == 60
-        assert sketch.mean == pytest.approx(values.mean())
-        assert sketch.kurtosis == pytest.approx(kurtosis(values), rel=1e-7)
-
-    def test_sketch_excludes_open_pane(self, rng):
-        values = rng.normal(size=7)
-        buffer = PaneBuffer(pane_size=5, capacity=100)
-        buffer.extend(range(7), values)
-        assert buffer.window_sketch().count == 5
-
-
 class TestVectorizedExtend:
     def test_extend_bit_identical_to_pushes(self, rng):
         # The batch path must be indistinguishable from per-point pushes:
-        # same means, timestamps, eviction counts, and pane sketch state.
+        # same means, timestamps, eviction counts, and open-pane state.
         for trial in range(25):
             pane_size = int(rng.integers(1, 7))
             capacity = int(rng.integers(1, 9))
@@ -107,8 +89,7 @@ class TestVectorizedExtend:
             )
             assert pointwise.evicted_panes == batched.evicted_panes
             assert pointwise.open_pane_points == batched.open_pane_points
-            a, b = pointwise.window_sketch(), batched.window_sketch()
-            assert (a.count, a.mean, a.m2, a.m3, a.m4) == (b.count, b.mean, b.m2, b.m3, b.m4)
+            assert pointwise.state_dict()["open"] == batched.state_dict()["open"]
 
     def test_giant_backfill_matches_pushes_and_stays_bounded(self):
         # A backfill much larger than the window must leave exactly the state
@@ -134,8 +115,7 @@ class TestVectorizedExtend:
             assert np.array_equal(
                 pointwise.drain_completed_means(), batched.drain_completed_means()
             )
-            a, b = pointwise.window_sketch(), batched.window_sketch()
-            assert (a.count, a.mean, a.m2, a.m3, a.m4) == (b.count, b.mean, b.m2, b.m3, b.m4)
+            assert pointwise.state_dict()["open"] == batched.state_dict()["open"]
             # Rolling storage stayed O(capacity), not O(batch).
             assert batched._means._buf.size <= 2 * (capacity + 1)
 

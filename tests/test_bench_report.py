@@ -76,3 +76,25 @@ def test_committed_net_ceiling(tmp_path, overhead, verdict):
     assert "max_ratio" in committed
     entry = {"min_speedup": 0.0, "max_ratio": committed["max_ratio"]}
     assert check(tmp_path, {"wire_overhead": overhead}, entry) == verdict
+
+
+def test_table_shows_absolute_throughput_beside_ratios(tmp_path):
+    reports = {
+        "streamhub": {
+            "speedup": 1.67,
+            "hub_frames_per_second": 3213.4,
+            "loop_frames_per_second": 1924.2,
+        },
+        "messy": {"speedup": 1.1, "gaps_filled": 12, "dense_off_points_per_second": 300123.0},
+    }
+    paths = []
+    for name, fields in reports.items():
+        payload = {"benchmark": name, "params": {"smoke": False}, "identity": {"ok": True}}
+        path = tmp_path / f"BENCH_{name}.json"
+        path.write_text(json.dumps({**payload, **fields}))
+        paths.append(str(path))
+    table = bench_report.render_table(bench_report.collect_reports(paths))
+    rows = {line.split(" | ")[0].strip("| "): line for line in table.splitlines()}
+    assert "1.67x" in rows["streamhub"]
+    assert "hub 3,213 frames/s, loop 1,924 frames/s" in rows["streamhub"]
+    assert "12 gap points filled; dense off 300,123 points/s" in rows["messy"]
