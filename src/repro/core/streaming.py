@@ -226,6 +226,25 @@ def _probe_workspace(rows: int, n: int) -> np.ndarray:
     return buffer[:size].reshape(2, rows, n)
 
 
+def _moment_sums(scratch: np.ndarray, diff_count: int) -> list[float]:
+    """``[sum y, sum y^2, sum y^3, sum y^4, sum d, sum d^2]`` in one reduction.
+
+    *scratch* is a zeroed C-contiguous ``(6, r)`` array holding the values
+    ``y`` in row 0 and the first *diff_count* differences ``d`` in row 4; the
+    powers are written into rows 1-3 and 5 (the products are elementwise, so
+    exact).  Reducing a contiguous row with ``sum(axis=1)`` is the same
+    pairwise sum as that row's 1-D ``.sum()``, so each total is bit-identical
+    to summing the separate arrays — in one numpy call instead of six.  A
+    difference row one shorter than the values (a window's own differences)
+    reduces separately, as padding it would change the pairwise tree.
+    """
+    np.multiply(scratch[0::4], scratch[0::4], out=scratch[1::4])
+    np.multiply(scratch[1], scratch[0:2], out=scratch[2:4])
+    if diff_count == scratch.shape[1]:
+        return scratch.sum(axis=1).tolist()
+    return scratch[:4].sum(axis=1).tolist() + scratch[4:, :diff_count].sum(axis=1).tolist()
+
+
 class RollingWindowState:
     """Incrementally maintained statistics of a sliding window of aggregates.
 
@@ -243,6 +262,12 @@ class RollingWindowState:
     small so the add/subtract updates stay well conditioned.  :meth:`rebuild`
     recomputes everything from the retained window (re-centering the anchor),
     which is the periodic drift bound of the streaming operator.
+
+    Batch updates (:meth:`extend`, evictions, :meth:`rebuild`) write a
+    block's values and differences into one scratch array and take all six
+    power and difference sums with a single stacked reduction
+    (:func:`_moment_sums`); a batch's added terms enter every sum before
+    its evicted terms leave it.
     """
 
     __slots__ = (
@@ -351,7 +376,9 @@ class RollingWindowState:
             return
         if self._anchor is None:
             self._anchor = float(block[0])
-        fresh = block - self._anchor
+        scratch = np.zeros((6, r), dtype=np.float64)
+        fresh = scratch[0]
+        np.subtract(block, self._anchor, out=fresh)
         n0 = len(self._ring)
         self._ring.append_many(fresh)
         n1 = n0 + r
@@ -367,18 +394,18 @@ class RollingWindowState:
         gains = np.correlate(padded, fresh, mode="valid")
         self._s[: k_max + 1] += gains[::-1]
 
-        squared = fresh * fresh
-        sum2 = float(squared.sum())
-        sum4 = float((squared * squared).sum())
-        self._t += float(fresh.sum())
+        start = max(n0 - 1, 0)
+        diffs = scratch[4, : n1 - 1 - start]
+        np.subtract(view[start + 1 : n1], view[start : n1 - 1], out=diffs)
+        diffs -= self._danchor
+        sum1, sum2, sum3, sum4, diff_sum, diff_sq = _moment_sums(scratch, diffs.size)
+        self._t += sum1
         self._q += sum2
-        self._c3 += float((squared * fresh).sum())
+        self._c3 += sum3
         self._c4 += sum4
         self._flow2 += sum2
         self._flow4 += sum4
-        diffs = np.diff(view[max(n0 - 1, 0) : n1]) - self._danchor
-        diff_sq = float((diffs * diffs).sum())
-        self._dsum += float(diffs.sum())
+        self._dsum += diff_sum
         self._dsq += diff_sq
         self._flowd2 += diff_sq
         self.appended += r
@@ -399,14 +426,17 @@ class RollingWindowState:
         padded[:span] = view[:span]
         losses = np.correlate(padded, evicted, mode="valid")
         self._s[: k_max + 1] -= losses
-        squared = evicted * evicted
-        self._t -= float(evicted.sum())
-        self._q -= float(squared.sum())
-        self._c3 -= float((squared * evicted).sum())
-        self._c4 -= float((squared * squared).sum())
-        diffs = np.diff(view[: count + 1]) - self._danchor
-        self._dsum -= float(diffs.sum())
-        self._dsq -= float((diffs * diffs).sum())
+        scratch = np.zeros((6, count), dtype=np.float64)
+        scratch[0] = evicted
+        np.subtract(view[1 : count + 1], evicted, out=scratch[4])
+        scratch[4] -= self._danchor
+        sum1, sum2, sum3, sum4, diff_sum, diff_sq = _moment_sums(scratch, count)
+        self._t -= sum1
+        self._q -= sum2
+        self._c3 -= sum3
+        self._c4 -= sum4
+        self._dsum -= diff_sum
+        self._dsq -= diff_sq
         self._ring.popleft(count)
 
     def _evict(self) -> None:
@@ -472,28 +502,27 @@ class RollingWindowState:
             self.clear()
             return
         self.rebuilds += 1
-        window = self._ring.view().copy()
-        shift = float(window.mean())
-        window -= shift
+        scratch = np.zeros((6, n), dtype=np.float64)
+        window = scratch[0]
+        view = self._ring.view()
+        shift = float(view.mean())
+        np.subtract(view, shift, out=window)
         self._anchor = (self._anchor or 0.0) + shift
         self._ring.clear()
         self._ring.append_many(window)
         k_max = min(self.lag_budget, n - 1)
         self._s[:] = 0.0
         self._s[: k_max + 1] = cross_product_sums(window, k_max)
-        squared = window * window
-        self._t = float(window.sum())
-        self._q = float(squared.sum())
-        self._c3 = float((squared * window).sum())
-        self._c4 = float((squared * squared).sum())
-        diffs = np.diff(window)
+        diffs = scratch[4, : n - 1]
+        np.subtract(window[1:], window[:-1], out=diffs)
         # Diffs get their own anchor (their mean): ramps have a diff mean far
         # above the diff spread, and the one-pass variance formula is only
         # conditioned about a shift near that mean.
         self._danchor = float(diffs.mean()) if diffs.size else 0.0
-        shifted = diffs - self._danchor
-        self._dsum = float(shifted.sum())
-        self._dsq = float((shifted * shifted).sum())
+        diffs -= self._danchor
+        self._t, self._q, self._c3, self._c4, self._dsum, self._dsq = _moment_sums(
+            scratch, diffs.size
+        )
         # Flows reset to the freshly computed sums: the flow/current ratio is
         # back to 1 until new magnitude passes through.
         self._flow2 = self._q

@@ -1,7 +1,8 @@
 """Degenerate streams get the same answers on every streaming tier.
 
 Three inputs at the edge of what a search can do, pinned at the operator,
-``connect("hub")`` and ``tcp://`` tiers by one parametrized test:
+``connect("hub")``, ``connect("sharded", shards=2)`` and ``tcp://`` tiers by
+one parametrized test:
 
 * a constant stream has zero variance: every frame picks window 1 and is
   finite (no division by the zero variance);
@@ -25,7 +26,7 @@ from repro.service import StreamHub
 from repro.spec import AsapSpec
 
 SPEC = AsapSpec(pane_size=10, resolution=200, refresh_interval=10)
-TIERS = ["operator", "hub", "tcp"]
+TIERS = ["operator", "hub", "sharded", "tcp"]
 
 
 class OperatorTier:
@@ -50,9 +51,9 @@ class OperatorTier:
 
 
 class ClientTier:
-    def __init__(self, backend: str, server=None) -> None:
+    def __init__(self, backend: str, server=None, **options) -> None:
         self.server = server
-        self.client = connect(backend, SPEC)
+        self.client = connect(backend, SPEC, **options)
 
     def ingest(self, sid, ts, vs):
         if sid not in self.client:
@@ -79,6 +80,8 @@ def open_tier(tier: str):
         return OperatorTier()
     if tier == "hub":
         return ClientTier("hub")
+    if tier == "sharded":
+        return ClientTier("sharded", shards=2)
     server = serve(StreamHub(default_config=SPEC))
     host, port = server.address
     return ClientTier(f"tcp://{host}:{port}", server)

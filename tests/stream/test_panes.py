@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stream.panes import PaneBuffer
+from repro.stream.panes import _SCALAR_MEANS_MAX_PANES, PaneBuffer
 
 
 class TestPaneCompletion:
@@ -62,34 +62,45 @@ class TestEviction:
 
 
 class TestVectorizedExtend:
-    def test_extend_bit_identical_to_pushes(self, rng):
+    def test_extend_bit_identical_to_pushes(self):
         # The batch path must be indistinguishable from per-point pushes:
-        # same means, timestamps, eviction counts, and open-pane state.
-        for trial in range(25):
-            pane_size = int(rng.integers(1, 7))
-            capacity = int(rng.integers(1, 9))
-            n = int(rng.integers(0, 80))
-            ts = np.cumsum(rng.random(n))
-            vs = rng.normal(size=n) * 10.0 ** float(rng.integers(-2, 3))
-            pointwise = PaneBuffer(pane_size, capacity)
-            batched = PaneBuffer(pane_size, capacity)
-            completed_pointwise = sum(
-                pointwise.push(float(t), float(v)) is not None for t, v in zip(ts, vs)
-            )
-            completed_batched = 0
-            i = 0
-            while i < n:
-                step = int(rng.integers(1, 16))
-                completed_batched += batched.extend(ts[i : i + step], vs[i : i + step])
-                i += step
-            assert completed_pointwise == completed_batched
-            assert np.array_equal(pointwise.aggregated_values(), batched.aggregated_values())
-            assert np.array_equal(
-                pointwise.aggregated_timestamps(), batched.aggregated_timestamps()
-            )
-            assert pointwise.evicted_panes == batched.evicted_panes
-            assert pointwise.open_pane_points == batched.open_pane_points
-            assert pointwise.state_dict()["open"] == batched.state_dict()["open"]
+        # same means, timestamps, journal, eviction counts, and open-pane
+        # state — for whole-pane blocks on both sides of the crossover where
+        # the pane means switch from the scalar to the numpy recurrence, and
+        # for capacities the blocks fit in and overflow.
+        rng = np.random.default_rng(2417)
+        edge = _SCALAR_MEANS_MAX_PANES
+        for pane_size in (1, 3, 10, 137):
+            for capacity in (1, 3, 4 * edge):
+                for panes in (1, edge - 1, edge, edge + 1, 3 * edge):
+                    # A partial pane opens first, so the block is folded after
+                    # the open pane is finished point by point; a partial
+                    # trailing pane stays open; random chunks follow.
+                    lead = int(rng.integers(0, pane_size))
+                    steps = [lead, panes * pane_size + int(rng.integers(0, pane_size))]
+                    steps += rng.integers(1, 2 * edge * pane_size, size=3).tolist()
+                    n = sum(steps)
+                    ts = np.cumsum(rng.random(n))
+                    vs = rng.normal(size=n) * 10.0 ** float(rng.integers(-2, 3))
+                    pointwise = PaneBuffer(pane_size, capacity, journal=True)
+                    batched = PaneBuffer(pane_size, capacity, journal=True)
+                    completed_pointwise = sum(
+                        pointwise.push(float(t), float(v)) is not None for t, v in zip(ts, vs)
+                    )
+                    completed_batched = 0
+                    i = 0
+                    for step in steps:
+                        completed_batched += batched.extend(ts[i : i + step], vs[i : i + step])
+                        i += step
+                    assert completed_pointwise == completed_batched
+                    expected = pointwise.state_dict()
+                    actual = batched.state_dict()
+                    assert expected.keys() == actual.keys()
+                    for key, value in expected.items():
+                        if isinstance(value, np.ndarray):
+                            assert value.tobytes() == actual[key].tobytes(), key
+                        else:
+                            assert value == actual[key], key
 
     def test_giant_backfill_matches_pushes_and_stays_bounded(self):
         # A backfill much larger than the window must leave exactly the state
