@@ -4,8 +4,9 @@ Three execution modes are timed per strategy over one synthetic dashboard of
 series:
 
 * ``naive``  — the pre-vectorization behaviour: loop ``smooth()`` per series
-  with the scalar candidate evaluator (one Python iteration and several
-  array passes per candidate window);
+  with every candidate measured by the scalar oracle
+  :func:`~repro.core.smoothing.evaluate_window` (one Python iteration and
+  several array passes per candidate window; see :class:`ScalarEvaluationCache`);
 * ``loop``   — loop today's ``smooth()`` per series (vectorized candidate
   kernel, no batching);
 * ``engine`` — ``smooth_many()``: batched preaggregation, batched moment
@@ -39,12 +40,48 @@ import time
 import numpy as np
 
 from repro import smooth, smooth_many
+from repro.core.preaggregation import prepare_search_input
+from repro.core.smoothing import EvaluationCache, evaluate_window
 from repro.engine import BatchEngine
 
 #: Strategies whose candidates form a fixed grid — the engine's headline
 #: speedup target (the batched kernels evaluate the whole grid in one call).
 GRID_STRATEGIES = ("exhaustive", "grid2", "grid10")
 ADAPTIVE_STRATEGIES = ("binary", "asap")
+
+
+class ScalarEvaluationCache(EvaluationCache):
+    """The naive lane's evaluator: every candidate through the scalar oracle.
+
+    Each window the search asks for and has not yet measured is evaluated by
+    :func:`~repro.core.smoothing.evaluate_window` (full moments, no kurtosis
+    screening) and installed before the base class answers the request, so
+    memoization and accounting stay the base class's.
+    """
+
+    __slots__ = ()
+
+    def _measure(self, windows) -> None:
+        self.seed(
+            [evaluate_window(self.values, w) for w in windows if w not in self._evaluations]
+        )
+
+    def _evaluate(self, window, floor):
+        self._measure((window,))
+        return super()._evaluate(window, floor)
+
+    def evaluate_many(self, windows):
+        windows = [int(w) for w in windows]
+        self._measure(windows)
+        return super().evaluate_many(windows)
+
+
+def naive_smooth(values: np.ndarray, resolution: int, strategy: str):
+    """``smooth()`` over the series' searched values with a scalar cache."""
+    searched = prepare_search_input(values, resolution).values
+    return smooth(
+        values, resolution=resolution, strategy=strategy, cache=ScalarEvaluationCache(searched)
+    )
 
 
 def make_dashboard(n_series: int, length: int, seed: int) -> list[np.ndarray]:
@@ -176,15 +213,7 @@ def run(args: argparse.Namespace) -> int:
     for strategy in strategies:
         timings = best_of_interleaved(
             {
-                "naive": lambda: [
-                    smooth(
-                        s,
-                        resolution=args.resolution,
-                        strategy=strategy,
-                        kernel="scalar",
-                    )
-                    for s in series
-                ],
+                "naive": lambda: [naive_smooth(s, args.resolution, strategy) for s in series],
                 "loop": lambda: [
                     smooth(s, resolution=args.resolution, strategy=strategy)
                     for s in series

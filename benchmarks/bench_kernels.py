@@ -16,9 +16,7 @@ arrivals:
 Before timing, the two operators' frames are verified **bit-identical**
 refresh by refresh — same selected window, same smoothed bytes — and the
 process exits non-zero on any violation.  A second identity gate checks the
-stacked probe kernel against the single-window kernel bit for bit.  When
-numba is importable, a third gate checks that searches over the compiled
-backend select the same windows as the numpy grid backend.
+stacked probe kernel against the single-window kernel bit for bit.
 
 Timing uses CPU time (``time.process_time``): refresh work is pure compute
 and wall clock on shared runners is too noisy to ratchet.  Smoke runs never
@@ -42,7 +40,6 @@ import numpy as np
 
 from repro.core.streaming import StreamingASAP
 from repro.spec import AsapSpec
-from repro.spectral import accel
 from repro.spectral.convolution import (
     sma_grid_moments,
     sma_probe_moments,
@@ -155,29 +152,6 @@ def verify_probe_kernel(values, seed) -> dict:
     return {"probe_windows_checked": checked}
 
 
-def verify_numba_selection(values) -> dict:
-    """Searches over the compiled backend must pick the numpy backend's window."""
-    from repro.core.search import run_strategy
-    from repro.core.smoothing import EvaluationCache
-
-    sample = values[: min(values.size, 1500)]
-    for strategy in ("asap", "binary", "grid10"):
-        numba_pick = run_strategy(
-            strategy, sample, None, cache=EvaluationCache(sample, kernel="numba")
-        ).window
-        grid_pick = run_strategy(
-            strategy, sample, None, cache=EvaluationCache(sample, kernel="grid")
-        ).window
-        if numba_pick != grid_pick:
-            print(
-                f"FAIL: numba backend picked window {numba_pick} but grid picked "
-                f"{grid_pick} under {strategy!r}",
-                file=sys.stderr,
-            )
-            sys.exit(1)
-    return {"numba_strategies_checked": 3}
-
-
 def time_float32_lane(values, repeats) -> dict:
     """Informational: grid kernel moment pass with float32 vs float64 storage."""
     sample = values[: min(values.size, 4000)]
@@ -213,12 +187,6 @@ def run(args: argparse.Namespace) -> int:
         f"  {identity['frames_checked']} frames bit-identical; "
         f"{identity['probe_windows_checked']} probe windows match singles bitwise"
     )
-    if accel.HAVE_NUMBA:
-        identity.update(verify_numba_selection(values))
-        print("  numba backend selects identical windows (asap/binary/grid10)")
-    else:
-        identity["numba"] = "unavailable (skipped)"
-        print("  numba unavailable; compiled-backend selection check skipped")
 
     cold_best = float("inf")
     warm_best = float("inf")
@@ -275,7 +243,6 @@ def run(args: argparse.Namespace) -> int:
             "warm_prefetches": warm_op.warm_prefetches,
             "warm_fallbacks": warm_op.warm_fallbacks,
             "fallback_rate": fallback_rate,
-            "numba_available": accel.HAVE_NUMBA,
             **float32,
             "speedup": speedup,
         }

@@ -113,7 +113,7 @@ def _prepare(
             )
         return cache.values, ratio, cache
     staged = prepare_search_input(values, spec.resolution, spec.use_preaggregation)
-    return staged.values, staged.ratio, EvaluationCache(staged.values, kernel=spec.kernel)
+    return staged.values, staged.ratio, EvaluationCache(staged.values)
 
 
 def find_window(
@@ -125,7 +125,6 @@ def find_window(
     *,
     cache: EvaluationCache | None = None,
     acf: ACFAnalysis | None = None,
-    kernel: str | None = None,
     spec: AsapSpec | None = None,
 ) -> tuple[SearchResult, int]:
     """Search for the best window without producing the smoothed series.
@@ -140,7 +139,6 @@ def find_window(
         max_window=max_window,
         strategy=strategy,
         use_preaggregation=use_preaggregation,
-        kernel=kernel,
     )
     values, _ = _input_series(data, spec)
     values, ratio, cache = _prepare(values, spec, cache)
@@ -157,7 +155,6 @@ def smooth(
     *,
     cache: EvaluationCache | None = None,
     acf: ACFAnalysis | None = None,
-    kernel: str | None = None,
     spec: AsapSpec | None = None,
 ) -> SmoothingResult:
     """Automatically smooth a time series for visualization.
@@ -186,9 +183,6 @@ def smooth(
         Optional precomputed ACF analysis of the search input (consumed by
         the ASAP strategy only); the batch engine's LRU cache passes it to
         amortize the FFT across refreshes.
-    kernel:
-        Candidate-evaluation kernel: ``"grid"`` (vectorized, default) or
-        ``"scalar"`` (the reference loop, kept for benchmarking).
     spec:
         An :class:`~repro.spec.AsapSpec` carrying the configuration whole.
         Explicit kwargs override the spec field-by-field
@@ -212,7 +206,6 @@ def smooth(
         max_window=max_window,
         strategy=strategy,
         use_preaggregation=use_preaggregation,
-        kernel=kernel,
     )
     values, series = _input_series(data, spec)
     searched_values, ratio, cache = _prepare(values, spec, cache)
@@ -260,9 +253,9 @@ class ASAP:
 
     A thin, attribute-compatible wrapper around an
     :class:`~repro.spec.AsapSpec`: every knob the functions take, the
-    operator takes (including ``kernel``), and per-call search state
-    (``cache``/``acf``) forwards through — the operator and the functions
-    accept exactly the same inputs and produce bit-identical results.
+    operator takes, and per-call search state (``cache``/``acf``) forwards
+    through — the operator and the functions accept exactly the same inputs
+    and produce bit-identical results.
 
     >>> operator = ASAP(resolution=1200)
     >>> result = operator.smooth([1.0, 2.0, 1.0, 2.0] * 50)
@@ -276,7 +269,6 @@ class ASAP:
         max_window: int | None = None,
         strategy: str | None = None,
         use_preaggregation: bool | None = None,
-        kernel: str | None = None,
         spec: AsapSpec | None = None,
     ) -> None:
         self.spec = resolve_spec(
@@ -285,15 +277,14 @@ class ASAP:
             max_window=max_window,
             strategy=strategy,
             use_preaggregation=use_preaggregation,
-            kernel=kernel,
         )
 
     @classmethod
     def from_spec(cls, spec: AsapSpec) -> "ASAP":
         return cls(spec=spec)
 
-    # The knob attributes (resolution/max_window/strategy/use_preaggregation/
-    # kernel) are installed by @spec_backed: reads come from self.spec, and
+    # The knob attributes (resolution/max_window/strategy/use_preaggregation)
+    # are installed by @spec_backed: reads come from self.spec, and
     # assignment — historically a plain attribute write — re-merges the spec,
     # so `operator.resolution = 0` now raises SpecError instead of lingering.
 
@@ -309,6 +300,5 @@ class ASAP:
         return (
             f"ASAP(resolution={self.resolution}, strategy={self.strategy!r}, "
             f"max_window={self.max_window}, "
-            f"use_preaggregation={self.use_preaggregation}, "
-            f"kernel={self.kernel!r})"
+            f"use_preaggregation={self.use_preaggregation})"
         )

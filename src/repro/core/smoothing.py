@@ -7,12 +7,13 @@ search (every candidate window's roughness/kurtosis must be exact) and a
 display-resolution slide when emitting final plots.
 
 Candidate evaluation — "smooth at window *w*, measure roughness and
-kurtosis" — is the inner loop of every search strategy, so it has two
-implementations sharing one result type:
+kurtosis" — is the inner loop of every search strategy.  It has one
+evaluation path and one oracle sharing one result type:
 
 * :func:`evaluate_window` — the scalar reference: one ``sma`` call plus the
-  scalar moment kernels.  Kept as the correctness oracle (and the benchmark
-  baseline for the pre-vectorization behaviour).
+  scalar moment kernels.  Kept as the correctness oracle the tests (and the
+  batch benchmark's pre-vectorization baseline) compare against; no search
+  runs through it.
 * :func:`evaluate_window_grid` — the vectorized kernel
   (:func:`repro.spectral.convolution.sma_grid_moments`): a whole grid of
   candidates in one array-ops pass, with results for any window independent
@@ -32,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SpecError
-from ..spectral import accel
 from ..spectral.convolution import (
     _validate_window,
     sma,
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate_window_grid",
     "EvaluationCache",
     "WindowEvaluation",
-    "resolve_kernel",
 ]
 
 
@@ -123,36 +121,15 @@ def _answers(evaluation: WindowEvaluation | None, floor: float | None) -> bool:
     return floor is not None and not evaluation.kurtosis >= floor
 
 
-def resolve_kernel(kernel: str | None) -> tuple[str, str]:
-    """The ``(kernel, backend)`` pair an :class:`EvaluationCache` runs with.
-
-    ``None`` resolves through :func:`repro.spec.default_kernel`.  The
-    backend is the kernel that actually evaluates: ``"numba"`` degrades
-    gracefully to the numpy ``"grid"`` kernels when the optional dependency
-    is missing.  Content-keyed caches of search state key on the backend,
-    because the backends round differently.
-    """
-    if kernel is None:
-        from ..spec import default_kernel
-
-        kernel = default_kernel()
-    if kernel not in ("grid", "scalar", "numba"):
-        raise SpecError(f"kernel must be 'grid', 'scalar', or 'numba', got {kernel!r}")
-    return kernel, "grid" if kernel == "numba" and not accel.HAVE_NUMBA else kernel
-
-
 class EvaluationCache:
     """Memoized candidate evaluations for one (searched) series.
 
     Every search strategy routes its candidate evaluations through one of
     these, which provides:
 
-    * one numeric path for all strategies (``kernel="grid"``: the vectorized
-      numpy kernel; ``kernel="scalar"``: the reference loop, kept for
-      benchmarking the pre-vectorization behaviour; ``kernel="numba"``: the
-      compiled backend of :mod:`repro.spectral.accel`, silently degrading to
-      ``"grid"`` when numba is not installed — :attr:`backend` reports the
-      effective choice);
+    * one numeric path for all strategies: the numpy kernels of
+      :mod:`repro.spectral.convolution` (the lean single-window kernel for
+      one candidate, the grid kernel for several, bit-identical per window);
     * memoization, so re-examined candidates (seeded streaming searches, the
       ASAP gap binary search crossing an already-evaluated peak) cost
       nothing — note ``candidates_evaluated`` accounting is unaffected: it
@@ -170,17 +147,10 @@ class EvaluationCache:
       :meth:`lookup` — which the streaming operator's warm-started search
       prefetches on the next refresh (:meth:`touched_windows`; pre-fills via
       :meth:`seed` do not count).
-
-    ``kernel=None`` resolves through :func:`repro.spec.default_kernel`, so
-    the ``ASAP_KERNEL`` environment variable selects the backend for every
-    default-constructed cache (the search strategies' internal caches
-    included).
     """
 
     __slots__ = (
         "values",
-        "kernel",
-        "backend",
         "_evaluations",
         "_original",
         "_touched",
@@ -188,12 +158,11 @@ class EvaluationCache:
         "misses",
     )
 
-    def __init__(self, values, kernel: str | None = None) -> None:
+    def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
         self.values = arr
-        self.kernel, self.backend = resolve_kernel(kernel)
         self._evaluations: dict[int, WindowEvaluation] = {}
         self._original: tuple[float, float] | None = None
         self._touched: set[int] = set()
@@ -252,8 +221,7 @@ class EvaluationCache:
         Kurtosis is always measured; roughness only when the kurtosis meets
         *floor* (default: :attr:`original_kurtosis`, the paper's constraint),
         and ``nan`` otherwise.  Hits, misses and the touched-window trace
-        count exactly as in :meth:`evaluate`.  The ``scalar`` and ``numba``
-        backends always measure both moments.
+        count exactly as in :meth:`evaluate`.
         """
         return self._evaluate(
             window, self.original_kurtosis if floor is None else floor
@@ -275,18 +243,12 @@ class EvaluationCache:
             self.hits += 1
             return cached
         self.misses += 1
-        if self.backend == "scalar":
-            evaluation = evaluate_window(self.values, window)
-        elif self.backend == "numba":
-            rough, kurt = accel.sma_window_moments_numba(self.values, window)
-            evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
-        else:
-            # Single-candidate probes take the lean kernel, which produces
-            # bit-identical values to the grid kernel at a fraction of the
-            # dispatch cost (binary search and streaming revalidation are
-            # long runs of single-window misses).
-            rough, kurt = sma_window_moments(self.values, window, floor=floor)
-            evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
+        # Single-candidate probes take the lean kernel, which produces
+        # bit-identical values to the grid kernel at a fraction of the
+        # dispatch cost (binary search and streaming revalidation are long
+        # runs of single-window misses).
+        rough, kurt = sma_window_moments(self.values, window, floor=floor)
+        evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
         self._evaluations[window] = evaluation
         return evaluation
 
@@ -299,15 +261,7 @@ class EvaluationCache:
         )
         if missing:
             self.misses += len(missing)
-            if self.backend == "scalar":
-                fresh = [evaluate_window(self.values, w) for w in missing]
-            elif self.backend == "numba":
-                rough, kurt = accel.sma_grid_moments_numba(self.values, missing)
-                fresh = [
-                    WindowEvaluation(window=w, roughness=float(r), kurtosis=float(k))
-                    for w, r, k in zip(missing, rough, kurt)
-                ]
-            elif len(missing) == 1:
+            if len(missing) == 1:
                 rough, kurt = sma_window_moments(self.values, missing[0])
                 fresh = [WindowEvaluation(window=missing[0], roughness=rough, kurtosis=kurt)]
             else:
@@ -330,8 +284,8 @@ class EvaluationCache:
 
     def __repr__(self) -> str:
         return (
-            f"EvaluationCache(n={self.values.size}, kernel={self.kernel!r}, "
-            f"cached={len(self)}, hits={self.hits}, misses={self.misses})"
+            f"EvaluationCache(n={self.values.size}, cached={len(self)}, "
+            f"hits={self.hits}, misses={self.misses})"
         )
 
 

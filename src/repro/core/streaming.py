@@ -50,7 +50,6 @@ from ..pyramid.rollup import resolve_view
 from ..pyramid.view import PyramidView, ViewSpec
 from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
 from ..spec import AsapSpec, require_spec
-from ..spectral import accel
 from ..spectral.convolution import cross_product_sums, sma_probe_moments
 from ..stream.operators import StreamOperator
 from ..stream.panes import PaneBuffer, RollingArray
@@ -1536,7 +1535,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if self._rolling is not None and not use_incremental:
             self._counters["exact_fallbacks"] += 1
         if cache is None:
-            cache = EvaluationCache(values, kernel=spec.kernel)
+            cache = EvaluationCache(values)
             if use_incremental:
                 self._refreshes_since_rebuild += 1
                 if self._refreshes_since_rebuild >= spec.recompute_every:
@@ -1560,14 +1559,10 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         # prefetched values come from a kernel bit-identical to the cold
         # path's single-window probes, so the search makes identical
         # decisions and frames are bit-identical — only dispatch count
-        # changes.  Scalar backend is excluded (different rounding path);
-        # grid strategies are excluded (they already batch their grid).
+        # changes.  Grid strategies are excluded (they already batch their
+        # grid).
         warm_prefetched = False
-        warm_eligible = (
-            spec.warm_start
-            and spec.strategy in ADAPTIVE_STRATEGIES
-            and cache.backend in ("grid", "numba")
-        )
+        warm_eligible = spec.warm_start and spec.strategy in ADAPTIVE_STRATEGIES
         if materialize and warm_eligible and self._warm_trace is not None:
             probes = plan_warm_probes(
                 self._warm_trace,
@@ -1575,15 +1570,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 resolve_max_window(values, spec.max_window),
             )
             if len(probes) >= 2:
-                if cache.backend == "numba":
-                    rough, kurt = accel.sma_grid_moments_numba(values, probes)
-                else:
-                    rough, kurt = sma_probe_moments(
-                        values,
-                        probes,
-                        _probe_workspace(len(probes), values.size),
-                        floor=cache.original_kurtosis,
-                    )
+                rough, kurt = sma_probe_moments(
+                    values,
+                    probes,
+                    _probe_workspace(len(probes), values.size),
+                    floor=cache.original_kurtosis,
+                )
                 cache.seed(
                     WindowEvaluation(window=w, roughness=float(r), kurtosis=float(k))
                     for w, r, k in zip(probes, rough, kurt)

@@ -26,10 +26,9 @@ produce, row for row, exactly the values the per-series pipeline computes, and
 the search-state cache only ever returns analyses and evaluations the
 per-series search would have computed itself, keyed by everything that
 search depends on (searched content and length, resolved ``max_window``,
-strategy, kernel backend).  The engine therefore never
-trades accuracy for speed — ``tests/engine`` asserts exact equality, and
-every pre-filled evaluation cache is revalidated against the values the
-pipeline derives on its own.
+strategy).  The engine therefore never trades accuracy for speed —
+``tests/engine`` asserts exact equality, and every pre-filled evaluation
+cache is revalidated against the values the pipeline derives on its own.
 """
 
 from .batch_engine import (

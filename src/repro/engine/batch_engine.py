@@ -218,7 +218,6 @@ def prefill_grid_caches(
     searched2d: np.ndarray,
     strategy: str,
     max_window: int | None = None,
-    kernel: str = "grid",
 ) -> list[EvaluationCache]:
     """One pre-filled :class:`EvaluationCache` per row of a rectangular batch.
 
@@ -251,7 +250,7 @@ def prefill_grid_caches(
 
     caches: list[EvaluationCache] = []
     for index in range(rows.shape[0]):
-        cache = EvaluationCache(rows[index], kernel=kernel)
+        cache = EvaluationCache(rows[index])
         cache.seed_original(original_roughness[index], original_kurtosis[index])
         cache.seed(
             WindowEvaluation(
@@ -273,9 +272,9 @@ def search_in_lockstep(
     *states* are ``(EvaluationCache, ACFAnalysis | None)`` search states of
     an adaptive strategy (``asap``/``binary``), as
     :meth:`~repro.engine.cache.ACFCache.search_state` returns them.  The
-    states whose cache is still empty and evaluates on the numpy ``grid``
-    backend are deduplicated (one cache entry may serve several batch
-    members) and grouped by searched length.  Per group of two or more:
+    states whose cache is still empty are deduplicated (one cache entry may
+    serve several batch members) and grouped by searched length.  Per group
+    of two or more:
 
     * the original moments of every member come from two row-wise
       reductions, bit for bit the single-series ones;
@@ -289,11 +288,11 @@ def search_in_lockstep(
     Each evaluation is seeded into its member's cache, so a later
     :func:`~repro.core.batch.smooth` over the state replays the search on
     cache hits and returns exactly what a cold search returns.  States
-    already searched, singletons and other backends are left to that replay.
+    already searched and singletons are left to that replay.
     """
     unseen: dict[int, tuple[EvaluationCache, ACFAnalysis | None]] = {}
     for cache, acf in states:
-        if cache.backend == "grid" and len(cache) == 0:
+        if len(cache) == 0:
             unseen.setdefault(id(cache), (cache, acf))
     groups: dict[int, list[tuple[EvaluationCache, ACFAnalysis | None]]] = {}
     for cache, acf in unseen.values():
@@ -341,7 +340,7 @@ class BatchEngine:
 
     Parameters
     ----------
-    resolution, max_window, strategy, use_preaggregation, kernel, spec:
+    resolution, max_window, strategy, use_preaggregation, spec:
         Per-series pipeline configuration, exactly as
         :func:`repro.core.batch.smooth` takes it — kwargs build an
         :class:`~repro.spec.AsapSpec` (or override one passed via ``spec=``),
@@ -359,11 +358,9 @@ class BatchEngine:
         work).
     acf_cache_size:
         Capacity of the search-state LRU shared across this engine's calls:
-        one entry per (searched content, resolved ``max_window``, strategy,
-        kernel backend), holding that series' ACF analysis and candidate
-        evaluations, so memory is bounded by entries × searched length.
-    kernel:
-        Candidate-evaluation kernel, ``"grid"`` or ``"scalar"`` (reference).
+        one entry per (searched content, resolved ``max_window``, strategy),
+        holding that series' ACF analysis and candidate evaluations, so
+        memory is bounded by entries × searched length.
     """
 
     def __init__(
@@ -375,7 +372,6 @@ class BatchEngine:
         workers: int | None = None,
         executor: str = "thread",
         acf_cache_size: int = 256,
-        kernel: str | None = None,
         spec: AsapSpec | None = None,
     ) -> None:
         self.spec = resolve_spec(
@@ -384,7 +380,6 @@ class BatchEngine:
             max_window=max_window,
             strategy=strategy,
             use_preaggregation=use_preaggregation,
-            kernel=kernel,
         )
         if executor not in ("thread", "process"):
             raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
@@ -441,7 +436,7 @@ class BatchEngine:
         return (
             f"BatchEngine(resolution={self.resolution}, strategy={self.strategy!r}, "
             f"max_window={self.max_window}, workers={self.workers}, "
-            f"executor={self.executor!r}, kernel={self.kernel!r})"
+            f"executor={self.executor!r})"
         )
 
     # -- internals --------------------------------------------------------------
@@ -468,7 +463,6 @@ class BatchEngine:
         """
         if (
             self.strategy not in GRID_STRATEGY_STEPS
-            or self.kernel != "grid"
             or self.spec.normalize
             or self._effective_workers() > 1
             or not items
@@ -508,12 +502,10 @@ class BatchEngine:
         for indices in cohorts.values():
             if len(indices) < 2:
                 index = indices[0]
-                caches[index] = EvaluationCache(searched_rows[index], kernel=self.kernel)
+                caches[index] = EvaluationCache(searched_rows[index])
                 continue
             stacked = np.vstack([searched_rows[i] for i in indices])
-            cohort_caches = prefill_grid_caches(
-                stacked, self.strategy, max_window=self.max_window, kernel=self.kernel
-            )
+            cohort_caches = prefill_grid_caches(stacked, self.strategy, max_window=self.max_window)
             for index, cache in zip(indices, cohort_caches):
                 caches[index] = cache
             shared_cohorts += 1
@@ -587,11 +579,8 @@ class BatchEngine:
                 requests.append(self._search_request(item))
             except Exception as exc:
                 requests.append(exc)
-        found = iter(
-            self.acf_cache.search_states(
-                [r for r in requests if isinstance(r, tuple)], self.strategy, self.kernel
-            )
-        )
+        searched = [r for r in requests if isinstance(r, tuple)]
+        found = iter(self.acf_cache.search_states(searched, self.strategy))
         prepared: list = []
         for request in requests:
             if isinstance(request, tuple):
@@ -616,7 +605,7 @@ class BatchEngine:
             request = self._search_request(item)
             if request is None:
                 return smooth(item, **kwargs)
-            cache, acf = self.acf_cache.search_state(*request, self.strategy, self.kernel)
+            cache, acf = self.acf_cache.search_state(*request, self.strategy)
             return smooth(item, cache=cache, acf=acf, **kwargs)
         except ValueError as exc:
             raise _labeled(label, index, exc) from exc
@@ -654,7 +643,6 @@ def smooth_many(
     use_preaggregation: bool | None = None,
     workers: int | None = None,
     executor: str = "thread",
-    kernel: str | None = None,
     spec: AsapSpec | None = None,
 ) -> BatchResult:
     """Smooth a whole batch of series in one call.
@@ -684,7 +672,6 @@ def smooth_many(
         use_preaggregation=use_preaggregation,
         workers=workers,
         executor=executor,
-        kernel=kernel,
         spec=spec,
     )
     return engine.smooth_many(batch)

@@ -3,8 +3,8 @@
 Dashboards re-smooth largely unchanged series on every refresh, and ASAP's
 on-demand rule is to do work only when something the user sees can change.
 A series' search depends on nothing but its searched (preaggregated)
-content, the resolved window ceiling, the strategy and the kernel backend,
-so :class:`ACFCache` memoizes the whole search state under exactly that key:
+content, the resolved window ceiling and the strategy, so :class:`ACFCache`
+memoizes the whole search state under exactly that key:
 
 * the ACF analysis (two FFTs plus peak detection; ASAP strategy only), and
 * the series' :class:`~repro.core.smoothing.EvaluationCache` — its original
@@ -45,7 +45,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..core.acf import ACFAnalysis, analyze_acf
-from ..core.smoothing import EvaluationCache, resolve_kernel
+from ..core.smoothing import EvaluationCache
 
 __all__ = ["ACFCache"]
 
@@ -61,9 +61,9 @@ class ACFCache:
 
     An entry is ``(EvaluationCache, ACFAnalysis | None)`` — the analysis only
     for the ASAP strategy, the only one that consumes it.  The key is the
-    content fingerprint, the length, the resolved ``max_window``, the
-    strategy and the kernel backend, so changing any of them between calls
-    misses instead of reusing a state another configuration built.
+    content fingerprint, the length, the resolved ``max_window`` and the
+    strategy, so changing any of them between calls misses instead of
+    reusing a state another configuration built.
 
     ``hits``/``misses`` count the lookups that resolve an ACF analysis, as
     they always have: with the ASAP strategy every series is exactly one of
@@ -85,7 +85,7 @@ class ACFCache:
         self.misses = 0
 
     def search_state(
-        self, values, max_window: int, strategy: str, kernel: str | None = None
+        self, values, max_window: int, strategy: str
     ) -> tuple[EvaluationCache, ACFAnalysis | None]:
         """The search state of *values*, built at most once per key.
 
@@ -96,10 +96,10 @@ class ACFCache:
         the caller's array later cannot corrupt it.  The one-series case of
         :meth:`search_states`.
         """
-        return self.search_states([(values, max_window)], strategy, kernel)[0]
+        return self.search_states([(values, max_window)], strategy)[0]
 
     def search_states(
-        self, requests, strategy: str, kernel: str | None = None
+        self, requests, strategy: str
     ) -> list[tuple[EvaluationCache, ACFAnalysis | None]]:
         """The search state of every ``(values, max_window)`` request, in order.
 
@@ -110,12 +110,11 @@ class ACFCache:
         max_window)`` group (one FFT pair per chunk of rows) instead of one
         FFT pair per series.
         """
-        kernel, backend = resolve_kernel(kernel)
         with_acf = strategy == "asap"
         keyed = []
         for values, max_window in requests:
             arr = np.ascontiguousarray(values, dtype=np.float64)
-            keyed.append(((_fingerprint(arr), arr.size, int(max_window), strategy, backend), arr))
+            keyed.append(((_fingerprint(arr), arr.size, int(max_window), strategy), arr))
         with self._lock:
             known = {key: self._entries.get(key) for key, _ in keyed}
         analyses: dict[tuple, ACFAnalysis | None] = {}
@@ -138,7 +137,7 @@ class ACFCache:
                     self._entries.move_to_end(key)
                     self.hits += with_acf
                 else:
-                    state = (EvaluationCache(arr.copy(), kernel=kernel), analyses.get(key))
+                    state = (EvaluationCache(arr.copy()), analyses.get(key))
                     self.misses += with_acf
                     self._entries[key] = state
                     while len(self._entries) > self.maxsize:

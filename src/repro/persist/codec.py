@@ -125,7 +125,10 @@ __all__ = [
 #: ``start_time``/``count``/``mean``), and a spec drops its two serving
 #: switches for pane sketches and views (19 fields).  A hub's state gains
 #: ``stashed_frames``: the frames of a tick that raised, returned by the next.
-SCHEMA_VERSION = 11
+#: Version 12: a spec drops ``kernel`` (18 fields); candidates are always
+#: evaluated by the numpy grid kernels, and a version-11 spec naming the
+#: field is rejected as unknown.
+SCHEMA_VERSION = 12
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

@@ -35,34 +35,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, fields
 
 from .errors import SpecError
 from .persist.codec import SCHEMA_VERSION
 from .quality.normalize import GAP_POLICIES
 
-__all__ = ["AsapSpec", "DEFAULT_RESOLUTION", "SpecError", "SCHEMA_VERSION", "default_kernel"]
+__all__ = ["AsapSpec", "DEFAULT_RESOLUTION", "SpecError", "SCHEMA_VERSION"]
 
 #: The paper's user-study rendering width; a sensible dashboard default.
 DEFAULT_RESOLUTION = 800
-
-#: Valid candidate-evaluation kernels (see :class:`repro.core.smoothing.EvaluationCache`).
-#: ``"numba"`` requires the optional numba dependency and falls back to
-#: ``"grid"`` when it is missing.
-_KERNELS = ("grid", "scalar", "numba")
-
-
-def default_kernel() -> str:
-    """The default candidate-evaluation kernel, overridable via ``ASAP_KERNEL``.
-
-    Read at spec/cache construction time, so ``ASAP_KERNEL=numba pytest ...``
-    reruns every default-configured code path through the compiled backend
-    (CI's numba leg does exactly this).  Values are validated wherever they
-    are consumed; an unknown name raises :class:`SpecError` naming the field.
-    """
-    return os.environ.get("ASAP_KERNEL", "").strip() or "grid"
-
 
 def _strategy_names() -> tuple[str, ...]:
     """The registered strategy names — the one registry, read lazily.
@@ -110,12 +92,6 @@ class AsapSpec:
     use_preaggregation:
         Disable to search the raw series (batch pipeline only; the streaming
         tier aggregates through ``pane_size`` instead).
-    kernel:
-        Candidate-evaluation kernel: ``"grid"`` (vectorized numpy, the
-        default), ``"scalar"`` (the reference loop, kept for benchmarking),
-        or ``"numba"`` (compiled; falls back to ``"grid"`` when numba is not
-        installed).  The default honours the ``ASAP_KERNEL`` environment
-        variable at construction time.
 
     Streaming knobs (read by ``StreamingASAP``):
 
@@ -189,16 +165,17 @@ class AsapSpec:
     experiments do.  Its panes are the serving panes (count and mean; the
     search reads one value per pane).
 
-    Fields retired in schema 11 (the pane-sketch and view switches; see the
-    README) are unknown fields: a mapping or JSON document that still names
-    one is rejected by :meth:`from_dict` with a :class:`SpecError` naming it.
+    Fields retired in schema 11 (the pane-sketch and view switches) and in
+    schema 12 (``kernel``: candidates are always evaluated by the numpy grid
+    kernels; see the README) are unknown fields: a mapping or JSON document
+    that still names one is rejected by :meth:`from_dict` with a
+    :class:`SpecError` naming it.
     """
 
     resolution: int = DEFAULT_RESOLUTION
     max_window: int | None = None
     strategy: str = "asap"
     use_preaggregation: bool = True
-    kernel: str = dataclasses.field(default_factory=default_kernel)
     pane_size: int = 1
     refresh_interval: int = 10
     seed_from_previous: bool = True
@@ -219,7 +196,7 @@ class AsapSpec:
     SCHEMA_VERSION = SCHEMA_VERSION
 
     #: Which tier reads which knobs (the spec itself stays flat).
-    OPERATOR_FIELDS = ("resolution", "max_window", "strategy", "use_preaggregation", "kernel")
+    OPERATOR_FIELDS = ("resolution", "max_window", "strategy", "use_preaggregation")
     STREAMING_FIELDS = (
         "pane_size",
         "refresh_interval",
@@ -248,8 +225,6 @@ class AsapSpec:
             raise SpecError(
                 f"strategy must be one of {', '.join(strategies)}; got {self.strategy!r}"
             )
-        if self.kernel not in _KERNELS:
-            raise SpecError(f"kernel must be one of {', '.join(_KERNELS)}; got {self.kernel!r}")
         _require_bool("use_preaggregation", self.use_preaggregation)
         _require_int("pane_size", self.pane_size, minimum=1)
         _require_int("refresh_interval", self.refresh_interval, minimum=1)

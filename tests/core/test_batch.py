@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ASAP, SmoothingResult, TimeSeries, find_window, smooth
+from repro import ASAP, AsapSpec, SmoothingResult, TimeSeries, find_window, smooth
 from repro.spectral.convolution import sma
 from repro.timeseries import load
 
@@ -117,11 +117,11 @@ class TestASAPClass:
 
 
 class TestASAPForwardsEveryKnob:
-    """Regression: ASAP.smooth()/find_window() used to silently drop
-    ``kernel``, ``cache``, and ``acf`` — the dataclass and the function must
-    accept the same knobs and forward them through the spec path."""
+    """Regression: ASAP.smooth()/find_window() used to silently drop knobs,
+    ``cache`` and ``acf`` — the dataclass and the function must accept the
+    same knobs and forward them through the spec path."""
 
-    def test_forwarded_call_sees_kernel_cache_and_acf(self, taxi_small, monkeypatch):
+    def test_forwarded_call_sees_spec_cache_and_acf(self, taxi_small, monkeypatch):
         from repro.core import batch as batch_module
 
         captured = {}
@@ -131,32 +131,27 @@ class TestASAPForwardsEveryKnob:
             return "sentinel"
 
         monkeypatch.setattr(batch_module, "smooth", capture)
-        operator = ASAP(resolution=400, kernel="scalar")
+        operator = ASAP(resolution=400, strategy="grid2")
         cache, acf = object(), object()
         assert operator.smooth(taxi_small.series, cache=cache, acf=acf) == "sentinel"
-        assert captured["spec"].kernel == "scalar"
+        assert captured["spec"] == AsapSpec(resolution=400, strategy="grid2")
         assert captured["cache"] is cache
         assert captured["acf"] is acf
 
         captured.clear()
         monkeypatch.setattr(batch_module, "find_window", capture)
         assert operator.find_window(taxi_small.series, cache=cache, acf=acf) == "sentinel"
-        assert captured["spec"].kernel == "scalar"
+        assert captured["spec"] == AsapSpec(resolution=400, strategy="grid2")
         assert captured["cache"] is cache
         assert captured["acf"] is acf
 
-    def test_scalar_kernel_configures_the_evaluation_path(self, taxi_small):
+    def test_supplied_cache_is_consulted(self, taxi_small):
         from repro.core.batch import find_window
         from repro.core.preaggregation import prepare_search_input
         from repro.core.smoothing import EvaluationCache
 
-        operator = ASAP(resolution=400, kernel="scalar")
-        assert operator.kernel == "scalar"
-        assert operator.smooth(taxi_small.series) == smooth(
-            taxi_small.series, resolution=400, kernel="scalar"
-        )
-
         # A caller-supplied cache is actually consulted, not dropped.
+        operator = ASAP(resolution=400)
         staged = prepare_search_input(taxi_small.series.values, 400)
         cache = EvaluationCache(staged.values)
         reference, _ = find_window(taxi_small.series, resolution=400, cache=cache)

@@ -55,13 +55,12 @@ class TestEvaluationCache:
         assert cache.misses == 3  # 5 was cached; 2 and 9 plus the initial 5
         assert cache.hits == 1
 
-    def test_scalar_kernel_option(self, rng):
+    def test_matches_scalar_oracle(self, rng):
         values = rng.normal(size=300)
-        grid_cache = EvaluationCache(values, kernel="grid")
-        scalar_cache = EvaluationCache(values, kernel="scalar")
+        cache = EvaluationCache(values)
         for window in (2, 17, 60):
-            fast = grid_cache.evaluate(window)
-            reference = scalar_cache.evaluate(window)
+            fast = cache.evaluate(window)
+            reference = evaluate_window(values, window)
             assert fast.roughness == pytest.approx(reference.roughness, rel=1e-9, abs=1e-9)
             assert fast.kurtosis == pytest.approx(reference.kurtosis, rel=1e-9, abs=1e-9)
 
@@ -77,9 +76,7 @@ class TestEvaluationCache:
         assert seeded.original_roughness == 1.25
         assert seeded.original_kurtosis == 3.5
 
-    def test_rejects_bad_kernel_and_shape(self):
-        with pytest.raises(ValueError, match="kernel"):
-            EvaluationCache(np.ones(10), kernel="magic")
+    def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="1-D"):
             EvaluationCache(np.ones((2, 5)))
 

@@ -119,21 +119,6 @@ class TestBitIdentity:
         assert ops["warm"].warm_fallbacks > 0
         assert ops["warm"].warm_fallbacks <= ops["warm"].warm_prefetches
 
-    def test_scalar_kernel_excluded_from_warm_start(self, rng):
-        t = np.arange(1200, dtype=np.float64)
-        values = np.sin(2 * np.pi * t / 40) + 0.2 * rng.normal(size=1200)
-        ops, frames = run_pair(
-            values,
-            [1200],
-            pane_size=1,
-            resolution=300,
-            refresh_interval=10,
-            strategy="asap",
-            kernel="scalar",
-        )
-        assert_frames_bit_identical(frames["warm"], frames["cold"])
-        assert ops["warm"].warm_prefetches == 0
-
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -205,21 +190,14 @@ class TestAccountingAndState:
         op.reset()
         assert op._warm_trace is None
 
-    def test_from_spec_carries_warm_start_and_kernel(self):
+    def test_from_spec_carries_warm_start(self):
         from repro.spec import AsapSpec
 
-        spec = AsapSpec(pane_size=2, warm_start=False, kernel="scalar")
+        spec = AsapSpec(pane_size=2, warm_start=False)
         op = StreamingASAP.from_spec(spec)
         assert op.warm_start is False
-        assert op.kernel == "scalar"
         spec_on = AsapSpec(pane_size=2)
         assert StreamingASAP.from_spec(spec_on).warm_start is True
-
-    def test_kernel_validated_eagerly(self):
-        from repro.errors import SpecError
-
-        with pytest.raises(SpecError, match="kernel"):
-            StreamingASAP(research_spec(pane_size=1, kernel="fpga"))
 
 
 class TestSharedProbeScratch:

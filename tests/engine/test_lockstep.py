@@ -186,7 +186,6 @@ class TestStackedRounds:
         monkeypatch.setattr(engine_module, "sma_probe_moments", forbidden)
         for engine_options, options in (
             ({"workers": 2}, {}),
-            ({}, {"kernel": "scalar"}),
             ({}, {"strategy": "grid2"}),
         ):
             engine = BatchEngine(resolution=RESOLUTION, **engine_options, **options)

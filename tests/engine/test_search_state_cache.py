@@ -4,8 +4,8 @@ A refresh that resubmits a series replays its earlier search over the
 memoized state instead of recomputing it.  These tests pin that the replay
 returns exactly what a fresh :func:`repro.core.batch.smooth` returns — every
 field, byte for byte — that it really runs no analysis or moment kernel, and
-that anything the search depends on (content, window ceiling, strategy,
-kernel backend) is part of the key.  Every test seeds its own generator, so
+that anything the search depends on (content, window ceiling, strategy) is
+part of the key.  Every test seeds its own generator, so
 its data does not depend on test order.
 """
 
@@ -114,12 +114,17 @@ class TestHitPathEquivalence:
 
     @pytest.mark.parametrize("strategy", ["asap", "binary", "exhaustive"])
     def test_hit_runs_no_analysis_or_moment_kernel(self, strategy, monkeypatch):
-        # Exhaustive reaches the cache through the per-series path whenever
-        # the grid fast path does not apply (here: the scalar kernel).
-        kernel = "scalar" if strategy == "exhaustive" else "grid"
         batch = _dashboard(7102, 6)
-        engine = BatchEngine(resolution=RESOLUTION, strategy=strategy, kernel=kernel)
+        if strategy == "exhaustive":
+            # Exhaustive reaches the cache through the per-series path
+            # whenever the grid fast path does not apply: here no two series
+            # share a searched length (300, 301, ... points), so no cohort
+            # batches.
+            longer = _dashboard(7102, 6, length=2460)
+            batch = [values[: 2400 + 10 * index] for index, values in enumerate(longer)]
+        engine = BatchEngine(resolution=RESOLUTION, strategy=strategy)
         first = engine.smooth_many(batch)
+        assert not first.stats.used_fast_path
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a cached search recomputed its state")
@@ -138,10 +143,7 @@ class TestHitPathEquivalence:
         monkeypatch.undo()
         for got, was, series in zip(again, first, batch):
             assert_identical(got, was)
-            assert_identical(
-                got,
-                smooth(series, resolution=RESOLUTION, strategy=strategy, kernel=kernel),
-            )
+            assert_identical(got, smooth(series, resolution=RESOLUTION, strategy=strategy))
 
 
 class TestKeyAndAliasing:
@@ -166,15 +168,6 @@ class TestKeyAndAliasing:
                 assert_identical(got, smooth(values, resolution=RESOLUTION, strategy=strategy))
         assert len(engine.acf_cache) == 4
         assert engine.acf_cache.misses == 2 and engine.acf_cache.hits == 2
-
-    def test_changing_kernel_backend_misses(self):
-        series = _dashboard(7203, 2)
-        engine = BatchEngine(resolution=RESOLUTION, strategy="asap", kernel="grid")
-        for kernel in ("grid", "scalar", "grid", "scalar"):
-            engine.kernel = kernel
-            for got, values in zip(engine.smooth_many(series), series):
-                assert_identical(got, smooth(values, resolution=RESOLUTION, kernel=kernel))
-        assert engine.acf_cache.misses == 4 and engine.acf_cache.hits == 4
 
     @pytest.mark.parametrize("use_preaggregation", [True, False])
     def test_in_place_mutation_misses(self, use_preaggregation):

@@ -60,15 +60,6 @@ class TestCoreRaisesSpecError:
         with pytest.raises(SpecError, match="strategy"):
             smooth(np.sin(np.arange(100.0)), strategy="annealing")
 
-    def test_bad_kernel(self):
-        from repro import smooth
-        from repro.core.smoothing import EvaluationCache
-
-        with pytest.raises(SpecError, match="kernel"):
-            smooth(np.sin(np.arange(100.0)), kernel="cuda")
-        with pytest.raises(SpecError, match="kernel"):
-            EvaluationCache(np.sin(np.arange(100.0)), kernel="cuda")
-
     def test_run_strategy_keeps_key_error(self):
         # The registry lookup predates the spec and stays a KeyError.
         from repro.core.search import run_strategy

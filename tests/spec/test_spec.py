@@ -30,7 +30,7 @@ class TestValidation:
             ("max_window", 1),
             ("max_window", 2.5),
             ("strategy", "annealing"),
-            ("kernel", "cuda"),
+            ("kernel", "cuda"),  # retired in schema 12: now an unknown field
             ("pane_size", 0),
             ("refresh_interval", 0),
             ("recompute_every", 0),
@@ -143,10 +143,11 @@ class TestBuilders:
         for name in STRATEGIES:
             assert AsapSpec(strategy=name).strategy == name
 
-    @pytest.mark.parametrize("retired", ["keep_pane_sketches", "pyramid"])
+    @pytest.mark.parametrize("retired", ["keep_pane_sketches", "pyramid", "kernel"])
     def test_retired_fields_are_rejected(self, retired):
         # Specs written before schema 11 may name the retired serving
-        # switches; every reader rejects them by name instead of ignoring them.
+        # switches, and specs before schema 12 the candidate-evaluation
+        # kernel; every reader rejects them by name instead of ignoring them.
         data = {**AsapSpec().to_dict(), retired: True}
         for attempt in (
             lambda: AsapSpec.from_dict(data),
@@ -155,7 +156,7 @@ class TestBuilders:
         ):
             with pytest.raises(SpecError, match=f"unknown spec field\\(s\\): {retired}"):
                 attempt()
-        assert len(dataclasses.fields(AsapSpec)) == 19
+        assert len(dataclasses.fields(AsapSpec)) == 18
         assert not hasattr(repro, "StreamConfig")
         assert not hasattr(repro.service, "StreamConfig")
 

@@ -25,7 +25,6 @@ _FIELD_STRATEGIES = {
     "max_window": st.none() | st.integers(min_value=2, max_value=100_000),
     "strategy": st.sampled_from(("asap", "exhaustive", "grid2", "grid10", "binary")),
     "use_preaggregation": st.booleans(),
-    "kernel": st.sampled_from(("grid", "scalar", "numba")),
     "pane_size": st.integers(min_value=1, max_value=10_000),
     "refresh_interval": st.integers(min_value=1, max_value=10_000),
     "seed_from_previous": st.booleans(),
