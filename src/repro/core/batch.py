@@ -17,9 +17,9 @@ kwarg signatures remain as shims that delegate to the spec path.
 
 :class:`ASAP` wraps the same pipeline as a configured, reusable object.  For
 smoothing *many* series per refresh — the dashboard workload — see
-:func:`repro.engine.smooth_many`, which drives this exact pipeline with
-shared caches and batched kernels and therefore returns bit-identical
-results.
+:func:`repro.engine.smooth_many`, which runs this pipeline's stages with
+shared caches and batched kernels, assembles each result with this module's
+code, and therefore returns bit-identical results.
 """
 
 from __future__ import annotations
@@ -211,8 +211,21 @@ def smooth(
     searched_values, ratio, cache = _prepare(values, spec, cache)
 
     search = run_strategy(spec.strategy, searched_values, spec.max_window, cache=cache, acf=acf)
+    return _assemble(series, cache, ratio, search)
 
-    smoothed_values = sma(searched_values, search.window)
+
+def _assemble(
+    series: TimeSeries | None, cache: EvaluationCache, ratio: int, search: SearchResult
+) -> SmoothingResult:
+    """The result of *search* over *cache*'s values: the tail of :func:`smooth`.
+
+    *series* is the validated input (``None`` for a bare array, whose
+    timestamps are the implicit ``0..n-1``) and *ratio* its point-to-pixel
+    ratio.  The batch engine assembles each series through here too, once
+    its search has run (or its memoized result is found), so a batch result
+    is built by exactly the code that builds a looped one.
+    """
+    smoothed_values = sma(cache.values, search.window)
     bucket_starts = np.arange(smoothed_values.size) * ratio
     if series is None:
         # The implicit timestamps 0..n-1 at the bucket starts, bit for bit.

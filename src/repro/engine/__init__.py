@@ -9,9 +9,9 @@ package executes that workload through the single-series pipeline of
   arrays or :class:`~repro.timeseries.TimeSeries`, or a dict of labeled
   series in one call, with batched preaggregation and candidate-evaluation
   kernels, optional thread/process fan-out, and a search-state cache
-  (:class:`ACFCache`) shared across refreshes: a series resubmitted
-  unchanged replays its earlier search over its memoized ACF analysis and
-  candidate evaluations instead of recomputing them;
+  (:class:`ACFCache`) shared across refreshes: a series is searched once
+  per key, and one resubmitted unchanged gets its memoized search result
+  back, with no search step, FFT or moment kernel;
 * :class:`BatchResult` / :class:`BatchStats` — per-series
   :class:`~repro.core.result.SmoothingResult`\\ s in input order plus
   aggregate timing and cache accounting.
@@ -26,7 +26,7 @@ produce, row for row, exactly the values the per-series pipeline computes, and
 the search-state cache only ever returns analyses and evaluations the
 per-series search would have computed itself, keyed by everything that
 search depends on (searched content and length, resolved ``max_window``,
-strategy).  The engine therefore never trades accuracy for speed —
+strategy), and every result is assembled by the code that ends ``smooth()``.  The engine therefore never trades accuracy for speed —
 ``tests/engine`` asserts exact equality, and every pre-filled evaluation
 cache is revalidated against the values the pipeline derives on its own.
 """

@@ -2,9 +2,9 @@
 
 The production setting ASAP targets — dashboards charting many metrics at
 once — runs the paper's single-series pipeline over hundreds of series per
-refresh.  :class:`BatchEngine` executes that workload through the exact
-single-series pipeline (:func:`repro.core.batch.smooth`), organized so the
-batch pays for its shared work once:
+refresh.  :class:`BatchEngine` executes that workload through the stages of
+the single-series pipeline (:func:`repro.core.batch.smooth`), organized so
+the batch pays for its shared work once:
 
 * **Batched kernels over ratio cohorts** — for the grid-shaped strategies
   (exhaustive, grid2, grid10), every series is first run through the shared
@@ -19,14 +19,15 @@ batch pays for its shared work once:
   members land on the same point-to-pixel ratio — the common dashboard case
   of many same-resolution charts over different history lengths — batch just
   as well as rectangular ones.
-* **Reused search state** — the per-series strategies (ASAP, binary, and
-  the grid strategies off the fast path) take each series' ACF analysis and
-  :class:`~repro.core.smoothing.EvaluationCache` from an
-  :class:`~repro.engine.cache.ACFCache` keyed by searched content, so a
-  refresh that resubmits an unchanged series replays its search over the
-  memo: no FFT, moment kernel or candidate SMA.  Serially the whole batch is
-  looked up at once (:meth:`~repro.engine.cache.ACFCache.search_states`), so
-  its unseen series share stacked FFT calls per searched length.
+* **Memoized searches** — the per-series strategies (ASAP, binary, and
+  the grid strategies off the fast path) take each series' ACF analysis,
+  :class:`~repro.core.smoothing.EvaluationCache` and search result from an
+  :class:`~repro.engine.cache.ACFCache` keyed by searched content.  A series
+  is searched once per key: a refresh that resubmits it unchanged runs no
+  search step, FFT, moment kernel or candidate SMA, only the result
+  assembly.  Serially the whole batch is looked up at once
+  (:meth:`~repro.engine.cache.ACFCache.search_states`), so its unseen series
+  share stacked FFT calls per searched length.
 * **Lockstep cold searches** — on the serial path, the adaptive strategies
   (ASAP, binary) search every *unseen* series of a batch together
   (:func:`search_in_lockstep`): the searches run as step generators
@@ -34,17 +35,23 @@ batch pays for its shared work once:
   each round the window every live search asks for is evaluated by one
   stacked :func:`~repro.spectral.convolution.sma_probe_moments` call — a
   dozen unseen series cost about as many kernel calls as the longest of
-  their searches, not the sum.  The per-series pipeline then replays each
-  search over its filled cache, the warm-start pattern (prefetch, then
-  replay) applied across series instead of across refreshes.
+  their searches, not the sum.  Each generator's return value is the
+  series' :class:`~repro.core.search.SearchResult`, memoized as it is; a
+  singleton of its length is searched alone through
+  :func:`~repro.core.search.run_strategy`.
+* **One validation, one assembly** — each input is validated and
+  preaggregated once, and its result is assembled by the code that ends
+  :func:`~repro.core.batch.smooth` (SMA at the chosen window, bucket-start
+  timestamps, output moments from the evaluation cache).
 * **Worker fan-out** — adaptive strategies and ragged batches can spread
   across a thread or process pool (the lockstep rounds are serial-only).
 
-Because every path drives the same :func:`~repro.core.batch.smooth` code over
+Because every path runs the same validation, search and assembly code over
 the same numbers (the batched kernels are bit-identical to their scalar
-counterparts row by row), ``smooth_many`` returns exactly the results of the
-equivalent Python loop — ``candidates_evaluated`` included — guaranteed by
-the equivalence tests in ``tests/engine``.
+counterparts row by row, and a search's result is a pure function of its
+key), ``smooth_many`` returns exactly the results of the equivalent Python
+loop — ``candidates_evaluated`` included — guaranteed by the equivalence
+tests in ``tests/engine``.
 """
 
 from __future__ import annotations
@@ -57,16 +64,22 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..core.acf import ACFAnalysis
-from ..core.batch import smooth
+from ..core.batch import _assemble, _input_series, smooth
 from ..spec import AsapSpec, resolve_spec, spec_backed
 from ..core.preaggregation import expected_ratio, prepare_search_input
 from ..core.result import SmoothingResult
-from ..core.search import ADAPTIVE_STRATEGIES, resolve_max_window, search_steps
+from ..core.search import (
+    ADAPTIVE_STRATEGIES,
+    SearchResult,
+    resolve_max_window,
+    run_strategy,
+    search_steps,
+)
 from ..core.smoothing import EvaluationCache, WindowEvaluation
 from ..spectral.convolution import sma_grid_moments, sma_probe_moments
 from ..timeseries.series import TimeSeries
 from ..timeseries.stats import row_kurtosis
-from .cache import ACFCache
+from .cache import ACFCache, _SearchEntry
 
 __all__ = [
     "BatchEngine",
@@ -266,8 +279,8 @@ def prefill_grid_caches(
 
 def search_in_lockstep(
     states, strategy: str, max_window: int | None = None
-) -> None:
-    """Run the cold searches among *states* in lockstep, filling their caches.
+) -> list[SearchResult | None]:
+    """Run the cold searches among *states* in lockstep; return their results.
 
     *states* are ``(EvaluationCache, ACFAnalysis | None)`` search states of
     an adaptive strategy (``asap``/``binary``), as
@@ -285,10 +298,12 @@ def search_in_lockstep(
       screened at its member's original kurtosis and bit-identical to the
       single-window kernel the cache would run.
 
-    Each evaluation is seeded into its member's cache, so a later
-    :func:`~repro.core.batch.smooth` over the state replays the search on
-    cache hits and returns exactly what a cold search returns.  States
-    already searched and singletons are left to that replay.
+    Each evaluation is also seeded into its member's cache, where the result
+    assembly reads the chosen window's moments.  Returns, per state, the
+    :class:`~repro.core.search.SearchResult` its generator returned —
+    exactly what :func:`~repro.core.search.run_strategy` returns from a cold
+    search — or ``None`` for a state it left alone (already searched, or a
+    singleton of its length).
     """
     unseen: dict[int, tuple[EvaluationCache, ACFAnalysis | None]] = {}
     for cache, acf in states:
@@ -298,6 +313,7 @@ def search_in_lockstep(
     for cache, acf in unseen.values():
         groups.setdefault(cache.values.size, []).append((cache, acf))
 
+    found: dict[int, SearchResult] = {}
     for members in groups.values():
         if len(members) < 2:
             continue
@@ -312,8 +328,8 @@ def search_in_lockstep(
             steps = search_steps(strategy, cache, max_window, acf)
             try:
                 pending.append((row, cache, steps, next(steps)))
-            except StopIteration:
-                pass
+            except StopIteration as done:
+                found[id(cache)] = done.value
         while pending:
             roughness, kurtosis = sma_probe_moments(
                 batch,
@@ -329,9 +345,10 @@ def search_in_lockstep(
                 cache.seed((evaluation,))
                 try:
                     advanced.append((row, cache, steps, steps.send(evaluation)))
-                except StopIteration:
-                    pass
+                except StopIteration as done:
+                    found[id(cache)] = done.value
             pending = advanced
+    return [found.get(id(cache)) for cache, _ in states]
 
 
 @spec_backed(*AsapSpec.OPERATOR_FIELDS)
@@ -359,8 +376,8 @@ class BatchEngine:
     acf_cache_size:
         Capacity of the search-state LRU shared across this engine's calls:
         one entry per (searched content, resolved ``max_window``, strategy),
-        holding that series' ACF analysis and candidate evaluations, so
-        memory is bounded by entries × searched length.
+        holding that series' ACF analysis, candidate evaluations and search
+        result, so memory is bounded by entries × searched length.
     """
 
     def __init__(
@@ -521,57 +538,66 @@ class BatchEngine:
 
     def _fallback_path(self, labels, items) -> list[SmoothingResult]:
         """Per-series execution: serial, thread pool, or process pool."""
-        kwargs = self._smooth_kwargs()
         workers = self._effective_workers()
 
         if workers <= 1:
-            return self._serial_path(labels, items, kwargs)
+            return self._serial_path(labels, items)
 
         if self.executor == "process":
-            payloads = [(item, kwargs) for item in items]
+            payloads = [(item, self._smooth_kwargs()) for item in items]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_smooth_one, payload) for payload in payloads]
                 return self._collect(labels, futures)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(self._smooth_labeled, label, index, item, kwargs)
+                pool.submit(self._smooth_labeled, label, index, item)
                 for index, (label, item) in enumerate(zip(labels, items))
             ]
             return [future.result() for future in futures]
 
-    def _serial_path(self, labels, items, kwargs) -> list[SmoothingResult]:
-        """Serial execution: lockstep cold searches, then the per-series replay.
+    def _serial_path(self, labels, items) -> list[SmoothingResult]:
+        """Serial execution: lockstep cold searches, then each series assembled.
 
         The batch's search states come from one lookup
-        (:meth:`_search_states`); the adaptive strategies' cold searches then
-        run in lockstep (:func:`search_in_lockstep`), and :func:`smooth`
-        finishes each series over its filled state.
+        (:meth:`_search_states`).  The adaptive strategies' cold searches run
+        in lockstep (:func:`search_in_lockstep`), and their results are
+        memoized on the states.  :meth:`_finish` then searches whatever the
+        lockstep left (singletons of their length, the grid strategies) and
+        assembles every series in input order, so the first failing index
+        raises.
         """
         prepared = self._search_states(items)
         if self.strategy in ADAPTIVE_STRATEGIES:
-            states = [s for s in prepared if isinstance(s, tuple) and s[0] is not None]
-            search_in_lockstep(states, self.strategy, self.max_window)
+            entries = [s[2] for s in prepared if isinstance(s, tuple)]
+            cold = [e for e in entries if isinstance(e, _SearchEntry) and e.result is None]
+            found = search_in_lockstep(
+                [(entry.cache, entry.acf) for entry in cold], self.strategy, self.max_window
+            )
+            for entry, result in zip(cold, found):
+                entry.result = result  # None: left to _finish's own search
         results = []
-        for index, (label, item, state) in enumerate(zip(labels, items, prepared)):
+        for index, (label, state) in enumerate(zip(labels, prepared)):
             try:
                 if isinstance(state, Exception):
                     raise state
-                cache, acf = state
-                results.append(smooth(item, cache=cache, acf=acf, **kwargs))
+                results.append(self._finish(*state))
             except ValueError as exc:
                 raise _labeled(label, index, exc) from exc
         return results
 
     def _search_states(self, items) -> list:
-        """Every item's search state, ``(None, None)``, or its error, in order.
+        """Every item's ``(series, ratio, state)``, or its error, in order.
 
-        Every series is preaggregated first (an input that step rejects
-        keeps its error, raised when its turn comes, so the first failing
-        index still wins), and the states come from one
-        :meth:`~repro.engine.cache.ACFCache.search_states` lookup, whose ACF
-        misses share stacked FFT calls per searched length.  The searched
-        values are dropped on return: the states hold their own copies.
+        Every item is validated and preaggregated first (:meth:`_search_request`;
+        an input that step rejects keeps its error, raised when its turn
+        comes, so the first failing index still wins), and the memoizable
+        states come from one lookup of the entries behind
+        :meth:`~repro.engine.cache.ACFCache.search_states`, whose ACF misses
+        share stacked FFT calls per searched length.
+        A state is an LRU entry, or the searched values themselves when they
+        get none.  The searched values of LRU entries are dropped on return:
+        the entries hold their own copies.
         """
         requests: list = []
         for item in items:
@@ -579,16 +605,15 @@ class BatchEngine:
                 requests.append(self._search_request(item))
             except Exception as exc:
                 requests.append(exc)
-        searched = [r for r in requests if isinstance(r, tuple)]
-        found = iter(self.acf_cache.search_states(searched, self.strategy))
+        memoized = [r[2:] for r in requests if isinstance(r, tuple) and r[3] is not None]
+        found = iter(self.acf_cache._lookup(memoized, self.strategy))
         prepared: list = []
         for request in requests:
-            if isinstance(request, tuple):
-                prepared.append(next(found))
-            elif request is None:
-                prepared.append((None, None))
-            else:
+            if not isinstance(request, tuple):
                 prepared.append(request)
+                continue
+            series, ratio, searched, ceiling = request
+            prepared.append((series, ratio, searched if ceiling is None else next(found)))
         return prepared
 
     def _collect(self, labels, futures: list[Future]) -> list[SmoothingResult]:
@@ -600,39 +625,58 @@ class BatchEngine:
                 raise _labeled(label, index, exc) from exc
         return results
 
-    def _smooth_labeled(self, label, index, item, kwargs) -> SmoothingResult:
+    def _smooth_labeled(self, label, index, item) -> SmoothingResult:
         try:
-            request = self._search_request(item)
-            if request is None:
-                return smooth(item, **kwargs)
-            cache, acf = self.acf_cache.search_state(*request, self.strategy)
-            return smooth(item, cache=cache, acf=acf, **kwargs)
+            series, ratio, searched, ceiling = self._search_request(item)
+            state = searched
+            if ceiling is not None:
+                state = self.acf_cache._lookup([(searched, ceiling)], self.strategy)[0]
+            return self._finish(series, ratio, state)
         except ValueError as exc:
             raise _labeled(label, index, exc) from exc
 
-    def _search_request(self, item) -> tuple[np.ndarray, int] | None:
-        """The ``(searched values, max_window)`` key of the series' search state.
+    def _search_request(self, item) -> tuple[TimeSeries | None, int, np.ndarray, int | None]:
+        """``(series, ratio, searched values, max_window)`` of one input.
 
-        Preaggregation runs here exactly as the pipeline would run it, and the
-        searched values key the engine-wide :class:`~repro.engine.cache.ACFCache`.
-        A series seen before gets back its ACF analysis and the evaluation
-        cache its earlier search filled, so :func:`smooth` replays that search
-        without an FFT or a kernel call; an unseen one gets a fresh state its
-        search fills for the next refresh.  Either way the state holds
-        precisely the values the search would derive on its own, preserving
-        the equivalence guarantee.  Inputs the pipeline rejects (too short,
-        non-finite) or rewrites (``normalize``) get no state (``None``), so
-        :func:`smooth` runs end to end and raises or normalizes itself.
+        The input is validated here, once, exactly as :func:`smooth`
+        validates it (the same code, so the same errors), and preaggregated
+        exactly as the pipeline would.  The searched values and the resolved
+        *max_window* key the engine-wide :class:`~repro.engine.cache.ACFCache`:
+        a series seen before gets back its ACF analysis, its evaluation cache
+        and the result its earlier search returned, so it runs no search at
+        all; an unseen one gets a fresh state its search fills.  Either way
+        the state holds precisely what the series' own search would derive,
+        preserving the equivalence guarantee.  Searched values a search would
+        reject (fewer than 4) or that are not finite, and inputs the quality
+        stage rewrites (``normalize``), get no state: *max_window* is
+        ``None``, and :meth:`_finish` searches them from scratch as
+        :func:`smooth` does.
         """
-        values = _item_values(item)
-        if self.spec.normalize or values.ndim != 1 or values.size < 4:
-            return None
-        searched = prepare_search_input(
-            values, self.resolution, self.use_preaggregation
-        ).values
-        if searched.size < 4 or not np.isfinite(searched).all():
-            return None
-        return searched, resolve_max_window(searched, self.max_window)
+        values, series = _input_series(item, self.spec)
+        staged = prepare_search_input(values, self.resolution, self.use_preaggregation)
+        searched = staged.values
+        ceiling = None
+        if not self.spec.normalize and searched.size >= 4 and np.isfinite(searched).all():
+            ceiling = resolve_max_window(searched, self.max_window)
+        return series, staged.ratio, searched, ceiling
+
+    def _finish(self, series, ratio: int, state) -> SmoothingResult:
+        """Search *state* unless its result is memoized, then assemble.
+
+        *state* is an LRU entry (its search runs at most once per key, through
+        :func:`~repro.core.search.run_strategy`, and the result is memoized)
+        or bare searched values, searched in a throwaway state.  Two threads
+        that meet one unsearched entry may both search it; they store equal
+        results, as their searches fill its cache with equal evaluations.
+        """
+        if not isinstance(state, _SearchEntry):
+            state = _SearchEntry(EvaluationCache(state))
+        if state.result is None:
+            state.result = run_strategy(
+                self.strategy, state.cache.values, self.max_window,
+                cache=state.cache, acf=state.acf,
+            )
+        return _assemble(series, state.cache, ratio, state.result)
 
 
 def smooth_many(

@@ -4,24 +4,28 @@ Dashboards re-smooth largely unchanged series on every refresh, and ASAP's
 on-demand rule is to do work only when something the user sees can change.
 A series' search depends on nothing but its searched (preaggregated)
 content, the resolved window ceiling and the strategy, so :class:`ACFCache`
-memoizes the whole search state under exactly that key:
+memoizes the whole search under exactly that key:
 
-* the ACF analysis (two FFTs plus peak detection; ASAP strategy only), and
+* the ACF analysis (two FFTs plus peak detection; ASAP strategy only),
 * the series' :class:`~repro.core.smoothing.EvaluationCache` — its original
-  moments and every candidate evaluation its search touched.
+  moments and every candidate evaluation its search touched, and
+* the :class:`~repro.core.search.SearchResult` the search returned.
 
 A refresh that resubmits a series it has seen before pays one O(n) hash of
-the searched values; its search then replays over memoized evaluations,
-with no FFT, moment kernel or candidate SMA.  Because the analysis and the
-kernels are deterministic, the replay returns bit for bit what the search
-computes from scratch, ``candidates_evaluated`` included.
+the searched values and gets the result back: no search step, FFT, moment
+kernel or candidate SMA.  The analysis, the kernels and the searches are
+deterministic, so the memo is bit for bit what the search computes from
+scratch, ``candidates_evaluated`` included; the result assembly reads the
+chosen window's moments from the entry's evaluation cache.
 
 A whole batch is looked up at once with :meth:`ACFCache.search_states`:
 its ACF misses are analyzed by one stacked
 :func:`~repro.core.acf.analyze_acf` call per ``(length, max_window)``
 group (one forward and one inverse FFT per chunk of rows), each row
 bit-identical to the one-series analysis; :meth:`ACFCache.search_state` is
-the one-series case.
+the one-series case.  Both return ``(EvaluationCache, ACFAnalysis | None)``;
+the engine reads and sets the memoized result through the entries behind
+them.
 A new state's original moments are filled by the search (or the engine's
 lockstep rounds) through :func:`repro.timeseries.stats.kurtosis`, whose
 fourth moment is the squares squared, ``sq = c*c; mean(sq*sq)``: the
@@ -29,11 +33,13 @@ candidate kernels' definition, so the original series' kurtosis equals
 the window-1 candidate's bit for bit.
 
 Memory: an entry holds a copy of its searched values, an analysis of at
-most ``max_window`` lags and the evaluations its search touched (at most
-``max_window``; every one of them for exhaustive search), so the footprint is
-bounded by ``maxsize`` × the searched length.  Measured with ``tracemalloc``
-over 800 searched points: about 12 KB an entry for ASAP (3 MB at the default
-256 entries) and 29 KB for exhaustive search.
+most ``max_window`` lags, the evaluations its search touched (at most
+``max_window``; every one of them for exhaustive search) and one
+``SearchResult``, so the footprint is bounded by ``maxsize`` × the searched
+length.  Measured with ``tracemalloc`` over 800 searched points (the
+retained memory of a ``smooth_many`` call, divided by its entries): about
+11 KB an entry for ASAP (2.9 MB at the default 256 entries) and 29 KB for
+exhaustive search.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..core.acf import ACFAnalysis, analyze_acf
+from ..core.search import SearchResult
 from ..core.smoothing import EvaluationCache
 
 __all__ = ["ACFCache"]
@@ -56,11 +63,27 @@ def _fingerprint(values: np.ndarray) -> bytes:
     return digest.digest()
 
 
+class _SearchEntry:
+    """One series' search state plus the result its search returned.
+
+    ``result`` is ``None`` until the search has run; it is a pure function
+    of the entry's key, so once set it answers every later lookup.
+    """
+
+    __slots__ = ("cache", "acf", "result")
+
+    def __init__(self, cache: EvaluationCache, acf: ACFAnalysis | None = None) -> None:
+        self.cache = cache
+        self.acf = acf
+        self.result: SearchResult | None = None
+
+
 class ACFCache:
     """A bounded LRU of per-series search states keyed by searched content.
 
-    An entry is ``(EvaluationCache, ACFAnalysis | None)`` — the analysis only
-    for the ASAP strategy, the only one that consumes it.  The key is the
+    An entry holds an ``EvaluationCache``, an ``ACFAnalysis`` (the ASAP
+    strategy only, the only one that consumes it) and, once its search has
+    run, the search's result.  The key is the
     content fingerprint, the length, the resolved ``max_window`` and the
     strategy, so changing any of them between calls misses instead of
     reusing a state another configuration built.
@@ -72,14 +95,14 @@ class ACFCache:
     repeated within the batch included; only the FFTs are shared.
     Thread-safe: the engine's thread pool probes it concurrently, and two
     threads searching the same state only ever fill its memo with the same
-    deterministic evaluations.
+    deterministic evaluations and result.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._entries: OrderedDict[tuple, _SearchEntry] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -110,6 +133,14 @@ class ACFCache:
         max_window)`` group (one FFT pair per chunk of rows) instead of one
         FFT pair per series.
         """
+        return [(entry.cache, entry.acf) for entry in self._lookup(requests, strategy)]
+
+    def _lookup(self, requests, strategy: str) -> list[_SearchEntry]:
+        """The entries behind :meth:`search_states`, memoized results included.
+
+        The batch engine reads and sets ``result`` on them: an entry whose
+        search has run answers its next lookup with no search at all.
+        """
         with_acf = strategy == "asap"
         keyed = []
         for values, max_window in requests:
@@ -121,7 +152,7 @@ class ACFCache:
         if with_acf:
             # A state evicted before its turn below misses again, and its
             # analysis is the deterministic one it already holds.
-            analyses = {key: state[1] for key, state in known.items() if state is not None}
+            analyses = {key: entry.acf for key, entry in known.items() if entry is not None}
             groups: dict[tuple[int, int], dict[tuple, np.ndarray]] = {}
             for key, arr in keyed:
                 if known[key] is None:
@@ -129,21 +160,21 @@ class ACFCache:
             for (_, max_lag), members in groups.items():
                 rows = np.vstack(list(members.values()))
                 analyses.update(zip(members, analyze_acf(rows, max_lag=max_lag)))
-        states = []
+        entries = []
         with self._lock:
             for key, arr in keyed:
-                state = self._entries.get(key)
-                if state is not None:
+                entry = self._entries.get(key)
+                if entry is not None:
                     self._entries.move_to_end(key)
                     self.hits += with_acf
                 else:
-                    state = (EvaluationCache(arr.copy()), analyses.get(key))
+                    entry = _SearchEntry(EvaluationCache(arr.copy()), analyses.get(key))
                     self.misses += with_acf
-                    self._entries[key] = state
+                    self._entries[key] = entry
                     while len(self._entries) > self.maxsize:
                         self._entries.popitem(last=False)
-                states.append(state)
-        return states
+                entries.append(entry)
+        return entries
 
     def get_or_compute(self, values, max_lag: int) -> ACFAnalysis:
         """The ACF analysis of *values* at *max_lag*, computed at most once."""

@@ -41,7 +41,7 @@ def checked_values(values, copy: bool = True) -> np.ndarray:
     arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"values must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("values must be finite (no NaN/inf)")
     return arr
 
@@ -72,7 +72,10 @@ class TimeSeries:
                 raise ValueError(
                     f"timestamps shape {ts.shape} != values shape {arr.shape}"
                 )
-            if ts.size > 1 and not np.all(np.diff(ts) > 0):
+            # Pairwise ``>`` is ``np.diff(ts) > 0`` for every float pair
+            # (``inf - inf`` is NaN, and NaN compares false either way),
+            # without the difference array.
+            if not (ts[1:] > ts[:-1]).all():
                 raise ValueError("timestamps must be strictly increasing")
         arr.setflags(write=False)
         ts.setflags(write=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.timeseries import TimeSeries, regular_timestamps
+from repro.timeseries.series import checked_values
 
 
 class TestConstruction:
@@ -47,6 +48,78 @@ class TestConstruction:
         series = TimeSeries(source)
         source[0] = 99.0
         assert series.values[0] == 1.0
+
+
+INF, NAN = float("inf"), float("nan")
+TINY = 5e-324  # the smallest subnormal
+BIG = 1.7976931348623157e308
+
+#: Timestamp pairs and runs whose differences overflow, underflow, are NaN
+#: (``inf - inf``) or are signed zeros.
+TIMESTAMP_CASES = [
+    [0.0, 1.0, 2.0],
+    [],
+    [7.0],
+    [NAN],
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [0.0, TINY],
+    [TINY, 0.0],
+    [-TINY, TINY],
+    [TINY, TINY],
+    [-BIG, BIG],
+    [BIG, -BIG],
+    [1.0, BIG, INF],
+    [-INF, 0.0, INF],
+    [1.0, INF, INF],
+    [-INF, -INF, 0.0],
+    [0.0, NAN, 2.0],
+    [NAN, NAN],
+    [0.0, 1.0, 1.0],
+    [2.0, 1.0, 3.0],
+]
+
+#: Value runs with every non-finite kind at every position.
+VALUE_CASES = [
+    [0.0, 1.0, -2.0],
+    [],
+    [BIG, -BIG, TINY, -0.0],
+    [NAN],
+    [INF, 0.0],
+    [0.0, -INF],
+    [1.0, NAN, 2.0],
+    [NAN, INF, -INF],
+]
+
+
+class TestValidationRules:
+    """The pairwise and ``.all()`` checks accept and reject exactly what
+    ``np.diff(ts) > 0`` and ``np.all(np.isfinite(values))`` do."""
+
+    @pytest.mark.parametrize("timestamps", TIMESTAMP_CASES, ids=repr)
+    def test_timestamps_accepted_iff_differences_positive(self, timestamps):
+        ts = np.array(timestamps, dtype=np.float64)
+        values = np.zeros(ts.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            increasing = np.all(np.diff(ts) > 0)
+        if increasing:
+            assert TimeSeries(values, ts).timestamps.tobytes() == ts.tobytes()
+        else:
+            with pytest.raises(ValueError) as raised:
+                TimeSeries(values, ts)
+            assert str(raised.value) == "timestamps must be strictly increasing"
+
+    @pytest.mark.parametrize("values", VALUE_CASES, ids=repr)
+    def test_values_accepted_iff_all_finite(self, values):
+        arr = np.array(values, dtype=np.float64)
+        if np.all(np.isfinite(arr)):
+            assert checked_values(arr).tobytes() == arr.tobytes()
+            assert TimeSeries(arr).values.tobytes() == arr.tobytes()
+        else:
+            for build in (checked_values, TimeSeries):
+                with pytest.raises(ValueError) as raised:
+                    build(arr)
+                assert str(raised.value) == "values must be finite (no NaN/inf)"
 
 
 class TestProtocol:
