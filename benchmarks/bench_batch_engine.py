@@ -44,8 +44,8 @@ from repro.core.preaggregation import prepare_search_input
 from repro.core.smoothing import EvaluationCache, evaluate_window
 from repro.engine import BatchEngine
 
-#: Strategies whose candidates form a fixed grid — the engine's headline
-#: speedup target (the batched kernels evaluate the whole grid in one call).
+#: Strategies whose candidates form a fixed grid (the engine's lockstep
+#: evaluates each same-length group's whole grid in one kernel call).
 GRID_STRATEGIES = ("exhaustive", "grid2", "grid10")
 ADAPTIVE_STRATEGIES = ("binary", "asap")
 

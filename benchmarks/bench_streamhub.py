@@ -192,9 +192,9 @@ def run(args: argparse.Namespace) -> int:
     print(f"\naggregate refresh throughput: {speedup:.2f}x over looped StreamingASAP")
     if hub_stats is not None:
         print(
-            f"hub accounting: {hub_stats.frames_emitted} frames, "
-            f"{hub_stats.refreshes_coalesced} coalesced refreshes, "
-            f"{hub_stats.grid_kernel_calls} shared grid kernel calls"
+            f"hub accounting: {hub_stats.frames_emitted} frames over "
+            f"{hub_stats.ticks} ticks, {hub_stats.warm_prefetches} warm prefetches "
+            f"({hub_stats.warm_fallbacks} fell back)"
         )
 
     if args.json:

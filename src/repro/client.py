@@ -389,8 +389,8 @@ class StreamHandle:
     def tick(self) -> list:
         """Run deferred refreshes and return *this* stream's frames.
 
-        Ticks the whole backend (refreshes are coalesced across streams by
-        design) and returns this stream's frames; frames other streams
+        Ticks the whole backend (one tick runs every stream's deferred
+        refresh, by design) and returns this stream's frames; frames other streams
         emitted on the same tick are stashed on the client and surface at
         *their* next tick/close — never dropped.  When driving several
         streams, call :meth:`Client.tick` once and split its dict instead.

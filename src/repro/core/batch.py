@@ -96,11 +96,9 @@ def _prepare(
     The aggregation itself is the shared pipeline stage
     (:func:`repro.core.preaggregation.prepare_search_input`) — the one
     definition every consumer of "the searched series" goes through.  With a
-    caller-supplied cache (the batch engine pre-fills one per series from
-    batched kernel calls), the cache's values *are* the search input — the
-    engine computed them with the same stage — so the pass is skipped; the
-    expected output shape is still verified, and the engine's equivalence
-    tests pin the values themselves.
+    caller-supplied cache, the cache's values *are* the search input — the
+    caller computed them with the same stage — so the pass is skipped; the
+    expected output shape is still verified.
     """
     if cache is not None:
         ratio = expected_ratio(values.size, spec.resolution, spec.use_preaggregation)
@@ -177,8 +175,8 @@ def smooth(
         slower on large inputs (the paper's `ASAPno-agg` configuration).
     cache:
         Optional pre-filled :class:`~repro.core.smoothing.EvaluationCache`
-        over the (preaggregated) search input; the batch engine uses this to
-        charge a whole batch's candidate evaluations to one kernel call.
+        over the (preaggregated) search input, shared with other searches of
+        the same values.
     acf:
         Optional precomputed ACF analysis of the search input (consumed by
         the ASAP strategy only); the batch engine's LRU cache passes it to

@@ -13,7 +13,7 @@ away information.
 
 This module is the single home of that stage.  Every consumer — the batch
 pipeline (:func:`repro.core.batch.smooth` / ``find_window``), the batch
-engine's ratio cohorts, the experiment scripts, and the multi-resolution
+engine, the experiment scripts, and the multi-resolution
 pyramid (:mod:`repro.pyramid`) — goes through :func:`prepare_search_input`
 or the :func:`bucket_means` primitive, so bucket values are defined in
 exactly one place and a value computed anywhere in the system is
@@ -157,7 +157,7 @@ def expected_ratio(n: int, resolution: int, use_preaggregation: bool = True) -> 
     """The ratio :func:`preaggregate` would apply, without doing the work.
 
     Used by the batch pipeline to validate caller-supplied caches and by the
-    engine to predict cohort shapes before aggregating.
+    multi-resolution views to size their levels before aggregating.
     """
     ratio = point_to_pixel_ratio(n, resolution)  # also validates resolution
     if not use_preaggregation or n < MIN_OVERSAMPLING * resolution:

@@ -72,6 +72,7 @@ __all__ = [
     "resolve_max_window",
     "plan_warm_probes",
     "ADAPTIVE_STRATEGIES",
+    "GRID_STRATEGY_STEPS",
     "STRATEGIES",
     "run_strategy",
 ]
@@ -81,6 +82,10 @@ __all__ = [
 #: from warm-started probe prefetching: a fixed-grid strategy already charges
 #: its whole candidate set to one vectorized kernel call.
 ADAPTIVE_STRATEGIES = ("asap", "binary")
+
+#: The fixed-grid strategies and their candidate step: every ``step``-th
+#: window from 2 (exhaustive search is the step-1 grid).
+GRID_STRATEGY_STEPS = {"exhaustive": 1, "grid2": 2, "grid10": 10}
 
 
 @dataclass(frozen=True)
@@ -479,16 +484,18 @@ def search_steps(
     return _asap_steps(cache, limit, acf, state)
 
 
+def _grid_strategy(step: int):
+    if step == 1:
+        return exhaustive_search
+    return lambda values, max_window=None, **kwargs: grid_search(
+        values, step, max_window, **kwargs
+    )
+
+
 #: Strategy registry for the Figure 8/9 sweeps: name -> callable with the
 #: uniform signature ``(values, max_window=None, *, cache=None, acf=None)``.
 STRATEGIES = {
-    "exhaustive": exhaustive_search,
-    "grid2": lambda values, max_window=None, **kwargs: grid_search(
-        values, 2, max_window, **kwargs
-    ),
-    "grid10": lambda values, max_window=None, **kwargs: grid_search(
-        values, 10, max_window, **kwargs
-    ),
+    **{name: _grid_strategy(step) for name, step in GRID_STRATEGY_STEPS.items()},
     "binary": binary_search,
     "asap": lambda values, max_window=None, *, cache=None, acf=None: asap_search(
         values, max_window, acf=acf, cache=cache

@@ -1018,9 +1018,10 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         buffer states — but whole panes are folded with vectorized kernels.
         With ``defer_boundary=True``, a refresh boundary landing exactly at
         the end of the batch is *deferred*: the operator marks itself
-        :attr:`refresh_due` instead of refreshing, so a serving layer can
-        coalesce the refresh with other streams (the deferred refresh runs
-        before any further data is folded, preserving per-point semantics).
+        :attr:`refresh_due` instead of refreshing, so a serving layer can run
+        the due refreshes of all its streams at its next tick
+        (:meth:`refresh_if_due`; the deferred refresh runs before any further
+        data is folded, preserving per-point semantics).
 
         With a ``watermark`` the batch first passes through the reordering
         buffer (only released points are folded); with ``normalize=True`` the
@@ -1134,17 +1135,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                     if frame is not None:
                         frames.append(frame)
 
-    def refresh_if_due(self, cache: EvaluationCache | None = None) -> Frame | None:
-        """Run a refresh deferred by ``push_many(..., defer_boundary=True)``.
-
-        *cache* may carry pre-filled candidate evaluations for the current
-        window (the StreamHub coalesces grid-strategy refreshes this way); it
-        is ignored unless it matches the window contents exactly.
-        """
+    def refresh_if_due(self) -> Frame | None:
+        """Run a refresh deferred by ``push_many(..., defer_boundary=True)``."""
         if not self._refresh_due:
             return None
         self._refresh_due = False
-        return self._refresh(cache=cache)
+        return self._refresh()
 
     def backfill(self, timestamps, values) -> BackfillResult:
         """Replay an archive through batch machinery, then stream seamlessly.
@@ -1509,9 +1505,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             )
         return analysis_from_correlations(correlations)
 
-    def _refresh(
-        self, cache: EvaluationCache | None = None, materialize: bool = True
-    ) -> Frame | None:
+    def _refresh(self, materialize: bool = True) -> Frame | None:
         """Run one refresh; with ``materialize=False`` (backfill replay lane)
         the search, statistics, and every piece of carried state advance
         exactly as usual, but the warm prefetch and the rendered frame —
@@ -1521,10 +1515,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if values.size < MIN_PANES_FOR_SEARCH:
             return None
         spec = self.spec
-        if cache is not None and (
-            cache.values.size != values.size or not np.array_equal(cache.values, values)
-        ):
-            cache = None  # stale pre-fill (data raced in); fall back to fresh state
         # Above the conditioning ratio no float64 formulation can agree with
         # the scalar kernels to 1e-9, so such refreshes run the exact
         # from-scratch path — agreement by construction.
@@ -1534,24 +1524,19 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         )
         if self._rolling is not None and not use_incremental:
             self._counters["exact_fallbacks"] += 1
-        if cache is None:
-            cache = EvaluationCache(values)
-            if use_incremental:
-                self._refreshes_since_rebuild += 1
-                if self._refreshes_since_rebuild >= spec.recompute_every:
-                    self._refreshes_since_rebuild = 0
-                    self._rolling.rebuild()
-                    self._counters["full_recomputes"] += 1
-                rolling_roughness = self._rolling.roughness()
-                rolling_kurtosis = self._rolling.kurtosis()
-                if spec.verify_incremental:
-                    _check_agreement(
-                        "roughness", rolling_roughness, _scalar_roughness(values)
-                    )
-                    _check_agreement(
-                        "kurtosis", rolling_kurtosis, _scalar_kurtosis(values)
-                    )
-                cache.seed_original(rolling_roughness, rolling_kurtosis)
+        cache = EvaluationCache(values)
+        if use_incremental:
+            self._refreshes_since_rebuild += 1
+            if self._refreshes_since_rebuild >= spec.recompute_every:
+                self._refreshes_since_rebuild = 0
+                self._rolling.rebuild()
+                self._counters["full_recomputes"] += 1
+            rolling_roughness = self._rolling.roughness()
+            rolling_kurtosis = self._rolling.kurtosis()
+            if spec.verify_incremental:
+                _check_agreement("roughness", rolling_roughness, _scalar_roughness(values))
+                _check_agreement("kurtosis", rolling_kurtosis, _scalar_kurtosis(values))
+            cache.seed_original(rolling_roughness, rolling_kurtosis)
         # Warm-started search: prefetch the previous refresh's probe trace
         # (plus the previous winner's neighborhood) in one stacked kernel
         # call, screened at the original kurtosis exactly as the search

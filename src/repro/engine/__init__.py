@@ -7,8 +7,8 @@ package executes that workload through the single-series pipeline of
 
 * :func:`smooth_many` / :class:`BatchEngine` — smooth a 2-D array, a list of
   arrays or :class:`~repro.timeseries.TimeSeries`, or a dict of labeled
-  series in one call, with batched preaggregation and candidate-evaluation
-  kernels, optional thread/process fan-out, and a search-state cache
+  series in one call, with the unseen series of each searched length
+  searched together through stacked candidate-evaluation kernels, optional thread/process fan-out, and a search-state cache
   (:class:`ACFCache`) shared across refreshes: a series is searched once
   per key, and one resubmitted unchanged gets its memoized search result
   back, with no search step, FFT or moment kernel;
@@ -18,24 +18,24 @@ package executes that workload through the single-series pipeline of
 
 **Equivalence guarantee.**  ``smooth_many(batch, **config)`` returns results
 bit-identical to ``[smooth(series, **config) for series in batch]`` for every
-strategy and input shape.  The batched kernels the engine actually drives —
-:func:`repro.spectral.convolution.sma_grid_moments` for the candidate grids,
-:func:`repro.spectral.convolution.sma_probe_moments` for the lockstep rounds
-of the adaptive searches, and the row-wise original-moment reductions —
+strategy and input shape.  The batched kernels the engine's lockstep rounds
+drive — :func:`repro.spectral.convolution.sma_grid_moments` for the grid
+strategies' candidate grids,
+:func:`repro.spectral.convolution.sma_probe_moments` for the adaptive
+searches' requests, and the row-wise original-moment reductions —
 produce, row for row, exactly the values the per-series pipeline computes, and
 the search-state cache only ever returns analyses and evaluations the
 per-series search would have computed itself, keyed by everything that
 search depends on (searched content and length, resolved ``max_window``,
-strategy), and every result is assembled by the code that ends ``smooth()``.  The engine therefore never trades accuracy for speed —
-``tests/engine`` asserts exact equality, and every pre-filled evaluation
-cache is revalidated against the values the pipeline derives on its own.
+strategy), and every result is assembled by the code that ends ``smooth()``.
+The engine therefore never trades accuracy for speed — ``tests/engine``
+asserts exact equality.
 """
 
 from .batch_engine import (
     BatchEngine,
     BatchResult,
     BatchStats,
-    prefill_grid_caches,
     smooth_many,
 )
 from .cache import ACFCache
@@ -45,6 +45,5 @@ __all__ = [
     "BatchEngine",
     "BatchResult",
     "BatchStats",
-    "prefill_grid_caches",
     "smooth_many",
 ]

@@ -6,21 +6,7 @@ refresh.  :class:`BatchEngine` executes that workload through the stages of
 the single-series pipeline (:func:`repro.core.batch.smooth`), organized so
 the batch pays for its shared work once:
 
-* **Batched kernels over ratio cohorts** — for the grid-shaped strategies
-  (exhaustive, grid2, grid10), every series is first run through the shared
-  pre-aggregation stage
-  (:func:`repro.core.preaggregation.prepare_search_input`) and the batch is
-  grouped into *ratio cohorts*: series whose searched representations have
-  the same length share one candidate grid, so the original-series moments
-  and the *entire candidate grid of every cohort member* are computed by
-  2-D/3-D array kernels (:func:`repro.spectral.convolution.sma_grid_moments`)
-  and handed to each series' search as a pre-filled
-  :class:`~repro.core.smoothing.EvaluationCache`.  Ragged batches whose
-  members land on the same point-to-pixel ratio — the common dashboard case
-  of many same-resolution charts over different history lengths — batch just
-  as well as rectangular ones.
-* **Memoized searches** — the per-series strategies (ASAP, binary, and
-  the grid strategies off the fast path) take each series' ACF analysis,
+* **Memoized searches** — every strategy takes each series' ACF analysis,
   :class:`~repro.core.smoothing.EvaluationCache` and search result from an
   :class:`~repro.engine.cache.ACFCache` keyed by searched content.  A series
   is searched once per key: a refresh that resubmits it unchanged runs no
@@ -28,23 +14,27 @@ the batch pays for its shared work once:
   assembly.  Serially the whole batch is looked up at once
   (:meth:`~repro.engine.cache.ACFCache.search_states`), so its unseen series
   share stacked FFT calls per searched length.
-* **Lockstep cold searches** — on the serial path, the adaptive strategies
-  (ASAP, binary) search every *unseen* series of a batch together
-  (:func:`search_in_lockstep`): the searches run as step generators
-  (:func:`repro.core.search.search_steps`), grouped by searched length, and
-  each round the window every live search asks for is evaluated by one
-  stacked :func:`~repro.spectral.convolution.sma_probe_moments` call — a
-  dozen unseen series cost about as many kernel calls as the longest of
-  their searches, not the sum.  Each generator's return value is the
-  series' :class:`~repro.core.search.SearchResult`, memoized as it is; a
-  singleton of its length is searched alone through
+* **Lockstep cold searches** — on the serial path, every *unseen* series
+  of a batch is searched together with the others of its searched length
+  (:func:`search_in_lockstep`).  The adaptive strategies (ASAP, binary) run
+  as step generators (:func:`repro.core.search.search_steps`), and each
+  round the window every live search asks for is evaluated by one stacked
+  :func:`~repro.spectral.convolution.sma_probe_moments` call — a dozen
+  unseen series cost about as many kernel calls as the longest of their
+  searches, not the sum; each generator's return value is the series'
+  :class:`~repro.core.search.SearchResult`, memoized as it is.  The grid
+  strategies (exhaustive, grid2, grid10) know their whole plan up front, so
+  a group takes one round: one stacked
+  :func:`~repro.spectral.convolution.sma_grid_moments` call over the
+  candidate grid, after which each search runs on cache hits.  A singleton
+  of its length is searched alone through
   :func:`~repro.core.search.run_strategy`.
 * **One validation, one assembly** — each input is validated and
   preaggregated once, and its result is assembled by the code that ends
   :func:`~repro.core.batch.smooth` (SMA at the chosen window, bucket-start
   timestamps, output moments from the evaluation cache).
-* **Worker fan-out** — adaptive strategies and ragged batches can spread
-  across a thread or process pool (the lockstep rounds are serial-only).
+* **Worker fan-out** — the per-series work can spread across a thread or
+  process pool (the lockstep rounds are serial-only).
 
 Because every path runs the same validation, search and assembly code over
 the same numbers (the batched kernels are bit-identical to their scalar
@@ -66,10 +56,10 @@ import numpy as np
 from ..core.acf import ACFAnalysis
 from ..core.batch import _assemble, _input_series, smooth
 from ..spec import AsapSpec, resolve_spec, spec_backed
-from ..core.preaggregation import expected_ratio, prepare_search_input
+from ..core.preaggregation import prepare_search_input
 from ..core.result import SmoothingResult
 from ..core.search import (
-    ADAPTIVE_STRATEGIES,
+    GRID_STRATEGY_STEPS,
     SearchResult,
     resolve_max_window,
     run_strategy,
@@ -86,13 +76,8 @@ __all__ = [
     "BatchResult",
     "BatchStats",
     "smooth_many",
-    "prefill_grid_caches",
     "search_in_lockstep",
-    "GRID_STRATEGY_STEPS",
 ]
-
-#: Candidate-grid step per batchable strategy (exhaustive is a step-1 grid).
-GRID_STRATEGY_STEPS = {"exhaustive": 1, "grid2": 2, "grid10": 10}
 
 
 @dataclass(frozen=True)
@@ -104,15 +89,10 @@ class BatchStats:
     strategy: str
     workers: int
     executor: str
-    used_fast_path: bool
     #: Search-state lookups that resolved an ACF analysis (ASAP strategy
     #: only), split into reuses and fresh analyses.
     acf_cache_hits: int
     acf_cache_misses: int
-    #: Ratio cohorts (groups of series sharing one searched length, and
-    #: therefore one batched candidate-grid kernel call) in this batch; 0
-    #: when the fast path did not run or nothing could be grouped.
-    ratio_cohorts: int = 0
 
     @property
     def series_per_second(self) -> float:
@@ -203,11 +183,6 @@ def _normalize_batch(batch) -> tuple[list[str], list]:
     return labels, items
 
 
-def _item_values(item) -> np.ndarray:
-    values = item.values if isinstance(item, TimeSeries) else item
-    return np.asarray(values, dtype=np.float64)
-
-
 def _labeled(label: str, index: int, exc: Exception) -> Exception:
     return type(exc)(f"series {label!r} (batch index {index}): {exc}")
 
@@ -227,83 +202,37 @@ def _smooth_one(payload) -> SmoothingResult:
     return smooth(item, **kwargs)
 
 
-def prefill_grid_caches(
-    searched2d: np.ndarray,
-    strategy: str,
-    max_window: int | None = None,
-) -> list[EvaluationCache]:
-    """One pre-filled :class:`EvaluationCache` per row of a rectangular batch.
-
-    For a grid-shaped strategy, the original-series moments and *every*
-    candidate evaluation of every row are computed by three batched kernels
-    (:func:`~repro.spectral.convolution.sma_grid_moments` and the row-wise
-    moment reductions) and installed into per-row caches, so each row's
-    subsequent search runs entirely on cache hits.  Values are bit-identical
-    to what per-row evaluation would produce (the batched kernels are
-    row-independent).  Shared by :class:`BatchEngine`'s fast path and the
-    StreamHub's coalesced tick refreshes.
-
-    ``searched2d`` must already be the *searched* representation (i.e. after
-    any preaggregation), with at least 4 columns.
-    """
-    rows = np.asarray(searched2d, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
-    if strategy not in GRID_STRATEGY_STEPS:
-        raise ValueError(
-            f"strategy {strategy!r} has no fixed candidate grid; "
-            f"expected one of {', '.join(GRID_STRATEGY_STEPS)}"
-        )
-    limit = resolve_max_window(rows[0], max_window)
-    grid = list(range(2, limit + 1, GRID_STRATEGY_STEPS[strategy]))
-
-    original_roughness = _row_roughness(rows)
-    original_kurtosis = row_kurtosis(rows)
-    grid_roughness, grid_kurtosis = sma_grid_moments(rows, grid)
-
-    caches: list[EvaluationCache] = []
-    for index in range(rows.shape[0]):
-        cache = EvaluationCache(rows[index])
-        cache.seed_original(original_roughness[index], original_kurtosis[index])
-        cache.seed(
-            WindowEvaluation(
-                window=window,
-                roughness=float(grid_roughness[index, position]),
-                kurtosis=float(grid_kurtosis[index, position]),
-            )
-            for position, window in enumerate(grid)
-        )
-        caches.append(cache)
-    return caches
-
-
 def search_in_lockstep(
     states, strategy: str, max_window: int | None = None
 ) -> list[SearchResult | None]:
     """Run the cold searches among *states* in lockstep; return their results.
 
-    *states* are ``(EvaluationCache, ACFAnalysis | None)`` search states of
-    an adaptive strategy (``asap``/``binary``), as
+    *states* are ``(EvaluationCache, ACFAnalysis | None)`` search states, as
     :meth:`~repro.engine.cache.ACFCache.search_state` returns them.  The
     states whose cache is still empty are deduplicated (one cache entry may
     serve several batch members) and grouped by searched length.  Per group
-    of two or more:
+    of two or more, the original moments of every member come from two
+    row-wise reductions, bit for bit the single-series ones; then:
 
-    * the original moments of every member come from two row-wise
-      reductions, bit for bit the single-series ones;
-    * every member's search runs as a step generator
-      (:func:`~repro.core.search.search_steps`), and each round the window
-      every live search requests is evaluated by **one** stacked
-      :func:`~repro.spectral.convolution.sma_probe_moments` call, each row
-      screened at its member's original kurtosis and bit-identical to the
-      single-window kernel the cache would run.
+    * an adaptive strategy (``asap``/``binary``) runs every member's search
+      as a step generator (:func:`~repro.core.search.search_steps`), and
+      each round the window every live search requests is evaluated by
+      **one** stacked :func:`~repro.spectral.convolution.sma_probe_moments`
+      call, each row screened at its member's original kurtosis and
+      bit-identical to the single-window kernel the cache would run;
+    * a grid strategy (exhaustive, grid2, grid10) has a fixed plan, so its
+      whole candidate grid is evaluated for every member by **one**
+      :func:`~repro.spectral.convolution.sma_grid_moments` call, whose rows
+      are bit-identical to the one-series grid kernel.
 
-    Each evaluation is also seeded into its member's cache, where the result
-    assembly reads the chosen window's moments.  Returns, per state, the
+    Each evaluation is seeded into its member's cache, where a search of
+    that cache finds it and the result assembly reads the chosen window's
+    moments.  Returns, per state, the
     :class:`~repro.core.search.SearchResult` its generator returned —
     exactly what :func:`~repro.core.search.run_strategy` returns from a cold
-    search — or ``None`` for a state it left alone (already searched, or a
-    singleton of its length).
+    search — or ``None`` for a state whose search is left to the caller
+    (already searched, a singleton of its length, or a grid strategy's
+    member, whose search then runs on cache hits alone).
     """
     unseen: dict[int, tuple[EvaluationCache, ACFAnalysis | None]] = {}
     for cache, acf in states:
@@ -322,6 +251,15 @@ def search_in_lockstep(
             (cache for cache, _ in members), _row_roughness(batch), row_kurtosis(batch)
         ):
             cache.seed_original(roughness, kurtosis)
+        if strategy in GRID_STRATEGY_STEPS:
+            limit = resolve_max_window(batch[0], max_window)
+            grid = list(range(2, limit + 1, GRID_STRATEGY_STEPS[strategy]))
+            roughness, kurtosis = sma_grid_moments(batch, grid)
+            for (cache, _), rough_row, kurt_row in zip(
+                members, roughness.tolist(), kurtosis.tolist()
+            ):
+                cache.seed(map(WindowEvaluation, grid, rough_row, kurt_row))
+            continue
         # (row, cache, steps, requested window) per live search.
         pending = []
         for row, (cache, acf) in enumerate(members):
@@ -364,11 +302,8 @@ class BatchEngine:
         so validation and defaults are identical to the single-series path.
     workers:
         Fan the per-series work across this many workers.  ``None``/``0``/
-        ``1`` run serially.  Parallelism applies to the adaptive strategies
-        (``asap``/``binary``) and to ragged batches; serially, the adaptive
-        strategies search a batch's unseen series in lockstep, and the
-        grid-shaped strategies on equal-length batches use the batched
-        kernels, which beat thread fan-out on any core count.
+        ``1`` run serially, searching a batch's unseen series in lockstep
+        (:func:`search_in_lockstep`).
     executor:
         ``"thread"`` (default; shares the search-state cache) or ``"process"``
         (bypasses the shared cache, worth it only for very large per-series
@@ -429,23 +364,15 @@ class BatchEngine:
         acf_hits_before = self.acf_cache.hits
         acf_misses_before = self.acf_cache.misses
 
-        fast = self._try_fast_path(labels, items)
-        if fast is not None:
-            (results, cohorts), used_fast_path = fast, True
-        else:
-            results, cohorts = self._fallback_path(labels, items), 0
-            used_fast_path = False
-
+        results = self._execute(labels, items)
         stats = BatchStats(
             n_series=len(items),
             wall_seconds=time.perf_counter() - started,
             strategy=self.strategy,
             workers=self._effective_workers(),
             executor=self.executor,
-            used_fast_path=used_fast_path,
             acf_cache_hits=self.acf_cache.hits - acf_hits_before,
             acf_cache_misses=self.acf_cache.misses - acf_misses_before,
-            ratio_cohorts=cohorts,
         )
         return BatchResult(labels=tuple(labels), results=tuple(results), stats=stats)
 
@@ -464,79 +391,7 @@ class BatchEngine:
     def _smooth_kwargs(self) -> dict:
         return {"spec": self.spec}
 
-    def _try_fast_path(self, labels, items) -> tuple[list[SmoothingResult], int] | None:
-        """Batched-kernel execution over ratio cohorts.
-
-        Eligible when the strategy's candidates form a fixed grid and
-        execution is serial.  Every series is run through the shared
-        pre-aggregation stage, then grouped by *searched length* (its ratio
-        cohort): all members of a cohort share one candidate grid, so their
-        original moments and entire candidate evaluations are computed by
-        three batched kernels per cohort and installed into pre-filled
-        caches.  Cohorts of one get a plain cache (their search evaluates
-        through the ordinary kernel — identical values either way); if no
-        cohort has at least two members there is nothing to batch and the
-        fallback path runs instead.  Returns ``(results, shared_cohorts)``.
-        """
-        if (
-            self.strategy not in GRID_STRATEGY_STEPS
-            or self.spec.normalize
-            or self._effective_workers() > 1
-            or not items
-        ):
-            return None
-        # Cohort shapes are a pure function of each series' length, so the
-        # grouping decision costs no data pass: when nothing would batch, the
-        # fallback path runs without having aggregated anything here.
-        value_rows: list[np.ndarray] = []
-        sizes: list[int] = []
-        for item in items:
-            values = _item_values(item)
-            if values.ndim != 1 or values.size < 4:
-                return None
-            ratio = expected_ratio(values.size, self.resolution, self.use_preaggregation)
-            searched_size = values.size // ratio if ratio > 1 else values.size
-            if searched_size < 4:
-                return None
-            value_rows.append(values)
-            sizes.append(searched_size)
-
-        cohorts: dict[int, list[int]] = {}
-        for index, size in enumerate(sizes):
-            cohorts.setdefault(size, []).append(index)
-        if max(len(indices) for indices in cohorts.values()) < 2:
-            return None
-
-        # The shared pipeline stage — bit-identical to the pass smooth()
-        # itself would run, which is what lets the pre-filled caches be
-        # handed straight to the per-series pipeline.
-        searched_rows = [
-            prepare_search_input(values, self.resolution, self.use_preaggregation).values
-            for values in value_rows
-        ]
-        caches: dict[int, EvaluationCache] = {}
-        shared_cohorts = 0
-        for indices in cohorts.values():
-            if len(indices) < 2:
-                index = indices[0]
-                caches[index] = EvaluationCache(searched_rows[index])
-                continue
-            stacked = np.vstack([searched_rows[i] for i in indices])
-            cohort_caches = prefill_grid_caches(stacked, self.strategy, max_window=self.max_window)
-            for index, cache in zip(indices, cohort_caches):
-                caches[index] = cache
-            shared_cohorts += 1
-
-        results: list[SmoothingResult] = []
-        kwargs = self._smooth_kwargs()
-        for index, (label, item) in enumerate(zip(labels, items)):
-            try:
-                results.append(smooth(item, cache=caches[index], **kwargs))
-            except ValueError as exc:
-                raise _labeled(label, index, exc) from exc
-        return results, shared_cohorts
-
-    def _fallback_path(self, labels, items) -> list[SmoothingResult]:
+    def _execute(self, labels, items) -> list[SmoothingResult]:
         """Per-series execution: serial, thread pool, or process pool."""
         workers = self._effective_workers()
 
@@ -560,22 +415,21 @@ class BatchEngine:
         """Serial execution: lockstep cold searches, then each series assembled.
 
         The batch's search states come from one lookup
-        (:meth:`_search_states`).  The adaptive strategies' cold searches run
-        in lockstep (:func:`search_in_lockstep`), and their results are
-        memoized on the states.  :meth:`_finish` then searches whatever the
-        lockstep left (singletons of their length, the grid strategies) and
-        assembles every series in input order, so the first failing index
-        raises.
+        (:meth:`_search_states`).  The cold searches run in lockstep
+        (:func:`search_in_lockstep`), and their results are memoized on the
+        states.  :meth:`_finish` then searches whatever the lockstep left
+        (singletons of their length; the grid strategies, over their
+        pre-evaluated grids) and assembles every series in input order, so
+        the first failing index raises.
         """
         prepared = self._search_states(items)
-        if self.strategy in ADAPTIVE_STRATEGIES:
-            entries = [s[2] for s in prepared if isinstance(s, tuple)]
-            cold = [e for e in entries if isinstance(e, _SearchEntry) and e.result is None]
-            found = search_in_lockstep(
-                [(entry.cache, entry.acf) for entry in cold], self.strategy, self.max_window
-            )
-            for entry, result in zip(cold, found):
-                entry.result = result  # None: left to _finish's own search
+        entries = [s[2] for s in prepared if isinstance(s, tuple)]
+        cold = [e for e in entries if isinstance(e, _SearchEntry) and e.result is None]
+        found = search_in_lockstep(
+            [(entry.cache, entry.acf) for entry in cold], self.strategy, self.max_window
+        )
+        for entry, result in zip(cold, found):
+            entry.result = result  # None: left to _finish's own search
         results = []
         for index, (label, state) in enumerate(zip(labels, prepared)):
             try:
@@ -695,9 +549,9 @@ def smooth_many(
     :class:`~repro.timeseries.TimeSeries`, or a dict of label -> series, and
     returns a :class:`BatchResult` whose per-series
     :class:`~repro.core.result.SmoothingResult`\\ s are bit-identical to
-    calling :func:`repro.core.batch.smooth` on each series in a loop — at a
-    fraction of the cost for grid-shaped strategies, whose candidate
-    evaluations are batched into single vectorized kernel calls.
+    calling :func:`repro.core.batch.smooth` on each series in a loop.  The
+    unseen series of each searched length are searched together, their
+    candidate evaluations stacked into shared kernel calls.
 
     Construct a :class:`BatchEngine` directly to keep the search-state cache
     warm across refreshes.

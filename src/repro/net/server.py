@@ -13,7 +13,7 @@ speak the same session API.  Every connection gets:
   ``server_stats`` / ``ping``.  Requests are processed in order per
   connection, so a client may **pipeline** (write many, then read many);
 * **server-push subscriptions**: at every refresh boundary (inline ingest
-  emissions, coalesced ticks, backfill closing frames, close-flush frames —
+  emissions, deferred tick refreshes, backfill closing frames, close-flush frames —
   the hubs' frame-observer hook) each matching subscription gets a push
   message.  A plain subscription carries the frames themselves; a
   ``resolution=`` subscription carries the freshly served

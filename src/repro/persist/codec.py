@@ -128,7 +128,11 @@ __all__ = [
 #: Version 12: a spec drops ``kernel`` (18 fields); candidates are always
 #: evaluated by the numpy grid kernels, and a version-11 spec naming the
 #: field is rejected as unknown.
-SCHEMA_VERSION = 12
+#: Version 13: a hub's ``counters`` and the wire's ``HubStats`` drop
+#: ``refreshes_coalesced`` and ``grid_kernel_calls`` (a tick refreshes every
+#: due session through its own operator), which a version-12 reader's
+#: ``HubStats`` requires.
+SCHEMA_VERSION = 13
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

@@ -10,10 +10,9 @@ that workload on top of the single-stream operator of
   and LRU/idle eviction; sessions are configured by the unified
   :class:`~repro.spec.AsapSpec` (one class, one validation, one wire format
   across every tier);
-* coalesced refreshes — refresh boundaries landing on the same tick are
-  executed together, and grid-strategy sessions over equal-length windows
-  share a single batched kernel call
-  (:func:`repro.engine.batch_engine.prefill_grid_caches`);
+* deferred refreshes — refresh boundaries landing at the end of an ingest
+  batch wait for the next tick, which runs every due session's refresh
+  through its own operator, exactly as a lone operator would;
 * incremental refreshes — hub sessions default to the streaming operator's
   ``incremental=True`` path, so a refresh costs O(new panes) of statistics
   maintenance rather than O(window log window) recomputation, with the same

@@ -8,25 +8,22 @@ on-demand boundary, together.  :class:`StreamHub` is that serving layer:
   ``snapshot`` / ``close``; each session wraps a
   :class:`~repro.core.streaming.StreamingASAP` built from an
   :class:`~repro.spec.AsapSpec` (incremental refresh on by default).
-* **Deferred-boundary coalescing** — an ingest whose refresh boundary lands
-  exactly at the end of the batch *defers* the refresh
+* **Deferred boundaries** — an ingest whose refresh boundary lands exactly
+  at the end of the batch *defers* the refresh
   (:meth:`~repro.core.streaming.StreamingASAP.push_many` with
-  ``defer_boundary=True``); :meth:`StreamHub.tick` then executes every due
-  refresh in one pass.  Due sessions running a grid-shaped strategy over
-  equal-length windows are stacked into a single batched kernel call
-  (:func:`repro.engine.batch_engine.prefill_grid_caches`), so the tick pays
-  for the candidate grid once per group instead of once per stream.
-  Boundaries *inside* an ingest batch refresh inline, preserving exact
-  point-by-point semantics.
+  ``defer_boundary=True``); :meth:`StreamHub.tick` then runs every due
+  session's refresh in one pass, each through its own operator
+  (:meth:`~repro.core.streaming.StreamingASAP.refresh_if_due`), so a tick
+  refresh is exactly the refresh a lone operator would run.  Boundaries
+  *inside* an ingest batch refresh inline, preserving exact point-by-point
+  semantics.
 * **Backpressure and eviction** — ``max_sessions`` bounds concurrent
   sessions (LRU eviction or rejection, by policy), ``max_panes_per_session``
   bounds each session's window memory, and ``idle_ticks_before_eviction``
   reaps sessions that stopped ingesting.  All evictions are counted in
   :class:`HubStats`.
 * **Thread safety** — a registry lock plus per-session locks; concurrent
-  ingestion into different streams proceeds without contention, and a
-  refresh that races an ingest falls back to fresh state rather than using a
-  stale pre-fill.
+  ingestion into different streams proceeds without contention.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from ..core.streaming import (
     StreamingASAP,
     counters_from_state,
 )
-from ..engine.batch_engine import GRID_STRATEGY_STEPS, prefill_grid_caches
 from ..errors import HubAtCapacityError, HubError, UnknownStreamError
 from ..pyramid import ViewSpec
 from ..spec import AsapSpec
@@ -177,8 +173,6 @@ class HubStats:
     ticks: int
     points_ingested: int
     frames_emitted: int
-    refreshes_coalesced: int
-    grid_kernel_calls: int
     views_served: int
     view_cache_hits: int
     sessions_imported: int = 0
@@ -305,7 +299,7 @@ class StreamHub:
         """Register *callback* to see every frame this hub emits.
 
         The callback receives ``{stream_id: [Frame, ...]}`` after each
-        emitting operation — inline ingest boundaries, coalesced
+        emitting operation — inline ingest boundaries, deferred
         :meth:`tick` refreshes, a backfill's closing frames, and a flushing
         :meth:`close` — outside all hub locks, on the thread that drove the
         operation.  This is the network tier's push hook
@@ -464,8 +458,7 @@ class StreamHub:
 
         Refresh boundaries inside the batch refresh immediately (exact
         point-by-point semantics); a boundary at the end of the batch is
-        deferred to the next :meth:`tick`, where it is coalesced with every
-        other due stream.
+        deferred to the next :meth:`tick`, which refreshes every due stream.
         """
         session = self._get(stream_id)
         vs = np.asarray(values, dtype=np.float64)
@@ -488,17 +481,16 @@ class StreamHub:
         """Fold one arrival; single-point convenience wrapper over ingest."""
         return self.ingest(stream_id, [timestamp], [value])
 
-    # -- coalesced refresh -----------------------------------------------------
+    # -- deferred refresh ------------------------------------------------------
 
     def tick(self) -> dict[str, list[Frame]]:
         """Execute every deferred refresh; return emitted frames by stream id.
 
-        Due sessions running a grid-shaped strategy (exhaustive/grid2/grid10)
-        over equal-length windows are grouped, and each group's entire
-        candidate grid is evaluated by one batched kernel call; the remaining
-        due sessions (ASAP/binary, or singleton groups) refresh individually
-        on their incremental state.  Also advances the hub clock and reaps
-        idle sessions when ``idle_ticks_before_eviction`` is set.
+        Every due session refreshes through its own operator
+        (:meth:`~repro.core.streaming.StreamingASAP.refresh_if_due`), on its
+        incremental state, exactly as a lone operator would.  Also advances
+        the hub clock and reaps idle sessions when
+        ``idle_ticks_before_eviction`` is set.
 
         A refresh that raises (e.g. ``verify_incremental``'s
         :class:`~repro.errors.IncrementalDriftError`) does not starve the
@@ -515,60 +507,22 @@ class StreamHub:
             emitted: dict[str, list[Frame]] = self._stashed_frames
             self._stashed_frames = {}
 
-        due: list[_Session] = []
-        for session in sessions:
-            with session.lock:
-                if not session.closed and session.operator.refresh_due:
-                    due.append(session)
-
-        groups: dict[tuple, list[tuple[_Session, np.ndarray]]] = {}
-        singles: list[_Session] = []
-        for session in due:
-            operator = session.operator
-            spec = session.config
-            with session.lock:
-                panes = operator.pane_count
-                if spec.strategy in GRID_STRATEGY_STEPS and panes >= MIN_PANES_FOR_SEARCH:
-                    key = (spec.strategy, panes, spec.max_window)
-                    groups.setdefault(key, []).append(
-                        (session, operator.aggregated_values())
-                    )
-                else:
-                    singles.append(session)
-
         produced = 0
         failures: list[tuple[str, Exception]] = []
-
-        def refresh(session: _Session, cache=None) -> None:
-            nonlocal produced
+        for session in sessions:
             with session.lock:
                 if session.closed:
-                    return
+                    continue
                 try:
-                    frame = session.operator.refresh_if_due(cache=cache)
+                    frame = session.operator.refresh_if_due()
                 except Exception as exc:  # collected: the other sessions still refresh
                     failures.append((session.stream_id, exc))
-                    return
+                    continue
                 if frame is None:
-                    return
+                    continue
                 emitted.setdefault(session.stream_id, []).append(frame)
                 session.frames_emitted += 1
                 produced += 1
-
-        coalesced = 0
-        kernel_calls = 0
-        for (strategy, _panes, max_window), members in groups.items():
-            if len(members) < 2:
-                singles.extend(session for session, _values in members)
-                continue
-            rows = np.vstack([values for _session, values in members])
-            caches = prefill_grid_caches(rows, strategy, max_window=max_window)
-            kernel_calls += 1
-            coalesced += len(members)
-            for (session, _values), cache in zip(members, caches):
-                refresh(session, cache)
-        for session in singles:
-            refresh(session)
 
         with self._lock:
             if self.idle_ticks_before_eviction is not None:
@@ -580,8 +534,6 @@ class StreamHub:
                 ]
                 for session in stale:
                     self._retire_locked(session, "sessions_evicted")
-            self._counters["refreshes_coalesced"] += coalesced
-            self._counters["grid_kernel_calls"] += kernel_calls
             self._counters["frames_emitted"] += produced
             if failures:
                 for stream_id, frames in self._stashed_frames.items():

@@ -64,18 +64,16 @@ class TestBitIdentity:
         )
         assert all(a == b for a, b in zip(looped, batched))
 
-    def test_ragged_same_cohort_batch_uses_fast_path_and_matches(self, batch_series):
+    def test_ragged_same_length_batch_matches(self, batch_series):
         # 2400 points at ratio 8 and 1200 points at ratio 4 both search 300
-        # values — one ratio cohort, one shared kernel call.
+        # values — one lockstep group, one shared grid kernel call.
         ragged = [batch_series[0], batch_series[1][:1200]]
         result = smooth_many(ragged, resolution=300, strategy="grid2")
-        assert result.stats.used_fast_path
-        assert result.stats.ratio_cohorts == 1
         assert result[0] == smooth(ragged[0], resolution=300, strategy="grid2")
         assert result[1] == smooth(ragged[1], resolution=300, strategy="grid2")
 
     def test_ragged_multi_cohort_batch_matches(self, batch_series):
-        # Three searched lengths, two of them shared: cohorts {300: 3, 333: 2,
+        # Three searched lengths, two of them shared: groups {300: 3, 333: 2,
         # 250: 1} -> two shared kernel calls plus one singleton.
         ragged = [
             batch_series[0],            # 2400 -> ratio 8 -> 300
@@ -86,16 +84,12 @@ class TestBitIdentity:
             batch_series[5][:250],      # 250  -> under-oversampled -> 250
         ]
         result = smooth_many(ragged, resolution=300, strategy="grid10")
-        assert result.stats.used_fast_path
-        assert result.stats.ratio_cohorts == 2
         for series, out in zip(ragged, result):
             assert out == smooth(series, resolution=300, strategy="grid10")
 
-    def test_all_singleton_cohorts_fall_back_and_match(self, batch_series):
+    def test_all_singleton_lengths_match(self, batch_series):
         ragged = [batch_series[0], batch_series[1][:1000]]  # 300 vs 333
         result = smooth_many(ragged, resolution=300, strategy="grid2")
-        assert not result.stats.used_fast_path
-        assert result.stats.ratio_cohorts == 0
         assert result[0] == smooth(ragged[0], resolution=300, strategy="grid2")
         assert result[1] == smooth(ragged[1], resolution=300, strategy="grid2")
 
@@ -167,7 +161,6 @@ class TestStatsAndCaches:
         assert stats.wall_seconds > 0
         assert stats.series_per_second > 0
         assert stats.strategy == "grid2"
-        assert stats.used_fast_path
 
     def test_acf_cache_shared_across_refreshes(self, batch_series):
         engine = BatchEngine(resolution=300, strategy="asap")
@@ -192,8 +185,3 @@ class TestStatsAndCaches:
         second = cache.get_or_compute(values, max_lag=12)
         assert first is second
         assert cache.hits == 1
-
-    def test_grid_strategies_use_fast_path_and_asap_does_not(self, batch_series):
-        for strategy, expect_fast in (("grid10", True), ("asap", False)):
-            result = smooth_many(batch_series, resolution=300, strategy=strategy)
-            assert result.stats.used_fast_path == expect_fast

@@ -2,9 +2,10 @@
 
 Hypothesis draws a batch — periodic, aperiodic and constant series over a
 few lengths (so several searched-length groups and singletons), with
-repeats — and an adaptive strategy, then checks the batch engine's first
-submission (cold searches in lockstep) and its resubmission (replay from
-the search-state cache) against :func:`repro.core.batch.smooth`, field by
+repeats — and a strategy (the adaptive ones' step-generator rounds and the
+grid strategies' one stacked grid round), then checks the batch engine's
+first submission (cold searches in lockstep) and its resubmission (replay
+from the search-state cache) against :func:`repro.core.batch.smooth`, field by
 field.  Runs in the ``ci`` and ``nightly`` fuzz legs.
 """
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import smooth
+from repro.core.search import STRATEGIES
 from repro.engine import BatchEngine
 
 RESOLUTION = 100
@@ -57,7 +59,7 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
-@given(batch=batches(), strategy=st.sampled_from(["asap", "binary"]))
+@given(batch=batches(), strategy=st.sampled_from(list(STRATEGIES)))
 @settings(deadline=None)
 def test_lockstep_batch_equals_looped_smooth(batch, strategy):
     looped = [smooth(values, resolution=RESOLUTION, strategy=strategy) for values in batch]

@@ -50,8 +50,8 @@ def assert_identical(got, want) -> None:
 
 
 def _ragged(seed: int, n_series: int) -> list[np.ndarray]:
-    """Periodic series whose searched lengths differ (300, 301, ...), so no
-    grid cohort forms and every strategy goes through the search-state cache."""
+    """Periodic series whose searched lengths differ (300, 301, ...), so each
+    is searched alone (a singleton of its length in the lockstep)."""
     rng = np.random.default_rng(seed)
     batch = []
     for index in range(n_series):
@@ -63,7 +63,7 @@ def _ragged(seed: int, n_series: int) -> list[np.ndarray]:
 
 
 def _equal(seed: int, n_series: int) -> list[np.ndarray]:
-    """Equal-length series: one lockstep group for the adaptive strategies."""
+    """Equal-length series: one lockstep group."""
     return [values[:2400] for values in _ragged(seed, n_series)]
 
 
@@ -118,19 +118,20 @@ class TestResubmitRunsNoSearch:
             ("asap", "ragged"),
             ("binary", "equal"),
             ("binary", "ragged"),
+            ("exhaustive", "equal"),
             ("exhaustive", "ragged"),
+            ("grid2", "equal"),
             ("grid2", "ragged"),
+            ("grid10", "equal"),
         ],
     )
     def test_resubmit_is_identical_with_search_forbidden(
         self, strategy, shape, workers, monkeypatch
     ):
         batch = (_equal if shape == "equal" else _ragged)(2601, 5)
-        if strategy in ("asap", "binary"):
-            batch.append(batch[1])  # the same content twice (a grid cohort otherwise)
+        batch.append(batch[1])  # the same content twice
         engine = BatchEngine(resolution=RESOLUTION, strategy=strategy, workers=workers)
         first = engine.smooth_many(batch)
-        assert not first.stats.used_fast_path
         _forbid_search(monkeypatch)
         again = engine.smooth_many(batch)
         monkeypatch.undo()

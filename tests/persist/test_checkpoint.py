@@ -258,7 +258,7 @@ def test_codec_names_npz_checkpoints_from_older_schemas():
         message = str(excinfo.value)
         assert "NPZ checkpoint" in message
         assert "schema version <= 6" in message
-        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 12
+        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 13
 
 
 # -- component state round trips ----------------------------------------------
