@@ -35,7 +35,8 @@ Packages:
 * :mod:`repro.errors` — the consolidated exception surface;
 * :mod:`repro.core` — the ASAP operator (metrics, search, streaming);
 * :mod:`repro.engine` — the multi-series batch engine (``smooth_many``);
-* :mod:`repro.pyramid` — multi-resolution views, resolved on demand (``Pyramid``);
+* :mod:`repro.pyramid` — multi-resolution views, resolved on demand
+  (``resolve_view``, ``ViewSpec``);
 * :mod:`repro.service` — the multi-tenant streaming service (``StreamHub``);
 * :mod:`repro.cluster` — the sharded serving tier (``ShardedHub``: consistent
   hashing, process shards, live rebalancing, crash recovery);
@@ -73,7 +74,7 @@ from .engine import BatchEngine, BatchResult, smooth_many
 from .errors import DataQualityError, NetError, SpecError
 from .net import AsapServer, PushEvent, RemoteBackend, serve
 from .persist import checkpoint, restore
-from .pyramid import Pyramid, PyramidView, ViewSpec
+from .pyramid import PyramidView, ViewSpec
 from .quality import FrameQuality, normalize_series
 from .service import StreamHub
 from .spec import AsapSpec
@@ -96,7 +97,6 @@ __all__ = [
     "NetError",
     "PushEvent",
     "RemoteBackend",
-    "Pyramid",
     "PyramidView",
     "SearchResult",
     "ShardedHub",

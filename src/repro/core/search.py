@@ -55,7 +55,6 @@ from typing import Generator
 
 import numpy as np
 
-from ..timeseries.stats import kurtosis, roughness
 from .acf import ACFAnalysis, analyze_acf, default_max_lag
 from .metrics import estimate_is_rougher
 from .smoothing import EvaluationCache, WindowEvaluation
@@ -121,14 +120,6 @@ class SearchState:
     largest_feasible_idx: int = -1
     candidates_evaluated: int = 0
     original_kurtosis: float = 0.0
-
-    @classmethod
-    def for_series(cls, values) -> "SearchState":
-        return cls(
-            window=1,
-            roughness=roughness(values),
-            original_kurtosis=kurtosis(values),
-        )
 
     @classmethod
     def from_cache(cls, cache: EvaluationCache) -> "SearchState":

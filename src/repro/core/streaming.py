@@ -589,34 +589,6 @@ class RollingWindowState:
         rolling.rebuilds = int(state["rebuilds"])
         return rolling
 
-    @classmethod
-    def from_bulk(
-        cls, values, capacity: int, lag_budget: int
-    ) -> "RollingWindowState":
-        """One-shot construction over a full history — O(n), no per-chunk sums.
-
-        Bit-identical to ``extend()``-ing *values* through a fresh instance
-        (under **any** chunking) and then calling :meth:`rebuild`: extension
-        stores each retained value as ``value - values[0]`` regardless of
-        batching, and a rebuild recomputes every sum from exactly those ring
-        contents, so the two paths converge on the same floats.  This is the
-        cold-start constructor for batch consumers; note that an instance
-        that streamed the same history *without* a closing rebuild holds
-        chunk-accumulated sums instead — which is why the streaming
-        operator's backfill replays chunk cadence rather than calling this.
-        """
-        state = cls(capacity=capacity, lag_budget=lag_budget)
-        block = np.asarray(values, dtype=np.float64)
-        if block.ndim != 1:
-            raise ValueError(f"expected a 1-D history, got shape {block.shape}")
-        if block.size == 0:
-            return state
-        state._anchor = float(block[0])
-        state._ring.append_many(block[-capacity:] - state._anchor)
-        state.appended = block.size
-        state.rebuild()
-        return state
-
     # -- derived statistics ---------------------------------------------------
 
     def correlations(self, max_lag: int) -> np.ndarray:

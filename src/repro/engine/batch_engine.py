@@ -12,8 +12,8 @@ the batch pays for its shared work once:
   is searched once per key: a refresh that resubmits it unchanged runs no
   search step, FFT, moment kernel or candidate SMA, only the result
   assembly.  Serially the whole batch is looked up at once
-  (:meth:`~repro.engine.cache.ACFCache.search_states`), so its unseen series
-  share stacked FFT calls per searched length.
+  (:meth:`~repro.engine.cache.ACFCache.lookup`), so its unseen series share
+  stacked FFT calls per searched length.
 * **Lockstep cold searches** — on the serial path, every *unseen* series
   of a batch is searched together with the others of its searched length
   (:func:`search_in_lockstep`).  The adaptive strategies (ASAP, binary) run
@@ -53,14 +53,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..core.acf import ACFAnalysis
 from ..core.batch import _assemble, _input_series, smooth
 from ..spec import AsapSpec, resolve_spec, spec_backed
 from ..core.preaggregation import prepare_search_input
 from ..core.result import SmoothingResult
 from ..core.search import (
     GRID_STRATEGY_STEPS,
-    SearchResult,
     resolve_max_window,
     run_strategy,
     search_steps,
@@ -68,8 +66,8 @@ from ..core.search import (
 from ..core.smoothing import EvaluationCache, WindowEvaluation
 from ..spectral.convolution import sma_grid_moments, sma_probe_moments
 from ..timeseries.series import TimeSeries
-from ..timeseries.stats import row_kurtosis
-from .cache import ACFCache, _SearchEntry
+from ..timeseries.stats import row_kurtosis, row_roughness
+from .cache import ACFCache, SearchEntry
 
 __all__ = [
     "BatchEngine",
@@ -187,32 +185,21 @@ def _labeled(label: str, index: int, exc: Exception) -> Exception:
     return type(exc)(f"series {label!r} (batch index {index}): {exc}")
 
 
-def _row_roughness(rows: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`repro.timeseries.stats.roughness`, bit for bit."""
-    if rows.shape[1] < 2:
-        return np.zeros(rows.shape[0], dtype=np.float64)
-    diffs = np.diff(rows, axis=1)
-    centered = diffs - diffs.mean(axis=1, keepdims=True)
-    return np.sqrt(np.mean(centered * centered, axis=1))
-
-
 def _smooth_one(payload) -> SmoothingResult:
     """Process-pool task: smooth one series with the given configuration."""
     item, kwargs = payload
     return smooth(item, **kwargs)
 
 
-def search_in_lockstep(
-    states, strategy: str, max_window: int | None = None
-) -> list[SearchResult | None]:
-    """Run the cold searches among *states* in lockstep; return their results.
+def search_in_lockstep(entries, strategy: str, max_window: int | None = None) -> None:
+    """Run the cold searches among *entries* in lockstep; memoize their results.
 
-    *states* are ``(EvaluationCache, ACFAnalysis | None)`` search states, as
-    :meth:`~repro.engine.cache.ACFCache.search_state` returns them.  The
-    states whose cache is still empty are deduplicated (one cache entry may
-    serve several batch members) and grouped by searched length.  Per group
-    of two or more, the original moments of every member come from two
-    row-wise reductions, bit for bit the single-series ones; then:
+    *entries* are :class:`~repro.engine.cache.SearchEntry` search states, as
+    :meth:`~repro.engine.cache.ACFCache.lookup` returns them.  The cold ones
+    (no result, an empty cache) are deduplicated (one entry may serve
+    several batch members) and grouped by searched length.  Per group of two
+    or more, the original moments of every member come from two row-wise
+    reductions, bit for bit the single-series ones; then:
 
     * an adaptive strategy (``asap``/``binary``) runs every member's search
       as a step generator (:func:`~repro.core.search.search_steps`), and
@@ -227,66 +214,61 @@ def search_in_lockstep(
 
     Each evaluation is seeded into its member's cache, where a search of
     that cache finds it and the result assembly reads the chosen window's
-    moments.  Returns, per state, the
+    moments.  An adaptive member's ``result`` is set to the
     :class:`~repro.core.search.SearchResult` its generator returned —
     exactly what :func:`~repro.core.search.run_strategy` returns from a cold
-    search — or ``None`` for a state whose search is left to the caller
-    (already searched, a singleton of its length, or a grid strategy's
-    member, whose search then runs on cache hits alone).
+    search.  Every other entry's ``result`` is left as it was, and its
+    search to the caller (already searched, a singleton of its length, or a
+    grid strategy's member, whose search then runs on cache hits alone).
     """
-    unseen: dict[int, tuple[EvaluationCache, ACFAnalysis | None]] = {}
-    for cache, acf in states:
-        if len(cache) == 0:
-            unseen.setdefault(id(cache), (cache, acf))
-    groups: dict[int, list[tuple[EvaluationCache, ACFAnalysis | None]]] = {}
-    for cache, acf in unseen.values():
-        groups.setdefault(cache.values.size, []).append((cache, acf))
+    unseen = {
+        id(entry): entry
+        for entry in entries
+        if entry.result is None and len(entry.cache) == 0
+    }
+    groups: dict[int, list[SearchEntry]] = {}
+    for entry in unseen.values():
+        groups.setdefault(entry.cache.values.size, []).append(entry)
 
-    found: dict[int, SearchResult] = {}
     for members in groups.values():
         if len(members) < 2:
             continue
-        batch = np.vstack([cache.values for cache, _ in members])
-        for cache, roughness, kurtosis in zip(
-            (cache for cache, _ in members), _row_roughness(batch), row_kurtosis(batch)
-        ):
-            cache.seed_original(roughness, kurtosis)
+        batch = np.vstack([entry.cache.values for entry in members])
+        for entry, roughness, kurtosis in zip(members, row_roughness(batch), row_kurtosis(batch)):
+            entry.cache.seed_original(roughness, kurtosis)
         if strategy in GRID_STRATEGY_STEPS:
             limit = resolve_max_window(batch[0], max_window)
             grid = list(range(2, limit + 1, GRID_STRATEGY_STEPS[strategy]))
             roughness, kurtosis = sma_grid_moments(batch, grid)
-            for (cache, _), rough_row, kurt_row in zip(
-                members, roughness.tolist(), kurtosis.tolist()
-            ):
-                cache.seed(map(WindowEvaluation, grid, rough_row, kurt_row))
+            for entry, rough_row, kurt_row in zip(members, roughness.tolist(), kurtosis.tolist()):
+                entry.cache.seed(map(WindowEvaluation, grid, rough_row, kurt_row))
             continue
-        # (row, cache, steps, requested window) per live search.
+        # (row, entry, steps, requested window) per live search.
         pending = []
-        for row, (cache, acf) in enumerate(members):
-            steps = search_steps(strategy, cache, max_window, acf)
+        for row, entry in enumerate(members):
+            steps = search_steps(strategy, entry.cache, max_window, entry.acf)
             try:
-                pending.append((row, cache, steps, next(steps)))
+                pending.append((row, entry, steps, next(steps)))
             except StopIteration as done:
-                found[id(cache)] = done.value
+                entry.result = done.value
         while pending:
             roughness, kurtosis = sma_probe_moments(
                 batch,
                 [window for _, _, _, window in pending],
                 rows=[row for row, _, _, _ in pending],
-                floor=[cache.original_kurtosis for _, cache, _, _ in pending],
+                floor=[entry.cache.original_kurtosis for _, entry, _, _ in pending],
             )
             advanced = []
-            for (row, cache, steps, window), rough, kurt in zip(
+            for (row, entry, steps, window), rough, kurt in zip(
                 pending, roughness.tolist(), kurtosis.tolist()
             ):
                 evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
-                cache.seed((evaluation,))
+                entry.cache.seed((evaluation,))
                 try:
-                    advanced.append((row, cache, steps, steps.send(evaluation)))
+                    advanced.append((row, entry, steps, steps.send(evaluation)))
                 except StopIteration as done:
-                    found[id(cache)] = done.value
+                    entry.result = done.value
             pending = advanced
-    return [found.get(id(cache)) for cache, _ in states]
 
 
 @spec_backed(*AsapSpec.OPERATOR_FIELDS)
@@ -423,13 +405,8 @@ class BatchEngine:
         the first failing index raises.
         """
         prepared = self._search_states(items)
-        entries = [s[2] for s in prepared if isinstance(s, tuple)]
-        cold = [e for e in entries if isinstance(e, _SearchEntry) and e.result is None]
-        found = search_in_lockstep(
-            [(entry.cache, entry.acf) for entry in cold], self.strategy, self.max_window
-        )
-        for entry, result in zip(cold, found):
-            entry.result = result  # None: left to _finish's own search
+        entries = [s[2] for s in prepared if isinstance(s, tuple) and isinstance(s[2], SearchEntry)]
+        search_in_lockstep(entries, self.strategy, self.max_window)
         results = []
         for index, (label, state) in enumerate(zip(labels, prepared)):
             try:
@@ -446,9 +423,8 @@ class BatchEngine:
         Every item is validated and preaggregated first (:meth:`_search_request`;
         an input that step rejects keeps its error, raised when its turn
         comes, so the first failing index still wins), and the memoizable
-        states come from one lookup of the entries behind
-        :meth:`~repro.engine.cache.ACFCache.search_states`, whose ACF misses
-        share stacked FFT calls per searched length.
+        states come from one :meth:`~repro.engine.cache.ACFCache.lookup`,
+        whose ACF misses share stacked FFT calls per searched length.
         A state is an LRU entry, or the searched values themselves when they
         get none.  The searched values of LRU entries are dropped on return:
         the entries hold their own copies.
@@ -460,7 +436,7 @@ class BatchEngine:
             except Exception as exc:
                 requests.append(exc)
         memoized = [r[2:] for r in requests if isinstance(r, tuple) and r[3] is not None]
-        found = iter(self.acf_cache._lookup(memoized, self.strategy))
+        found = iter(self.acf_cache.lookup(memoized, self.strategy))
         prepared: list = []
         for request in requests:
             if not isinstance(request, tuple):
@@ -484,7 +460,7 @@ class BatchEngine:
             series, ratio, searched, ceiling = self._search_request(item)
             state = searched
             if ceiling is not None:
-                state = self.acf_cache._lookup([(searched, ceiling)], self.strategy)[0]
+                state = self.acf_cache.lookup([(searched, ceiling)], self.strategy)[0]
             return self._finish(series, ratio, state)
         except ValueError as exc:
             raise _labeled(label, index, exc) from exc
@@ -523,8 +499,8 @@ class BatchEngine:
         that meet one unsearched entry may both search it; they store equal
         results, as their searches fill its cache with equal evaluations.
         """
-        if not isinstance(state, _SearchEntry):
-            state = _SearchEntry(EvaluationCache(state))
+        if not isinstance(state, SearchEntry):
+            state = SearchEntry(EvaluationCache(state))
         if state.result is None:
             state.result = run_strategy(
                 self.strategy, state.cache.values, self.max_window,

@@ -18,14 +18,12 @@ deterministic, so the memo is bit for bit what the search computes from
 scratch, ``candidates_evaluated`` included; the result assembly reads the
 chosen window's moments from the entry's evaluation cache.
 
-A whole batch is looked up at once with :meth:`ACFCache.search_states`:
-its ACF misses are analyzed by one stacked
-:func:`~repro.core.acf.analyze_acf` call per ``(length, max_window)``
-group (one forward and one inverse FFT per chunk of rows), each row
-bit-identical to the one-series analysis; :meth:`ACFCache.search_state` is
-the one-series case.  Both return ``(EvaluationCache, ACFAnalysis | None)``;
-the engine reads and sets the memoized result through the entries behind
-them.
+A whole batch is looked up at once with :meth:`ACFCache.lookup`: its ACF
+misses are analyzed by one stacked :func:`~repro.core.acf.analyze_acf` call
+per ``(length, max_window)`` group (one forward and one inverse FFT per
+chunk of rows), each row bit-identical to the one-series analysis.  It
+returns one :class:`SearchEntry` per request, through which the engine
+reads and sets the memoized result.
 A new state's original moments are filled by the search (or the engine's
 lockstep rounds) through :func:`repro.timeseries.stats.kurtosis`, whose
 fourth moment is the squares squared, ``sq = c*c; mean(sq*sq)``: the
@@ -54,7 +52,7 @@ from ..core.acf import ACFAnalysis, analyze_acf
 from ..core.search import SearchResult
 from ..core.smoothing import EvaluationCache
 
-__all__ = ["ACFCache"]
+__all__ = ["ACFCache", "SearchEntry"]
 
 
 def _fingerprint(values: np.ndarray) -> bytes:
@@ -63,7 +61,7 @@ def _fingerprint(values: np.ndarray) -> bytes:
     return digest.digest()
 
 
-class _SearchEntry:
+class SearchEntry:
     """One series' search state plus the result its search returned.
 
     ``result`` is ``None`` until the search has run; it is a pure function
@@ -90,9 +88,9 @@ class ACFCache:
 
     ``hits``/``misses`` count the lookups that resolve an ACF analysis, as
     they always have: with the ASAP strategy every series is exactly one of
-    the two.  A batch lookup (:meth:`search_states`) counts, orders and
-    evicts exactly as the same requests looked up one by one, a series
-    repeated within the batch included; only the FFTs are shared.
+    the two.  A batch lookup (:meth:`lookup`) counts, orders and evicts
+    exactly as the same requests looked up one by one, a series repeated
+    within the batch included; only the FFTs are shared.
     Thread-safe: the engine's thread pool probes it concurrently, and two
     threads searching the same state only ever fill its memo with the same
     deterministic evaluations and result.
@@ -102,44 +100,25 @@ class ACFCache:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, _SearchEntry] = OrderedDict()
+        self._entries: OrderedDict[tuple, SearchEntry] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def search_state(
-        self, values, max_window: int, strategy: str
-    ) -> tuple[EvaluationCache, ACFAnalysis | None]:
-        """The search state of *values*, built at most once per key.
-
-        *values* is the searched series and *max_window* its resolved window
-        ceiling (:func:`repro.core.search.resolve_max_window`).  On a miss
-        the state starts empty — the caller's search fills the returned
-        cache in place — and holds a private copy of *values*, so mutating
-        the caller's array later cannot corrupt it.  The one-series case of
-        :meth:`search_states`.
-        """
-        return self.search_states([(values, max_window)], strategy)[0]
-
-    def search_states(
-        self, requests, strategy: str
-    ) -> list[tuple[EvaluationCache, ACFAnalysis | None]]:
+    def lookup(self, requests, strategy: str) -> list[SearchEntry]:
         """The search state of every ``(values, max_window)`` request, in order.
 
-        Returns what :meth:`search_state` on each request in turn returns —
-        the same states, hit/miss counts and LRU order, a repeated series
-        included — but the ASAP strategy's misses share one stacked
-        :func:`~repro.core.acf.analyze_acf` call per ``(length,
-        max_window)`` group (one FFT pair per chunk of rows) instead of one
-        FFT pair per series.
-        """
-        return [(entry.cache, entry.acf) for entry in self._lookup(requests, strategy)]
-
-    def _lookup(self, requests, strategy: str) -> list[_SearchEntry]:
-        """The entries behind :meth:`search_states`, memoized results included.
-
-        The batch engine reads and sets ``result`` on them: an entry whose
-        search has run answers its next lookup with no search at all.
+        *values* is a searched series and *max_window* its resolved window
+        ceiling (:func:`repro.core.search.resolve_max_window`).  On a miss
+        the entry starts empty — the caller's search fills its cache in
+        place — and holds a private copy of *values*, so mutating the
+        caller's array later cannot corrupt it.  Hits, misses and LRU order
+        are exactly those of the same requests looked up one at a time, a
+        series repeated within the batch included, but the ASAP strategy's
+        misses share one stacked :func:`~repro.core.acf.analyze_acf` call
+        per ``(length, max_window)`` group (one FFT pair per chunk of rows).
+        The batch engine reads and sets ``result`` on the entries: an entry
+        whose search has run answers its next lookup with no search at all.
         """
         with_acf = strategy == "asap"
         keyed = []
@@ -168,17 +147,13 @@ class ACFCache:
                     self._entries.move_to_end(key)
                     self.hits += with_acf
                 else:
-                    entry = _SearchEntry(EvaluationCache(arr.copy()), analyses.get(key))
+                    entry = SearchEntry(EvaluationCache(arr.copy()), analyses.get(key))
                     self.misses += with_acf
                     self._entries[key] = entry
                     while len(self._entries) > self.maxsize:
                         self._entries.popitem(last=False)
                 entries.append(entry)
         return entries
-
-    def get_or_compute(self, values, max_lag: int) -> ACFAnalysis:
-        """The ACF analysis of *values* at *max_lag*, computed at most once."""
-        return self.search_state(values, max_lag, "asap")[1]
 
     def __len__(self) -> int:
         with self._lock:

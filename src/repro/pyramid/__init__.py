@@ -19,16 +19,13 @@ units, so every consumer (the streaming operator's
 :meth:`~repro.core.streaming.StreamingASAP.pyramid_view`, the StreamHub's
 ``snapshot(stream_id, resolution=...)``) serves results equivalent to
 running the from-scratch operator on the directly pre-aggregated window.
-:class:`Pyramid` is the standalone form: a bounded base window plus
-:meth:`Pyramid.view`, which calls the same function.
 """
 
-from .rollup import DEFAULT_LEVEL_RATIOS, Pyramid, PyramidError, resolve_view
+from .rollup import DEFAULT_LEVEL_RATIOS, PyramidError, resolve_view
 from .view import PyramidView, ViewSpec
 
 __all__ = [
     "DEFAULT_LEVEL_RATIOS",
-    "Pyramid",
     "PyramidError",
     "PyramidView",
     "ViewSpec",

@@ -3,17 +3,14 @@
 from .fft import fft, ifft, is_power_of_two, next_fast_len
 from .convolution import (
     cross_product_sums,
-    prefix_moment_stack,
     sliding_max,
     sliding_min,
     sma,
     sma2d,
-    sma_grid,
     sma_grid_moments,
     sma_probe_moments,
     sma_window_moments,
     sma_with_slide,
-    windowed_moment_sums,
 )
 from .filters import (
     ParameterizedFilter,
@@ -31,17 +28,14 @@ __all__ = [
     "is_power_of_two",
     "next_fast_len",
     "cross_product_sums",
-    "prefix_moment_stack",
     "sliding_max",
     "sliding_min",
     "sma",
     "sma2d",
-    "sma_grid",
     "sma_grid_moments",
     "sma_probe_moments",
     "sma_window_moments",
     "sma_with_slide",
-    "windowed_moment_sums",
     "ParameterizedFilter",
     "fft_dominant",
     "fft_lowpass",

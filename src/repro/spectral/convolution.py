@@ -11,11 +11,6 @@ Beyond the original single-series kernels this module provides the batched
 substrate of the multi-series engine (:mod:`repro.engine`):
 
 * :func:`sma2d` — smooth a whole batch of equal-length series at one window;
-* :func:`sma_grid` — smooth one series at a whole *grid* of candidate windows
-  in a single padded array operation;
-* :func:`prefix_moment_stack` / :func:`windowed_moment_sums` — prefix sums of
-  ``x, x^2, ..., x^p`` so every sliding-window raw moment costs O(1) per
-  position;
 * :func:`sma_grid_moments` — roughness and kurtosis of ``SMA(x, w)`` for every
   window in a grid (and for every series in a batch) without per-window
   Python loops.
@@ -23,8 +18,8 @@ substrate of the multi-series engine (:mod:`repro.engine`):
 Determinism contract: a value computed through a batch path is bit-identical
 to the same value computed alone — row-wise numpy reductions over a
 contiguous final axis do not depend on the number of rows, and chunking and
-fill-strategy choices never change buffer contents.  ``sma2d`` and
-``sma_grid`` rows are additionally bit-identical to the scalar :func:`sma`;
+fill-strategy choices never change buffer contents.  ``sma2d`` rows
+are additionally bit-identical to the scalar :func:`sma`;
 the *moments* of :func:`sma_grid_moments` agree with the scalar statistics
 kernels to floating-point roundoff (the reductions use a different — faster —
 summation order than the scalar two-pass reference).
@@ -44,9 +39,6 @@ __all__ = [
     "sliding_min",
     "sliding_max",
     "sma2d",
-    "sma_grid",
-    "prefix_moment_stack",
-    "windowed_moment_sums",
     "sma_grid_moments",
     "sma_window_moments",
     "sma_probe_moments",
@@ -179,38 +171,6 @@ def sma2d(values, window: int) -> np.ndarray:
     return (prefix[:, window:] - prefix[:, :-window]) / window
 
 
-def sma_grid(values, windows) -> tuple[np.ndarray, np.ndarray]:
-    """SMA of one series at every window in *windows*, as one padded matrix.
-
-    Returns ``(matrix, lengths)`` where ``matrix`` has shape
-    ``(len(windows), n)``: row *j* holds ``sma(values, windows[j])`` in its
-    first ``lengths[j] = n - windows[j] + 1`` entries (bit-identical to the
-    1-D kernel) and zeros beyond.  This is the inner data structure of the
-    vectorized candidate evaluator: every candidate window of a search is
-    smoothed by a single prefix-sum gather.  The matrix is materialized whole
-    (``len(windows) * n`` floats); for moment grids over large window sets
-    prefer :func:`sma_grid_moments`, which chunks internally.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    n = arr.size
-    window_arr = _validated_window_grid(n, windows)
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
-    starts = np.arange(n)
-    ends = starts[np.newaxis, :] + window_arr[:, np.newaxis]
-    valid = ends <= n
-    matrix = (prefix[np.minimum(ends, n)] - prefix[starts]) / window_arr[
-        :, np.newaxis
-    ].astype(np.float64)
-    matrix[~valid] = 0.0
-    # Window 1 is an exact identity in the scalar kernel; bypass the prefix
-    # arithmetic (whose rounding would differ) for those rows.
-    matrix[window_arr == 1] = arr
-    lengths = n - window_arr + 1
-    return matrix, lengths
-
-
 def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
     raw = np.atleast_1d(np.asarray(windows))
     if raw.ndim != 1:
@@ -221,42 +181,6 @@ def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
         for window in listed:
             _validate_window(n, window, label=label)
     return raw.astype(np.int64)
-
-
-def prefix_moment_stack(values, max_power: int = 4) -> np.ndarray:
-    """Prefix sums of ``x, x^2, ..., x^max_power`` in one ``(p, n+1)`` array.
-
-    ``stack[p - 1, i]`` is ``sum(values[:i] ** p)``, so the raw moment sum of
-    any window ``[i, j)`` is ``stack[p - 1, j] - stack[p - 1, i]`` — O(1) per
-    window regardless of its size.  Apply to ``np.diff(values)`` to get the
-    first-difference stacks that power :func:`~repro.timeseries.stats.rolling_roughness`.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    if max_power < 1:
-        raise ValueError(f"max_power must be >= 1, got {max_power}")
-    stack = np.zeros((max_power, arr.size + 1), dtype=np.float64)
-    power = np.ones_like(arr)
-    for p in range(max_power):
-        power = power * arr
-        np.cumsum(power, out=stack[p, 1:])
-    return stack
-
-
-def windowed_moment_sums(stack: np.ndarray, window: int) -> np.ndarray:
-    """Sliding-window sums of each power in a prefix stack.
-
-    Given ``stack`` from :func:`prefix_moment_stack` over a length-*n* series,
-    returns a ``(p, n - window + 1)`` array whose ``[p - 1, i]`` entry is
-    ``sum(values[i : i + window] ** p)``.
-    """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 2:
-        raise ValueError(f"expected a (power, n+1) stack, got shape {stack.shape}")
-    n = stack.shape[1] - 1
-    _validate_window(n, window)
-    return stack[:, window:] - stack[:, :-window]
 
 
 def _roughness(smoothed: np.ndarray, span: int, buffer: np.ndarray) -> float:

@@ -26,8 +26,7 @@ __all__ = [
     "zscore",
     "first_differences",
     "roughness",
-    "rolling_kurtosis",
-    "rolling_roughness",
+    "row_roughness",
     "MomentSummary",
     "moment_summary",
 ]
@@ -156,135 +155,16 @@ def roughness(values) -> float:
     return std(np.diff(arr))
 
 
-#: Safety margin between the eps-scale error bound of the prefix-stack moment
-#: expansion and a window moment we are willing to trust.  Windows below the
-#: margin are recomputed exactly; the survivors carry relative error around
-#: ``1 / margin`` of their own magnitude — comfortably beyond 1e-9.
-_ROLLING_REFINE_MARGIN = 1e10
-
-
-def _windowed_rows(arr: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
-    """Gather the flagged windows as rows of a ``(len(starts), window)`` array."""
-    return arr[starts[:, np.newaxis] + np.arange(window)[np.newaxis, :]]
-
-
-def _rolling_variance(arr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered second moment of every sliding window, plus a refinement mask.
-
-    Fast path: prefix-sum stacks of the globally centered series (central
-    moments are shift-invariant), giving every window's variance in O(n).
-    The raw-moment expansion leaves a cancellation residue on the order of
-    ``eps * n * E[x^2]``; windows whose variance is not safely above that
-    bound are flagged for exact recomputation.
-    """
-    from ..spectral.convolution import prefix_moment_stack, windowed_moment_sums
-
-    centered = arr - arr.mean()
-    stack = prefix_moment_stack(centered, max_power=2)
-    sums = windowed_moment_sums(stack, window)
-    count = float(window)
-    n = float(arr.size)
-    m1 = sums[0] / count
-    raw2 = sums[1] / count
-    second = np.maximum(raw2 - m1 * m1, 0.0)
-    # Prefix sums of centered data drift like a random walk, so the
-    # accumulated rounding error scales with sqrt(n), not n.
-    err2 = np.finfo(np.float64).eps * np.sqrt(n) * (stack[1, -1] / n)
-    flagged = second <= err2 * _ROLLING_REFINE_MARGIN
-    return second, flagged
-
-
-def rolling_kurtosis(values, window: int) -> np.ndarray:
-    """Non-excess kurtosis of every sliding window of *window* points.
-
-    ``out[i] == kurtosis(values[i : i + window])`` for every full window.
-    Computed in O(n) from the prefix-sum moment stacks of
-    :mod:`repro.spectral.convolution` rather than O(n * window) rescans;
-    windows the expansion cannot resolve accurately (near-constant content)
-    are recomputed with the scalar algorithm, vectorized over the flagged
-    rows, so results agree with :func:`kurtosis` everywhere — including the
-    zero-variance convention of returning 0.0.
-    """
-    from ..spectral.convolution import prefix_moment_stack, windowed_moment_sums
-
-    arr = _as_float_array(values)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window} (series length {arr.size})")
-    if window > arr.size:
-        raise ValueError(f"window {window} exceeds series length {arr.size}")
-    n_out = arr.size - window + 1
-    if window == 1:
-        # Single-point windows have zero variance, hence kurtosis 0.0.
-        return np.zeros(n_out, dtype=np.float64)
-
-    centered_global = arr - arr.mean()
-    stack = prefix_moment_stack(centered_global, max_power=4)
-    sums = windowed_moment_sums(stack, window)
-    count = float(window)
-    n = float(arr.size)
-    m1 = sums[0] / count
-    raw2 = sums[1] / count
-    raw3 = sums[2] / count
-    raw4 = sums[3] / count
-    second = np.maximum(raw2 - m1 * m1, 0.0)
-    fourth = np.maximum(
-        raw4 - 4.0 * m1 * raw3 + 6.0 * m1 * m1 * raw2 - 3.0 * m1 ** 4, 0.0
-    )
-    # The expansions accumulate error on the order of eps * sqrt(n) times the
-    # global moment scale (prefix sums of centered data drift like a random
-    # walk); any window moment not safely above that bound is recomputed
-    # exactly.
-    eps_n = np.finfo(np.float64).eps * np.sqrt(n)
-    global2 = stack[1, -1] / n
-    global4 = stack[3, -1] / n
-    global3 = np.sqrt(global2 * global4)
-    abs_m1 = np.abs(m1)
-    err2 = eps_n * global2
-    err4 = eps_n * (
-        global4
-        + 4.0 * abs_m1 * global3
-        + 6.0 * m1 * m1 * global2
-        + 3.0 * m1 ** 4
-    )
-    flagged = (second <= err2 * _ROLLING_REFINE_MARGIN) | (
-        fourth <= err4 * _ROLLING_REFINE_MARGIN
-    )
-    safe = np.where(flagged, 1.0, second)
-    out = np.where(flagged, 0.0, fourth / (safe * safe))
-
-    starts = np.flatnonzero(flagged)
-    if starts.size:
-        out[starts] = row_kurtosis(_windowed_rows(arr, starts, window))
-    return out
-
-
-def rolling_roughness(values, window: int) -> np.ndarray:
-    """Roughness of every sliding window of *window* points.
-
-    ``out[i] == roughness(values[i : i + window])``: the population standard
-    deviation of the first differences *inside* each window, from the prefix
-    stacks of the difference series in O(n) total.  Ill-conditioned windows
-    (near-constant slope) are recomputed exactly like the flagged rows of
-    :func:`rolling_kurtosis`; windows of fewer than two points are perfectly
-    smooth (0.0), matching :func:`roughness`.
-    """
-    arr = _as_float_array(values)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window} (series length {arr.size})")
-    if window > arr.size:
-        raise ValueError(f"window {window} exceeds series length {arr.size}")
-    if window < _MIN_POINTS_FOR_DIFF:
-        return np.zeros(arr.size - window + 1, dtype=np.float64)
-    diffs = np.diff(arr)
-    variance_w, flagged = _rolling_variance(diffs, window - 1)
-    out = np.sqrt(variance_w)
-
-    starts = np.flatnonzero(flagged)
-    if starts.size:
-        rows = _windowed_rows(diffs, starts, window - 1)
-        row_centered = rows - rows.mean(axis=1, keepdims=True)
-        out[starts] = np.sqrt(np.mean(row_centered * row_centered, axis=1))
-    return out
+def row_roughness(rows) -> np.ndarray:
+    """:func:`roughness` of every row of a 2-D array, bit for bit."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D batch, got shape {arr.shape}")
+    if arr.shape[1] < _MIN_POINTS_FOR_DIFF:
+        return np.zeros(arr.shape[0], dtype=np.float64)
+    diffs = np.diff(arr, axis=1)
+    centered = diffs - diffs.mean(axis=1, keepdims=True)
+    return np.sqrt(np.mean(centered * centered, axis=1))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Datasets are loaded at reduced scale (structure preserved, cost bounded) and
-cached per session; noise fixtures are seeded for reproducibility.
+cached per session.  The noise fixtures are function-scoped and seeded afresh
+for every test, so a test's draws never depend on which tests ran before it.
 
 Hypothesis profiles: ``ci`` (the PR fuzz leg — derandomized so a red run is
 reproducible from the log, failing examples printed as ``@reproduce_failure``
@@ -24,7 +25,7 @@ settings.register_profile("nightly", max_examples=1000, print_blob=True, deadlin
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 
@@ -41,13 +42,13 @@ def sine_dataset():
     return load("sine")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def white_noise_series(rng):
     """Pure IID Gaussian noise — the Section 4.2 analysis setting."""
     return rng.normal(0.0, 1.0, size=4000)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def periodic_series(rng):
     """Known-period sinusoid plus noise — the Section 4.3 setting."""
     t = np.arange(2400, dtype=np.float64)

@@ -2,9 +2,10 @@
 
 The equivalence law itself (backfill then stream == stream everything) is
 pinned property-style in ``test_backfill_property.py``; these tests cover the
-primitives and the edges — :meth:`RollingWindowState.from_bulk`,
-:meth:`Pyramid.build_from`, the pane journal's ``requeue_completed``, the
-``backfill`` spec knob, the mode ledger, and state-dict round trips.
+primitives and the edges — chunk-invariance of :class:`RollingWindowState`
+extension, the views a backfilled operator serves, the pane journal's
+``requeue_completed``, the ``backfill`` spec knob, the mode ledger, and
+state-dict round trips.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.streaming import BackfillResult, RollingWindowState, StreamingASAP
 from repro.errors import SpecError
-from repro.pyramid import Pyramid
+from repro.pyramid import ViewSpec
 from repro.spec import AsapSpec
 from repro.stream.panes import PaneBuffer
 
@@ -29,54 +30,61 @@ def series():
     return ts, vs
 
 
-# -- RollingWindowState.from_bulk ---------------------------------------------
+# -- RollingWindowState extension --------------------------------------------
 
 
 @pytest.mark.parametrize("capacity", [8, 64, 500])
 @pytest.mark.parametrize("chunks", [1, 7, 64])
-def test_from_bulk_matches_extend_then_rebuild(series, capacity, chunks):
+def test_chunked_extend_then_rebuild_matches_appends(series, capacity, chunks):
+    # Extension stores each retained value as ``value - values[0]`` whatever
+    # the batching, and a rebuild recomputes every sum from those ring
+    # contents, so any chunking converges on the point-by-point floats.
     _ts, vs = series
-    bulk = RollingWindowState.from_bulk(vs, capacity=capacity, lag_budget=20)
-    streamed = RollingWindowState(capacity=capacity, lag_budget=20)
+    appended = RollingWindowState(capacity=capacity, lag_budget=20)
+    for value in vs:
+        appended.append(value)
+    appended.rebuild()
+    chunked = RollingWindowState(capacity=capacity, lag_budget=20)
     for block in np.array_split(vs, chunks):
-        streamed.extend(block)
-    streamed.rebuild()
-    assert bulk.values().tobytes() == streamed.values().tobytes()
-    assert bulk.roughness() == streamed.roughness()
-    assert bulk.kurtosis() == streamed.kurtosis()
+        chunked.extend(block)
+    chunked.rebuild()
+    assert chunked.appended == appended.appended == vs.size
+    assert chunked.values().tobytes() == appended.values().tobytes()
+    assert chunked.roughness() == appended.roughness()
+    assert chunked.kurtosis() == appended.kurtosis()
     lag = min(capacity - 1, 20)
-    assert bulk.correlations(lag).tobytes() == streamed.correlations(lag).tobytes()
+    assert chunked.correlations(lag).tobytes() == appended.correlations(lag).tobytes()
 
 
-def test_from_bulk_empty_and_validation():
-    state = RollingWindowState.from_bulk([], capacity=16, lag_budget=4)
+def test_extend_empty_and_validation():
+    state = RollingWindowState(capacity=16, lag_budget=4)
+    state.extend([])
+    assert len(state) == 0 and state.appended == 0
+    state.rebuild()
     assert len(state) == 0
     with pytest.raises(ValueError, match="1-D"):
-        RollingWindowState.from_bulk(np.zeros((2, 2)), capacity=16, lag_budget=4)
+        state.extend(np.zeros((2, 2)))
 
 
-# -- Pyramid.build_from -------------------------------------------------------
+# -- views after a backfill ---------------------------------------------------
 
 
-def test_build_from_matches_incremental_extend(series):
+@pytest.mark.parametrize("mode", ["auto", "replay"])
+@pytest.mark.parametrize("resolution", [16, 64, 200])
+def test_backfilled_views_match_streamed_views(series, mode, resolution):
     ts, vs = series
-    incremental = Pyramid(capacity=vs.size)
-    incremental.extend(vs, ts)
-    bulk = Pyramid.build_from(vs, ts, capacity=vs.size)
-    from repro.pyramid import ViewSpec
-
-    for resolution in (16, 64, 200):
-        a = bulk.view(ViewSpec(resolution=resolution, include_partial=True))
-        b = incremental.view(ViewSpec(resolution=resolution, include_partial=True))
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.timestamps.tobytes() == b.timestamps.tobytes()
-
-
-def test_build_from_defaults_and_validation():
-    pyramid = Pyramid.build_from(np.arange(10.0))
-    assert pyramid.capacity == 10
-    with pytest.raises(ValueError):
-        Pyramid.build_from(np.zeros((3, 3)))
+    spec = research_spec(pane_size=4, resolution=400, refresh_interval=10, backfill=mode)
+    streamed = StreamingASAP(spec)
+    list(streamed.push_many(ts, vs))
+    backfilled = StreamingASAP(spec)
+    backfilled.backfill(ts, vs)
+    assert backfilled.panes_completed == streamed.panes_completed
+    view_spec = ViewSpec(resolution=resolution, include_partial=True)
+    a = backfilled.pyramid_view(view_spec)
+    b = streamed.pyramid_view(view_spec)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.timestamps.tobytes() == b.timestamps.tobytes()
+    assert (a.base_start, a.base_end) == (b.base_start, b.base_end)
 
 
 # -- PaneBuffer.requeue_completed ---------------------------------------------

@@ -198,13 +198,17 @@ class TestLowThresholdState:
         assert shipped == full
         assert _bits(shipped.roughness) == _bits(full.roughness)
 
-    def test_for_series_state_on_a_shared_cache(self, consider_spy):
+    def test_series_state_on_a_shared_cache(self, consider_spy):
+        # The caller's state holds the series' own kurtosis, below the
+        # threshold the shared cache screened at.
         values = _series("spiky", 900, 1.0, np.random.default_rng(1934))
         cache = EvaluationCache(values)
         cache.seed_original(cache.original_roughness, cache.original_kurtosis + 0.25)
-        shipped = asap_search(values, max_window=90, state=SearchState.for_series(values), cache=cache)
+        state = SearchState.from_cache(EvaluationCache(values))
+        shipped = asap_search(values, max_window=90, state=state, cache=cache)
         with floor_ignored():
-            full = asap_search(values, max_window=90, state=SearchState.for_series(values))
+            state = SearchState.from_cache(EvaluationCache(values))
+            full = asap_search(values, max_window=90, state=state)
         assert shipped == full
 
 

@@ -28,6 +28,11 @@ from repro.timeseries import load
 from repro.timeseries.stats import kurtosis, roughness
 
 
+def _initial_state(values) -> SearchState:
+    """Algorithm 1's starting incumbent: the unsmoothed series itself."""
+    return SearchState(roughness=roughness(values), original_kurtosis=kurtosis(values))
+
+
 class TestExhaustive:
     def test_candidate_count(self, white_noise_series):
         result = exhaustive_search(white_noise_series, max_window=50)
@@ -78,11 +83,21 @@ class TestKurtosisConstraint:
 
 
 class TestBinarySearch:
-    def test_matches_exhaustive_on_iid(self, white_noise_series):
-        # Section 4.2: binary search is justified for IID data.
-        binary = binary_search(white_noise_series, max_window=100)
-        exhaustive = exhaustive_search(white_noise_series, max_window=100)
-        assert binary.window == pytest.approx(exhaustive.window, abs=2)
+    def test_feasible_and_never_smoother_than_exhaustive_on_iid(self):
+        # Section 4.2: binary search is justified for IID data, where
+        # roughness and kurtosis fall with the window.  Binary search does not
+        # find exhaustive search's window on every draw (on 43 of these 200
+        # seeds the two differ by more than 2, by up to 99), but its window
+        # always meets the kurtosis constraint, can never be smoother than
+        # the exhaustive optimum, and costs a logarithmic number of candidates.
+        for seed in range(200):
+            values = np.random.default_rng(seed).normal(0.0, 1.0, size=4000)
+            binary = binary_search(values, max_window=100)
+            exhaustive = exhaustive_search(values, max_window=100)
+            if binary.window > 1:
+                assert kurtosis(sma(values, binary.window)) >= kurtosis(values), seed
+            assert binary.roughness >= exhaustive.roughness, seed
+            assert binary.candidates_evaluated <= 7, seed
 
     def test_few_candidates(self, white_noise_series):
         result = binary_search(white_noise_series, max_window=128)
@@ -142,7 +157,7 @@ class TestASAP:
 
     def test_accepts_precomputed_acf_and_state(self, periodic_series):
         acf = analyze_acf(periodic_series, max_lag=150)
-        state = SearchState.for_series(periodic_series)
+        state = _initial_state(periodic_series)
         result = asap_search(periodic_series, max_window=150, acf=acf, state=state)
         assert result.window >= 1
 
@@ -150,7 +165,7 @@ class TestASAP:
         # Seeding with the known-feasible previous window (Section 4.5)
         # should never increase the number of evaluations.
         fresh = asap_search(periodic_series, max_window=150)
-        seeded_state = SearchState.for_series(periodic_series)
+        seeded_state = _initial_state(periodic_series)
         seeded_state.window = fresh.window
         seeded_state.roughness = fresh.roughness
         seeded = asap_search(periodic_series, max_window=150, state=seeded_state)
@@ -164,14 +179,14 @@ class TestASAP:
 class TestSearchPeriodic:
     def test_respects_lower_bound(self, periodic_series):
         acf = analyze_acf(periodic_series, max_lag=150)
-        state = SearchState.for_series(periodic_series)
+        state = _initial_state(periodic_series)
         state.lower_bound = 10_000  # absurd bound: everything pruned
         out = search_periodic(periodic_series, list(acf.peaks), acf, state)
         assert out.candidates_evaluated == 0
 
     def test_feasible_peak_updates_state(self, periodic_series):
         acf = analyze_acf(periodic_series, max_lag=150)
-        state = SearchState.for_series(periodic_series)
+        state = _initial_state(periodic_series)
         out = search_periodic(periodic_series, list(acf.peaks), acf, state)
         assert out.largest_feasible_idx >= 0
         assert out.window > 1

@@ -174,14 +174,14 @@ class TestStatsAndCaches:
     def test_acf_cache_eviction_bound(self, rng):
         cache = ACFCache(maxsize=2)
         for offset in range(4):
-            cache.get_or_compute(rng.normal(size=64) + offset, max_lag=6)
+            cache.lookup([(rng.normal(size=64) + offset, 6)], "asap")
         assert len(cache) == 2
         assert cache.misses == 4
 
     def test_acf_cache_hit_returns_same_analysis(self, rng):
         cache = ACFCache()
         values = rng.normal(size=128)
-        first = cache.get_or_compute(values, max_lag=12)
-        second = cache.get_or_compute(values, max_lag=12)
-        assert first is second
+        (first,) = cache.lookup([(values, 12)], "asap")
+        (second,) = cache.lookup([(values, 12)], "asap")
+        assert first.acf is second.acf
         assert cache.hits == 1

@@ -1,16 +1,19 @@
 """Properties of the batch engine's stacked cold path.
 
-Three pins, each a batched computation against the one-series definition it
+Four pins, each a batched computation against the one-series definition it
 replaces:
 
 * the fourth moment has one definition: :func:`repro.timeseries.stats.kurtosis`
   equals the window-1 candidate kernel, :func:`moment_summary` and every row
   of :func:`row_kurtosis`, bit for bit;
+* every row of :func:`row_roughness` (the lockstep's roughness seed) equals
+  :func:`roughness` of that row, bit for bit, constant rows and rows of one
+  and two points included;
 * a stacked :func:`autocorrelation` (one FFT pair over an ``(m, n)`` batch)
-  equals the per-row calls, zero-energy rows included, and
-  :meth:`ACFCache.search_states` over mixed lengths equals
-  :meth:`ACFCache.search_state` request by request: the same analyses,
-  hit/miss counts, LRU order and shared states;
+  equals the per-row calls, zero-energy rows included, and one
+  :meth:`ACFCache.lookup` of a batch over mixed lengths equals the same
+  requests looked up one at a time: the same analyses, hit/miss counts, LRU
+  order and shared entries;
 * ``smooth_many`` over batches mixing ACF-cache hits, misses and failing
   items equals looped ``smooth()``, and raises for the first failing index.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import smooth
@@ -29,7 +32,13 @@ from repro.core.acf import analyze_acf, autocorrelation
 from repro.engine import BatchEngine
 from repro.engine.cache import ACFCache
 from repro.spectral.convolution import sma_window_moments
-from repro.timeseries.stats import kurtosis, moment_summary, row_kurtosis
+from repro.timeseries.stats import (
+    kurtosis,
+    moment_summary,
+    roughness,
+    row_kurtosis,
+    row_roughness,
+)
 
 RESOLUTION = 100
 
@@ -71,6 +80,16 @@ def test_one_fourth_moment_definition(batch):
         assert _bits(k) == _bits(sma_window_moments(row, 1)[1])
         assert _bits(k) == _bits(moment_summary(row).kurtosis)
         assert _bits(k) == _bits(from_rows)
+
+
+@given(batch=rows())
+@example(batch=np.array([[5.0], [-1e6]]))  # one point: perfectly smooth
+@example(batch=np.array([[1.0, 3.0], [2.0, -7.5]]))  # two points: one difference
+@example(batch=np.full((2, 257), 1e6 + 0.1))  # constant rows
+@settings(deadline=None)
+def test_row_roughness_equals_roughness(batch):
+    for row, from_rows in zip(batch, row_roughness(batch)):
+        assert _bits(roughness(row)) == _bits(from_rows)
 
 
 # Lengths up to 2500 pad to 4096 points, so a few rows make a stacked
@@ -115,13 +134,14 @@ def lookups(draw):
 def test_batch_lookup_equals_one_by_one(requests, maxsize, strategy):
     batched, looped = ACFCache(maxsize=maxsize), ACFCache(maxsize=maxsize)
     for batch in requests:
-        got = batched.search_states(batch, strategy)
-        want = [looped.search_state(values, max_window, strategy) for values, max_window in batch]
+        got = batched.lookup(batch, strategy)
+        want = [looped.lookup([request], strategy)[0] for request in batch]
         assert (batched.hits, batched.misses) == (looped.hits, looped.misses)
         assert list(batched._entries) == list(looped._entries)
-        for i, ((cache, acf), (want_cache, want_acf)) in enumerate(zip(got, want)):
-            assert cache.values.tobytes() == want_cache.values.tobytes()
-            assert [g is cache for g, _ in got[:i]] == [w is want_cache for w, _ in want[:i]]
+        for i, (entry, want_entry) in enumerate(zip(got, want)):
+            acf, want_acf = entry.acf, want_entry.acf
+            assert entry.cache.values.tobytes() == want_entry.cache.values.tobytes()
+            assert [g is entry for g in got[:i]] == [w is want_entry for w in want[:i]]
             if want_acf is None:
                 assert acf is None
                 continue

@@ -195,17 +195,19 @@ class TestStackedRounds:
     def test_searched_states_are_left_alone(self, monkeypatch):
         rng = np.random.default_rng(1822)
         cache = ACFCache()
-        states = [cache.search_state(_periodic(rng, 300), 30, "asap") for _ in range(3)]
-        search_in_lockstep(states, "asap", 30)
-        filled = [len(state[0]) for state in states]
-        assert all(filled)
+        entries = cache.lookup([(_periodic(rng, 300), 30) for _ in range(3)], "asap")
+        search_in_lockstep(entries, "asap", 30)
+        filled = [len(entry.cache) for entry in entries]
+        results = [entry.result for entry in entries]
+        assert all(filled) and None not in results
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an already searched state was searched again")
 
         monkeypatch.setattr(engine_module, "sma_probe_moments", forbidden)
-        search_in_lockstep(states, "asap", 30)
-        assert [len(state[0]) for state in states] == filled
+        search_in_lockstep(entries, "asap", 30)
+        assert [len(entry.cache) for entry in entries] == filled
+        assert all(entry.result is result for entry, result in zip(entries, results))
 
 
 class TestDuplicateLabels:

@@ -29,6 +29,7 @@ import repro.engine.batch_engine as engine_module
 import repro.engine.cache as cache_module
 from repro import TimeSeries, smooth
 from repro.engine import ACFCache, BatchEngine
+from repro.engine.cache import SearchEntry
 
 RESOLUTION = 300
 
@@ -196,14 +197,14 @@ class TestKeyMisses:
 
 
 class TestShapeAndAccounting:
-    def test_state_lookups_return_two_tuples(self):
+    def test_lookup_returns_one_entry_per_request(self):
         values = np.random.default_rng(2606).normal(size=200)
         cache = ACFCache()
-        state = cache.search_state(values, 20, "asap")
-        states = cache.search_states([(values, 20), (values, 20)], "asap")
-        assert type(state) is tuple and len(state) == 2
-        assert all(type(s) is tuple and len(s) == 2 for s in states)
-        assert states[0][0] is state[0] and states[1][1] is state[1]
+        (entry,) = cache.lookup([(values, 20)], "asap")
+        entries = cache.lookup([(values, 20), (values, 20)], "asap")
+        assert isinstance(entry, SearchEntry) and entry.result is None
+        assert entries[0] is entry and entries[1] is entry
+        assert (cache.hits, cache.misses) == (2, 1)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_batch_stats_count_lookups_not_searches(self, workers):

@@ -175,12 +175,12 @@ class TestKeyAndAliasing:
     def test_state_does_not_alias_the_callers_array(self):
         values = np.random.default_rng(7205).normal(size=200)
         cache = ACFCache()
-        evaluations, analysis = cache.search_state(values, 20, "asap")
+        (entry,) = cache.lookup([(values, 20)], "asap")
         snapshot = values.copy()
         values[:] = 0.0
-        assert evaluations.values.tobytes() == snapshot.tobytes()
-        again = cache.search_state(snapshot, 20, "asap")
-        assert again[0] is evaluations and again[1] is analysis
+        assert entry.cache.values.tobytes() == snapshot.tobytes()
+        (again,) = cache.lookup([(snapshot, 20)], "asap")
+        assert again is entry
         assert cache.hits == 1
 
     def test_entries_never_exceed_capacity(self):

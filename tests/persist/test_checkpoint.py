@@ -14,7 +14,6 @@ from repro.core.streaming import RollingWindowState, StreamingASAP
 from repro.errors import SpecError
 from repro.persist import SCHEMA_VERSION, CheckpointError, checkpoint, restore
 from repro.persist import codec
-from repro.pyramid import Pyramid
 from repro.service import HubError, StreamHub, UnknownStreamError
 from repro.spec import AsapSpec
 from repro.stream.panes import PaneBuffer
@@ -310,22 +309,28 @@ def test_rolling_window_state_round_trip():
     assert np.array_equal(clone.correlations(20), rolling.correlations(20))
 
 
-def test_pyramid_state_round_trip():
-    pyramid = Pyramid(capacity=128, level_ratios=(1, 4, 16))
-    pyramid.extend(make_wave(500))
-    clone = Pyramid.from_state(pyramid.state_dict())
-    assert clone.total_appended == pyramid.total_appended
-    assert clone.level_ratios == pyramid.level_ratios
-    assert clone.base_values().tobytes() == pyramid.base_values().tobytes()
-    assert clone.base_timestamps().tobytes() == pyramid.base_timestamps().tobytes()
-    extra = make_wave(77, seed=3)
-    pyramid.extend(extra)
-    clone.extend(extra)
-    for resolution in (4, 8, 40, 128):
-        view_a, view_b = pyramid.view(resolution), clone.view(resolution)
+@pytest.mark.parametrize("resolution", [4, 8, 40, 128])
+def test_operator_views_survive_state_round_trip(resolution):
+    # Views are resolved from the pane window, so a restored operator serves
+    # the same views at every level, before and after further ingest.
+    values = make_wave(1000)
+    ts = np.arange(1000, dtype=np.float64)
+    operator = StreamingASAP(research_spec(pane_size=2, resolution=128, refresh_interval=9))
+    list(operator.push_many(ts[:700], values[:700]))
+    state = codec.loads(codec.dumps("operator", operator.state_dict()))[1]
+    clone = StreamingASAP.from_state(state)
+
+    def assert_same_views():
+        view_a, view_b = operator.pyramid_view(resolution), clone.pyramid_view(resolution)
         assert view_a.values.tobytes() == view_b.values.tobytes()
         assert view_a.timestamps.tobytes() == view_b.timestamps.tobytes()
         assert (view_a.base_start, view_a.base_end) == (view_b.base_start, view_b.base_end)
+        assert (view_a.level_ratio, view_a.residual) == (view_b.level_ratio, view_b.residual)
+
+    assert_same_views()
+    list(operator.push_many(ts[700:], values[700:]))
+    list(clone.push_many(ts[700:], values[700:]))
+    assert_same_views()
 
 
 @pytest.mark.parametrize("incremental", [False, True])

@@ -1,8 +1,8 @@
-"""Tests for the batched/vectorized kernels (sma2d, grids, moment stacks).
+"""Tests for the batched/vectorized kernels (sma2d, grid moments).
 
 The scalar kernels are the oracle: every batched kernel must agree with its
 scalar counterpart applied row by row — bit for bit where the implementation
-promises it (sma2d, grid rows), and to 1e-9 where it reduces through a
+promises it (sma2d rows), and to 1e-9 where it reduces through a
 different summation order (grid moments vs the scalar stats).
 """
 
@@ -13,14 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spectral.convolution import (
-    prefix_moment_stack,
-    sma,
-    sma2d,
-    sma_grid,
-    sma_grid_moments,
-    windowed_moment_sums,
-)
+from repro.spectral.convolution import sma, sma2d, sma_grid_moments
 from repro.timeseries.stats import kurtosis, roughness
 
 
@@ -48,49 +41,6 @@ class TestSMA2D:
             sma2d(np.ones((2, 4)), 9)
         with pytest.raises(ValueError, match="series length 4"):
             sma2d(np.ones((2, 4)), 0)
-
-
-class TestSMAGrid:
-    def test_rows_match_scalar_sma_bitwise(self, rng):
-        values = rng.normal(size=150)
-        windows = [1, 2, 7, 75, 150]
-        matrix, lengths = sma_grid(values, windows)
-        assert matrix.shape == (len(windows), values.size)
-        for j, window in enumerate(windows):
-            expected = sma(values, window)
-            assert lengths[j] == expected.size
-            assert np.array_equal(matrix[j, : lengths[j]], expected)
-            assert not matrix[j, lengths[j] :].any()
-
-    def test_error_message_includes_series_length(self):
-        with pytest.raises(ValueError, match="series length 6"):
-            sma_grid(np.ones(6), [2, 9])
-
-
-class TestPrefixMomentStack:
-    def test_matches_naive_power_sums(self, rng):
-        values = rng.normal(1.0, 2.0, size=90)
-        stack = prefix_moment_stack(values, max_power=4)
-        assert stack.shape == (4, 91)
-        window = 13
-        sums = windowed_moment_sums(stack, window)
-        for power in range(1, 5):
-            naive = np.array(
-                [
-                    np.sum(values[i : i + window] ** power)
-                    for i in range(values.size - window + 1)
-                ]
-            )
-            np.testing.assert_allclose(sums[power - 1], naive, rtol=1e-9, atol=1e-9)
-
-    def test_rejects_bad_power(self):
-        with pytest.raises(ValueError, match="max_power"):
-            prefix_moment_stack([1.0, 2.0], max_power=0)
-
-    def test_window_sums_validate_window(self):
-        stack = prefix_moment_stack(np.ones(5))
-        with pytest.raises(ValueError, match="series length 5"):
-            windowed_moment_sums(stack, 6)
 
 
 class TestGridMoments:

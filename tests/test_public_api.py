@@ -1,9 +1,11 @@
 """Public-API snapshot: accidental surface breaks fail CI.
 
 ``tests/public_api_snapshot.json`` is the checked-in record of the package's
-export list and the signatures of the unified-API entry points.  Renaming a
-field, dropping an export, or reordering parameters shows up here as a diff
-against the snapshot, so surface changes are always deliberate.
+export list, the ``__all__`` of every ``repro.*`` subpackage and module, and
+the signatures of the unified-API entry points.  Renaming a field, dropping an
+export (at the top level or inside a subpackage), or reordering parameters
+shows up here as a diff against the snapshot, so surface changes are always
+deliberate.
 
 To accept an intentional change, regenerate the snapshot::
 
@@ -12,12 +14,27 @@ To accept an intentional change, regenerate the snapshot::
 and commit the result (the diff *is* the review artifact).
 """
 
+import importlib
 import inspect
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 SNAPSHOT_PATH = Path(__file__).parent / "public_api_snapshot.json"
+
+
+def module_exports() -> dict:
+    """``__all__`` of every ``repro.*`` subpackage and module, sorted by name."""
+    import repro
+
+    exports = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        exports[info.name] = sorted(module.__all__)
+    return dict(sorted(exports.items()))
 
 
 def current_surface() -> dict:
@@ -29,6 +46,7 @@ def current_surface() -> dict:
 
     return {
         "all": sorted(repro.__all__),
+        "modules": module_exports(),
         "signatures": {
             "AsapSpec": sig(AsapSpec),
             "connect": sig(connect),
@@ -59,6 +77,20 @@ def test_exports_match_snapshot():
     )
 
 
+def test_module_exports_match_snapshot():
+    snapshot = json.loads(SNAPSHOT_PATH.read_text())["modules"]
+    surface = module_exports()
+    assert sorted(surface) == sorted(snapshot), (
+        "the set of repro.* modules changed; if intentional, regenerate the "
+        "snapshot (see this module's docstring)"
+    )
+    for name, expected in snapshot.items():
+        assert surface[name] == expected, (
+            f"{name}.__all__ changed; if intentional, regenerate the snapshot "
+            f"(see this module's docstring)"
+        )
+
+
 def test_signatures_match_snapshot():
     snapshot = json.loads(SNAPSHOT_PATH.read_text())
     surface = current_surface()
@@ -73,8 +105,13 @@ def test_signatures_match_snapshot():
 def test_every_export_resolves():
     import repro
 
-    for name in json.loads(SNAPSHOT_PATH.read_text())["all"]:
+    snapshot = json.loads(SNAPSHOT_PATH.read_text())
+    for name in snapshot["all"]:
         assert hasattr(repro, name), name
+    for module_name, names in snapshot["modules"].items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert hasattr(module, name), f"{module_name}.{name}"
 
 
 if __name__ == "__main__":

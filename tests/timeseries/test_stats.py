@@ -152,3 +152,102 @@ class TestMomentSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stats.moment_summary([])
+
+
+def sliding_rows(values, window: int) -> np.ndarray:
+    """Every length-*window* window of *values*, one per row (a copy)."""
+    return np.lib.stride_tricks.sliding_window_view(np.asarray(values), window).copy()
+
+
+def scalar_per_row(rows, fn) -> np.ndarray:
+    return np.array([fn(row) for row in rows])
+
+
+class TestRowStatistics:
+    """``row_kurtosis``/``row_roughness`` against the scalar kernels, row by row.
+
+    The batch kernels promise bit-for-bit agreement with :func:`stats.kurtosis`
+    and :func:`stats.roughness`; the rows here are the sliding windows of one
+    series, the shape a rolling-window statistic would take.
+    """
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 50, 300])
+    def test_row_kurtosis_matches_scalar_bitwise(self, rng, window):
+        rows = sliding_rows(rng.normal(2.0, 1.5, size=300), window)
+        out = stats.row_kurtosis(rows)
+        assert out.shape == (301 - window,)
+        assert out.tobytes() == scalar_per_row(rows, stats.kurtosis).tobytes()
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 50, 300])
+    def test_row_roughness_matches_scalar_bitwise(self, rng, window):
+        rows = sliding_rows(rng.normal(0.0, 2.0, size=300), window)
+        out = stats.row_roughness(rows)
+        assert out.shape == (301 - window,)
+        assert out.tobytes() == scalar_per_row(rows, stats.roughness).tobytes()
+
+    def test_single_point_rows_have_zero_kurtosis(self, rng):
+        # Single-point rows have zero variance; the kurtosis convention is 0.
+        rows = sliding_rows(rng.normal(size=40), 1)
+        assert np.array_equal(stats.row_kurtosis(rows), np.zeros(40))
+
+    def test_single_point_rows_are_perfectly_smooth(self, rng):
+        rows = sliding_rows(rng.normal(size=25), 1)
+        assert np.array_equal(stats.row_roughness(rows), np.zeros(25))
+
+    def test_constant_rows_are_all_zero(self):
+        rows = sliding_rows(np.full(50, 2.5), 10)
+        assert np.array_equal(stats.row_kurtosis(rows), np.zeros(41))
+        assert np.array_equal(stats.row_roughness(rows), np.zeros(41))
+
+    def test_constant_row_inside_varying_series(self):
+        rows = sliding_rows(np.concatenate([np.full(20, 1.0), np.arange(20.0)]), 10)
+        out = stats.row_kurtosis(rows)
+        assert out.tobytes() == scalar_per_row(rows, stats.kurtosis).tobytes()
+        assert out[0] == 0.0  # fully inside the constant prefix
+        assert out[-1] > 0.0
+
+    def test_straight_line_rows_have_zero_roughness(self):
+        # Constant slope means constant differences: roughness exactly 0.
+        rows = sliding_rows(np.arange(40.0) * 3.0, 8)
+        assert np.array_equal(stats.row_roughness(rows), np.zeros(33))
+
+    @pytest.mark.parametrize("fn", [stats.row_kurtosis, stats.row_roughness])
+    def test_rejects_non_2d_input(self, fn):
+        with pytest.raises(ValueError, match="2-D"):
+            fn(np.ones(5))
+        with pytest.raises(ValueError, match="2-D"):
+            fn(np.ones((2, 2, 2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=250),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(["normal", "periodic", "near_linear", "heavy_tail"]),
+    )
+    def test_row_kurtosis_property_agreement(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            values = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 3.0), size=n)
+        elif kind == "periodic":
+            values = np.sin(np.arange(n) / rng.uniform(2, 20)) + 0.01 * rng.normal(size=n)
+        elif kind == "near_linear":
+            values = np.linspace(0.0, 1.0, n) + 1e-6 * rng.normal(size=n)
+        else:
+            values = rng.standard_t(3, size=n) * 100 + 1e4
+        rows = sliding_rows(values, int(rng.integers(1, n + 1)))
+        expected = scalar_per_row(rows, stats.kurtosis)
+        assert stats.row_kurtosis(rows).tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=250),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_row_roughness_property_agreement(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = np.sin(np.arange(n) / rng.uniform(2, 25)) + rng.uniform(
+            0.001, 1.0
+        ) * rng.normal(size=n)
+        rows = sliding_rows(values, int(rng.integers(1, n + 1)))
+        expected = scalar_per_row(rows, stats.roughness)
+        assert stats.row_roughness(rows).tobytes() == expected.tobytes()
