@@ -189,8 +189,9 @@ def plan_warm_probes(
     land inside this set — clipped to the valid range ``[2, limit]`` and
     deduplicated, sorted ascending.
 
-    Prefetching these through one stacked kernel call
-    (:func:`~repro.spectral.convolution.sma_probe_moments`) and replaying the
+    Prefetching these through one stacked kernel call (the core of
+    :func:`~repro.spectral.convolution.sma_probe_moments`, run on the
+    refresh's prepared prefix by the evaluation cache) and replaying the
     ordinary search over the pre-filled cache leaves the search's decisions —
     and therefore the selected window and emitted frame — bit-identical to a
     cold search; only the kernel dispatch count changes.  A probe the new

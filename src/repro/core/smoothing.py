@@ -34,10 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..spectral.convolution import (
+    _moments_from_prefix,
+    _prefix_sums,
+    _sma_from_prefix,
     _validate_window,
     sma,
     sma_grid_moments,
-    sma_window_moments,
     sma_with_slide,
 )
 from ..timeseries.series import TimeSeries
@@ -128,8 +130,16 @@ class EvaluationCache:
     these, which provides:
 
     * one numeric path for all strategies: the numpy kernels of
-      :mod:`repro.spectral.convolution` (the lean single-window kernel for
-      one candidate, the grid kernel for several, bit-identical per window);
+      :mod:`repro.spectral.convolution` (the prepared-prefix core for one
+      candidate or a stacked probe set, the grid kernel for a grid,
+      bit-identical per window);
+    * one prepared series: the prefix sums of :attr:`values` are computed
+      on the first evaluation that needs them and answer every later one —
+      each single-window miss, the streaming operator's stacked warm
+      prefetch (:meth:`_prefetch`) and the frame's smoothed values
+      (:meth:`_smoothed`) — so a refresh runs one ``cumsum`` however many
+      evaluations it makes.  A long-lived owner (the batch engine's LRU)
+      drops them once its search is memoized (:meth:`_release_prefix`);
     * memoization, so re-examined candidates (seeded streaming searches, the
       ASAP gap binary search crossing an already-evaluated peak) cost
       nothing — note ``candidates_evaluated`` accounting is unaffected: it
@@ -146,7 +156,7 @@ class EvaluationCache:
       :meth:`screen`/:meth:`evaluate`/:meth:`evaluate_many` or found via
       :meth:`lookup` — which the streaming operator's warm-started search
       prefetches on the next refresh (:meth:`touched_windows`; pre-fills via
-      :meth:`seed` do not count).
+      :meth:`seed` and :meth:`_prefetch` do not count).
     """
 
     __slots__ = (
@@ -154,6 +164,7 @@ class EvaluationCache:
         "_evaluations",
         "_original",
         "_touched",
+        "_prefix",
         "hits",
         "misses",
     )
@@ -166,6 +177,7 @@ class EvaluationCache:
         self._evaluations: dict[int, WindowEvaluation] = {}
         self._original: tuple[float, float] | None = None
         self._touched: set[int] = set()
+        self._prefix: np.ndarray | None = None
         self.hits = 0
         self.misses = 0
 
@@ -243,12 +255,11 @@ class EvaluationCache:
             self.hits += 1
             return cached
         self.misses += 1
-        # Single-candidate probes take the lean kernel, which produces
-        # bit-identical values to the grid kernel at a fraction of the
-        # dispatch cost (binary search and streaming revalidation are long
-        # runs of single-window misses).
-        rough, kurt = sma_window_moments(self.values, window, floor=floor)
-        evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
+        # Single-candidate probes (binary search and streaming revalidation
+        # are long runs of them) take the core at one window, from the
+        # prepared prefix: bit-identical to the grid kernel, no cumsum each.
+        _validate_window(self.values.size, window)
+        evaluation = self._measure([window], floor)[0]
         self._evaluations[window] = evaluation
         return evaluation
 
@@ -262,13 +273,48 @@ class EvaluationCache:
         if missing:
             self.misses += len(missing)
             if len(missing) == 1:
-                rough, kurt = sma_window_moments(self.values, missing[0])
-                fresh = [WindowEvaluation(window=missing[0], roughness=rough, kurtosis=kurt)]
+                _validate_window(self.values.size, missing[0])
+                fresh = self._measure(missing, None)
             else:
                 fresh = evaluate_window_grid(self.values, missing)
             self.seed(fresh)
         self.hits += len(window_list) - len(missing)
         return [self._evaluations[w] for w in window_list]
+
+    # -- the prepared series ----------------------------------------------------
+
+    def _prepared(self) -> np.ndarray:
+        """The prefix sums of :attr:`values`, computed on first use."""
+        if self._prefix is None:
+            self._prefix = _prefix_sums(self.values)
+        return self._prefix
+
+    def _measure(self, windows: list[int], floor, workspace=None) -> list[WindowEvaluation]:
+        """Evaluations of valid int *windows* from the prepared prefix (no memo)."""
+        roughness, kurtosis = _moments_from_prefix(
+            (self.values,), (self._prepared(),), windows, [0] * len(windows), floor, workspace
+        )
+        return list(map(WindowEvaluation, windows, roughness, kurtosis))
+
+    def _prefetch(self, windows: list[int], workspace=None) -> None:
+        """Install the screened evaluations of *windows* in one stacked call.
+
+        The streaming operator's warm prefetch: *windows* are valid Python
+        ints (a probe plan), screened at :attr:`original_kurtosis` exactly as
+        :meth:`screen` would screen them, and installed through :meth:`seed`
+        — no hit, miss or touched-window accounting.
+        *workspace* is the core's optional scratch (see
+        :func:`~repro.spectral.convolution.sma_probe_moments`).
+        """
+        self.seed(self._measure(windows, self.original_kurtosis, workspace))
+
+    def _smoothed(self, window: int) -> np.ndarray:
+        """``sma(values, window)`` from the prepared prefix (a valid window)."""
+        return _sma_from_prefix(self.values, self._prepared(), window)
+
+    def _release_prefix(self) -> None:
+        """Drop the prepared prefix (rebuilt if another evaluation needs it)."""
+        self._prefix = None
 
     def touched_windows(self) -> tuple[int, ...]:
         """Every window a search *requested*, sorted — the warm-start trace.

@@ -50,7 +50,13 @@ from ..pyramid.rollup import resolve_view
 from ..pyramid.view import PyramidView, ViewSpec
 from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
 from ..spec import AsapSpec, require_spec
-from ..spectral.convolution import cross_product_sums, sma_probe_moments
+from ..spectral.convolution import cross_product_sums
+
+# The refresh evaluates candidates and frame values through its
+# EvaluationCache's prepared prefix and calls neither kernel below; both stay
+# importable from this module under these names because the end-to-end
+# benchmark harness (benchmarks/e2e/trace.py and its tests) wraps them here.
+from ..spectral.convolution import sma, sma_probe_moments  # noqa: F401
 from ..stream.operators import StreamOperator
 from ..stream.panes import PaneBuffer, RollingArray
 from ..stream.sources import StreamPoint
@@ -73,7 +79,7 @@ from .search import (
     resolve_max_window,
     run_strategy,
 )
-from .smoothing import EvaluationCache, WindowEvaluation, sma
+from .smoothing import EvaluationCache
 
 __all__ = [
     "BackfillResult",
@@ -528,6 +534,21 @@ class RollingWindowState:
         self._flow4 = self._c4
         self._flowd2 = self._dsq
 
+    def _rebuilt(self) -> "RollingWindowState":
+        """A rebuilt copy of these statistics (:meth:`rebuild`); this one is unchanged.
+
+        A rebuild re-centers the anchor on the window mean, so rebuilding
+        twice does not give the sums of rebuilding once: a refresh that
+        may raise rebuilds a copy and keeps it only if it completes.
+        """
+        rebuilt = RollingWindowState(self.capacity, self.lag_budget)
+        rebuilt._ring.append_many(self._ring.view())
+        rebuilt._anchor = self._anchor
+        rebuilt.appended = self.appended
+        rebuilt.rebuilds = self.rebuilds
+        rebuilt.rebuild()
+        return rebuilt
+
     def clear(self) -> None:
         self._ring.clear()
         self._s[:] = 0.0
@@ -761,6 +782,10 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self._panes_since_refresh = 0
         self._previous_window: int | None = None
         self._refresh_due = False
+        # Set while the due refresh has raised from refresh_if_due, so the
+        # next batch knows that failure was already reported (not state: a
+        # restored operator reports it once more).
+        self._due_refresh_raised = False
         self._refresh_count = 0
         self._refreshes_since_rebuild = 0
 
@@ -1108,11 +1133,24 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                         frames.append(frame)
 
     def refresh_if_due(self) -> Frame | None:
-        """Run a refresh deferred by ``push_many(..., defer_boundary=True)``."""
+        """Run a refresh deferred by ``push_many(..., defer_boundary=True)``.
+
+        The refresh stays due until it returns: one that raises changes no
+        counter and is retried by the next call, which then emits exactly
+        the frame an operator that never failed emits.  The next batch
+        retries it once more before folding, and gives it up if it raises
+        again (:meth:`_run_due_refresh`), so a failure that lasts never
+        holds back new data.
+        """
         if not self._refresh_due:
             return None
-        self._refresh_due = False
-        return self._refresh()
+        try:
+            frame = self._refresh()
+        except Exception:
+            self._due_refresh_raised = True
+            raise
+        self._refresh_due = self._due_refresh_raised = False
+        return frame
 
     def backfill(self, timestamps, values) -> BackfillResult:
         """Replay an archive through batch machinery, then stream seamlessly.
@@ -1273,11 +1311,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             if not use_incremental:
                 self._counters["exact_fallbacks"] += 1
             else:
-                self._refreshes_since_rebuild += 1
-                if self._refreshes_since_rebuild >= self.spec.recompute_every:
-                    self._refreshes_since_rebuild = 0
-                    self._rolling.rebuild()
-                    self._counters["full_recomputes"] += 1
+                self._advance_rebuild_countdown()
                 self._rolling.roughness()
                 self._rolling.kurtosis()
                 if self.spec.strategy == "asap":
@@ -1324,7 +1358,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self._last_timestamp = None
         self._previous_window = None
         self._warm_trace = None
-        self._refresh_due = False
+        self._refresh_due = self._due_refresh_raised = False
         self._refreshes_since_rebuild = 0
 
     # -- serialization ---------------------------------------------------------
@@ -1420,11 +1454,38 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     # -- Algorithm 3 internals --------------------------------------------------
 
     def _run_due_refresh(self, frames: list[Frame]) -> None:
-        if self._refresh_due:
-            self._refresh_due = False
-            frame = self._refresh()
-            if frame is not None:
-                frames.append(frame)
+        """Run the due refresh, if any, before new data is folded.
+
+        A refresh that raises here is given up: its boundary emits no frame,
+        and the rebuild countdown advances as a completed refresh's would,
+        so a periodic rebuild still clears incremental drift.  If
+        :meth:`refresh_if_due` already raised this failure, the batch then
+        folds as usual — the window moves on, and a bad pane leaves it in
+        time; otherwise the error propagates and the batch is not folded.
+        """
+        if not self._refresh_due:
+            return
+        reported = self._due_refresh_raised
+        try:
+            frame = self.refresh_if_due()
+        except Exception:
+            self._refresh_due = self._due_refresh_raised = False
+            rolling = self._rolling
+            if rolling is not None and rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO:
+                self._advance_rebuild_countdown()
+            if not reported:
+                raise
+            return
+        if frame is not None:
+            frames.append(frame)
+
+    def _advance_rebuild_countdown(self) -> None:
+        """One incremental refresh's step toward the periodic rebuild, in place."""
+        self._refreshes_since_rebuild += 1
+        if self._refreshes_since_rebuild >= self.spec.recompute_every:
+            self._refreshes_since_rebuild = 0
+            self._rolling.rebuild()
+            self._counters["full_recomputes"] += 1
 
     def _check_last_window(
         self, values: np.ndarray, cache: EvaluationCache
@@ -1465,10 +1526,9 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if means.size:
             self._rolling.extend(means)
 
-    def _incremental_acf(self, values: np.ndarray) -> ACFAnalysis:
-        assert self._rolling is not None
+    def _incremental_acf(self, rolling: RollingWindowState, values: np.ndarray) -> ACFAnalysis:
         max_lag = self._resolved_max_lag(values.size)
-        correlations = self._rolling.correlations(max_lag)
+        correlations = rolling.correlations(max_lag)
         if self.spec.verify_incremental:
             exact = autocorrelation(values, max_lag)
             worst = int(np.argmax(np.abs(correlations - exact)))
@@ -1481,7 +1541,16 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """Run one refresh; with ``materialize=False`` (backfill replay lane)
         the search, statistics, and every piece of carried state advance
         exactly as usual, but the warm prefetch and the rendered frame —
-        the two frame-neutral costs — are skipped and ``None`` returned."""
+        the two frame-neutral costs — are skipped and ``None`` returned.
+
+        Counters, the rebuild countdown, the warm trace, the previous window
+        and the refresh ledger are committed only once everything that can
+        raise has run (``verify_incremental``'s drift checks, the search,
+        the frame), so a refresh that raises can be retried as if it had
+        never run.  A periodic rebuild goes into a copy of the rolling
+        statistics, committed with the rest; the panes a failed refresh
+        drained into them stay folded, as the retry would fold them.
+        """
         self._sync_pane_state()
         values = self._buffer.aggregated_values()
         if values.size < MIN_PANES_FOR_SEARCH:
@@ -1494,30 +1563,31 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._rolling is not None
             and self._rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO
         )
-        if self._rolling is not None and not use_incremental:
-            self._counters["exact_fallbacks"] += 1
+        rolling = self._rolling
+        since_rebuild = self._refreshes_since_rebuild
+        rebuilt = False
         cache = EvaluationCache(values)
         if use_incremental:
-            self._refreshes_since_rebuild += 1
-            if self._refreshes_since_rebuild >= spec.recompute_every:
-                self._refreshes_since_rebuild = 0
-                self._rolling.rebuild()
-                self._counters["full_recomputes"] += 1
-            rolling_roughness = self._rolling.roughness()
-            rolling_kurtosis = self._rolling.kurtosis()
+            since_rebuild += 1
+            if since_rebuild >= spec.recompute_every:
+                since_rebuild = 0
+                rolling = rolling._rebuilt()
+                rebuilt = True
+            rolling_roughness = rolling.roughness()
+            rolling_kurtosis = rolling.kurtosis()
             if spec.verify_incremental:
                 _check_agreement("roughness", rolling_roughness, _scalar_roughness(values))
                 _check_agreement("kurtosis", rolling_kurtosis, _scalar_kurtosis(values))
             cache.seed_original(rolling_roughness, rolling_kurtosis)
         # Warm-started search: prefetch the previous refresh's probe trace
         # (plus the previous winner's neighborhood) in one stacked kernel
-        # call, screened at the original kurtosis exactly as the search
-        # screens, then let the unchanged search replay over cache hits.  The
-        # prefetched values come from a kernel bit-identical to the cold
-        # path's single-window probes, so the search makes identical
-        # decisions and frames are bit-identical — only dispatch count
-        # changes.  Grid strategies are excluded (they already batch their
-        # grid).
+        # call from the cache's prepared prefix, screened at the original
+        # kurtosis exactly as the search screens, then let the unchanged
+        # search replay over cache hits.  The prefetched values come from
+        # the core the cold path's single-window misses use, so the search
+        # makes identical decisions and frames are bit-identical — only
+        # dispatch count changes.  Grid strategies are excluded (they
+        # already batch their grid).
         warm_prefetched = False
         warm_eligible = spec.warm_start and spec.strategy in ADAPTIVE_STRATEGIES
         if materialize and warm_eligible and self._warm_trace is not None:
@@ -1527,22 +1597,12 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 resolve_max_window(values, spec.max_window),
             )
             if len(probes) >= 2:
-                rough, kurt = sma_probe_moments(
-                    values,
-                    probes,
-                    _probe_workspace(len(probes), values.size),
-                    floor=cache.original_kurtosis,
-                )
-                cache.seed(
-                    WindowEvaluation(window=w, roughness=float(r), kurtosis=float(k))
-                    for w, r, k in zip(probes, rough, kurt)
-                )
+                cache._prefetch(probes, _probe_workspace(len(probes), values.size))
                 warm_prefetched = True
-                self._counters["warm_prefetches"] += 1
         if spec.strategy == "asap":
             max_lag = self._resolved_max_lag(values.size)
-            if use_incremental and self._rolling.lag_budget >= max_lag:
-                acf = self._incremental_acf(values)
+            if use_incremental and rolling.lag_budget >= max_lag:
+                acf = self._incremental_acf(rolling, values)
             else:
                 acf = analyze_acf(values, max_lag=max_lag)
             state = (
@@ -1555,26 +1615,49 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             )
         else:
             search = run_strategy(spec.strategy, values, spec.max_window, cache=cache)
-        if warm_prefetched and cache.misses > 0:
-            # The search left the prefetched trace (stream drift / regime
-            # change) and paid single-probe kernel calls for the rest.
-            self._counters["warm_fallbacks"] += 1
+
+        frame = None
+        if materialize:
+            # The frame's values come from the prefix the search already
+            # prepared.  Both arrays are the refresh's own; without a quality
+            # stage the input was checked where it entered (`_check_batch`),
+            # so the series needs no copy and no second validation.
+            smoothed = cache._smoothed(search.window)
+            timestamps = self._buffer.aggregated_timestamps()[: smoothed.size]
+            checked = (
+                self._reorder is None
+                and self._normalizer is None
+                # Finite input can still overflow its prefix sums (values
+                # near 1e308); the validating constructor rejects that.
+                and np.isfinite(smoothed).all()
+            )
+            build = TimeSeries._trusted if checked else TimeSeries
+            frame = Frame(
+                series=build(smoothed, timestamps, name="asap-stream"),
+                window=search.window,
+                search=search,
+                refresh_index=self._refresh_count,
+                points_ingested=self._buffer.total_points,
+                quality=self._frame_quality(),
+            )
+
+        counters = self._counters
+        if rolling is not None and not use_incremental:
+            counters["exact_fallbacks"] += 1
+        self._rolling = rolling
+        self._refreshes_since_rebuild = since_rebuild
+        if rebuilt:
+            counters["full_recomputes"] += 1
+        if warm_prefetched:
+            counters["warm_prefetches"] += 1
+            if cache.misses > 0:
+                # The search left the prefetched trace (stream drift / regime
+                # change) and paid single-probe kernel calls for the rest.
+                counters["warm_fallbacks"] += 1
         if warm_eligible:
             self._warm_trace = cache.touched_windows()
-        self._counters.update(searches_run=1, candidates_evaluated=search.candidates_evaluated)
+        counters["searches_run"] += 1
+        counters["candidates_evaluated"] += search.candidates_evaluated
         self._previous_window = search.window
-
-        if not materialize:
-            self._refresh_count += 1
-            return None
-        smoothed_values = sma(values, search.window)
-        timestamps = self._buffer.aggregated_timestamps()[: smoothed_values.size]
         self._refresh_count += 1
-        return Frame(
-            series=TimeSeries(smoothed_values, timestamps, name="asap-stream"),
-            window=search.window,
-            search=search,
-            refresh_index=self._refresh_count - 1,
-            points_ingested=self._buffer.total_points,
-            quality=self._frame_quality(),
-        )
+        return frame

@@ -21,7 +21,8 @@ bit-identical to ``[smooth(series, **config) for series in batch]`` for every
 strategy and input shape.  The batched kernels the engine's lockstep rounds
 drive — :func:`repro.spectral.convolution.sma_grid_moments` for the grid
 strategies' candidate grids,
-:func:`repro.spectral.convolution.sma_probe_moments` for the adaptive
+the stacked probe kernel of :func:`repro.spectral.convolution.sma_probe_moments`
+(run on each length group's prefix sums, prepared once) for the adaptive
 searches' requests, and the row-wise original-moment reductions —
 produce, row for row, exactly the values the per-series pipeline computes, and
 the search-state cache only ever returns analyses and evaluations the

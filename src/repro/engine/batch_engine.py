@@ -19,7 +19,7 @@ the batch pays for its shared work once:
   (:func:`search_in_lockstep`).  The adaptive strategies (ASAP, binary) run
   as step generators (:func:`repro.core.search.search_steps`), and each
   round the window every live search asks for is evaluated by one stacked
-  :func:`~repro.spectral.convolution.sma_probe_moments` call — a dozen
+  kernel call over the group's prefix sums, prepared once — a dozen
   unseen series cost about as many kernel calls as the longest of their
   searches, not the sum; each generator's return value is the series'
   :class:`~repro.core.search.SearchResult`, memoized as it is.  The grid
@@ -64,7 +64,7 @@ from ..core.search import (
     search_steps,
 )
 from ..core.smoothing import EvaluationCache, WindowEvaluation
-from ..spectral.convolution import sma_grid_moments, sma_probe_moments
+from ..spectral.convolution import _moments_from_prefix, _prefix_sums, sma_grid_moments
 from ..timeseries.series import TimeSeries
 from ..timeseries.stats import row_kurtosis, row_roughness
 from .cache import ACFCache, SearchEntry
@@ -202,11 +202,16 @@ def search_in_lockstep(entries, strategy: str, max_window: int | None = None) ->
     reductions, bit for bit the single-series ones; then:
 
     * an adaptive strategy (``asap``/``binary``) runs every member's search
-      as a step generator (:func:`~repro.core.search.search_steps`), and
-      each round the window every live search requests is evaluated by
-      **one** stacked :func:`~repro.spectral.convolution.sma_probe_moments`
-      call, each row screened at its member's original kurtosis and
-      bit-identical to the single-window kernel the cache would run;
+      as a step generator (:func:`~repro.core.search.search_steps`).  The
+      group's stacked prefix sums, its per-row kurtosis floors (each
+      member's original kurtosis) and one scratch workspace are prepared
+      once; each round, the window every live search requests is evaluated
+      by **one** call of the prepared-prefix core of
+      :mod:`repro.spectral.convolution` — what
+      :func:`~repro.spectral.convolution.sma_probe_moments` computes with
+      ``rows=``, minus its per-call validation, copy and ``cumsum`` — each
+      row screened at its member's floor and bit-identical to the
+      single-window kernel the cache would run;
     * a grid strategy (exhaustive, grid2, grid10) has a fixed plan, so its
       whole candidate grid is evaluated for every member by **one**
       :func:`~repro.spectral.convolution.sma_grid_moments` call, whose rows
@@ -220,6 +225,7 @@ def search_in_lockstep(entries, strategy: str, max_window: int | None = None) ->
     search.  Every other entry's ``result`` is left as it was, and its
     search to the caller (already searched, a singleton of its length, or a
     grid strategy's member, whose search then runs on cache hits alone).
+    The prepared prefix lives only for the group's rounds: no entry keeps it.
     """
     unseen = {
         id(entry): entry
@@ -243,6 +249,12 @@ def search_in_lockstep(entries, strategy: str, max_window: int | None = None) ->
             for entry, rough_row, kurt_row in zip(members, roughness.tolist(), kurtosis.tolist()):
                 entry.cache.seed(map(WindowEvaluation, grid, rough_row, kurt_row))
             continue
+        rows = list(batch)
+        prefixes = list(_prefix_sums(batch))
+        floors = [entry.cache.original_kurtosis for entry in members]
+        # Each live search asks for one window a round, so a round has at
+        # most one output per member.
+        workspace = np.empty((2, len(members), batch.shape[1]), dtype=np.float64)
         # (row, entry, steps, requested window) per live search.
         pending = []
         for row, entry in enumerate(members):
@@ -252,17 +264,18 @@ def search_in_lockstep(entries, strategy: str, max_window: int | None = None) ->
             except StopIteration as done:
                 entry.result = done.value
         while pending:
-            roughness, kurtosis = sma_probe_moments(
-                batch,
+            live_rows = [row for row, _, _, _ in pending]
+            roughness, kurtosis = _moments_from_prefix(
+                rows,
+                prefixes,
                 [window for _, _, _, window in pending],
-                rows=[row for row, _, _, _ in pending],
-                floor=[entry.cache.original_kurtosis for _, entry, _, _ in pending],
+                live_rows,
+                [floors[row] for row in live_rows],
+                workspace,
             )
             advanced = []
-            for (row, entry, steps, window), rough, kurt in zip(
-                pending, roughness.tolist(), kurtosis.tolist()
-            ):
-                evaluation = WindowEvaluation(window=window, roughness=rough, kurtosis=kurt)
+            for (row, entry, steps, window), rough, kurt in zip(pending, roughness, kurtosis):
+                evaluation = WindowEvaluation(window, rough, kurt)
                 entry.cache.seed((evaluation,))
                 try:
                     advanced.append((row, entry, steps, steps.send(evaluation)))
@@ -506,6 +519,9 @@ class BatchEngine:
                 self.strategy, state.cache.values, self.max_window,
                 cache=state.cache, acf=state.acf,
             )
+            # The memoized result answers every later lookup; the prefix
+            # sums the search's misses shared are not kept in the LRU.
+            state.cache._release_prefix()
         return _assemble(series, state.cache, ratio, state.result)
 
 

@@ -498,6 +498,10 @@ class StreamHub:
         counters run, and then the first error is raised with every failing
         stream id in its message.  The frames that tick produced are kept
         and returned first by the next tick (and checkpointed meanwhile).
+        A failed refresh stays due: the next tick retries it and emits the
+        frame a lone operator that never failed emits.  The stream's next
+        ingest retries it too, and gives it up (no frame for that boundary)
+        if it fails again, so a lasting failure never refuses new data.
         """
         with self._lock:
             self._tick += 1

@@ -3,10 +3,7 @@
 from .fft import fft, ifft, is_power_of_two, next_fast_len
 from .convolution import (
     cross_product_sums,
-    sliding_max,
-    sliding_min,
     sma,
-    sma2d,
     sma_grid_moments,
     sma_probe_moments,
     sma_window_moments,
@@ -28,10 +25,7 @@ __all__ = [
     "is_power_of_two",
     "next_fast_len",
     "cross_product_sums",
-    "sliding_max",
-    "sliding_min",
     "sma",
-    "sma2d",
     "sma_grid_moments",
     "sma_probe_moments",
     "sma_window_moments",

@@ -4,24 +4,35 @@ The simple moving average (SMA) is ASAP's smoothing function (Section 3.3).
 Smoothing the same series at many candidate windows is the inner loop of every
 search strategy, so the implementation matters: we use an exact prefix-sum
 formulation that computes *all* windows of one size in O(n) regardless of the
-window length, plus sliding min/max (monotonic deque, O(n)) for the MinMax
-filter comparison of Appendix B.2.
+window length.
+
+**The prepared prefix.**  Every SMA here is a difference of one series'
+prefix sums, so a caller that evaluates one series many times prepares
+those sums once (:func:`_prefix_sums`) and answers each evaluation from
+them: :func:`_sma_from_prefix` for smoothed values and
+:func:`_moments_from_prefix` for the roughness and kurtosis of a stack of
+candidate windows.  That private core takes already-validated Python-int
+windows and a kurtosis floor that is a scalar or one value per output.  The
+public kernels :func:`sma`, :func:`sma_window_moments` and
+:func:`sma_probe_moments` keep their own input validation and call it, as
+do :class:`~repro.core.smoothing.EvaluationCache` (one prefix per searched
+series, shared by its misses, its warm prefetch and the frame's smoothed
+values) and the batch engine's lockstep rounds (one stacked prefix per
+length group).  The prefix values are those every kernel computed for
+itself before, so sharing them changes no result.
 
 Beyond the original single-series kernels this module provides the batched
 substrate of the multi-series engine (:mod:`repro.engine`):
-
-* :func:`sma2d` — smooth a whole batch of equal-length series at one window;
-* :func:`sma_grid_moments` — roughness and kurtosis of ``SMA(x, w)`` for every
-  window in a grid (and for every series in a batch) without per-window
-  Python loops.
+:func:`sma_grid_moments` — roughness and kurtosis of ``SMA(x, w)`` for every
+window in a grid (and for every series in a batch) without per-window
+Python loops.
 
 Determinism contract: a value computed through a batch path is bit-identical
 to the same value computed alone — row-wise numpy reductions over a
 contiguous final axis do not depend on the number of rows, and chunking and
-fill-strategy choices never change buffer contents.  ``sma2d`` rows
-are additionally bit-identical to the scalar :func:`sma`;
-the *moments* of :func:`sma_grid_moments` agree with the scalar statistics
-kernels to floating-point roundoff (the reductions use a different — faster —
+fill-strategy choices never change buffer contents.  The *moments* of
+:func:`sma_grid_moments` agree with the scalar statistics kernels to
+floating-point roundoff (the reductions use a different — faster —
 summation order than the scalar two-pass reference).
 """
 
@@ -29,16 +40,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 
 import numpy as np
 
 __all__ = [
     "sma",
     "sma_with_slide",
-    "sliding_min",
-    "sliding_max",
-    "sma2d",
     "sma_grid_moments",
     "sma_window_moments",
     "sma_probe_moments",
@@ -78,109 +85,31 @@ def _validate_window(n: int, window: int, label: str = "") -> None:
         raise ValueError(f"{prefix}window {window} exceeds series length {n}")
 
 
-def sma(values, window: int) -> np.ndarray:
-    """Simple moving average with slide 1: every full window of *window* points.
+# -- the prepared prefix -----------------------------------------------------
 
-    Returns ``n - window + 1`` points where ``out[i] = mean(x[i : i+window])``.
-    Uses a compensated prefix-sum so cost is O(n) independent of window size.
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Prefix sums of a float64 series (or of each row of a 2-D batch).
+
+    The result has one more column than *values*: a leading zero, then the
+    running sums, so ``SMA(x, w)[i] = (p[i + w] - p[i]) / w``.  A cumulative
+    sum runs sequentially along each row, so every row holds exactly the
+    bytes of its own one-series call.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    _validate_window(arr.size, window)
-    window = int(window)
+    prefix = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=np.float64)
+    np.cumsum(values, axis=-1, out=prefix[..., 1:])
+    return prefix
+
+
+def _sma_from_prefix(values: np.ndarray, prefix: np.ndarray, window: int) -> np.ndarray:
+    """``sma(values, window)`` from the series' prepared *prefix*.
+
+    Window 1 is an exact identity (a copy of *values*): the prefix
+    difference would round.
+    """
     if window == 1:
-        return arr.copy()
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
+        return values.copy()
     return (prefix[window:] - prefix[:-window]) / window
-
-
-def sma_with_slide(values, window: int, slide: int) -> np.ndarray:
-    """Simple moving average with an explicit slide between window starts.
-
-    ``slide == 1`` matches :func:`sma`; ``slide == window`` produces disjoint
-    bucket means (the pixel-aware preaggregation of Section 4.4).
-    """
-    if slide < 1:
-        raise ValueError(f"slide must be >= 1, got {slide}")
-    dense = sma(values, window)
-    return dense[::slide].copy()
-
-
-def _sliding_extreme(values, window: int, take_max: bool) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    _validate_window(arr.size, window)
-    out = np.empty(arr.size - window + 1, dtype=np.float64)
-    candidates: deque[int] = deque()
-    for i, value in enumerate(arr):
-        while candidates and (
-            arr[candidates[-1]] <= value if take_max else arr[candidates[-1]] >= value
-        ):
-            candidates.pop()
-        candidates.append(i)
-        if candidates[0] <= i - window:
-            candidates.popleft()
-        if i >= window - 1:
-            out[i - window + 1] = arr[candidates[0]]
-    return out
-
-
-def sliding_min(values, window: int) -> np.ndarray:
-    """Minimum of every full window, in O(n) via a monotonic deque."""
-    return _sliding_extreme(values, window, take_max=False)
-
-
-def sliding_max(values, window: int) -> np.ndarray:
-    """Maximum of every full window, in O(n) via a monotonic deque."""
-    return _sliding_extreme(values, window, take_max=True)
-
-
-# -- batched kernels ----------------------------------------------------------
-
-
-def _as_batch(values) -> tuple[np.ndarray, bool]:
-    """Coerce to a (batch, n) float64 array; report whether input was 1-D."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[np.newaxis, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError(f"expected a 1-D series or 2-D batch, got shape {arr.shape}")
-
-
-def sma2d(values, window: int) -> np.ndarray:
-    """Simple moving average of every row of a 2-D batch at one window.
-
-    ``values`` has shape ``(batch, n)``; the result has shape
-    ``(batch, n - window + 1)`` and row *i* equals ``sma(values[i], window)``
-    bit for bit.  This is the Grafana-transformer shape: smooth every numeric
-    field of a frame in one array operation.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected 2-D input, got shape {arr.shape}")
-    batch, n = arr.shape
-    _validate_window(n, window, label=f"batch of {batch} series")
-    window = int(window)
-    if window == 1:
-        return arr.copy()
-    prefix = np.zeros((batch, n + 1), dtype=np.float64)
-    np.cumsum(arr, axis=1, out=prefix[:, 1:])
-    return (prefix[:, window:] - prefix[:, :-window]) / window
-
-
-def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
-    raw = np.atleast_1d(np.asarray(windows))
-    if raw.ndim != 1:
-        raise ValueError(f"windows must be a 1-D sequence, got shape {raw.shape}")
-    # One pass over plain ints; on failure, name the first offending window.
-    listed = raw.tolist()
-    if listed and (raw.dtype.kind not in "iu" or not 1 <= min(listed) <= max(listed) <= n):
-        for window in listed:
-            _validate_window(n, window, label=label)
-    return raw.astype(np.int64)
 
 
 def _roughness(smoothed: np.ndarray, span: int, buffer: np.ndarray) -> float:
@@ -189,7 +118,7 @@ def _roughness(smoothed: np.ndarray, span: int, buffer: np.ndarray) -> float:
     *smoothed* holds ``SMA(x, w)`` in its first *span* entries, zeros after;
     *buffer* is scratch of at least ``len(smoothed) - 1`` floats.  The diffs
     are reduced over the full padded width with exact ``+0.0`` past ``span -
-    1``, so both kernels that call this sum in the same pairwise tree.
+    1``, so every caller sums in the same pairwise tree.
     """
     if span < 2:
         return 0.0
@@ -203,114 +132,35 @@ def _roughness(smoothed: np.ndarray, span: int, buffer: np.ndarray) -> float:
     return math.sqrt(diffs.sum() / diff_count)
 
 
-def sma_window_moments(values, window: int, *, floor=None) -> tuple[float, float]:
-    """Roughness and kurtosis of ``SMA(x, window)`` for one candidate window.
+def _moments_from_prefix(
+    values, prefixes, windows, rows, floor=None, workspace=None
+) -> tuple[list[float], list[float]]:
+    """Roughness and kurtosis of a stack of candidates, from prepared prefixes.
 
-    Bit-identical to ``sma_grid_moments(values, [window])`` — it performs the
-    same operations on the same padded buffers in the same order, minus the
-    grid/batch bookkeeping — so single-candidate probes (binary-search steps,
-    streaming revalidation of the previous window) skip the 3-D machinery.
-    The equivalence is pinned by ``tests/spectral``.
+    The one core behind every moment kernel of a prepared series.  Output
+    *i* is the moments of ``SMA(values[rows[i]], windows[i])``; *values* and
+    *prefixes* are sequences of equal-length 1-D rows and their
+    :func:`_prefix_sums`.  Nothing is validated here: *windows* are Python
+    ints in ``[1, n]`` and *rows* valid indexes, as the caller guarantees.
+    *floor* is ``None`` (measure every roughness), a number, or a list of
+    one floor per output; a roughness whose kurtosis is below its floor is
+    ``nan`` ("not measured; infeasible").
 
-    With a kurtosis *floor*, roughness is measured only when
-    ``kurtosis >= floor`` (the search's constraint) and is ``nan`` — "not
-    measured; infeasible" — otherwise.  Kurtosis is always measured.
+    Each output row is laid out as a zero-padded length-``n`` buffer: the
+    smoothed values in its first ``span = n - w + 1`` entries (window 1 is
+    copied, bypassing the prefix arithmetic whose rounding would differ),
+    exact zeros after.  Kurtosis is one stacked pass of final-axis sums over
+    the whole stack; roughness then goes row by row through
+    :func:`_roughness`.  Final-axis sums of a contiguous row do not depend
+    on the number of rows, so every output equals the same window evaluated
+    alone; a single window takes the same steps on 1-D buffers
+    (:func:`_one_from_prefix`).  *workspace*, a C-contiguous float64 array
+    of shape ``(2, >= len(windows), n)``, is reused when it fits; every cell
+    the reductions read is rewritten first, so stale contents never leak.
+    Returns two lists of Python floats.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    n = arr.size
-    _validate_window(n, window)
-    window = int(window)
-    span = n - window + 1
-    count = float(span)
-    smoothed = np.zeros(n, dtype=np.float64)
-    if window == 1:
-        smoothed[:] = arr
-    else:
-        prefix = np.zeros(n + 1, dtype=np.float64)
-        np.cumsum(arr, out=prefix[1:])
-        smoothed[:span] = (prefix[window : window + span] - prefix[:span]) / float(window)
-
-    mean = smoothed.sum() / count
-    centered = np.zeros(n, dtype=np.float64)
-    centered[:span] = smoothed[:span] - mean
-    squared = centered * centered
-    second = squared.sum() / count
-    fourth = (squared * squared).sum() / count
-    kurtosis = float(fourth / (second * second)) if second > 0.0 else 0.0
-    if floor is not None and not kurtosis >= floor:
-        return math.nan, kurtosis
-    return _roughness(smoothed, span, centered), kurtosis
-
-
-def sma_probe_moments(
-    values, windows, workspace=None, *, rows=None, floor=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roughness and kurtosis of ``SMA(x, w)`` for a small *probe set* of windows.
-
-    Bit-identical to ``[sma_window_moments(values, w, floor=floor) for w
-    in windows]``: it builds the same zero-padded length-``n`` smoothed rows
-    (window 1 bypasses the prefix arithmetic exactly as the scalar kernel
-    does) and reduces each with the same final-axis sums.  The kurtosis
-    stage runs as one stacked array operation, so a handful of windows costs
-    one numpy dispatch sequence instead of one per window; roughness then
-    goes row by row through the single-window kernel's own routine.  This is
-    the warm-start prefetch kernel of the streaming operator: the previous
-    refresh's probe trace is evaluated in a single call before the search
-    replays over the cache.
-
-    With *rows*, ``values`` is a ``(m, n)`` batch of equal-length series and
-    output *i* is the moments of ``values[rows[i]]`` at ``windows[i]``.  A
-    row may appear several times, with different windows, and a window on
-    several rows.  This is the batch engine's lockstep kernel: one round of
-    every live search in a batch, one call.
-
-    *floor* gates roughness as in :func:`sma_window_moments`: a scalar, or
-    one kurtosis floor per output.  Searches pass their original kurtosis,
-    and most candidates fall below it, so most rows cost only the stacked
-    kurtosis stage.  An empty probe set returns two empty arrays.
-
-    Unlike :func:`sma_grid_moments` it never chunks and keeps the whole
-    ``(len(windows), n)`` buffer resident; prefer the grid kernel for large
-    candidate grids.  Each smoothed row is filled with the single-window
-    kernel's contiguous slice arithmetic and its zero tail with explicit
-    small writes, so every padded buffer holds exactly the single-window
-    kernel's bytes before each reduction.  Callers on a hot path can pass
-    *workspace* — a C-contiguous float64 array of shape
-    ``(2, >= len(windows), n)`` — to reuse allocations across calls;
-    every cell the reductions read is rewritten first, so stale workspace
-    contents never leak into results.
-    """
-    batch = np.asarray(values, dtype=np.float64)
-    if rows is None:
-        if batch.ndim != 1:
-            raise ValueError(f"expected 1-D input, got shape {batch.shape}")
-        batch = batch[np.newaxis, :]
-    elif batch.ndim != 2:
-        raise ValueError(f"expected a 2-D batch with rows=, got shape {batch.shape}")
-    n = batch.shape[1]
-    window_arr = _validated_window_grid(n, windows)
-    k = window_arr.size
-    if rows is None:
-        row_list = [0] * k
-    else:
-        row_list = [int(row) for row in rows]
-        if len(row_list) != k:
-            raise ValueError(f"rows has {len(row_list)} entries but windows has {k}")
-        if k and not 0 <= min(row_list) <= max(row_list) < batch.shape[0]:
-            raise ValueError(f"rows must index the {batch.shape[0]} series of the batch")
-        # Prefix sums cost one pass per series, so take only the rows asked for.
-        used = sorted(set(row_list))
-        position = {row: i for i, row in enumerate(used)}
-        row_list = [position[row] for row in row_list]
-        batch = batch[used]
-    if k == 0:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
-    spans = n - window_arr + 1
-    span_list = spans.tolist()
-    counts = spans.astype(np.float64)
-
+    k = len(windows)
+    n = prefixes[0].size - 1
     if (
         workspace is not None
         and workspace.dtype == np.float64
@@ -326,33 +176,32 @@ def sma_probe_moments(
         smoothed = np.empty((k, n), dtype=np.float64)
         scratch = np.empty((k, n), dtype=np.float64)
 
-    prefix = np.zeros((batch.shape[0], n + 1), dtype=np.float64)
-    np.cumsum(batch, axis=1, out=prefix[:, 1:])
+    if k == 1:
+        row = rows[0]
+        return _one_from_prefix(
+            values[row], prefixes[row], windows[0], floor, smoothed[0], scratch[0]
+        )
+
+    spans = [n - window + 1 for window in windows]
     # Every row's zero tail lives in columns >= the smallest span; one block
     # write clears them all, and each row's valid slice is written on top.
-    smoothed[:, min(span_list) :] = 0.0
-    divisors = window_arr.astype(np.float64)
-    prefixes = list(prefix)
-    for i, (row, window) in enumerate(zip(row_list, window_arr.tolist())):
+    smoothed[:, min(spans) :] = 0.0
+    for i, (row, window, span) in enumerate(zip(rows, windows, spans)):
         if window == 1:
-            # Window 1 is an exact identity in the scalar kernel; bypass the
-            # prefix arithmetic (whose rounding would differ) for those rows.
-            # Dividing by 1.0 below is bitwise exact, so the row survives the
-            # shared divide untouched.
-            smoothed[i] = batch[row]
+            # Dividing by 1.0 below is bitwise exact, so the copied row
+            # survives the shared divide untouched.
+            smoothed[i] = values[row]
         else:
-            span = n - window + 1
-            row_prefix = prefixes[row]
-            np.subtract(
-                row_prefix[window : window + span], row_prefix[:span], out=smoothed[i, :span]
-            )
+            prefix = prefixes[row]
+            np.subtract(prefix[window:], prefix[:span], out=smoothed[i, :span])
     # One broadcast divide replaces a dispatch per row; elementwise division
     # is shape-independent, and the zero tails stay exactly +0.0.
-    np.divide(smoothed, divisors[:, np.newaxis], out=smoothed)
+    np.divide(smoothed, np.array(windows, dtype=np.float64)[:, np.newaxis], out=smoothed)
 
+    counts = np.array(spans, dtype=np.float64)
     means = smoothed.sum(axis=-1) / counts
     np.subtract(smoothed, means[:, np.newaxis], out=scratch)
-    for i, span in enumerate(span_list):
+    for i, span in enumerate(spans):
         scratch[i, span:] = 0.0
     np.multiply(scratch, scratch, out=scratch)
     second = scratch.sum(axis=-1) / counts
@@ -360,14 +209,191 @@ def sma_probe_moments(
     fourth = scratch.sum(axis=-1) / counts
     kurtosis = np.zeros(k)
     np.divide(fourth, second * second, out=kurtosis, where=second > 0.0)
+    kurtosis_list = kurtosis.tolist()
 
     # Scratch is free now: each measured row takes its own for the diffs.
-    floors = np.broadcast_to(0.0 if floor is None else floor, (k,)).tolist()
-    roughness = np.full(k, np.nan)
-    for i, (kurt, row_floor) in enumerate(zip(kurtosis.tolist(), floors)):
-        if floor is None or kurt >= row_floor:
-            roughness[i] = _roughness(smoothed[i], span_list[i], scratch[i])
-    return roughness, kurtosis
+    floors = floor if isinstance(floor, list) else [floor] * k
+    roughness = [math.nan] * k
+    for i, (kurt, row_floor) in enumerate(zip(kurtosis_list, floors)):
+        if row_floor is None or kurt >= row_floor:
+            roughness[i] = _roughness(smoothed[i], spans[i], scratch[i])
+    return roughness, kurtosis_list
+
+
+def _one_from_prefix(values, prefix, window, floor, smoothed, scratch):
+    """:func:`_moments_from_prefix` at one window, on 1-D buffers.
+
+    The same padded buffer and the same final-axis sums as a stacked row
+    (the sum of one contiguous row does not depend on its neighbours), with
+    scalar divisors instead of the stack's per-row arrays, which cost more
+    than they save for a single candidate.
+    """
+    n = values.size
+    span = n - window + 1
+    count = float(span)
+    if window == 1:
+        smoothed[:] = values
+    else:
+        valid = smoothed[:span]
+        np.subtract(prefix[window:], prefix[:span], out=valid)
+        np.divide(valid, float(window), out=valid)
+        smoothed[span:] = 0.0
+    mean = smoothed.sum() / count
+    np.subtract(smoothed[:span], mean, out=scratch[:span])
+    scratch[span:] = 0.0
+    np.multiply(scratch, scratch, out=scratch)
+    second = scratch.sum() / count
+    np.multiply(scratch, scratch, out=scratch)
+    fourth = scratch.sum() / count
+    kurtosis = float(fourth / (second * second)) if second > 0.0 else 0.0
+    if floor is not None and not kurtosis >= (floor[0] if isinstance(floor, list) else floor):
+        return [math.nan], [kurtosis]
+    return [_roughness(smoothed, span, scratch)], [kurtosis]
+
+
+# -- single-series kernels ----------------------------------------------------
+
+
+def sma(values, window: int) -> np.ndarray:
+    """Simple moving average with slide 1: every full window of *window* points.
+
+    Returns ``n - window + 1`` points where ``out[i] = mean(x[i : i+window])``.
+    Uses a prefix-sum difference, so cost is O(n) independent of window size.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
+    _validate_window(arr.size, window)
+    window = int(window)
+    if window == 1:
+        return arr.copy()
+    return _sma_from_prefix(arr, _prefix_sums(arr), window)
+
+
+def sma_with_slide(values, window: int, slide: int) -> np.ndarray:
+    """Simple moving average with an explicit slide between window starts.
+
+    ``slide == 1`` matches :func:`sma`; ``slide == window`` produces disjoint
+    bucket means (the pixel-aware preaggregation of Section 4.4).
+    """
+    if slide < 1:
+        raise ValueError(f"slide must be >= 1, got {slide}")
+    dense = sma(values, window)
+    return dense[::slide].copy()
+
+
+# -- batched kernels ----------------------------------------------------------
+
+
+def _as_batch(values) -> tuple[np.ndarray, bool]:
+    """Coerce to a (batch, n) float64 array; report whether input was 1-D."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 1:
+        return arr[np.newaxis, :], True
+    if arr.ndim == 2:
+        return arr, False
+    raise ValueError(f"expected a 1-D series or 2-D batch, got shape {arr.shape}")
+
+
+def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
+    raw = np.atleast_1d(np.asarray(windows))
+    if raw.ndim != 1:
+        raise ValueError(f"windows must be a 1-D sequence, got shape {raw.shape}")
+    # One pass over plain ints; on failure, name the first offending window.
+    listed = raw.tolist()
+    if listed and (raw.dtype.kind not in "iu" or not 1 <= min(listed) <= max(listed) <= n):
+        for window in listed:
+            _validate_window(n, window, label=label)
+    return raw.astype(np.int64)
+
+
+def sma_window_moments(values, window: int, *, floor=None) -> tuple[float, float]:
+    """Roughness and kurtosis of ``SMA(x, window)`` for one candidate window.
+
+    Bit-identical to ``sma_grid_moments(values, [window])`` and to the same
+    window inside any :func:`sma_probe_moments` call: all of them reduce the
+    same zero-padded buffers in the same order, and this kernel is the
+    shared prepared-prefix core at one window.  Single-candidate probes
+    (binary-search steps, streaming revalidation of the previous window)
+    skip the grid's 3-D machinery.  The equivalence is pinned by
+    ``tests/spectral``.
+
+    With a kurtosis *floor*, roughness is measured only when
+    ``kurtosis >= floor`` (the search's constraint) and is ``nan`` — "not
+    measured; infeasible" — otherwise.  Kurtosis is always measured.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
+    _validate_window(arr.size, window)
+    (rough,), (kurt,) = _moments_from_prefix(
+        (arr,), (_prefix_sums(arr),), (int(window),), (0,), floor
+    )
+    return rough, kurt
+
+
+def sma_probe_moments(
+    values, windows, workspace=None, *, rows=None, floor=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roughness and kurtosis of ``SMA(x, w)`` for a small *probe set* of windows.
+
+    Bit-identical to ``[sma_window_moments(values, w, floor=floor) for w
+    in windows]``: it validates its inputs, prepares each series' prefix
+    sums once and evaluates the whole probe set through the shared core
+    (one stacked kurtosis pass, then roughness row by row through the
+    single-window kernel's own routine).  A handful of windows therefore
+    costs one numpy dispatch sequence instead of one per window.
+
+    With *rows*, ``values`` is a ``(m, n)`` batch of equal-length series and
+    output *i* is the moments of ``values[rows[i]]`` at ``windows[i]``.  A
+    row may appear several times, with different windows, and a window on
+    several rows.
+
+    *floor* gates roughness as in :func:`sma_window_moments`: a scalar, or
+    one kurtosis floor per output.  Searches pass their original kurtosis,
+    and most candidates fall below it, so most rows cost only the stacked
+    kurtosis stage.  An empty probe set returns two empty arrays.
+
+    Unlike :func:`sma_grid_moments` it never chunks and keeps the whole
+    ``(len(windows), n)`` buffer resident; prefer the grid kernel for large
+    candidate grids.  Callers on a hot path can pass *workspace* — a
+    C-contiguous float64 array of shape ``(2, >= len(windows), n)`` — to
+    reuse allocations across calls; every cell the reductions read is
+    rewritten first, so stale workspace contents never leak into results.
+    The streaming operator and the batch engine's lockstep skip this
+    wrapper: they hold prepared prefixes and validated windows already.
+    """
+    batch = np.asarray(values, dtype=np.float64)
+    if rows is None:
+        if batch.ndim != 1:
+            raise ValueError(f"expected 1-D input, got shape {batch.shape}")
+        batch = batch[np.newaxis, :]
+    elif batch.ndim != 2:
+        raise ValueError(f"expected a 2-D batch with rows=, got shape {batch.shape}")
+    n = batch.shape[1]
+    window_list = _validated_window_grid(n, windows).tolist()
+    k = len(window_list)
+    if rows is None:
+        row_list = [0] * k
+    else:
+        row_list = [int(row) for row in rows]
+        if len(row_list) != k:
+            raise ValueError(f"rows has {len(row_list)} entries but windows has {k}")
+        if k and not 0 <= min(row_list) <= max(row_list) < batch.shape[0]:
+            raise ValueError(f"rows must index the {batch.shape[0]} series of the batch")
+        # Prefix sums cost one pass per series, so take only the rows asked for.
+        used = sorted(set(row_list))
+        position = {row: i for i, row in enumerate(used)}
+        row_list = [position[row] for row in row_list]
+        batch = batch[used]
+    if k == 0:
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
+    if floor is not None:
+        floor = np.broadcast_to(floor, (k,)).tolist()
+    roughness, kurtosis = _moments_from_prefix(
+        batch, _prefix_sums(batch), window_list, row_list, floor, workspace
+    )
+    return np.array(roughness, dtype=np.float64), np.array(kurtosis, dtype=np.float64)
 
 
 def cross_product_sums(values, max_lag: int) -> np.ndarray:

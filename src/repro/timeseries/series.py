@@ -83,6 +83,24 @@ class TimeSeries:
         self._timestamps = ts
         self.name = name
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, timestamps: np.ndarray, name: str = "") -> "TimeSeries":
+        """A series over arrays that already satisfy this class's rules.
+
+        For a producer that owns *values* and *timestamps* — equal-length
+        1-D float64 arrays, finite values, strictly increasing timestamps —
+        because it checked its input where that input entered the program
+        (the streaming operator's frames): no copy and no second validation.
+        The arrays are frozen in place, as ``__init__`` freezes its copies.
+        """
+        series = object.__new__(cls)
+        values.setflags(write=False)
+        timestamps.setflags(write=False)
+        series._values = values
+        series._timestamps = timestamps
+        series.name = name
+        return series
+
     # -- basic protocol ----------------------------------------------------
 
     @property

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..timeseries.series import TimeSeries
 
-__all__ = ["paa", "paa2d", "paa_series"]
+__all__ = ["paa", "paa_series"]
 
 
 def paa(values, segments: int) -> np.ndarray:
@@ -33,31 +33,6 @@ def paa(values, segments: int) -> np.ndarray:
     bounds = (np.arange(segments + 1) * arr.size) // segments
     prefix = np.concatenate(([0.0], np.cumsum(arr)))
     sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
-    counts = (bounds[1:] - bounds[:-1]).astype(np.float64)
-    return sums / counts
-
-
-def paa2d(values, segments: int) -> np.ndarray:
-    """PAA of every row of a ``(batch, n)`` array at one segment count.
-
-    Row *i* equals ``paa(values[i], segments)`` bit for bit — the same
-    prefix-sum/boundary formulation evaluated with a batched cumulative sum,
-    following the repo's 2-D kernel convention
-    (:func:`repro.spectral.convolution.sma2d`).  Rendering a whole dashboard
-    of PAA baselines costs one array pass instead of a per-series loop.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError(f"expected a non-empty 2-D batch, got shape {arr.shape}")
-    if segments < 1:
-        raise ValueError(f"segments must be >= 1, got {segments}")
-    batch, n = arr.shape
-    if segments >= n:
-        return arr.copy()
-    bounds = (np.arange(segments + 1) * n) // segments
-    prefix = np.zeros((batch, n + 1), dtype=np.float64)
-    np.cumsum(arr, axis=1, out=prefix[:, 1:])
-    sums = prefix[:, bounds[1:]] - prefix[:, bounds[:-1]]
     counts = (bounds[1:] - bounds[:-1]).astype(np.float64)
     return sums / counts
 

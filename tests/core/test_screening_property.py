@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.smoothing as smoothing_module
-import repro.core.streaming as streaming_module
 import repro.engine.batch_engine as engine_module
 from repro.core.search import SearchState, asap_search, run_strategy
 from repro.core.smoothing import EvaluationCache
@@ -34,20 +33,20 @@ STRATEGIES = ["asap", "binary"]
 
 @contextlib.contextmanager
 def floor_ignored():
-    """Every search kernel measures roughness for every window, as unscreened."""
-    single = smoothing_module.sma_window_moments
-    stacked = engine_module.sma_probe_moments
+    """Every search kernel measures roughness for every window, as unscreened.
 
-    def full_single(values, window, *, floor=None):
-        return single(values, window)
+    Candidates are evaluated by the prepared-prefix core, called from the
+    evaluation cache (misses and the streaming warm prefetch) and from the
+    batch engine's lockstep rounds; both call sites drop the floor here.
+    """
+    core = smoothing_module._moments_from_prefix
 
-    def full_stacked(values, windows, workspace=None, *, rows=None, floor=None):
-        return stacked(values, windows, workspace, rows=rows)
+    def full_core(values, prefixes, windows, rows, floor=None, workspace=None):
+        return core(values, prefixes, windows, rows, None, workspace)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(smoothing_module, "sma_window_moments", full_single)
-        patch.setattr(streaming_module, "sma_probe_moments", full_stacked)
-        patch.setattr(engine_module, "sma_probe_moments", full_stacked)
+        patch.setattr(smoothing_module, "_moments_from_prefix", full_core)
+        patch.setattr(engine_module, "_moments_from_prefix", full_core)
         yield
 
 

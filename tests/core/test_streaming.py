@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import smooth
+from repro.core.smoothing import EvaluationCache
 from repro.core.streaming import Frame, StreamingASAP
 from repro.stream.operators import run_stream
 from repro.stream.sources import ReplaySource, StreamPoint
@@ -81,6 +82,33 @@ class TestWindowQuality:
         early = frames[len(frames) // 3]
         late = frames[-1]
         assert early.window != late.window
+
+    def test_non_finite_frame_values_fail_like_any_series(self, monkeypatch):
+        # Checked, finite input can still overflow its prefix sums (values
+        # near 1e308); a frame over such values must raise as TimeSeries
+        # does, never be emitted.
+        smoothed_from_prefix = EvaluationCache._smoothed
+
+        def overflowed(cache, window):
+            smoothed = smoothed_from_prefix(cache, window)
+            smoothed[-1] = np.inf
+            return smoothed
+
+        t = np.arange(64, dtype=np.float64)
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=32, refresh_interval=8))
+        assert operator.push_many(t[:32], np.sin(t[:32] / 3.0))
+        monkeypatch.setattr(EvaluationCache, "_smoothed", overflowed)
+        with pytest.raises(ValueError, match="finite"):
+            operator.push_many(t[32:], np.sin(t[32:] / 3.0))
+
+    def test_huge_finite_values_give_finite_frames(self):
+        t = np.arange(400, dtype=np.float64)
+        values = 1e306 * (5 + np.sin(2 * np.pi * t / 16))
+        operator = StreamingASAP(research_spec(pane_size=1, resolution=64, refresh_interval=8))
+        with np.errstate(all="ignore"):
+            frames = operator.push_many(t, values)
+        assert frames
+        assert all(np.isfinite(frame.series.values).all() for frame in frames)
 
     def test_frame_series_is_smoothed_window(self, periodic_series):
         series = TimeSeries(periodic_series)

@@ -139,14 +139,17 @@ class TestStackedRounds:
         rng = np.random.default_rng(1820)
         batch = [_periodic(rng, 2000) if i % 3 else rng.normal(size=2000) for i in range(8)]
 
+        # Every candidate evaluation goes through the prepared-prefix core:
+        # a cache miss from the cache's module, a lockstep round from the
+        # engine's.
         single_calls = []
-        kernel = smoothing_module.sma_window_moments
+        kernel = smoothing_module._moments_from_prefix
 
-        def counting_single(values, window, *, floor=None):
-            single_calls.append(window)
-            return kernel(values, window, floor=floor)
+        def counting_single(values, prefixes, windows, rows, floor=None, workspace=None):
+            single_calls.extend(windows)
+            return kernel(values, prefixes, windows, rows, floor, workspace)
 
-        monkeypatch.setattr(smoothing_module, "sma_window_moments", counting_single)
+        monkeypatch.setattr(smoothing_module, "_moments_from_prefix", counting_single)
         per_series = []
         for values in batch:
             before = len(single_calls)
@@ -157,15 +160,15 @@ class TestStackedRounds:
             raise AssertionError("a lockstep batch ran a single-window kernel")
 
         stacked = []
-        probe = engine_module.sma_probe_moments
+        core = engine_module._moments_from_prefix
 
-        def counting_probe(values, windows, workspace=None, *, rows=None, floor=None):
+        def counting_core(values, prefixes, windows, rows, floor=None, workspace=None):
             stacked.append(len(windows))
-            return probe(values, windows, workspace, rows=rows, floor=floor)
+            return core(values, prefixes, windows, rows, floor, workspace)
 
-        monkeypatch.setattr(smoothing_module, "sma_window_moments", forbidden)
+        monkeypatch.setattr(smoothing_module, "_moments_from_prefix", forbidden)
         monkeypatch.setattr(smoothing_module, "sma_grid_moments", forbidden)
-        monkeypatch.setattr(engine_module, "sma_probe_moments", counting_probe)
+        monkeypatch.setattr(engine_module, "_moments_from_prefix", counting_core)
         engine = BatchEngine(resolution=RESOLUTION, strategy=strategy)
         result = engine.smooth_many(batch)
         monkeypatch.undo()
@@ -183,7 +186,7 @@ class TestStackedRounds:
         def forbidden(*args, **kwargs):
             raise AssertionError("lockstep ran off the serial grid path")
 
-        monkeypatch.setattr(engine_module, "sma_probe_moments", forbidden)
+        monkeypatch.setattr(engine_module, "_moments_from_prefix", forbidden)
         for engine_options, options in (
             ({"workers": 2}, {}),
             ({}, {"strategy": "grid2"}),
@@ -204,7 +207,7 @@ class TestStackedRounds:
         def forbidden(*args, **kwargs):
             raise AssertionError("an already searched state was searched again")
 
-        monkeypatch.setattr(engine_module, "sma_probe_moments", forbidden)
+        monkeypatch.setattr(engine_module, "_moments_from_prefix", forbidden)
         search_in_lockstep(entries, "asap", 30)
         assert [len(entry.cache) for entry in entries] == filled
         assert all(entry.result is result for entry, result in zip(entries, results))

@@ -75,14 +75,14 @@ def _forbid_search(monkeypatch) -> None:
     for module, name in (
         (engine_module, "search_steps"),
         (engine_module, "run_strategy"),
-        (engine_module, "sma_probe_moments"),
+        (engine_module, "_moments_from_prefix"),
         (engine_module, "sma_grid_moments"),
         (engine_module, "row_kurtosis"),
         (search_module, "search_steps"),
         (search_module, "run_strategy"),
         (batch_module, "run_strategy"),
         (cache_module, "analyze_acf"),
-        (smoothing_module, "sma_window_moments"),
+        (smoothing_module, "_moments_from_prefix"),
         (smoothing_module, "sma_grid_moments"),
         (smoothing_module, "evaluate_window"),
         (smoothing_module, "evaluate_window_grid"),
@@ -216,6 +216,19 @@ class TestShapeAndAccounting:
             counts.append((stats.acf_cache_hits, stats.acf_cache_misses))
         assert counts == [(0, 4), (2, 2), (5, 0)]
         assert (engine.acf_cache.hits, engine.acf_cache.misses) == (7, 6)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("strategy", ["asap", "binary", "exhaustive"])
+    def test_memoized_entries_keep_no_prefix_sums(self, strategy, workers):
+        # Ragged lengths give singletons, searched through their caches'
+        # misses, which share one prepared prefix while the search runs.
+        batch = _ragged(2608, 5) + _equal(2609, 3)
+        engine = BatchEngine(resolution=RESOLUTION, strategy=strategy, workers=workers)
+        for _ in range(2):
+            engine.smooth_many(batch)
+            entries = list(engine.acf_cache._entries.values())
+            assert entries and all(entry.result is not None for entry in entries)
+            assert all(entry.cache._prefix is None for entry in entries)
 
 
 # -- property: one persistent engine over a sequence of batches ---------------

@@ -123,7 +123,7 @@ class TestHitPathEquivalence:
 
         monkeypatch.setattr(cache_module, "analyze_acf", forbidden)
         for name in (
-            "sma_window_moments",
+            "_moments_from_prefix",
             "sma_grid_moments",
             "evaluate_window",
             "evaluate_window_grid",

@@ -91,17 +91,20 @@ def test_raising_refresh_does_not_starve_the_tick(monkeypatch):
     driver.emitted.append(driver.hub.stats.frames_emitted)
     assert driver.emitted[-1] == before + 2
 
-    driver.tick()  # ...the next one returns them; nothing else was due
+    # ...the next one returns them, and retries 'b''s refresh, which stayed
+    # due: it emits the frame 'b' would have emitted had it never failed.
+    driver.tick()
     assert {sid: len(frames) for sid, frames in driver.frames.items()} == {
         "a": counts["a"] + 1,
-        "b": counts["b"],
+        "b": counts["b"] + 1,
         "c": counts["c"] + 1,
     }
+    assert driver.emitted[-1] == before + 3
     for _ in range(5):
         driver.ingest()
         driver.tick()
 
-    for sid in ("a", "c"):
+    for sid in IDS:
         assert driver.frames[sid] == lone_frames(sid, driver)
     assert driver.emitted == sorted(driver.emitted)
     assert driver.emitted[-1] == sum(len(frames) for frames in driver.frames.values())
@@ -123,6 +126,46 @@ def test_stashed_frames_survive_a_checkpoint(monkeypatch):
     for _ in range(4):
         driver.ingest()
         driver.tick()
-    for sid in ("a", "c"):
+    # The checkpoint carried 'b''s pending refresh; the restored hub retried it.
+    for sid in IDS:
         assert driver.frames[sid] == lone_frames(sid, driver)
     assert driver.emitted[-1] == sum(len(frames) for frames in driver.frames.values())
+
+
+def test_lasting_failure_recovers_once_the_bad_pane_leaves_the_window():
+    # With a watermark and no normalizer a NaN enters a pane, and every
+    # refresh whose window holds it raises.  The stream must keep folding
+    # new data, so the pane leaves the window and frames resume.
+    spec = AsapSpec(pane_size=2, resolution=32, refresh_interval=4, watermark=4)
+    chunk, rounds = 8, 40
+    t = np.arange(chunk * rounds, dtype=np.float64)
+    values = np.sin(t / 7.0) + 0.01 * t
+    values[chunk * 10 + 3] = np.nan
+    hub, clean = StreamHub(default_config=spec), StreamHub(default_config=spec)
+    hub.create_stream("s")
+    clean.create_stream("s")
+    failed_ticks, frames, clean_frames = [], [], []
+    for round_ in range(rounds):
+        span = slice(round_ * chunk, (round_ + 1) * chunk)
+        try:
+            frames.extend(hub.ingest("s", t[span], values[span]))
+        except ValueError:
+            # A boundary inside the batch refreshes inline over the NaN.
+            assert round_ <= 11
+        clean_frames.extend(clean.ingest("s", t[span], np.nan_to_num(values[span])))
+        clean_frames.extend(clean.tick().get("s", []))
+        try:
+            frames.extend(hub.tick().get("s", []))
+        except ValueError as error:
+            assert "'s'" in str(error)
+            failed_ticks.append(round_)
+    assert failed_ticks
+    after = rounds - 1 - failed_ticks[-1]
+    assert after >= 10
+    # Every boundary after the last failure emitted a frame again, over all
+    # the data the clean stream folded, with the NaN out of the window.
+    recovered = frames[-after:]
+    assert [frame.points_ingested for frame in recovered] == [
+        frame.points_ingested for frame in clean_frames[-after:]
+    ]
+    assert all(np.isfinite(frame.series.values).all() for frame in recovered)

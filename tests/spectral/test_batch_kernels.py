@@ -1,8 +1,8 @@
-"""Tests for the batched/vectorized kernels (sma2d, grid moments).
+"""Tests for the batched/vectorized grid-moment kernel.
 
 The scalar kernels are the oracle: every batched kernel must agree with its
 scalar counterpart applied row by row — bit for bit where the implementation
-promises it (sma2d rows), and to 1e-9 where it reduces through a
+promises it, and to 1e-9 where it reduces through a
 different summation order (grid moments vs the scalar stats).
 """
 
@@ -13,34 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spectral.convolution import sma, sma2d, sma_grid_moments
+from repro.spectral.convolution import sma, sma_grid_moments
 from repro.timeseries.stats import kurtosis, roughness
-
-
-class TestSMA2D:
-    def test_rows_match_scalar_sma_bitwise(self, rng):
-        batch = rng.normal(size=(7, 120))
-        for window in (1, 2, 11, 119, 120):
-            out = sma2d(batch, window)
-            assert out.shape == (7, 120 - window + 1)
-            for i in range(batch.shape[0]):
-                assert np.array_equal(out[i], sma(batch[i], window))
-
-    def test_window_one_returns_copy(self, rng):
-        batch = rng.normal(size=(3, 10))
-        out = sma2d(batch, 1)
-        out[0, 0] = 99.0
-        assert batch[0, 0] != 99.0
-
-    def test_rejects_one_dimensional_input(self):
-        with pytest.raises(ValueError, match="2-D"):
-            sma2d(np.ones(5), 2)
-
-    def test_error_message_includes_series_length(self):
-        with pytest.raises(ValueError, match="series length 4"):
-            sma2d(np.ones((2, 4)), 9)
-        with pytest.raises(ValueError, match="series length 4"):
-            sma2d(np.ones((2, 4)), 0)
 
 
 class TestGridMoments:

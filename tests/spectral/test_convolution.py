@@ -1,4 +1,4 @@
-"""Tests for the moving-window kernels (SMA, sliding min/max)."""
+"""Tests for the moving-window kernels (SMA, lagged cross products)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.spectral.convolution import (
     cross_product_sums,
-    sliding_max,
-    sliding_min,
     sma,
     sma_with_slide,
 )
@@ -89,38 +87,6 @@ class TestSlide:
     def test_rejects_bad_slide(self):
         with pytest.raises(ValueError):
             sma_with_slide([1.0, 2.0], 1, 0)
-
-
-class TestSlidingExtrema:
-    def naive_extreme(self, values, window, fn):
-        return np.array(
-            [fn(values[i : i + window]) for i in range(len(values) - window + 1)]
-        )
-
-    def test_min_matches_naive(self, rng):
-        values = rng.normal(size=150)
-        for window in (1, 3, 10, 150):
-            np.testing.assert_array_equal(
-                sliding_min(values, window), self.naive_extreme(values, window, np.min)
-            )
-
-    def test_max_matches_naive(self, rng):
-        values = rng.normal(size=150)
-        for window in (1, 4, 37):
-            np.testing.assert_array_equal(
-                sliding_max(values, window), self.naive_extreme(values, window, np.max)
-            )
-
-    def test_rejects_oversized_window(self):
-        with pytest.raises(ValueError):
-            sliding_min([1.0], 2)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**31))
-    def test_min_below_max(self, n, seed):
-        values = np.random.default_rng(seed).normal(size=n)
-        window = max(n // 3, 1)
-        assert np.all(sliding_min(values, window) <= sliding_max(values, window))
 
 
 class TestCrossProductSums:

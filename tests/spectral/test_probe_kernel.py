@@ -1,10 +1,11 @@
-"""Tests for the warm-start probe kernel (``sma_probe_moments``).
+"""Tests for the warm-start probe kernel (``sma_probe_moments``) and its core.
 
 The contract is stricter than the 1e-9 discipline used elsewhere: the stacked
 probe kernel must be **bit-identical** to ``sma_window_moments`` applied one
 window at a time, because the streaming operator's warm-started search seeds
 its evaluation cache from prefetched probes and the search must make exactly
-the decisions a cold search would make.
+the decisions a cold search would make.  The same holds for the
+prepared-prefix core every evaluation of a searched series runs through.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spectral.convolution import sma_probe_moments, sma_window_moments
+from repro.core.search import run_strategy
+from repro.core.smoothing import EvaluationCache
+from repro.spectral.convolution import (
+    _moments_from_prefix,
+    _prefix_sums,
+    sma,
+    sma_probe_moments,
+    sma_window_moments,
+)
 
 
 def bits(x) -> bytes:
@@ -315,3 +324,105 @@ class TestEmptyProbeSet:
             sma_probe_moments(batch, [2], rows=[])
         with pytest.raises(ValueError, match="entries"):
             sma_probe_moments(batch, [], rows=[0])
+
+
+class TestPreparedPath:
+    """The prepared-prefix core behind the cache, the prefetch and the lockstep.
+
+    Every evaluation of a searched series is answered from one prefix sum:
+    the core's outputs must be the single-window kernel's bytes whatever the
+    floors, rows and workspace contents, the cache's frame values must be
+    :func:`sma`'s, and a search replayed over a prefetch must decide exactly
+    as one that only missed.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=2, max_value=200),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        floors=st.sampled_from(["none", "scalar", "per row"]),
+        stale=st.sampled_from([np.nan, np.inf, -1e300, 0.0]),
+    )
+    def test_property_core_matches_single_windows(self, seed, m, n, scale, floors, stale):
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(size=(m, n)) * scale + rng.normal() * scale
+        if rng.random() < 0.2:
+            batch[int(rng.integers(m))] = batch[0, 0]  # a constant row
+        count = int(rng.integers(1, 13))
+        rows = rng.integers(0, m, size=count).tolist()
+        windows = rng.integers(1, n + 1, size=count).tolist()
+        kurt_all = sma_probe_moments(batch, windows, rows=rows)[1]
+        per_row = (kurt_all + rng.choice([-0.5, 0.0, 0.5], size=count)).tolist()
+        floor = {"none": None, "scalar": per_row[0], "per row": per_row}[floors]
+        # A workspace left holding another call's (or garbage) values.
+        workspace = np.full((2, count + int(rng.integers(0, 3)), n), stale)
+        prefixes = list(_prefix_sums(batch))
+        for _ in range(2):  # the second call reuses what the first left behind
+            rough, kurt = _moments_from_prefix(
+                list(batch), prefixes, windows, rows, floor, workspace
+            )
+            for i, (row, window) in enumerate(zip(rows, windows)):
+                row_floor = per_row[i] if floors == "per row" else floor
+                single = sma_window_moments(batch[row], window, floor=row_floor)
+                assert bits(single[0]) == bits(rough[i]), f"roughness at row {row}, window {window}"
+                assert bits(single[1]) == bits(kurt[i]), f"kurtosis at row {row}, window {window}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(min_value=1, max_value=300),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_property_frame_values_equal_sma(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n) * scale + 3.7 * scale
+        cache = EvaluationCache(values)
+        for window in sorted({1, n, *rng.integers(1, n + 1, size=4).tolist()}):
+            assert bits(cache._smoothed(window)) == bits(sma(values, window))
+            # Misses share the prefix the frame reads: still the kernel's bytes.
+            evaluation = cache.evaluate(window)
+            expected = sma_window_moments(values, window)
+            assert bits(evaluation.roughness) == bits(expected[0])
+            assert bits(evaluation.kurtosis) == bits(expected[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(min_value=8, max_value=400),
+        strategy=st.sampled_from(["asap", "binary"]),
+        plan=st.sampled_from(["trace", "part of the trace", "other windows"]),
+    )
+    def test_property_prefetch_then_replay_equals_misses_only(self, seed, n, strategy, plan):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n, dtype=np.float64)
+        values = np.sin(2 * np.pi * t / rng.uniform(4, max(n / 3, 5))) + rng.normal(size=n)
+        cold = EvaluationCache(values)
+        expected = run_strategy(strategy, values, cache=cold)
+
+        trace = list(cold.touched_windows())
+        probes = {
+            "trace": trace,
+            "part of the trace": trace[::2],
+            "other windows": sorted(set(rng.integers(1, n + 1, size=6).tolist())),
+        }[plan]
+        # Each prefetched entry is what a search's screen would have stored.
+        prefetched, screened = EvaluationCache(values), EvaluationCache(values)
+        prefetched._prefetch(probes)
+        for window in probes:
+            entry = prefetched.lookup(window, prefetched.original_kurtosis)
+            assert entry is not None, f"window {window} was not answered"
+            expected_entry = screened.screen(window)
+            assert bits(entry.roughness) == bits(expected_entry.roughness)
+            assert bits(entry.kurtosis) == bits(expected_entry.kurtosis)
+
+        warm = EvaluationCache(values)
+        if probes:
+            warm._prefetch(probes, np.full((2, len(probes), n), np.nan))
+        assert (warm.hits, warm.misses, warm.touched_windows()) == (0, 0, ())
+        got = run_strategy(strategy, values, cache=warm)
+        assert got == expected and repr(got) == repr(expected)
+        assert warm.touched_windows() == cold.touched_windows()
+        if plan == "trace":
+            assert warm.misses == 0

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.vis.m4 import m4_aggregate
-from repro.vis.paa import paa, paa2d
 from repro.vis.rasterize import _normalize, column_extents, pixel_columns, rasterize
 
 
@@ -134,25 +133,3 @@ class TestM4NaN:
         ref_idx, ref_vals = m4_reference(values, 8)
         assert np.array_equal(fast_idx, ref_idx)
         assert np.array_equal(fast_vals, ref_vals, equal_nan=True)
-
-
-class TestPaa2d:
-    def test_rows_bit_identical_to_scalar_paa(self, rng):
-        rows = rng.normal(size=(7, 1234))
-        for segments in (1, 5, 100, 800, 1234, 2000):
-            expected = np.vstack([paa(row, segments) for row in rows])
-            assert np.array_equal(paa2d(rows, segments), expected)
-
-    def test_row_independence(self, rng):
-        rows = rng.normal(size=(4, 600))
-        whole = paa2d(rows, 37)
-        alone = paa2d(rows[2:3], 37)
-        assert np.array_equal(whole[2], alone[0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            paa2d(np.ones(10), 2)
-        with pytest.raises(ValueError):
-            paa2d(np.ones((2, 5)), 0)
-        with pytest.raises(ValueError):
-            paa2d(np.empty((2, 0)), 3)
