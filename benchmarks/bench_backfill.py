@@ -70,7 +70,6 @@ def make_operator(args: argparse.Namespace, seeded: bool) -> StreamingASAP:
             refresh_interval=args.refresh_interval,
             strategy="asap",
             seed_from_previous=seeded,
-            incremental=True,
         )
     )
 
@@ -143,7 +142,6 @@ def verify_provisioning(args, ts, vs) -> dict:
         refresh_interval=args.refresh_interval,
         strategy="asap",
         seed_from_previous=False,
-        incremental=True,
     )
     hub = StreamHub(default_config=config)
     sid = hub.create_stream(history=(ts[:split], vs[:split]))

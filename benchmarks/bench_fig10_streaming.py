@@ -17,7 +17,6 @@ def test_streaming_push_throughput(benchmark):
                 pane_size=pane_size,
                 resolution=2000,
                 refresh_interval=64,
-                incremental=False,
             )
         )
         for timestamp, value in series:

@@ -66,7 +66,6 @@ def make_operator(warm_start, resolution, refresh_interval):
             resolution=resolution,
             refresh_interval=refresh_interval,
             strategy="asap",
-            incremental=True,
             warm_start=warm_start,
         )
     )

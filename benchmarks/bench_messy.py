@@ -90,7 +90,6 @@ def make_operator(quality: bool, resolution, refresh_interval, watermark):
             resolution=resolution,
             refresh_interval=refresh_interval,
             strategy="asap",
-            incremental=True,
             normalize=quality,
             cadence=1.0 if quality else None,
             watermark=watermark if quality else 0,

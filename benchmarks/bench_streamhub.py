@@ -5,12 +5,11 @@ streams, each delivering one scrape interval of points per round, each
 refreshing its smoothed frame at its on-demand boundary.  Two drivers
 process identical data:
 
-* ``loop`` — one from-scratch :class:`~repro.core.streaming.StreamingASAP`
-  per stream, fed point by point (the pre-StreamHub serving shape: the
-  operator's public push contract in a Python loop);
+* ``loop`` — one :class:`~repro.core.streaming.StreamingASAP` per stream,
+  fed point by point (the pre-StreamHub serving shape: the operator's public
+  push contract in a Python loop);
 * ``hub``  — one :class:`~repro.service.StreamHub` hosting every stream:
-  vectorized batch ingestion, refreshes deferred to a shared tick, and
-  incremental ACF/moment state (O(new panes) per refresh).
+  vectorized batch ingestion and refreshes deferred to a shared tick.
 
 Before timing, the two drivers' frames are verified equivalent stream by
 stream — same refresh boundaries, identical selected windows, bit-identical
@@ -66,9 +65,7 @@ def baseline_config(config: AsapSpec) -> dict:
 
 def drive_loop(streams, ts, chunk, config: AsapSpec):
     """Per-point looped operators; returns (frames_by_stream, seconds)."""
-    operators = [
-        StreamingASAP(AsapSpec(**baseline_config(config), incremental=False)) for _ in streams
-    ]
+    operators = [StreamingASAP(AsapSpec(**baseline_config(config))) for _ in streams]
     frames = [[] for _ in streams]
     length = ts.size
     started = time.perf_counter()

@@ -2,8 +2,7 @@
 
 Simulates a small fleet of metric streams — CPU, latency, queue depth — each
 delivering one scrape interval of points per round.  A single StreamHub hosts
-every stream: batch ingestion, refreshes deferred to the shared tick,
-incremental per-refresh statistics (O(new panes), not O(window)), and the
+every stream: batch ingestion, refreshes deferred to the shared tick, and the
 same stream served at several pixel widths from one session
 (``snapshot(stream_id, resolution=...)``, bucketed on demand from the
 session's window).

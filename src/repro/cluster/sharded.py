@@ -22,9 +22,9 @@ split, so sharding does not change any stream's frames.
 **Rebalancing.**  Adding or removing a shard recomputes ring ownership and
 migrates exactly the streams whose owner changed, by shipping their
 persist-layer session snapshots (``export_session(remove=True)`` ->
-``import_session``).  A snapshot carries the open partial pane, the pending
-journal, the rolling sums and the refresh countdown, so migration drops zero panes
-and the migrated stream's subsequent frames are bit-identical.
+``import_session``).  A snapshot carries the pane window, the open partial
+pane and the refresh countdown, so migration drops zero panes and the
+migrated stream's subsequent frames are bit-identical.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ class ShardedHub:
     def add_shard(self, shard_id: str | None = None, hub_state=None) -> str:
         """Bring up one shard and migrate the streams the ring now gives it.
 
-        Migration ships each moving stream's persist-layer snapshot (open
-        pane, journal, rolling sums included), so the moved streams'
+        Migration ships each moving stream's persist-layer snapshot (pane
+        window and open pane included), so the moved streams'
         subsequent frames are bit-identical and no pane is dropped.  Returns
         the new shard's id.
         """

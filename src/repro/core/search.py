@@ -402,9 +402,9 @@ def asap_search(
         Upper bound on windows; defaults to one tenth of the series length,
         the paper's experimental setting.
     acf:
-        Precomputed ACF analysis, e.g. maintained incrementally by the
-        streaming operator or shared across refreshes by the batch engine's
-        LRU cache; computed here when absent.
+        Precomputed ACF analysis, e.g. the streaming operator's per-refresh
+        one or one shared across refreshes by the batch engine's LRU cache;
+        computed here when absent.
     state:
         Seed search state, used by streaming ASAP to carry the previous
         frame's feasible window into the new search (Section 4.5).

@@ -1,4 +1,4 @@
-"""Streaming ASAP (Section 4.5, Algorithm 3) with incremental refresh state.
+"""Streaming ASAP (Section 4.5, Algorithm 3).
 
 The streaming operator folds arrivals into panes sized by the point-to-pixel
 ratio, keeps a bounded buffer of completed panes (the visualized window), and
@@ -18,22 +18,12 @@ off pixel-aware aggregation, ``strategy="exhaustive"`` turns off
 autocorrelation pruning, ``refresh_interval=1`` turns off on-demand updates —
 which is exactly the grid the Figure 11 factor/lesion analysis sweeps.
 
-**Incremental refreshes.**  The original operator recomputed the full ACF
-(two FFTs) and the window's moment statistics from scratch on every refresh —
-O(window log window) work per refresh even when only a handful of panes
-changed.  With ``incremental=True`` the operator instead maintains a
-:class:`RollingWindowState`: lagged cross-product sums (the ACF's sufficient
-statistics), raw power sums (kurtosis), and first-difference sums (roughness)
-updated in O(max_lag) per completed pane, so the per-refresh fixed cost is
-proportional to the *new* panes, not the window.  Two guardrails keep the
-numerics honest:
-
-* every ``recompute_every`` refreshes the sums are rebuilt from the window
-  contents (and the anchor re-centered), bounding the drift the add/subtract
-  updates can accumulate;
-* ``verify_incremental=True`` is the exact-recompute escape hatch: every
-  refresh also runs the from-scratch path and raises if any statistic
-  disagrees beyond the 1e-9 discipline used throughout the repo.
+**Exact statistics.**  Every refresh computes the window's ACF and moments
+from the window itself, as the paper's operator does.  Pixel-aware
+preaggregation keeps the window at display width, where the lags the search
+reads cost one ``np.correlate`` (:func:`~repro.core.acf.autocorrelation`'s
+direct kernel), so the operator carries no rolling statistics: a refresh
+depends only on the pane window, the previous window and the warm trace.
 """
 
 from __future__ import annotations
@@ -45,12 +35,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import CheckpointError, DataQualityError, IncrementalDriftError
+from ..errors import CheckpointError, DataQualityError
 from ..pyramid.rollup import resolve_view
 from ..pyramid.view import PyramidView, ViewSpec
 from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
 from ..spec import AsapSpec, require_spec
-from ..spectral.convolution import cross_product_sums
 
 # The refresh evaluates candidates and frame values through its
 # EvaluationCache's prepared prefix and calls neither kernel below; both stay
@@ -58,18 +47,10 @@ from ..spectral.convolution import cross_product_sums
 # benchmark harness (benchmarks/e2e/trace.py and its tests) wraps them here.
 from ..spectral.convolution import sma, sma_probe_moments  # noqa: F401
 from ..stream.operators import StreamOperator
-from ..stream.panes import PaneBuffer, RollingArray
+from ..stream.panes import PaneBuffer
 from ..stream.sources import StreamPoint
 from ..timeseries.series import TimeSeries
-from ..timeseries.stats import kurtosis as _scalar_kurtosis
-from ..timeseries.stats import roughness as _scalar_roughness
-from .acf import (
-    ACFAnalysis,
-    analysis_from_correlations,
-    analyze_acf,
-    autocorrelation,
-    default_max_lag,
-)
+from .acf import analyze_acf, default_max_lag
 from .search import (
     ADAPTIVE_STRATEGIES,
     SearchResult,
@@ -85,38 +66,11 @@ __all__ = [
     "BackfillResult",
     "Frame",
     "StreamingASAP",
-    "RollingWindowState",
-    "IncrementalDriftError",
     "MIN_PANES_FOR_SEARCH",
 ]
 
 #: Below this many completed panes a search is statistically meaningless.
 MIN_PANES_FOR_SEARCH = 8
-
-#: Agreement required between incremental and from-scratch statistics when
-#: ``verify_incremental`` is on: |incremental - exact| <= TOL * max(1, |exact|).
-INCREMENTAL_AGREEMENT_TOL = 1e-9
-
-
-#: Rebuild the rolling sums when cancellation threatens the 1e-9 discipline:
-#: either the window mean drifted too far from the anchor
-#: (``E[y^2] > limit * Var[y]`` — the raw-sum expansions lose precision like
-#: ``eps * ratio^2``), or far more magnitude has *flowed through* a sum than
-#: remains in it (``flow > limit * current`` — sliding-window add/subtract
-#: chains carry absolute error proportional to the largest values ever seen,
-#: which swamps a window that has since shrunk to a smaller scale).  An exact
-#: re-anchored recomputation resets both ratios to ~1.
-_CONDITIONING_LIMIT = 256.0
-
-#: Above this ``|window mean| / window std`` ratio the *from-scratch* scalar
-#: kernels themselves wobble by more than 1e-9 (their two-pass centering
-#: rounds at the ulp of the offset, an ``eps * ratio`` relative error), so no
-#: incrementally maintained formulation can agree with them to the
-#: discipline.  The streaming operator detects the ratio in O(1) and runs
-#: such refreshes through the exact from-scratch path instead — agreement by
-#: construction, at O(window log window) only for pathologically offset
-#: windows (e.g. epoch-timestamps with sub-second jitter).
-_EXACT_FALLBACK_RATIO = 1e6
 
 #: The operator's lifetime counters that are also :class:`~repro.service.HubStats`
 #: fields (see :attr:`StreamingASAP.counters`).
@@ -132,8 +86,6 @@ _HUB_COUNTERS = (
 _OPERATOR_COUNTERS = _HUB_COUNTERS + (
     "searches_run",
     "candidates_evaluated",
-    "full_recomputes",
-    "exact_fallbacks",
 )
 
 #: The spec's fields, which read through as operator attributes.
@@ -142,8 +94,7 @@ _SPEC_FIELDS = frozenset(field.name for field in fields(AsapSpec))
 #: The fields of each nested state that the spec determines: a restored
 #: operator's parts must have exactly the shape its spec builds.
 _SPEC_SHAPED = {
-    "buffer": ("pane_size", "capacity", "journal", "track_quality"),
-    "rolling": ("capacity", "lag_budget"),
+    "buffer": ("pane_size", "capacity", "track_quality"),
     "reorder": ("watermark",),
     "normalizer": ("declared_cadence", "gap_policy", "gap_factor"),
 }
@@ -231,492 +182,17 @@ def _probe_workspace(rows: int, n: int) -> np.ndarray:
     return buffer[:size].reshape(2, rows, n)
 
 
-def _moment_sums(scratch: np.ndarray, diff_count: int) -> list[float]:
-    """``[sum y, sum y^2, sum y^3, sum y^4, sum d, sum d^2]`` in one reduction.
-
-    *scratch* is a zeroed C-contiguous ``(6, r)`` array holding the values
-    ``y`` in row 0 and the first *diff_count* differences ``d`` in row 4; the
-    powers are written into rows 1-3 and 5 (the products are elementwise, so
-    exact).  Reducing a contiguous row with ``sum(axis=1)`` is the same
-    pairwise sum as that row's 1-D ``.sum()``, so each total is bit-identical
-    to summing the separate arrays — in one numpy call instead of six.  A
-    difference row one shorter than the values (a window's own differences)
-    reduces separately, as padding it would change the pairwise tree.
-    """
-    np.multiply(scratch[0::4], scratch[0::4], out=scratch[1::4])
-    np.multiply(scratch[1], scratch[0:2], out=scratch[2:4])
-    if diff_count == scratch.shape[1]:
-        return scratch.sum(axis=1).tolist()
-    return scratch[:4].sum(axis=1).tolist() + scratch[4:, :diff_count].sum(axis=1).tolist()
-
-
-class RollingWindowState:
-    """Incrementally maintained statistics of a sliding window of aggregates.
-
-    Maintains, over a window of at most ``capacity`` values:
-
-    * ``s[k] = sum_i y_i * y_{i+k}`` for lags ``0..lag_budget`` — the
-      sufficient statistics of the autocorrelation estimator;
-    * the raw power sums ``sum y, sum y^2, sum y^3, sum y^4`` — kurtosis;
-    * the first-difference sums ``sum d, sum d^2`` — roughness.
-
-    Each appended value costs O(lag_budget); eviction (automatic once the
-    window exceeds capacity) costs the same.  All sums are kept over values
-    shifted by an *anchor* (the first value of the current epoch): every
-    statistic derived here is shift-invariant, and anchoring keeps the sums
-    small so the add/subtract updates stay well conditioned.  :meth:`rebuild`
-    recomputes everything from the retained window (re-centering the anchor),
-    which is the periodic drift bound of the streaming operator.
-
-    Batch updates (:meth:`extend`, evictions, :meth:`rebuild`) write a
-    block's values and differences into one scratch array and take all six
-    power and difference sums with a single stacked reduction
-    (:func:`_moment_sums`); a batch's added terms enter every sum before
-    its evicted terms leave it.
-    """
-
-    __slots__ = (
-        "capacity",
-        "lag_budget",
-        "_ring",
-        "_s",
-        "_t",
-        "_q",
-        "_c3",
-        "_c4",
-        "_dsum",
-        "_dsq",
-        "_danchor",
-        "_flow2",
-        "_flow4",
-        "_flowd2",
-        "_anchor",
-        "appended",
-        "rebuilds",
-    )
-
-    def __init__(self, capacity: int, lag_budget: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if lag_budget < 0:
-            raise ValueError(f"lag_budget must be >= 0, got {lag_budget}")
-        self.capacity = capacity
-        self.lag_budget = lag_budget
-        self._ring = RollingArray(capacity)
-        self._s = np.zeros(lag_budget + 1, dtype=np.float64)
-        self._t = 0.0
-        self._q = 0.0
-        self._c3 = 0.0
-        self._c4 = 0.0
-        self._dsum = 0.0
-        self._dsq = 0.0
-        self._danchor = 0.0
-        self._flow2 = 0.0
-        self._flow4 = 0.0
-        self._flowd2 = 0.0
-        self._anchor: float | None = None
-        self.appended = 0
-        self.rebuilds = 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def values(self) -> np.ndarray:
-        """The anchored (shifted) window contents, oldest first (no copy)."""
-        return self._ring.view()
-
-    # -- maintenance ---------------------------------------------------------
-
-    def append(self, value: float) -> None:
-        """Fold one new window value in, evicting the oldest past capacity."""
-        if self._anchor is None:
-            self._anchor = float(value)
-        y = float(value) - self._anchor
-        n_before = len(self._ring)
-        self._ring.append(y)
-        view = self._ring.view()
-        k_max = min(self.lag_budget, n_before)
-        segment = view[n_before - k_max :]
-        self._s[: k_max + 1] += y * segment[::-1]
-        y2 = y * y
-        y4 = y2 * y2
-        self._t += y
-        self._q += y2
-        self._c3 += y2 * y
-        self._c4 += y4
-        self._flow2 += y2
-        self._flow4 += y4
-        if n_before >= 1:
-            d = (y - view[-2]) - self._danchor
-            self._dsum += d
-            self._dsq += d * d
-            self._flowd2 += d * d
-        self.appended += 1
-        if n_before + 1 > self.capacity:
-            self._evict()
-
-    def extend(self, values) -> None:
-        """Fold a batch of window values in with vectorized sum updates.
-
-        Mathematically identical to appending one value at a time — the
-        cross-product sums are pure pair sums over the final window, so gains
-        (pairs whose right element is new) and losses (pairs touching evicted
-        elements) can each be computed by one ``np.correlate`` against the
-        extended window — at O(batch * lag_budget) array work instead of
-        O(batch) Python-level appends.
-        """
-        block = np.asarray(values, dtype=np.float64)
-        if block.ndim != 1:
-            raise ValueError(f"expected a 1-D batch, got shape {block.shape}")
-        # Chunk so the extended window always fits the fixed backing buffer.
-        for start in range(0, block.size, self.capacity):
-            self._extend_chunk(block[start : start + self.capacity])
-
-    def _extend_chunk(self, block: np.ndarray) -> None:
-        r = block.size
-        if r == 0:
-            return
-        if r == 1:
-            self.append(float(block[0]))
-            return
-        if self._anchor is None:
-            self._anchor = float(block[0])
-        scratch = np.zeros((6, r), dtype=np.float64)
-        fresh = scratch[0]
-        np.subtract(block, self._anchor, out=fresh)
-        n0 = len(self._ring)
-        self._ring.append_many(fresh)
-        n1 = n0 + r
-        view = self._ring.view()
-
-        # Gains: every pair whose right element lies in the new block.  With
-        # the partner region left-padded by zeros to a fixed length, one
-        # valid-mode correlation yields the K+1 lag sums at once.
-        k_max = min(self.lag_budget, n1 - 1)
-        partner_start = max(n0 - k_max, 0)
-        padded = np.zeros(k_max + r, dtype=np.float64)
-        padded[k_max - (n0 - partner_start) :] = view[partner_start:n1]
-        gains = np.correlate(padded, fresh, mode="valid")
-        self._s[: k_max + 1] += gains[::-1]
-
-        start = max(n0 - 1, 0)
-        diffs = scratch[4, : n1 - 1 - start]
-        np.subtract(view[start + 1 : n1], view[start : n1 - 1], out=diffs)
-        diffs -= self._danchor
-        sum1, sum2, sum3, sum4, diff_sum, diff_sq = _moment_sums(scratch, diffs.size)
-        self._t += sum1
-        self._q += sum2
-        self._c3 += sum3
-        self._c4 += sum4
-        self._flow2 += sum2
-        self._flow4 += sum4
-        self._dsum += diff_sum
-        self._dsq += diff_sq
-        self._flowd2 += diff_sq
-        self.appended += r
-
-        overflow = n1 - self.capacity
-        if overflow > 0:
-            self._evict_many(overflow)
-
-    def _evict_many(self, count: int) -> None:
-        n = len(self._ring)
-        view = self._ring.view()
-        evicted = view[:count]
-        # Losses: every pair whose left element is evicted (evicted indices
-        # are the smallest, so any pair touching one has its left end here).
-        k_max = min(self.lag_budget, n - 1)
-        padded = np.zeros(count + k_max, dtype=np.float64)
-        span = min(count + k_max, n)
-        padded[:span] = view[:span]
-        losses = np.correlate(padded, evicted, mode="valid")
-        self._s[: k_max + 1] -= losses
-        scratch = np.zeros((6, count), dtype=np.float64)
-        scratch[0] = evicted
-        np.subtract(view[1 : count + 1], evicted, out=scratch[4])
-        scratch[4] -= self._danchor
-        sum1, sum2, sum3, sum4, diff_sum, diff_sq = _moment_sums(scratch, count)
-        self._t -= sum1
-        self._q -= sum2
-        self._c3 -= sum3
-        self._c4 -= sum4
-        self._dsum -= diff_sum
-        self._dsq -= diff_sq
-        self._ring.popleft(count)
-
-    def _evict(self) -> None:
-        n = len(self._ring)
-        view = self._ring.view()
-        y0 = view[0]
-        k_max = min(self.lag_budget, n - 1)
-        self._s[: k_max + 1] -= y0 * view[: k_max + 1]
-        y0_2 = y0 * y0
-        self._t -= y0
-        self._q -= y0_2
-        self._c3 -= y0_2 * y0
-        self._c4 -= y0_2 * y0_2
-        d0 = (view[1] - y0) - self._danchor
-        self._dsum -= d0
-        self._dsq -= d0 * d0
-        self._ring.popleft()
-
-    def _ensure_conditioned(self) -> None:
-        """Exact-rebuild when the window mean drifted too far from the anchor.
-
-        The raw-sum expansions lose precision like ``eps * (E[y^2]/Var[y])^2``;
-        past :data:`_CONDITIONING_LIMIT` that threatens the 1e-9 discipline,
-        so the statistics auto-recompute from the retained window (anchored at
-        its mean, restoring a ratio of ~1) before being read.
-        """
-        n = len(self._ring)
-        if n < 2:
-            return
-        energy = self._q / n
-        mean = self._t / n
-        variance = energy - mean * mean
-        limit = _CONDITIONING_LIMIT
-        if energy > 0.0 and (variance <= 0.0 or energy > limit * variance):
-            self.rebuild()
-            return
-        diff_count = n - 1
-        diff_energy = self._dsq / diff_count
-        diff_mean = self._dsum / diff_count
-        diff_variance = diff_energy - diff_mean * diff_mean
-        if diff_energy > 0.0 and (
-            diff_variance <= 0.0 or diff_energy > limit * diff_variance
-        ):
-            self.rebuild()
-            return
-        if (
-            self._flow2 > limit * max(self._q, 0.0)
-            or self._flow4 > limit * max(self._c4, 0.0)
-            or self._flowd2 > limit * max(self._dsq, 0.0)
-        ):
-            self.rebuild()
-
-    def rebuild(self) -> None:
-        """Recompute every sum from the retained window, re-centering the anchor.
-
-        This is the periodic exact recomputation that bounds incremental
-        drift: after a rebuild the sums are exactly the one-shot statistics of
-        the current window contents, anchored at the window mean (the
-        best-conditioned shift for the raw-sum moment expansions).
-        """
-        n = len(self._ring)
-        if n == 0:
-            self.clear()
-            return
-        self.rebuilds += 1
-        scratch = np.zeros((6, n), dtype=np.float64)
-        window = scratch[0]
-        view = self._ring.view()
-        shift = float(view.mean())
-        np.subtract(view, shift, out=window)
-        self._anchor = (self._anchor or 0.0) + shift
-        self._ring.clear()
-        self._ring.append_many(window)
-        k_max = min(self.lag_budget, n - 1)
-        self._s[:] = 0.0
-        self._s[: k_max + 1] = cross_product_sums(window, k_max)
-        diffs = scratch[4, : n - 1]
-        np.subtract(window[1:], window[:-1], out=diffs)
-        # Diffs get their own anchor (their mean): ramps have a diff mean far
-        # above the diff spread, and the one-pass variance formula is only
-        # conditioned about a shift near that mean.
-        self._danchor = float(diffs.mean()) if diffs.size else 0.0
-        diffs -= self._danchor
-        self._t, self._q, self._c3, self._c4, self._dsum, self._dsq = _moment_sums(
-            scratch, diffs.size
-        )
-        # Flows reset to the freshly computed sums: the flow/current ratio is
-        # back to 1 until new magnitude passes through.
-        self._flow2 = self._q
-        self._flow4 = self._c4
-        self._flowd2 = self._dsq
-
-    def _rebuilt(self) -> "RollingWindowState":
-        """A rebuilt copy of these statistics (:meth:`rebuild`); this one is unchanged.
-
-        A rebuild re-centers the anchor on the window mean, so rebuilding
-        twice does not give the sums of rebuilding once: a refresh that
-        may raise rebuilds a copy and keeps it only if it completes.
-        """
-        rebuilt = RollingWindowState(self.capacity, self.lag_budget)
-        rebuilt._ring.append_many(self._ring.view())
-        rebuilt._anchor = self._anchor
-        rebuilt.appended = self.appended
-        rebuilt.rebuilds = self.rebuilds
-        rebuilt.rebuild()
-        return rebuilt
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self._s[:] = 0.0
-        self._t = self._q = self._c3 = self._c4 = 0.0
-        self._dsum = self._dsq = 0.0
-        self._danchor = 0.0
-        self._flow2 = self._flow4 = self._flowd2 = 0.0
-        self._anchor = None
-        self.appended = 0
-
-    # -- serialization ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Every maintained sum, flow, anchor, and the anchored window itself.
-
-        A state restored by :meth:`from_state` continues the add/subtract
-        chains from the exact same float values, so every subsequently derived
-        statistic is bit-identical to an uninterrupted instance
-        (see :mod:`repro.persist`).
-        """
-        return {
-            "capacity": self.capacity,
-            "lag_budget": self.lag_budget,
-            "values": self._ring.view().copy(),
-            "s": self._s.copy(),
-            "t": self._t,
-            "q": self._q,
-            "c3": self._c3,
-            "c4": self._c4,
-            "dsum": self._dsum,
-            "dsq": self._dsq,
-            "danchor": self._danchor,
-            "flow2": self._flow2,
-            "flow4": self._flow4,
-            "flowd2": self._flowd2,
-            "anchor": self._anchor,
-            "appended": self.appended,
-            "rebuilds": self.rebuilds,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RollingWindowState":
-        """Rebuild rolling statistics from :meth:`state_dict` output."""
-        rolling = cls(capacity=int(state["capacity"]), lag_budget=int(state["lag_budget"]))
-        rolling._ring.append_many(np.asarray(state["values"], dtype=np.float64))
-        rolling._s[:] = np.asarray(state["s"], dtype=np.float64)
-        rolling._t = float(state["t"])
-        rolling._q = float(state["q"])
-        rolling._c3 = float(state["c3"])
-        rolling._c4 = float(state["c4"])
-        rolling._dsum = float(state["dsum"])
-        rolling._dsq = float(state["dsq"])
-        rolling._danchor = float(state["danchor"])
-        rolling._flow2 = float(state["flow2"])
-        rolling._flow4 = float(state["flow4"])
-        rolling._flowd2 = float(state["flowd2"])
-        rolling._anchor = None if state["anchor"] is None else float(state["anchor"])
-        rolling.appended = int(state["appended"])
-        rolling.rebuilds = int(state["rebuilds"])
-        return rolling
-
-    # -- derived statistics ---------------------------------------------------
-
-    def correlations(self, max_lag: int) -> np.ndarray:
-        """ACF estimates for lags ``0..max_lag`` from the maintained sums.
-
-        Evaluates the same estimator as :func:`repro.core.acf.autocorrelation`
-        — ``sum (y_i - m)(y_{i+k} - m) / sum (y_i - m)^2`` with *m* the window
-        mean — by expanding the centering against the cross-product sums.
-        """
-        self._ensure_conditioned()
-        n = len(self)
-        if n < 2:
-            raise ValueError(f"correlations need >= 2 window values, got {n}")
-        if not 0 <= max_lag <= min(self.lag_budget, n - 1):
-            raise ValueError(
-                f"max_lag must be in [0, {min(self.lag_budget, n - 1)}], got {max_lag}"
-            )
-        view = self._ring.view()
-        mean = self._t / n
-        first = np.concatenate(([0.0], np.cumsum(view[:max_lag])))
-        last = np.concatenate(([0.0], np.cumsum(view[::-1][:max_lag])))
-        left_sums = self._t - last
-        right_sums = self._t - first
-        counts = n - np.arange(max_lag + 1)
-        centered = self._s[: max_lag + 1] - mean * (left_sums + right_sums) + counts * (mean * mean)
-        energy = centered[0]
-        if energy <= 0.0:
-            out = np.zeros(max_lag + 1)
-            out[0] = 1.0
-            return out
-        return centered / energy
-
-    def offset_ratio(self) -> float:
-        """``|window mean| / window std`` in raw units, O(1).
-
-        This conditioning ratio bounds how closely *any* two float64
-        formulations of the window's central moments can agree — the
-        streaming operator falls back to exact recomputation above
-        :data:`_EXACT_FALLBACK_RATIO`.  Returns ``inf`` for degenerate
-        (zero-variance) windows.
-        """
-        self._ensure_conditioned()
-        n = len(self)
-        if n < 2:
-            return 0.0
-        mean_shifted = self._t / n
-        variance = self._q / n - mean_shifted * mean_shifted
-        mean_raw = (self._anchor or 0.0) + mean_shifted
-        if variance <= 0.0:
-            return 0.0 if mean_raw == 0.0 else math.inf
-        return abs(mean_raw) / math.sqrt(variance)
-
-    def roughness(self) -> float:
-        """Population std of the window's first differences (one-pass form)."""
-        self._ensure_conditioned()
-        n = len(self)
-        if n < 2:
-            return 0.0
-        diff_count = n - 1
-        mean_d = self._dsum / diff_count
-        variance = self._dsq / diff_count - mean_d * mean_d
-        return math.sqrt(variance) if variance > 0.0 else 0.0
-
-    def kurtosis(self) -> float:
-        """Non-excess kurtosis of the window (0.0 when degenerate)."""
-        self._ensure_conditioned()
-        n = len(self)
-        if n == 0:
-            return 0.0
-        mean = self._t / n
-        mean2 = mean * mean
-        m2 = self._q / n - mean2
-        if m2 <= 0.0:
-            return 0.0
-        m4 = (
-            self._c4 / n
-            - 4.0 * mean * (self._c3 / n)
-            + 6.0 * mean2 * (self._q / n)
-            - 3.0 * mean2 * mean2
-        )
-        return m4 / (m2 * m2)
-
-
-def _check_agreement(label: str, incremental: float, exact: float) -> None:
-    if abs(incremental - exact) > INCREMENTAL_AGREEMENT_TOL * max(1.0, abs(exact)):
-        raise IncrementalDriftError(
-            f"incremental {label} drifted: {incremental!r} vs exact {exact!r}"
-        )
-
-
 class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     """Continuously smooth a stream, refreshing at human timescales.
 
     Configured by one :class:`~repro.spec.AsapSpec`, kept as :attr:`spec`
     (its docstring documents every knob).  Spec fields also read as
-    attributes (``op.strategy`` is ``op.spec.strategy``), except
-    :attr:`incremental`, which ``verify_incremental`` implies.  The operator
+    attributes (``op.strategy`` is ``op.spec.strategy``).  The operator
     reads the streaming and quality fields; ``use_preaggregation`` and the
     network knobs do not apply, because the operator aggregates through
-    ``pane_size``.  How the knobs act here:
+    ``pane_size``.  Every refresh computes the window's ACF and moments
+    exactly, from the pane window.  How the knobs act here:
 
-    * ``incremental`` maintains the window's ACF and moment statistics in
-      O(new panes) per refresh instead of O(window log window); results agree
-      with the from-scratch path to the 1e-9 discipline.  ``recompute_every``
-      bounds drift with periodic exact rebuilds, and ``verify_incremental``
-      (which implies ``incremental``) also runs the from-scratch path on every
-      refresh and raises :class:`IncrementalDriftError` on disagreement.
     * ``warm_start`` prefetches the previous refresh's probe trace in one
       stacked kernel call, so a stable stream's search replays over cache
       hits.  The search itself is untouched and the kernel is bit-identical
@@ -731,9 +207,10 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
       counted-and-dropped); ``normalize`` adds the stateful
       :class:`~repro.quality.StreamNormalizer` (``cadence``/``gap_policy``).
       On dense, ordered, regular input both are bit-identical no-ops.
-      With neither stage, a batch with a non-finite value or a timestamp
-      that does not strictly follow the last folded one is rejected whole
-      (:class:`~repro.errors.DataQualityError`) before any state changes.
+      Without ``normalize``, a batch with a non-finite value or timestamp
+      is rejected whole (:class:`~repro.errors.DataQualityError`) before any
+      state changes; without a watermark as well, so is a batch whose
+      timestamps do not strictly follow the last folded one.
     * ``backfill`` picks the :meth:`backfill` lane: ``"auto"`` takes the
       vectorized fast lane whenever eliding interior searches cannot change
       a frame (every strategy except seeded ASAP, whose ``CHECKLASTWINDOW``
@@ -744,8 +221,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
 
     def __init__(self, spec: AsapSpec) -> None:
         self.spec = require_spec(spec, "StreamingASAP(AsapSpec(...)) is its only constructor")
-        resolution = spec.resolution
-        self.incremental = spec.incremental or spec.verify_incremental
         self._reorder = ReorderBuffer(spec.watermark) if spec.watermark > 0 else None
         self._normalizer = (
             StreamNormalizer(cadence=spec.cadence, gap_policy=spec.gap_policy)
@@ -754,40 +229,26 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         )
         self._buffer = PaneBuffer(
             pane_size=spec.pane_size,
-            capacity=resolution,
-            journal=self.incremental,
+            capacity=spec.resolution,
             track_quality=spec.normalize,
         )
         # Timestamp of the last point folded while no quality stage runs: the
-        # next batch must start after it (see `_check_batch`).
+        # next batch must start after it (see `_check_batch`).  Kept at the
+        # last folded point, also when a refresh inside a batch raises.
         self._last_timestamp: float | None = None
         self._warm_trace: tuple[int, ...] | None = None
         # Lifetime counters owned by the operator itself (the quality
         # counters live in the stages that count them; see `counters`).
         self._counters = Counter(dict.fromkeys(_OPERATOR_COUNTERS, 0))
-        # Lag sums are only ever read by the ASAP strategy's ACF; other
-        # strategies keep just the O(1)-per-pane moment sums.
-        self._rolling = (
-            RollingWindowState(
-                capacity=resolution,
-                lag_budget=(
-                    self._lag_budget(resolution, spec.max_window)
-                    if spec.strategy == "asap"
-                    else 0
-                ),
-            )
-            if self.incremental
-            else None
-        )
         self._panes_since_refresh = 0
         self._previous_window: int | None = None
         self._refresh_due = False
-        # Set while the due refresh has raised from refresh_if_due, so the
-        # next batch knows that failure was already reported (not state: a
-        # restored operator reports it once more).
+        # Set while the due refresh has raised to a caller (from
+        # refresh_if_due, or inline from an ingest call), so the next batch
+        # knows that failure was already reported (not state: a restored
+        # operator reports it once more).
         self._due_refresh_raised = False
         self._refresh_count = 0
-        self._refreshes_since_rebuild = 0
 
     def __getattr__(self, name: str):
         # Only reached when normal lookup fails: spec fields read through.
@@ -799,15 +260,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     def from_spec(cls, spec: AsapSpec) -> "StreamingASAP":
         """Build an operator from *spec*; the same as ``StreamingASAP(spec)``."""
         return cls(spec)
-
-    @staticmethod
-    def _lag_budget(resolution: int, max_window: int | None) -> int:
-        """The largest ACF lag any refresh can need (window never exceeds
-        ``resolution`` panes, and the search ceiling caps the lag further)."""
-        ceiling = max(default_max_lag(resolution), 2)
-        if max_window is not None:
-            ceiling = max(min(max_window, resolution - 1), 2)
-        return ceiling
 
     # -- counters used by the performance experiments -------------------------
 
@@ -830,18 +282,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     def points_ingested(self) -> int:
         """Raw points pushed so far."""
         return self._buffer.total_points
-
-    @property
-    def full_recomputes(self) -> int:
-        """Periodic exact rebuilds of the incremental state so far."""
-        return self._counters["full_recomputes"]
-
-    @property
-    def exact_fallbacks(self) -> int:
-        """Refreshes routed through the exact path because the window was too
-        ill-conditioned (offset far exceeding spread) for any incremental
-        formulation to match the scalar kernels to 1e-9."""
-        return self._counters["exact_fallbacks"]
 
     @property
     def counters(self) -> dict[str, int]:
@@ -1002,9 +442,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._panes_since_refresh += 1
             if self._panes_since_refresh >= self.spec.refresh_interval:
                 self._panes_since_refresh = 0
-                frame = self._refresh()
-                if frame is not None:
-                    frames.append(frame)
+                self._boundary_refresh(frames)
         return tuple(frames)
 
     def push_many(self, timestamps, values, defer_boundary: bool = False):
@@ -1025,13 +463,18 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         released points then pass through the normalizer (which may drop
         non-finite values and synthesize gap fills).  Both stages are
         prefix-deterministic over the released sequence, so batching
-        granularity never changes the frames.  Without either stage the
+        granularity never changes the frames.  Without ``normalize`` the
         batch is checked whole first (:meth:`_check_batch`).
+
+        A refresh inside the batch that raises stops the fold at its
+        boundary: the points before it stay folded, the boundary stays due
+        (see :meth:`_boundary_refresh`), and without a quality stage the
+        last folded timestamp is the boundary's, so only the rest of the
+        batch is accepted again.
         """
         ts = np.asarray(timestamps, dtype=np.float64)
         vs = np.asarray(values, dtype=np.float64)
-        checked = self._reorder is None and self._normalizer is None
-        if checked:
+        if self._normalizer is None:
             self._check_batch(ts, vs)
         frames: list[Frame] = []
         self._run_due_refresh(frames)
@@ -1041,18 +484,17 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if self._normalizer is not None:
             ts, vs, synth = self._normalizer.process(ts, vs)
         self._fold(ts, vs, synth, frames, defer_boundary=defer_boundary)
-        if checked and vs.size:
-            self._last_timestamp = float(ts[-1])
         return frames
 
     def _check_batch(self, ts: np.ndarray, vs: np.ndarray) -> None:
         """Reject a batch the panes cannot fold, before any state changes.
 
-        Used when no quality stage runs: nothing downstream repairs the
-        input, so one non-finite value or out-of-order timestamp would
-        poison the window and every later refresh.  Timestamps must be
-        finite, strictly increasing, and after the last folded one; values
-        must be finite.  The error names the first bad index.
+        Used whenever ``normalize`` is off: nothing downstream drops a
+        non-finite value or timestamp, which would poison the window and
+        every refresh that holds it, so values and timestamps must be
+        finite.  Without a watermark nothing reorders the input either, so
+        timestamps must also be strictly increasing and after the last
+        folded one.  The error names the first bad index.
         """
         if ts.ndim != 1 or vs.ndim != 1 or ts.size != vs.size:
             raise DataQualityError(
@@ -1061,32 +503,44 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             )
         if vs.size == 0:
             return
+        ordered = self._reorder is None
         last = self._last_timestamp
-        if (
-            np.isfinite(ts[0])
-            and np.isfinite(ts[-1])
-            and (last is None or ts[0] > last)
-            and np.isfinite(vs).all()
-            and (ts[1:] > ts[:-1]).all()
+        if np.isfinite(vs).all() and (
+            (
+                np.isfinite(ts[0])
+                and np.isfinite(ts[-1])
+                and (last is None or ts[0] > last)
+                and (ts[1:] > ts[:-1]).all()
+            )
+            if ordered
+            else np.isfinite(ts).all()
         ):
             return
-        previous = np.empty_like(ts)
-        previous[0] = -np.inf if last is None else last
-        previous[1:] = ts[:-1]
-        ok = np.isfinite(vs) & np.isfinite(ts) & (ts > previous)
+        ok = np.isfinite(vs) & np.isfinite(ts)
+        if ordered:
+            previous = np.empty_like(ts)
+            previous[0] = -np.inf if last is None else last
+            previous[1:] = ts[:-1]
+            ok &= ts > previous
         i = int(np.argmin(ok))
         value, timestamp = float(vs[i]), float(ts[i])
+        repair = "normalize=True drops non-finite points"
         if not math.isfinite(value):
             reason = f"value {value!r} is not finite"
         elif not math.isfinite(timestamp):
             reason = f"timestamp {timestamp!r} is not finite"
         else:
             reason = f"timestamp {timestamp!r} does not follow {float(previous[i])!r}"
+            repair = "a watermark reorders late points"
         raise DataQualityError(
             f"rejected a batch of {vs.size} points at index {i}: {reason}; "
-            f"nothing was folded (a spec with normalize=True or a watermark "
-            f"repairs messy input instead)"
+            f"nothing was folded (in a spec, {repair} instead)"
         )
+
+    def _folded_through(self, ts: np.ndarray, end: int) -> None:
+        """Record ``ts[end - 1]`` as the last folded timestamp (no quality stage)."""
+        if self._reorder is None and self._normalizer is None:
+            self._last_timestamp = float(ts[end - 1])
 
     def _fold(
         self,
@@ -1121,16 +575,32 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 synthetic=None if synth is None else synth[i : i + take],
             )
             i += take
+            self._folded_through(ts, i)
             if self._panes_since_refresh >= interval:
                 self._panes_since_refresh = 0
                 if defer_boundary and i == n:
                     self._refresh_due = True
-                elif elide_interior and n - i >= interval * pane_size:
-                    self._refresh(materialize=False)
                 else:
-                    frame = self._refresh()
-                    if frame is not None:
-                        frames.append(frame)
+                    elide = elide_interior and n - i >= interval * pane_size
+                    self._boundary_refresh(frames, materialize=not elide)
+
+    def _boundary_refresh(self, frames: list[Frame], materialize: bool = True) -> None:
+        """Refresh at a boundary reached while folding, appending its frame.
+
+        A refresh that raises leaves its boundary due, like a deferred
+        refresh that raised from :meth:`refresh_if_due`: the error reached
+        the caller, the next tick retries the refresh, and the next batch
+        retries it once more and gives it up if it raises again
+        (:meth:`_run_due_refresh`).  Nothing after the boundary is folded
+        by the call that raised.
+        """
+        try:
+            frame = self._refresh(materialize)
+        except Exception:
+            self._refresh_due = self._due_refresh_raised = True
+            raise
+        if frame is not None:
+            frames.append(frame)
 
     def refresh_if_due(self) -> Frame | None:
         """Run a refresh deferred by ``push_many(..., defer_boundary=True)``.
@@ -1156,13 +626,11 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """Replay an archive through batch machinery, then stream seamlessly.
 
         Ingests the whole history at batch-kernel speed: one batched pass
-        through the quality stages, bulk pane folding, chunk-cadence replay
-        of the rolling statistics, and a single real
+        through the quality stages, bulk pane folding, and a single real
         search at the archive's closing refresh boundary (the fast lane; see
         the spec's ``backfill`` knob for lane selection).  Interior
         refresh boundaries are *elided* — no frame is rendered for them —
-        but every piece of carried state (pane window, rolling sums and
-        their conditioning-rebuild schedule, refresh ledger,
+        but every piece of carried state (pane window, refresh ledger,
         quality counters) advances exactly as if the archive had been
         streamed point by point, so **every subsequently streamed frame is
         bit-identical** to the stream-everything run.  Equivalently: a
@@ -1180,8 +648,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 f"backfill expects equal-length 1-D timestamps and values, "
                 f"got shapes {ts.shape} and {vs.shape}"
             )
-        checked = self._reorder is None and self._normalizer is None
-        if checked:
+        if self._normalizer is None:
             self._check_batch(ts, vs)
         frames: list[Frame] = []
         refreshes_before = self._refresh_count
@@ -1200,11 +667,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             # Eliding searches is frame-exact unless the search is seeded
             # from the previous winner (CHECKLASTWINDOW can change the
             # *selected* window, which then seeds the next boundary — a
-            # chain only a real per-boundary search reproduces) or every
-            # refresh is contractually a verification point.
-            fast = (
-                spec.strategy != "asap" or not spec.seed_from_previous
-            ) and not spec.verify_incremental
+            # chain only a real per-boundary search reproduces).
+            fast = spec.strategy != "asap" or not spec.seed_from_previous
             mode = "fast" if fast else "replay"
         if mode == "stream":
             self._fold(ts, vs, synth, frames)
@@ -1212,8 +676,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._fold(ts, vs, synth, frames, elide_interior=True)
         else:
             self._backfill_fast(ts, vs, synth, frames)
-        if checked and vs.size:
-            self._last_timestamp = float(ts[-1])
         ingested = self._buffer.total_points - points_before
         elided = (self._refresh_count - refreshes_before) - len(frames)
         self._counters.update(backfills=1, backfill_points=ingested, backfill_elided=elided)
@@ -1227,19 +689,14 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         )
 
     def _backfill_fast(self, ts, vs, synth, frames: list[Frame]) -> None:
-        """The vectorized lane: bulk-fold panes, replay statistics cadence,
+        """The vectorized lane: bulk-fold panes, advance the refresh ledger,
         search once at the archive's closing boundary.
 
-        Bit-exactness argument, piece by piece: pane folding is
-        batch-granularity-independent (``PaneBuffer.extend`` pins this), so
-        one bulk extend reproduces the streamed window and journal.  The
-        rolling sums are *not* granularity-independent (they accumulate in
-        chunks between rebuilds), so the journal is drained once and
-        re-fed to the rolling state in exactly the chunks the streamed
-        refreshes would have drained, with the per-boundary conditioning
-        reads replayed in :meth:`_refresh`'s order between chunks.  The
-        final chunk is requeued so the closing (real) refresh drains
-        precisely what its streamed counterpart would have.
+        Pane folding is batch-granularity-independent (``PaneBuffer.extend``
+        pins this), so one bulk extend reproduces the streamed window, and a
+        refresh computes its statistics from that window alone.  Each elided
+        boundary whose window is large enough to search still takes its
+        ``refresh_index`` slot, so later frames number as if streamed.
         """
         n = vs.size
         if n == 0:
@@ -1248,7 +705,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         interval = self.spec.refresh_interval
         capacity = self._buffer.capacity
         p0 = self._panes_since_refresh
-        pend0 = self._buffer.pending_completed if self._buffer.journal else 0
         completed_before = self._buffer.panes_completed
         first_need = (
             pane_size - self._buffer.open_pane_points + (interval - p0 - 1) * pane_size
@@ -1256,6 +712,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         if n < first_need:
             # No boundary inside the archive: plain bulk fold, nothing due.
             self._panes_since_refresh += self._buffer.extend(ts, vs, synthetic=synth)
+            self._folded_through(ts, n)
             return
         boundaries = 1 + (n - first_need) // (interval * pane_size)
         last_i = first_need + (boundaries - 1) * (interval * pane_size)
@@ -1264,61 +721,20 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             vs[:last_i],
             synthetic=None if synth is None else synth[:last_i],
         )
-        if self._buffer.journal and boundaries > 1:
-            means, times = self._buffer.drain_completed()
-            chunk1 = pend0 + (interval - p0)
-            split = chunk1 + (boundaries - 2) * interval
-            start = 0
-            for b in range(boundaries - 1):
-                end = chunk1 if b == 0 else start + interval
-                if self._rolling is not None:
-                    self._rolling.extend(means[start:end])
-                total = completed_before + (interval - p0) + b * interval
-                self._replay_refresh_stats(min(total, capacity))
-                start = end
-            self._buffer.requeue_completed(means[split:], times[split:])
-        else:
-            # Either a single boundary (the journal, if any, stays intact
-            # for the closing refresh to drain) or no rolling statistics;
-            # the refresh ledger still advances for elided boundaries.
-            for b in range(boundaries - 1):
-                total = completed_before + (interval - p0) + b * interval
-                self._replay_refresh_stats(min(total, capacity))
+        self._folded_through(ts, last_i)
+        for b in range(boundaries - 1):
+            window_len = min(completed_before + (interval - p0) + b * interval, capacity)
+            if window_len >= MIN_PANES_FOR_SEARCH:
+                self._refresh_count += 1
         self._panes_since_refresh = 0
-        frame = self._refresh()
-        if frame is not None:
-            frames.append(frame)
+        self._boundary_refresh(frames)
         if last_i < n:
             self._panes_since_refresh += self._buffer.extend(
                 ts[last_i:],
                 vs[last_i:],
                 synthetic=None if synth is None else synth[last_i:],
             )
-
-    def _replay_refresh_stats(self, window_len: int) -> None:
-        """Advance per-refresh bookkeeping for one elided fast-lane boundary.
-
-        Mirrors the exact *sequence* of rolling-state reads :meth:`_refresh`
-        performs — each read may trigger a conditioning rebuild, so matching
-        the final sums is not enough; the read order must match too — while
-        skipping the search and the frame.  The refresh ledger advances so
-        later frames' ``refresh_index`` is unchanged.
-        """
-        if window_len < MIN_PANES_FOR_SEARCH:
-            return
-        if self._rolling is not None:
-            use_incremental = self._rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO
-            if not use_incremental:
-                self._counters["exact_fallbacks"] += 1
-            else:
-                self._advance_rebuild_countdown()
-                self._rolling.roughness()
-                self._rolling.kurtosis()
-                if self.spec.strategy == "asap":
-                    max_lag = self._resolved_max_lag(window_len)
-                    if self._rolling.lag_budget >= max_lag:
-                        self._rolling.correlations(max_lag)
-        self._refresh_count += 1
+            self._folded_through(ts, n)
 
     def flush(self):
         """Emit one final frame for any aggregates since the last refresh.
@@ -1337,9 +753,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             self._fold(ts, vs, synth, frames)
         if self._panes_since_refresh > 0:
             self._panes_since_refresh = 0
-            frame = self._refresh()
-            if frame is not None:
-                frames.append(frame)
+            self._boundary_refresh(frames)
         return tuple(frames)
 
     def reset(self) -> None:
@@ -1348,8 +762,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         Lifetime counters (:attr:`counters`, and the quality totals each
         frame reports) are kept."""
         self._buffer.clear()
-        if self._rolling is not None:
-            self._rolling.clear()
         if self._reorder is not None:
             self._reorder.clear()
         if self._normalizer is not None:
@@ -1359,22 +771,21 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         self._previous_window = None
         self._warm_trace = None
         self._refresh_due = self._due_refresh_raised = False
-        self._refreshes_since_rebuild = 0
 
     # -- serialization ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Full operator state: spec, pane buffer, rolling sums, countdowns.
+        """Full operator state: spec, pane buffer, quality stages, countdown.
 
         The schema (documented in :mod:`repro.persist`) is everything a
         restored operator needs to emit **bit-identical** subsequent frames:
         the configuration once, as ``spec.to_dict()``; the refresh countdown,
         the previous window (``CHECKLASTWINDOW``'s seed), the last folded
         timestamp, the deferred-refresh flag, and every counter; plus the
-        nested state of the quality stages, the pane buffer and the
-        incremental statistics.  Views keep no state (they are computed from
-        the pane window), and per-refresh evaluation caches are rebuilt
-        lazily on the next refresh.
+        nested state of the quality stages and the pane buffer.  Window
+        statistics and views keep no state (each refresh and view computes
+        them from the pane window), and per-refresh evaluation caches are
+        rebuilt lazily on the next refresh.
         """
         return {
             "spec": self.spec.to_dict(),
@@ -1389,9 +800,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             "counters": dict(self._counters),
             "refresh_due": self._refresh_due,
             "refresh_count": self._refresh_count,
-            "refreshes_since_rebuild": self._refreshes_since_rebuild,
             "buffer": self._buffer.state_dict(),
-            "rolling": None if self._rolling is None else self._rolling.state_dict(),
         }
 
     @classmethod
@@ -1399,8 +808,8 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         """Rebuild an operator from :meth:`state_dict` output (exact resume).
 
         The spec is validated by :meth:`AsapSpec.from_dict`, and each nested
-        state must have the shape that spec builds (pane size, capacities,
-        lag budget, which stages exist); a mismatch raises
+        state must have the shape that spec builds (pane size, capacity,
+        which stages exist); a mismatch raises
         :class:`~repro.errors.CheckpointError` naming the part and field.
         """
         operator = cls(AsapSpec.from_dict(state["spec"]))
@@ -1430,9 +839,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             else StreamNormalizer.from_state(state["normalizer"])
         )
         operator._buffer = PaneBuffer.from_state(state["buffer"])
-        operator._rolling = (
-            None if state["rolling"] is None else RollingWindowState.from_state(state["rolling"])
-        )
         operator._panes_since_refresh = int(state["panes_since_refresh"])
         operator._last_timestamp = (
             None if state["last_timestamp"] is None else float(state["last_timestamp"])
@@ -1448,7 +854,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         operator._counters = counters_from_state(state["counters"], _OPERATOR_COUNTERS)
         operator._refresh_due = bool(state["refresh_due"])
         operator._refresh_count = int(state["refresh_count"])
-        operator._refreshes_since_rebuild = int(state["refreshes_since_rebuild"])
         return operator
 
     # -- Algorithm 3 internals --------------------------------------------------
@@ -1456,12 +861,11 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     def _run_due_refresh(self, frames: list[Frame]) -> None:
         """Run the due refresh, if any, before new data is folded.
 
-        A refresh that raises here is given up: its boundary emits no frame,
-        and the rebuild countdown advances as a completed refresh's would,
-        so a periodic rebuild still clears incremental drift.  If
-        :meth:`refresh_if_due` already raised this failure, the batch then
-        folds as usual — the window moves on, and a bad pane leaves it in
-        time; otherwise the error propagates and the batch is not folded.
+        A refresh that raises here is given up: its boundary emits no frame.
+        If that failure already reached a caller (from :meth:`refresh_if_due`
+        or from the ingest call whose boundary it was), the batch then folds
+        as usual — the window moves on, and a bad pane leaves it in time;
+        otherwise the error propagates and the batch is not folded.
         """
         if not self._refresh_due:
             return
@@ -1470,22 +874,11 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             frame = self.refresh_if_due()
         except Exception:
             self._refresh_due = self._due_refresh_raised = False
-            rolling = self._rolling
-            if rolling is not None and rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO:
-                self._advance_rebuild_countdown()
             if not reported:
                 raise
             return
         if frame is not None:
             frames.append(frame)
-
-    def _advance_rebuild_countdown(self) -> None:
-        """One incremental refresh's step toward the periodic rebuild, in place."""
-        self._refreshes_since_rebuild += 1
-        if self._refreshes_since_rebuild >= self.spec.recompute_every:
-            self._refreshes_since_rebuild = 0
-            self._rolling.rebuild()
-            self._counters["full_recomputes"] += 1
 
     def _check_last_window(
         self, values: np.ndarray, cache: EvaluationCache
@@ -1514,71 +907,24 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
         lag = default_max_lag(n) if max_window is None else min(max_window, n - 1)
         return min(lag, n - 1)
 
-    def _sync_pane_state(self) -> None:
-        """Feed journaled pane completions to the rolling statistics.
-
-        Only refreshes drain the journal, so the rolling sums always see the
-        same chunking whatever else (views, snapshots) happens in between.
-        """
-        if self._rolling is None:
-            return
-        means = self._buffer.drain_completed_means()
-        if means.size:
-            self._rolling.extend(means)
-
-    def _incremental_acf(self, rolling: RollingWindowState, values: np.ndarray) -> ACFAnalysis:
-        max_lag = self._resolved_max_lag(values.size)
-        correlations = rolling.correlations(max_lag)
-        if self.spec.verify_incremental:
-            exact = autocorrelation(values, max_lag)
-            worst = int(np.argmax(np.abs(correlations - exact)))
-            _check_agreement(
-                f"ACF at lag {worst}", float(correlations[worst]), float(exact[worst])
-            )
-        return analysis_from_correlations(correlations)
-
     def _refresh(self, materialize: bool = True) -> Frame | None:
         """Run one refresh; with ``materialize=False`` (backfill replay lane)
-        the search, statistics, and every piece of carried state advance
-        exactly as usual, but the warm prefetch and the rendered frame —
-        the two frame-neutral costs — are skipped and ``None`` returned.
+        the search and every piece of carried state advance exactly as
+        usual, but the warm prefetch and the rendered frame — the two
+        frame-neutral costs — are skipped and ``None`` returned.
 
-        Counters, the rebuild countdown, the warm trace, the previous window
-        and the refresh ledger are committed only once everything that can
-        raise has run (``verify_incremental``'s drift checks, the search,
-        the frame), so a refresh that raises can be retried as if it had
-        never run.  A periodic rebuild goes into a copy of the rolling
-        statistics, committed with the rest; the panes a failed refresh
-        drained into them stay folded, as the retry would fold them.
+        The window's ACF (:func:`~repro.core.acf.analyze_acf`) and original
+        moments (the cache's) are computed exactly from the pane window.
+        Counters, the warm trace, the previous window and the refresh ledger
+        are committed only once everything that can raise has run (the
+        search, the frame), so a refresh that raises can be retried as if it
+        had never run.
         """
-        self._sync_pane_state()
         values = self._buffer.aggregated_values()
         if values.size < MIN_PANES_FOR_SEARCH:
             return None
         spec = self.spec
-        # Above the conditioning ratio no float64 formulation can agree with
-        # the scalar kernels to 1e-9, so such refreshes run the exact
-        # from-scratch path — agreement by construction.
-        use_incremental = (
-            self._rolling is not None
-            and self._rolling.offset_ratio() <= _EXACT_FALLBACK_RATIO
-        )
-        rolling = self._rolling
-        since_rebuild = self._refreshes_since_rebuild
-        rebuilt = False
         cache = EvaluationCache(values)
-        if use_incremental:
-            since_rebuild += 1
-            if since_rebuild >= spec.recompute_every:
-                since_rebuild = 0
-                rolling = rolling._rebuilt()
-                rebuilt = True
-            rolling_roughness = rolling.roughness()
-            rolling_kurtosis = rolling.kurtosis()
-            if spec.verify_incremental:
-                _check_agreement("roughness", rolling_roughness, _scalar_roughness(values))
-                _check_agreement("kurtosis", rolling_kurtosis, _scalar_kurtosis(values))
-            cache.seed_original(rolling_roughness, rolling_kurtosis)
         # Warm-started search: prefetch the previous refresh's probe trace
         # (plus the previous winner's neighborhood) in one stacked kernel
         # call from the cache's prepared prefix, screened at the original
@@ -1600,11 +946,7 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
                 cache._prefetch(probes, _probe_workspace(len(probes), values.size))
                 warm_prefetched = True
         if spec.strategy == "asap":
-            max_lag = self._resolved_max_lag(values.size)
-            if use_incremental and rolling.lag_budget >= max_lag:
-                acf = self._incremental_acf(rolling, values)
-            else:
-                acf = analyze_acf(values, max_lag=max_lag)
+            acf = analyze_acf(values, max_lag=self._resolved_max_lag(values.size))
             state = (
                 self._check_last_window(values, cache)
                 if spec.seed_from_previous
@@ -1642,12 +984,6 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
             )
 
         counters = self._counters
-        if rolling is not None and not use_incremental:
-            counters["exact_fallbacks"] += 1
-        self._rolling = rolling
-        self._refreshes_since_rebuild = since_rebuild
-        if rebuilt:
-            counters["full_recomputes"] += 1
         if warm_prefetched:
             counters["warm_prefetches"] += 1
             if cache.misses > 0:

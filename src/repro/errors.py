@@ -24,8 +24,7 @@ Hierarchy::
       ├── NetError             — network serving tier failures
       │     ├── WireProtocolError
       │     └── ConnectionClosedError
-      ├── CheckpointError      — persist-layer payload failures
-      └── IncrementalDriftError — incremental statistics broke the 1e-9 law
+      └── CheckpointError      — persist-layer payload failures
 
 ``SpecError`` subclasses :class:`ValueError` deliberately: the core pipeline
 raised bare ``ValueError`` for bad resolution/strategy/kernel for four
@@ -48,7 +47,6 @@ __all__ = [
     "WireProtocolError",
     "ConnectionClosedError",
     "CheckpointError",
-    "IncrementalDriftError",
 ]
 
 
@@ -136,7 +134,3 @@ class ConnectionClosedError(NetError):
 
 class CheckpointError(RuntimeError):
     """A checkpoint payload could not be produced or understood."""
-
-
-class IncrementalDriftError(RuntimeError):
-    """Incremental statistics drifted beyond the 1e-9 agreement discipline."""

@@ -46,14 +46,11 @@ def run(
         n = len(dataset.series)
         pane_size = max(n // resolution, 1)
         for interval in intervals:
-            # The paper's measurement configuration, spelled as a spec:
-            # incremental statistics are off so the measured cost is exactly
-            # the operator the figure describes.
+            # The paper's measurement configuration, spelled as a spec.
             operator = AsapSpec(
                 pane_size=pane_size,
                 resolution=resolution,
                 refresh_interval=interval,
-                incremental=False,
             ).build_operator()
             outcome: BudgetedRun = run_with_budget(
                 operator.push, ReplaySource(dataset.series), time_budget

@@ -74,14 +74,13 @@ def _build_operator(config: Config, n: int, resolution: int) -> StreamingASAP:
     else:
         refresh = 1
     strategy = "asap" if config.autocorrelation else "exhaustive"
-    # The lesion grid as a spec; incremental statistics stay off so each cell
-    # measures exactly the factor combination the figure names.
+    # The lesion grid as a spec: each cell measures exactly the factor
+    # combination the figure names.
     return AsapSpec(
         pane_size=pane_size,
         resolution=resolution,
         refresh_interval=refresh,
         strategy=strategy,
-        incremental=False,
     ).build_operator()
 
 

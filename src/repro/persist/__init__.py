@@ -1,8 +1,8 @@
 """repro.persist — durable, dependency-free checkpoint/restore of serving state.
 
 The serving tiers (:mod:`repro.service`, :mod:`repro.cluster`) hold all of
-their state in process memory: pane buffers and open panes, rolling
-ACF/moment sums, refresh countdowns.  This package makes that
+their state in process memory: pane buffers and open panes, refresh
+countdowns, the previous window and warm trace.  This package makes that
 state durable:
 
 * :func:`checkpoint` — snapshot a :class:`~repro.service.StreamHub` or

@@ -7,8 +7,9 @@
 repo-wide discipline applied to durability: a restored hub emits
 **bit-identical** subsequent frames to one that was never interrupted,
 because every float the refresh path depends on (pane means, the open
-pane's count and running mean, rolling lag/moment/flow sums, refresh countdowns, the previous
-window, the last folded timestamp) is persisted exactly.  Resolution views
+pane's count and running mean, refresh countdowns, the previous window,
+the warm trace, the last folded timestamp) is persisted exactly.  Window
+statistics are computed from the pane window at each refresh.  Resolution views
 keep no state (they are computed from the pane window on demand), and
 derived caches (per-refresh evaluation caches, per-session view caches)
 are *never* persisted — they are rebuilt lazily, so a checkpoint stays
@@ -34,7 +35,7 @@ Checkpoint **kinds** (the ``kind`` field of the payload):
                      "last_active_tick": int, "frames_emitted": int,
                      "operator": {"spec": {...AsapSpec fields...},
                                   "counters": {...},
-                                  "buffer": {...}, "rolling": {...} | None,
+                                  "buffer": {...},
                                   "reorder": {...} | None,
                                   "normalizer": {...} | None,
                                   ...refresh bookkeeping...}}, ...]}

@@ -132,7 +132,13 @@ __all__ = [
 #: ``refreshes_coalesced`` and ``grid_kernel_calls`` (a tick refreshes every
 #: due session through its own operator), which a version-12 reader's
 #: ``HubStats`` requires.
-SCHEMA_VERSION = 13
+#: Version 14: a spec drops ``incremental``, ``recompute_every`` and
+#: ``verify_incremental`` (15 fields); operator state drops its ``rolling``
+#: sums and ``refreshes_since_rebuild``, its pane buffer the ``journal`` flag
+#: and pending journal, and its counters ``full_recomputes`` and
+#: ``exact_fallbacks``: every refresh computes its statistics from the pane
+#: window.
+SCHEMA_VERSION = 14
 
 #: First bytes of every payload.
 ENVELOPE_MAGIC = b"ASRB"

@@ -13,11 +13,10 @@ that workload on top of the single-stream operator of
 * deferred refreshes — refresh boundaries landing at the end of an ingest
   batch wait for the next tick, which runs every due session's refresh
   through its own operator, exactly as a lone operator would;
-* incremental refreshes — hub sessions default to the streaming operator's
-  ``incremental=True`` path, so a refresh costs O(new panes) of statistics
-  maintenance rather than O(window log window) recomputation, with the same
-  1e-9 agreement discipline (and its ``verify_incremental`` escape hatch)
-  as the rest of the repo;
+* exact refreshes — each refresh computes its window's ACF and moments
+  from the session's pane window, as the paper's operator does; at display
+  width the direct lag-limited ACF makes that cheaper than keeping the
+  statistics incrementally;
 * multi-resolution serving — ``snapshot(stream_id, resolution=...)``
   buckets the session's window on demand (:mod:`repro.pyramid`), so one
   session serves any number of per-client pixel widths instead of N

@@ -7,7 +7,7 @@ on-demand boundary, together.  :class:`StreamHub` is that serving layer:
 * **Sessions by id** — ``create_stream`` / ``ingest`` / ``tick`` /
   ``snapshot`` / ``close``; each session wraps a
   :class:`~repro.core.streaming.StreamingASAP` built from an
-  :class:`~repro.spec.AsapSpec` (incremental refresh on by default).
+  :class:`~repro.spec.AsapSpec`.
 * **Deferred boundaries** — an ingest whose refresh boundary lands exactly
   at the end of the batch *defers* the refresh
   (:meth:`~repro.core.streaming.StreamingASAP.push_many` with
@@ -488,12 +488,12 @@ class StreamHub:
 
         Every due session refreshes through its own operator
         (:meth:`~repro.core.streaming.StreamingASAP.refresh_if_due`), on its
-        incremental state, exactly as a lone operator would.  Also advances
+        own pane window, exactly as a lone operator would.  Also advances
         the hub clock and reaps idle sessions when
         ``idle_ticks_before_eviction`` is set.
 
-        A refresh that raises (e.g. ``verify_incremental``'s
-        :class:`~repro.errors.IncrementalDriftError`) does not starve the
+        A refresh that raises (e.g. a search on a window holding a
+        non-finite pane) does not starve the
         other due sessions: every due session refreshes, reaping and
         counters run, and then the first error is raised with every failing
         stream id in its message.  The frames that tick produced are kept
@@ -769,7 +769,7 @@ class StreamHub:
         """Adopt a session exported by :meth:`export_session`; returns its id.
 
         The session resumes exactly where the export left it — refresh
-        countdown, previous window, open partial pane and incremental sums
+        countdown, previous window, warm trace and open partial pane
         included — so frames it emits here are bit-identical to the
         ones it would have emitted on the exporting hub.  *stream_id*
         overrides the exported id; the hub's pane budget and capacity policy

@@ -103,13 +103,6 @@ class AsapSpec:
     seed_from_previous:
         Seed each search from the previous frame's feasible window
         (``CHECKLASTWINDOW``).
-    incremental:
-        Maintain window statistics incrementally, O(new panes) per refresh.
-    recompute_every:
-        Exact-rebuild cadence bounding incremental drift.
-    verify_incremental:
-        Escape hatch: recompute exactly on every refresh and raise on
-        disagreement beyond 1e-9.
     warm_start:
         Seed each refresh's search with the previous refresh's probe trace,
         evaluated by one stacked kernel call, so the replayed search runs on
@@ -159,17 +152,17 @@ class AsapSpec:
         beyond it are counted-and-dropped.  0 disables reordering.
 
     Defaults are the *serving* defaults, and they are the only defaults:
-    ``StreamingASAP`` takes nothing but a spec.  The paper's research
-    operator recomputes its window statistics from scratch on every refresh;
-    it spells ``incremental=False`` explicitly, as the Figure 10 and 11
-    experiments do.  Its panes are the serving panes (count and mean; the
-    search reads one value per pane).
+    ``StreamingASAP`` takes nothing but a spec.  Like the paper's operator,
+    every refresh recomputes the window's statistics (ACF and moments) from
+    the window itself; panes keep count and mean (the search reads one value
+    per pane).
 
-    Fields retired in schema 11 (the pane-sketch and view switches) and in
+    Fields retired in schema 11 (the pane-sketch and view switches), in
     schema 12 (``kernel``: candidates are always evaluated by the numpy grid
-    kernels; see the README) are unknown fields: a mapping or JSON document
-    that still names one is rejected by :meth:`from_dict` with a
-    :class:`SpecError` naming it.
+    kernels) and in schema 14 (``incremental``, ``recompute_every`` and
+    ``verify_incremental``: window statistics are always exact; see the
+    README) are unknown fields: a mapping or JSON document that still names
+    one is rejected by :meth:`from_dict` with a :class:`SpecError` naming it.
     """
 
     resolution: int = DEFAULT_RESOLUTION
@@ -179,9 +172,6 @@ class AsapSpec:
     pane_size: int = 1
     refresh_interval: int = 10
     seed_from_previous: bool = True
-    incremental: bool = True
-    recompute_every: int = 64
-    verify_incremental: bool = False
     warm_start: bool = True
     max_connections: int = 64
     subscribe_queue: int = 256
@@ -201,9 +191,6 @@ class AsapSpec:
         "pane_size",
         "refresh_interval",
         "seed_from_previous",
-        "incremental",
-        "recompute_every",
-        "verify_incremental",
         "warm_start",
         "backfill",
     )
@@ -228,10 +215,7 @@ class AsapSpec:
         _require_bool("use_preaggregation", self.use_preaggregation)
         _require_int("pane_size", self.pane_size, minimum=1)
         _require_int("refresh_interval", self.refresh_interval, minimum=1)
-        _require_int("recompute_every", self.recompute_every, minimum=1)
         _require_bool("seed_from_previous", self.seed_from_previous)
-        _require_bool("incremental", self.incremental)
-        _require_bool("verify_incremental", self.verify_incremental)
         _require_bool("warm_start", self.warm_start)
         _require_int("max_connections", self.max_connections, minimum=1)
         _require_int("subscribe_queue", self.subscribe_queue, minimum=1)

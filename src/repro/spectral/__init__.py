@@ -2,7 +2,6 @@
 
 from .fft import fft, ifft, is_power_of_two, next_fast_len
 from .convolution import (
-    cross_product_sums,
     sma,
     sma_grid_moments,
     sma_probe_moments,
@@ -24,7 +23,6 @@ __all__ = [
     "ifft",
     "is_power_of_two",
     "next_fast_len",
-    "cross_product_sums",
     "sma",
     "sma_grid_moments",
     "sma_probe_moments",

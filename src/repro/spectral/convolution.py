@@ -49,7 +49,6 @@ __all__ = [
     "sma_grid_moments",
     "sma_window_moments",
     "sma_probe_moments",
-    "cross_product_sums",
 ]
 
 #: Upper bound on elements materialized per chunk by the grid kernels.  The
@@ -394,28 +393,6 @@ def sma_probe_moments(
         batch, _prefix_sums(batch), window_list, row_list, floor, workspace
     )
     return np.array(roughness, dtype=np.float64), np.array(kurtosis, dtype=np.float64)
-
-
-def cross_product_sums(values, max_lag: int) -> np.ndarray:
-    """Lagged cross-product sums ``s[k] = sum_i x[i] * x[i + k]``, k = 0..max_lag.
-
-    These are the raw sufficient statistics of the autocorrelation estimator:
-    together with the window's ordinary sums they determine the full
-    correlogram (see :mod:`repro.core.acf`).  The streaming operator maintains
-    them incrementally — one O(max_lag) update per arriving pane — and uses
-    this kernel for its periodic from-scratch recomputation, so the exact
-    values the incremental path drifts toward are defined in one place.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {arr.shape}")
-    n = arr.size
-    if not 0 <= max_lag < max(n, 1):
-        raise ValueError(f"max_lag must be in [0, {n}), got {max_lag}")
-    out = np.empty(max_lag + 1, dtype=np.float64)
-    for k in range(max_lag + 1):
-        out[k] = float(np.dot(arr[: n - k], arr[k:]))
-    return out
 
 
 def sma_grid_moments(

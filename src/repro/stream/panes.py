@@ -93,9 +93,8 @@ class RollingArray:
     head reaches the end, the live span is shifted back to the front — at
     most one copy of ``capacity`` elements per ``capacity`` appends.
     ``view()`` is always a contiguous slice, so readers get memcpy
-    performance and vectorized kernels can consume it directly.  Shared by
-    :class:`PaneBuffer` (pane means/timestamps) and
-    :class:`repro.core.streaming.RollingWindowState` (window values).
+    performance and vectorized kernels can consume it directly.  Holds
+    :class:`PaneBuffer`'s pane means, start timestamps and synthetic counts.
     """
 
     __slots__ = ("_buf", "_head", "_tail")
@@ -189,13 +188,6 @@ class PaneBuffer:
     capacity:
         Maximum number of *completed* panes retained (the visualized window,
         e.g. the target resolution in pixels).  Older panes are evicted.
-    journal:
-        When True, the mean and start timestamp of every completed pane are
-        additionally appended to a journal drained by
-        :meth:`drain_completed` — the feed for incrementally maintained
-        window statistics (evictions need
-        no journal entry: a consumer replaying appends against the same
-        ``capacity`` reproduces the eviction order exactly).
     track_quality:
         When True, the buffer keeps a per-pane count of *synthetic* points
         (gap fills marked by the quality stage via the ``synthetic``
@@ -215,7 +207,6 @@ class PaneBuffer:
         self,
         pane_size: int,
         capacity: int,
-        journal: bool = False,
         track_quality: bool = False,
     ) -> None:
         if pane_size < 1:
@@ -224,7 +215,6 @@ class PaneBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.pane_size = pane_size
         self.capacity = capacity
-        self.journal = journal
         self.track_quality = track_quality
         self._means = RollingArray(capacity)
         self._times = RollingArray(capacity)
@@ -233,8 +223,6 @@ class PaneBuffer:
         self._open: Pane | None = None
         self._total_points = 0
         self._evicted_panes = 0
-        self._pending_means: list[float] = []
-        self._pending_times: list[float] = []
 
     # -- ingest --------------------------------------------------------------
 
@@ -244,9 +232,6 @@ class PaneBuffer:
         if self._synth is not None:
             self._synth.append(float(self._open_synth))
             self._open_synth = 0
-        if self.journal:
-            self._pending_means.append(pane.mean)
-            self._pending_times.append(pane.start_time)
         if len(self._means) > self.capacity:
             self._means.popleft()
             self._times.popleft()
@@ -311,17 +296,9 @@ class PaneBuffer:
             # Backfill larger than the window: only the last `capacity` panes
             # can survive this call, so the leading panes are accounted as
             # completed-then-evicted without ever materializing retained
-            # state — peak memory stays O(capacity), not O(batch).  Their
-            # means still enter the journal (the journal is the replay log of
-            # every completion).
+            # state — peak memory stays O(capacity), not O(batch).
             skipped = n_full - self.capacity
             skipped_span = skipped * self.pane_size
-            if self.journal:
-                block = vs[i : i + skipped_span].reshape(skipped, self.pane_size)
-                self._pending_means.extend(_bulk_welford_means(block).tolist())
-                self._pending_times.extend(
-                    ts[i : i + skipped_span : self.pane_size].tolist()
-                )
             self._evicted_panes += skipped + len(self._means)
             self._means.clear()
             self._times.clear()
@@ -350,9 +327,6 @@ class PaneBuffer:
                 else:
                     counts = np.zeros(n_full, dtype=np.float64)
                 self._synth.append_many(counts)
-            if self.journal:
-                self._pending_means.extend(mean.tolist())
-                self._pending_times.extend(starts.tolist())
             overflow = len(self._means) - self.capacity
             if overflow > 0:
                 self._means.popleft(overflow)
@@ -427,54 +401,6 @@ class PaneBuffer:
         """Start timestamp of each completed pane."""
         return self._times.view().copy()
 
-    def drain_completed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Journaled ``(means, start timestamps)`` of panes completed since
-        the last drain.
-
-        Requires ``journal=True``; consumers replaying these appends against a
-        window of the same ``capacity`` observe the exact append/evict order
-        the buffer itself went through.  There is one journal: a drain hands
-        the pending completions to its caller (the streaming operator feeds
-        them to its rolling statistics).
-        """
-        times = self._pending_times
-        return self.drain_completed_means(), np.asarray(times, dtype=np.float64)
-
-    def drain_completed_means(self) -> np.ndarray:
-        """Journaled means only; see :meth:`drain_completed` (same drain, but
-        the start timestamps are dropped without building an array)."""
-        if not self.journal:
-            raise ValueError("PaneBuffer was constructed with journal=False")
-        means = np.asarray(self._pending_means, dtype=np.float64)
-        self._pending_means = []
-        self._pending_times = []
-        return means
-
-    @property
-    def pending_completed(self) -> int:
-        """Journaled completions not yet drained (0 with ``journal=False``)."""
-        return len(self._pending_means)
-
-    def requeue_completed(self, means, times) -> None:
-        """Put drained journal entries back at the head of the pending journal.
-
-        The streaming operator's backfill lane drains the whole journal to
-        replay interior refresh chunks itself, then requeues the closing
-        chunk so the final (real) refresh drains exactly the entries its
-        streamed counterpart would have.  Entries requeue in front of any
-        completions journaled since the drain, preserving replay order.
-        """
-        if not self.journal:
-            raise ValueError("PaneBuffer was constructed with journal=False")
-        means = np.asarray(means, dtype=np.float64)
-        times = np.asarray(times, dtype=np.float64)
-        if means.size != times.size:
-            raise ValueError(
-                f"means and times must have equal lengths, got {means.size} and {times.size}"
-            )
-        self._pending_means[:0] = means.tolist()
-        self._pending_times[:0] = times.tolist()
-
     # -- reset ---------------------------------------------------------------
 
     def reset(self) -> DiscardedState:
@@ -500,8 +426,6 @@ class PaneBuffer:
         self._open = None
         self._total_points = 0
         self._evicted_panes = 0
-        self._pending_means = []
-        self._pending_times = []
         return discarded
 
     def clear(self) -> None:
@@ -519,15 +443,14 @@ class PaneBuffer:
         """Full buffer state as plain scalars/arrays (see :mod:`repro.persist`).
 
         Captures everything ingestion semantics depend on — retained means
-        and timestamps, the *open* partial pane, the pending journal, and the
-        eviction counters — so a buffer restored by :meth:`from_state` folds
-        subsequent points exactly as the original would have (completions,
-        evictions, and journal entries included).
+        and timestamps, the *open* partial pane, and the eviction counters —
+        so a buffer restored by :meth:`from_state` folds subsequent points
+        exactly as the original would have (completions and evictions
+        included).
         """
         return {
             "pane_size": self.pane_size,
             "capacity": self.capacity,
-            "journal": self.journal,
             "track_quality": self.track_quality,
             "synth": (
                 np.empty(0, dtype=np.float64)
@@ -539,8 +462,6 @@ class PaneBuffer:
             "times": self._times.view().copy(),
             "total_points": self._total_points,
             "evicted_panes": self._evicted_panes,
-            "pending_means": np.asarray(self._pending_means, dtype=np.float64),
-            "pending_times": np.asarray(self._pending_times, dtype=np.float64),
             "open": None if self._open is None else _pane_state(self._open),
         }
 
@@ -550,7 +471,6 @@ class PaneBuffer:
         buffer = cls(
             pane_size=int(state["pane_size"]),
             capacity=int(state["capacity"]),
-            journal=bool(state["journal"]),
             track_quality=bool(state.get("track_quality", False)),
         )
         buffer._means.append_many(np.asarray(state["means"], dtype=np.float64))
@@ -560,8 +480,6 @@ class PaneBuffer:
             buffer._open_synth = int(state["open_synth"])
         buffer._total_points = int(state["total_points"])
         buffer._evicted_panes = int(state["evicted_panes"])
-        buffer._pending_means = list(np.asarray(state["pending_means"], dtype=np.float64))
-        buffer._pending_times = list(np.asarray(state["pending_times"], dtype=np.float64))
         if state["open"] is not None:
             buffer._open = _pane_from_state(state["open"])
         return buffer

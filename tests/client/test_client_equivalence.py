@@ -17,8 +17,6 @@ import repro
 from repro import ASAP, AsapSpec, ShardedHub, StreamHub, connect
 from repro.core.streaming import StreamingASAP
 
-from research_spec import research_spec
-
 
 def seeded_workload(n=6000, seed=20260729):
     rng = np.random.default_rng(seed)
@@ -67,13 +65,12 @@ class TestStreamingPathEquivalence:
     def test_legacy_constructor_and_spec_built_operator_agree(self):
         ts, vs = seeded_workload()
         legacy = StreamingASAP(
-            research_spec(
+            AsapSpec(
                 pane_size=SPEC.pane_size,
                 resolution=SPEC.resolution,
                 refresh_interval=SPEC.refresh_interval,
                 strategy=SPEC.strategy,
                 max_window=SPEC.max_window,
-                incremental=True,
             )
         )
         built = SPEC.build_operator()

@@ -26,8 +26,6 @@ from repro.persist import checkpoint, restore
 from repro.service import StreamHub
 from repro.spec import AsapSpec
 
-from research_spec import research_spec
-
 
 def assert_frames_identical(ours, theirs):
     assert len(ours) == len(theirs)
@@ -56,7 +54,6 @@ def backfill_cases(draw):
         resolution=draw(st.sampled_from([40, 80, 150])),
         refresh_interval=draw(st.sampled_from([3, 5, 10])),
         strategy=draw(st.sampled_from(["asap", "binary", "grid10"])),
-        incremental=draw(st.booleans()),
     )
     if config["strategy"] == "asap":
         # Both lanes: seeded searches take the exact replay lane, unseeded
@@ -83,12 +80,12 @@ def stream_suffix(push, ts, vs, start, batch):
 @settings(max_examples=40, deadline=None)
 def test_backfill_then_stream_is_bit_identical(case):
     ts, vs, split, config, batch = case
-    ref = StreamingASAP(research_spec(**config))
+    ref = StreamingASAP(AsapSpec(**config))
     ref_prefix = list(ref.push_many(ts[:split], vs[:split]))
     ref_prefix_points = ref.points_ingested
     ref_suffix = stream_suffix(ref.push_many, ts, vs, split, batch)
 
-    op = StreamingASAP(research_spec(**config))
+    op = StreamingASAP(AsapSpec(**config))
     result = op.backfill(ts[:split], vs[:split])
     # The emitted frames are the tail of point-by-point replay's frames, and
     # the ledger accounts for every interior frame the lane skipped.

@@ -8,11 +8,10 @@ import pytest
 from repro.core.batch import smooth
 from repro.core.smoothing import EvaluationCache
 from repro.core.streaming import Frame, StreamingASAP
+from repro.spec import AsapSpec
 from repro.stream.operators import run_stream
 from repro.stream.sources import ReplaySource, StreamPoint
 from repro.timeseries import TimeSeries
-
-from research_spec import research_spec
 
 
 def stream_series(operator, series):
@@ -22,7 +21,7 @@ def stream_series(operator, series):
 class TestRefreshCadence:
     def test_frames_emitted_every_interval(self, periodic_series):
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(research_spec(pane_size=4, resolution=300, refresh_interval=25))
+        operator = StreamingASAP(AsapSpec(pane_size=4, resolution=300, refresh_interval=25))
         frames = stream_series(operator, series)
         # 2400 points / 4 per pane = 600 panes -> one frame per 25 panes,
         # minus the warm-up frames skipped below the minimum pane count.
@@ -30,14 +29,14 @@ class TestRefreshCadence:
         assert all(isinstance(f, Frame) for f in frames)
 
     def test_no_frames_below_minimum_panes(self):
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=100, refresh_interval=1))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=100, refresh_interval=1))
         for i in range(7):
             assert operator.push(StreamPoint(float(i), 1.0 * i)) == ()
 
     def test_flush_emits_pending_frame(self, periodic_series):
         series = TimeSeries(periodic_series[:500])
         operator = StreamingASAP(
-            research_spec(pane_size=1, resolution=600, refresh_interval=10_000)
+            AsapSpec(pane_size=1, resolution=600, refresh_interval=10_000)
         )
         frames = []
         for point in ReplaySource(series):
@@ -48,13 +47,13 @@ class TestRefreshCadence:
 
     def test_flush_is_noop_when_aligned(self, periodic_series):
         series = TimeSeries(periodic_series[:100])
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=200, refresh_interval=50))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=200, refresh_interval=50))
         stream_series(operator, series)
         assert list(operator.flush()) == []
 
     def test_refresh_interval_validated(self):
         with pytest.raises(ValueError):
-            StreamingASAP(research_spec(pane_size=1, refresh_interval=0))
+            StreamingASAP(AsapSpec(pane_size=1, refresh_interval=0))
 
 
 class TestWindowQuality:
@@ -62,7 +61,7 @@ class TestWindowQuality:
         # Once the full series is in the window, the streamed search must
         # agree with a batch search over the same aggregates.
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(research_spec(pane_size=2, resolution=1200, refresh_interval=50))
+        operator = StreamingASAP(AsapSpec(pane_size=2, resolution=1200, refresh_interval=50))
         frames = stream_series(operator, series)
         # Compare against batch on the aggregated stream: pane_size 2 halves
         # the series, so smooth the bucket means directly.
@@ -77,7 +76,7 @@ class TestWindowQuality:
         periodic = np.sin(2 * np.pi * t / 20)[:1500] + 0.2 * rng.normal(size=1500)
         noise = rng.normal(size=1500)
         series = TimeSeries(np.concatenate([periodic, noise]))
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=1000, refresh_interval=100))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=1000, refresh_interval=100))
         frames = stream_series(operator, series)
         early = frames[len(frames) // 3]
         late = frames[-1]
@@ -95,7 +94,7 @@ class TestWindowQuality:
             return smoothed
 
         t = np.arange(64, dtype=np.float64)
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=32, refresh_interval=8))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=32, refresh_interval=8))
         assert operator.push_many(t[:32], np.sin(t[:32] / 3.0))
         monkeypatch.setattr(EvaluationCache, "_smoothed", overflowed)
         with pytest.raises(ValueError, match="finite"):
@@ -104,7 +103,7 @@ class TestWindowQuality:
     def test_huge_finite_values_give_finite_frames(self):
         t = np.arange(400, dtype=np.float64)
         values = 1e306 * (5 + np.sin(2 * np.pi * t / 16))
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=64, refresh_interval=8))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=64, refresh_interval=8))
         with np.errstate(all="ignore"):
             frames = operator.push_many(t, values)
         assert frames
@@ -112,7 +111,7 @@ class TestWindowQuality:
 
     def test_frame_series_is_smoothed_window(self, periodic_series):
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(research_spec(pane_size=2, resolution=400, refresh_interval=100))
+        operator = StreamingASAP(AsapSpec(pane_size=2, resolution=400, refresh_interval=100))
         frames = stream_series(operator, series)
         last = frames[-1]
         assert len(last.series) <= 400
@@ -122,7 +121,7 @@ class TestWindowQuality:
 class TestCounters:
     def test_counters_accumulate(self, periodic_series):
         series = TimeSeries(periodic_series)
-        operator = StreamingASAP(research_spec(pane_size=2, resolution=400, refresh_interval=50))
+        operator = StreamingASAP(AsapSpec(pane_size=2, resolution=400, refresh_interval=50))
         frames = stream_series(operator, series)
         assert operator.refresh_count == len(frames)
         assert operator.searches_run == len(frames)
@@ -131,7 +130,7 @@ class TestCounters:
 
     def test_reset_clears_state(self, periodic_series):
         series = TimeSeries(periodic_series[:600])
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=300, refresh_interval=20))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=300, refresh_interval=20))
         stream_series(operator, series)
         operator.reset()
         assert operator.points_ingested == 0
@@ -142,7 +141,7 @@ class TestConfigurations:
     def test_exhaustive_strategy_works(self, periodic_series):
         series = TimeSeries(periodic_series[:800])
         operator = StreamingASAP(
-            research_spec(pane_size=1, resolution=900, refresh_interval=200, strategy="exhaustive")
+            AsapSpec(pane_size=1, resolution=900, refresh_interval=200, strategy="exhaustive")
         )
         frames = stream_series(operator, series)
         assert frames
@@ -156,7 +155,7 @@ class TestConfigurations:
 
         def run(seed_from_previous):
             operator = StreamingASAP(
-                research_spec(
+                AsapSpec(
                     pane_size=1,
                     resolution=2400,
                     refresh_interval=200,
@@ -174,7 +173,7 @@ class TestConfigurations:
     def test_max_window_respected(self, periodic_series):
         series = TimeSeries(periodic_series)
         operator = StreamingASAP(
-            research_spec(pane_size=1, resolution=2400, refresh_interval=300, max_window=15)
+            AsapSpec(pane_size=1, resolution=2400, refresh_interval=300, max_window=15)
         )
         frames = stream_series(operator, series)
         assert all(f.window <= 15 for f in frames)

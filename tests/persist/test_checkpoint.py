@@ -10,15 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.streaming import RollingWindowState, StreamingASAP
+from repro.core.streaming import StreamingASAP
 from repro.errors import SpecError
 from repro.persist import SCHEMA_VERSION, CheckpointError, checkpoint, restore
 from repro.persist import codec
 from repro.service import HubError, StreamHub, UnknownStreamError
 from repro.spec import AsapSpec
 from repro.stream.panes import PaneBuffer
-
-from research_spec import research_spec
 
 
 def make_wave(n, seed=0, offset=0.0):
@@ -257,7 +255,7 @@ def test_codec_names_npz_checkpoints_from_older_schemas():
         message = str(excinfo.value)
         assert "NPZ checkpoint" in message
         assert "schema version <= 6" in message
-        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 13
+        assert f"version {SCHEMA_VERSION}" in message and SCHEMA_VERSION == 14
 
 
 # -- component state round trips ----------------------------------------------
@@ -265,12 +263,11 @@ def test_codec_names_npz_checkpoints_from_older_schemas():
 
 @pytest.mark.parametrize("track_quality", [True, False])
 def test_pane_buffer_state_round_trip(track_quality):
-    buffer = PaneBuffer(pane_size=4, capacity=16, journal=True, track_quality=track_quality)
+    buffer = PaneBuffer(pane_size=4, capacity=16, track_quality=track_quality)
     values = make_wave(103)
     ts = np.arange(103, dtype=np.float64)
     synthetic = np.arange(103) % 5 == 0
     buffer.extend(ts[:50], values[:50], synthetic[:50])
-    buffer.drain_completed()  # leave a partially drained journal behind
     buffer.extend(ts[50:103], values[50:103], synthetic[50:103])  # open pane: 3 points
 
     clone = PaneBuffer.from_state(buffer.state_dict())
@@ -283,30 +280,13 @@ def test_pane_buffer_state_round_trip(track_quality):
     assert clone.window_synthetic_points == buffer.window_synthetic_points
     assert (buffer.window_synthetic_points > 0) == track_quality
 
-    # Identical behavior from here on: same completions and journal entries.
+    # Identical behavior from here on: same completions, evictions and window.
     more = make_wave(37, seed=5)
     more_ts = ts[-1] + 1 + np.arange(37, dtype=np.float64)
     assert buffer.extend(more_ts, more) == clone.extend(more_ts, more)
-    a_means, a_times = buffer.drain_completed()
-    b_means, b_times = clone.drain_completed()
-    assert np.array_equal(a_means, b_means) and np.array_equal(a_times, b_times)
+    assert clone.evicted_panes == buffer.evicted_panes
     assert np.array_equal(clone.aggregated_values(), buffer.aggregated_values())
-
-
-def test_rolling_window_state_round_trip():
-    rolling = RollingWindowState(capacity=64, lag_budget=20)
-    rolling.extend(make_wave(200, offset=3.0))
-    clone = RollingWindowState.from_state(rolling.state_dict())
-    assert np.array_equal(clone.values(), rolling.values())
-    assert clone.kurtosis() == rolling.kurtosis()
-    assert clone.roughness() == rolling.roughness()
-    assert np.array_equal(clone.correlations(20), rolling.correlations(20))
-    # The add/subtract chains continue from identical floats.
-    extra = make_wave(90, seed=9, offset=3.0)
-    rolling.extend(extra)
-    clone.extend(extra)
-    assert clone.kurtosis() == rolling.kurtosis()
-    assert np.array_equal(clone.correlations(20), rolling.correlations(20))
+    assert np.array_equal(clone.aggregated_timestamps(), buffer.aggregated_timestamps())
 
 
 @pytest.mark.parametrize("resolution", [4, 8, 40, 128])
@@ -315,7 +295,7 @@ def test_operator_views_survive_state_round_trip(resolution):
     # the same views at every level, before and after further ingest.
     values = make_wave(1000)
     ts = np.arange(1000, dtype=np.float64)
-    operator = StreamingASAP(research_spec(pane_size=2, resolution=128, refresh_interval=9))
+    operator = StreamingASAP(AsapSpec(pane_size=2, resolution=128, refresh_interval=9))
     list(operator.push_many(ts[:700], values[:700]))
     state = codec.loads(codec.dumps("operator", operator.state_dict()))[1]
     clone = StreamingASAP.from_state(state)
@@ -333,21 +313,13 @@ def test_operator_views_survive_state_round_trip(resolution):
     assert_same_views()
 
 
-@pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("through_codec", [False, True])
-def test_streaming_operator_resumes_bit_identically(incremental, through_codec):
+def test_streaming_operator_resumes_bit_identically(through_codec):
     values = make_wave(3000, seed=11)
     ts = np.arange(3000, dtype=np.float64)
 
     def build():
-        return StreamingASAP(
-            research_spec(
-                pane_size=3,
-                resolution=256,
-                refresh_interval=7,
-                incremental=incremental,
-            )
-        )
+        return StreamingASAP(AsapSpec(pane_size=3, resolution=256, refresh_interval=7))
 
     baseline = build()
     reference = list(baseline.push_many(ts, values))
@@ -463,8 +435,6 @@ def test_restore_holds_the_operator_to_the_pane_budget():
     [
         ({"resolution": 32}, "buffer capacity"),
         ({"pane_size": 4}, "buffer pane_size"),
-        ({"strategy": "grid2"}, "rolling lag_budget"),
-        ({"incremental": False}, "has a rolling"),
         ({"normalize": True}, "has no normalizer"),
         ({"watermark": 4}, "has no reorder"),
     ],
@@ -482,9 +452,7 @@ def test_restore_rejects_an_unregistered_strategy():
 
 
 @pytest.mark.parametrize("value", [-5, "7", True])
-@pytest.mark.parametrize(
-    "name", ["searches_run", "candidates_evaluated", "full_recomputes", "exact_fallbacks"]
-)
+@pytest.mark.parametrize("name", ["searches_run", "candidates_evaluated"])
 def test_restore_rejects_forged_search_counters(name, value):
     session = exported_session()
     session["operator"]["counters"][name] = value

@@ -1,7 +1,7 @@
 """Property-based test: checkpoint/restore never changes a single frame.
 
-Random series, random chunking, random configuration (incremental on/off,
-pane size, refresh interval, strategy), an interruption at a
+Random series, random chunking, random configuration (pane size, refresh
+interval, strategy), an interruption at a
 random position in the stream — mid-pane and mid-refresh-interval included —
 and the restored hub must emit exactly the frames the uninterrupted hub
 emits: same count, same windows, bit-identical smoothed values, identical
@@ -26,14 +26,13 @@ def checkpoint_scenarios(draw):
     pane_size = draw(st.integers(min_value=1, max_value=5))
     resolution = draw(st.integers(min_value=16, max_value=256))
     refresh_interval = draw(st.integers(min_value=1, max_value=12))
-    incremental = draw(st.booleans())
     strategy = draw(st.sampled_from(["asap", "binary", "grid10"]))
     offset = draw(st.sampled_from([0.0, 5.0, 1e5]))
     chunk = draw(st.integers(min_value=1, max_value=300))
     split = draw(st.integers(min_value=0, max_value=n))
     return (
         seed, n, pane_size, resolution, refresh_interval,
-        incremental, strategy, offset, chunk, split,
+        strategy, offset, chunk, split,
     )
 
 
@@ -51,7 +50,7 @@ def drive(hub, ts, values, lo, hi, chunk):
 def test_restored_hub_frames_bit_identical(scenario):
     (
         seed, n, pane_size, resolution, refresh_interval,
-        incremental, strategy, offset, chunk, split,
+        strategy, offset, chunk, split,
     ) = scenario
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64)
@@ -60,7 +59,6 @@ def test_restored_hub_frames_bit_identical(scenario):
         pane_size=pane_size,
         resolution=resolution,
         refresh_interval=refresh_interval,
-        incremental=incremental,
         strategy=strategy,
     )
 

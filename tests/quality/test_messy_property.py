@@ -26,16 +26,13 @@ from repro.persist import checkpoint, restore
 from repro.service import StreamHub
 from repro.spec import AsapSpec
 
-from research_spec import research_spec
-
 
 def make_operator(watermark, normalize=True):
     return StreamingASAP(
-        research_spec(
+        AsapSpec(
             pane_size=2,
             resolution=60,
             refresh_interval=5,
-            incremental=True,
             normalize=normalize,
             cadence=1.0 if normalize else None,
             watermark=watermark,

@@ -18,8 +18,6 @@ from repro.service import (
 from repro.spec import AsapSpec
 from repro.stream.sources import StreamPoint
 
-from research_spec import research_spec
-
 
 def make_streams(n_streams: int, length: int, seed: int = 11) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -33,7 +31,7 @@ def make_streams(n_streams: int, length: int, seed: int = 11) -> list[np.ndarray
 
 def drive_baseline(config: AsapSpec, values: np.ndarray) -> list:
     operator = StreamingASAP(
-        research_spec(
+        AsapSpec(
             pane_size=config.pane_size,
             resolution=config.resolution,
             refresh_interval=config.refresh_interval,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import repro.core.streaming as streaming
-from repro.errors import IncrementalDriftError
 from repro.persist import checkpoint, restore
 from repro.service import StreamHub
 from repro.spec import AsapSpec
@@ -14,6 +13,8 @@ from repro.spec import AsapSpec
 SPEC = AsapSpec(pane_size=2, resolution=64, refresh_interval=4)
 CHUNK = SPEC.pane_size * SPEC.refresh_interval  # every ingest ends on a boundary
 IDS = ("a", "b", "c")
+# Only "b" caps its window, so only its search meets the injected failure.
+SPECS = {sid: SPEC.merge(max_window=16) if sid == "b" else SPEC for sid in IDS}
 
 
 def make_values(n: int) -> dict[str, np.ndarray]:
@@ -25,8 +26,13 @@ def make_values(n: int) -> dict[str, np.ndarray]:
     }
 
 
-def drift(label, incremental, exact):
-    raise IncrementalDriftError(f"injected {label} drift")
+def failing_search_for_b(original):
+    def search(values, **kwargs):
+        if kwargs["max_window"] == SPECS["b"].max_window:
+            raise RuntimeError("injected search failure")
+        return original(values, **kwargs)
+
+    return search
 
 
 class Driver:
@@ -59,14 +65,12 @@ class Driver:
 def make_hub() -> StreamHub:
     hub = StreamHub(default_config=SPEC)
     for sid in IDS:
-        # Only "b" compares its incremental statistics with an exact
-        # recompute, so only its refresh meets the injected drift.
-        hub.create_stream(sid, verify_incremental=(sid == "b"))
+        hub.create_stream(sid, config=SPECS[sid])
     return hub
 
 
 def lone_frames(sid: str, driver: Driver) -> list:
-    operator = SPEC.build_operator()
+    operator = SPECS[sid].build_operator()
     return list(operator.push_many(driver.ts[: driver.at], driver.values[sid][: driver.at]))
 
 
@@ -81,8 +85,8 @@ def test_raising_refresh_does_not_starve_the_tick(monkeypatch):
 
     driver.ingest()
     with monkeypatch.context() as patch:
-        patch.setattr(streaming, "_check_agreement", drift)
-        with pytest.raises(IncrementalDriftError, match=r"stream\(s\) 'b'") as excinfo:
+        patch.setattr(streaming, "asap_search", failing_search_for_b(streaming.asap_search))
+        with pytest.raises(RuntimeError, match=r"stream\(s\) 'b'") as excinfo:
             driver.hub.tick()
     assert "injected" in str(excinfo.value)
     # None of the failing tick's frames reached a caller yet...
@@ -117,8 +121,8 @@ def test_stashed_frames_survive_a_checkpoint(monkeypatch):
         driver.tick()
     driver.ingest()
     with monkeypatch.context() as patch:
-        patch.setattr(streaming, "_check_agreement", drift)
-        with pytest.raises(IncrementalDriftError):
+        patch.setattr(streaming, "asap_search", failing_search_for_b(streaming.asap_search))
+        with pytest.raises(RuntimeError, match="injected"):
             driver.hub.tick()
 
     driver.hub = restore(checkpoint(driver.hub))
@@ -132,40 +136,47 @@ def test_stashed_frames_survive_a_checkpoint(monkeypatch):
     assert driver.emitted[-1] == sum(len(frames) for frames in driver.frames.values())
 
 
-def test_lasting_failure_recovers_once_the_bad_pane_leaves_the_window():
-    # With a watermark and no normalizer a NaN enters a pane, and every
-    # refresh whose window holds it raises.  The stream must keep folding
-    # new data, so the pane leaves the window and frames resume.
-    spec = AsapSpec(pane_size=2, resolution=32, refresh_interval=4, watermark=4)
+def test_lasting_failure_recovers_once_the_bad_pane_leaves_the_window(monkeypatch):
+    # Every refresh whose window holds the spike's pane raises.  The stream
+    # must keep folding new data, so the pane leaves the window and frames
+    # resume.
+    spec = AsapSpec(pane_size=2, resolution=32, refresh_interval=4)
     chunk, rounds = 8, 40
     t = np.arange(chunk * rounds, dtype=np.float64)
-    values = np.sin(t / 7.0) + 0.01 * t
-    values[chunk * 10 + 3] = np.nan
+    clean_values = np.sin(t / 7.0) + 0.01 * t
+    values = clean_values.copy()
+    values[chunk * 10 + 3] = 1e9
+    original = streaming.asap_search
+
+    def fails_on_the_spike(window, **kwargs):
+        if window.max() > 1e6:
+            raise RuntimeError("injected failure: the spike is in the window")
+        return original(window, **kwargs)
+
+    monkeypatch.setattr(streaming, "asap_search", fails_on_the_spike)
     hub, clean = StreamHub(default_config=spec), StreamHub(default_config=spec)
     hub.create_stream("s")
     clean.create_stream("s")
     failed_ticks, frames, clean_frames = [], [], []
     for round_ in range(rounds):
         span = slice(round_ * chunk, (round_ + 1) * chunk)
-        try:
-            frames.extend(hub.ingest("s", t[span], values[span]))
-        except ValueError:
-            # A boundary inside the batch refreshes inline over the NaN.
-            assert round_ <= 11
-        clean_frames.extend(clean.ingest("s", t[span], np.nan_to_num(values[span])))
+        # A boundary that failed at the last tick fails again here: it is
+        # given up and the batch folds all the same.
+        frames.extend(hub.ingest("s", t[span], values[span]))
+        clean_frames.extend(clean.ingest("s", t[span], clean_values[span]))
         clean_frames.extend(clean.tick().get("s", []))
         try:
             frames.extend(hub.tick().get("s", []))
-        except ValueError as error:
+        except RuntimeError as error:
             assert "'s'" in str(error)
             failed_ticks.append(round_)
-    assert failed_ticks
+    assert failed_ticks == list(range(10, 10 + len(failed_ticks)))
     after = rounds - 1 - failed_ticks[-1]
     assert after >= 10
     # Every boundary after the last failure emitted a frame again, over all
-    # the data the clean stream folded, with the NaN out of the window.
+    # the data the clean stream folded, with the spike out of the window.
     recovered = frames[-after:]
     assert [frame.points_ingested for frame in recovered] == [
         frame.points_ingested for frame in clean_frames[-after:]
     ]
-    assert all(np.isfinite(frame.series.values).all() for frame in recovered)
+    assert all(frame.series.values.max() < 1e6 for frame in recovered)

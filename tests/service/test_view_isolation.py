@@ -2,9 +2,8 @@
 
 Views are computed from the pane window on demand, so a hub whose clients
 poll ``snapshot(sid, resolution)`` between refreshes must emit frames
-bit-identical to a lone operator fed the same batches — the search result's
-roughness and kurtosis included, since the incremental window statistics
-are sensitive to how completed panes are chunked into them.
+bit-identical to a lone operator fed the same batches, the search result's
+roughness and kurtosis included.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ class TestOneSurface:
             ShardDownError,
             ShardProtocolError,
         )
-        from repro.core.streaming import IncrementalDriftError
         from repro.persist.codec import CheckpointError
         from repro.service.hub import HubAtCapacityError, HubError, UnknownStreamError
 
@@ -29,7 +28,6 @@ class TestOneSurface:
         assert ShardProtocolError is errors.ShardProtocolError
         assert RemoteShardError is errors.RemoteShardError
         assert CheckpointError is errors.CheckpointError
-        assert IncrementalDriftError is errors.IncrementalDriftError
 
     def test_hierarchy(self):
         assert issubclass(SpecError, ValueError)

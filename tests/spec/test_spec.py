@@ -11,8 +11,6 @@ from repro import AsapSpec, SpecError
 from repro.core.streaming import StreamingASAP
 from repro.spec import DEFAULT_RESOLUTION, resolve_spec
 
-from research_spec import research_spec
-
 
 class TestValidation:
     def test_defaults_are_valid(self):
@@ -33,9 +31,11 @@ class TestValidation:
             ("kernel", "cuda"),  # retired in schema 12: now an unknown field
             ("pane_size", 0),
             ("refresh_interval", 0),
-            ("recompute_every", 0),
             ("use_preaggregation", 1),
+            # retired in schema 14: now unknown fields
             ("incremental", "yes"),
+            ("recompute_every", 0),
+            ("verify_incremental", True),
             ("pyramid", None),  # retired in schema 11: now an unknown field
         ],
     )
@@ -143,11 +143,22 @@ class TestBuilders:
         for name in STRATEGIES:
             assert AsapSpec(strategy=name).strategy == name
 
-    @pytest.mark.parametrize("retired", ["keep_pane_sketches", "pyramid", "kernel"])
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            "keep_pane_sketches",
+            "pyramid",
+            "kernel",
+            "incremental",
+            "recompute_every",
+            "verify_incremental",
+        ],
+    )
     def test_retired_fields_are_rejected(self, retired):
         # Specs written before schema 11 may name the retired serving
-        # switches, and specs before schema 12 the candidate-evaluation
-        # kernel; every reader rejects them by name instead of ignoring them.
+        # switches, specs before schema 12 the candidate-evaluation kernel,
+        # and specs before schema 14 the incremental-statistics knobs; every
+        # reader rejects them by name instead of ignoring them.
         data = {**AsapSpec().to_dict(), retired: True}
         for attempt in (
             lambda: AsapSpec.from_dict(data),
@@ -156,7 +167,7 @@ class TestBuilders:
         ):
             with pytest.raises(SpecError, match=f"unknown spec field\\(s\\): {retired}"):
                 attempt()
-        assert len(dataclasses.fields(AsapSpec)) == 18
+        assert len(dataclasses.fields(AsapSpec)) == 15
         assert not hasattr(repro, "StreamConfig")
         assert not hasattr(repro.service, "StreamConfig")
 
@@ -164,16 +175,13 @@ class TestBuilders:
         spec = AsapSpec(pane_size=2, resolution=120, refresh_interval=6, max_window=30)
         built = spec.build_operator()
         legacy = StreamingASAP(
-            research_spec(
+            AsapSpec(
                 pane_size=2,
                 resolution=120,
                 refresh_interval=6,
                 strategy="asap",
                 max_window=30,
                 seed_from_previous=True,
-                incremental=True,
-                recompute_every=64,
-                verify_incremental=False,
             )
         )
         rng = np.random.default_rng(7)

@@ -28,9 +28,6 @@ _FIELD_STRATEGIES = {
     "pane_size": st.integers(min_value=1, max_value=10_000),
     "refresh_interval": st.integers(min_value=1, max_value=10_000),
     "seed_from_previous": st.booleans(),
-    "incremental": st.booleans(),
-    "recompute_every": st.integers(min_value=1, max_value=10_000),
-    "verify_incremental": st.booleans(),
     "warm_start": st.booleans(),
     "normalize": st.booleans(),
     "cadence": st.none()

@@ -1,4 +1,4 @@
-"""Tests for the moving-window kernels (SMA, lagged cross products)."""
+"""Tests for the moving-window kernels (SMA)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spectral.convolution import (
-    cross_product_sums,
     sma,
     sma_with_slide,
 )
@@ -87,28 +86,6 @@ class TestSlide:
     def test_rejects_bad_slide(self):
         with pytest.raises(ValueError):
             sma_with_slide([1.0, 2.0], 1, 0)
-
-
-class TestCrossProductSums:
-    def test_matches_direct_dot_products(self):
-        rng = np.random.default_rng(17)
-        values = rng.normal(size=50)
-        sums = cross_product_sums(values, 12)
-        assert sums.shape == (13,)
-        for k in range(13):
-            assert sums[k] == pytest.approx(float(np.dot(values[: 50 - k], values[k:])))
-
-    def test_lag_zero_is_energy(self):
-        values = np.array([1.0, -2.0, 3.0])
-        assert cross_product_sums(values, 0)[0] == pytest.approx(14.0)
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            cross_product_sums(np.zeros((2, 2)), 1)
-        with pytest.raises(ValueError):
-            cross_product_sums(np.zeros(4), 4)
-        with pytest.raises(ValueError):
-            cross_product_sums(np.zeros(4), -1)
 
 
 class TestIntegerWindows:

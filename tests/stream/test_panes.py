@@ -64,7 +64,7 @@ class TestEviction:
 class TestVectorizedExtend:
     def test_extend_bit_identical_to_pushes(self):
         # The batch path must be indistinguishable from per-point pushes:
-        # same means, timestamps, journal, eviction counts, and open-pane
+        # same means, timestamps, eviction counts, and open-pane
         # state — for whole-pane blocks on both sides of the crossover where
         # the pane means switch from the scalar to the numpy recurrence, and
         # for capacities the blocks fit in and overflow.
@@ -82,8 +82,8 @@ class TestVectorizedExtend:
                     n = sum(steps)
                     ts = np.cumsum(rng.random(n))
                     vs = rng.normal(size=n) * 10.0 ** float(rng.integers(-2, 3))
-                    pointwise = PaneBuffer(pane_size, capacity, journal=True)
-                    batched = PaneBuffer(pane_size, capacity, journal=True)
+                    pointwise = PaneBuffer(pane_size, capacity)
+                    batched = PaneBuffer(pane_size, capacity)
                     completed_pointwise = sum(
                         pointwise.push(float(t), float(v)) is not None for t, v in zip(ts, vs)
                     )
@@ -104,17 +104,17 @@ class TestVectorizedExtend:
 
     def test_giant_backfill_matches_pushes_and_stays_bounded(self):
         # A backfill much larger than the window must leave exactly the state
-        # per-point pushes would — same retained panes, counts, journal —
+        # per-point pushes would — same retained panes and counts —
         # without pinning O(batch) memory in the rolling arrays.
         n = 20_000
         rng = np.random.default_rng(8)
         ts = np.arange(n, dtype=np.float64)
         vs = rng.normal(size=n)
         for pane_size, capacity in ((1, 50), (3, 40), (7, 8)):
-            pointwise = PaneBuffer(pane_size, capacity, journal=True)
+            pointwise = PaneBuffer(pane_size, capacity)
             for t, v in zip(ts, vs):
                 pointwise.push(float(t), float(v))
-            batched = PaneBuffer(pane_size, capacity, journal=True)
+            batched = PaneBuffer(pane_size, capacity)
             completed = batched.extend(ts, vs)
             assert completed == n // pane_size
             assert np.array_equal(pointwise.aggregated_values(), batched.aggregated_values())
@@ -123,9 +123,6 @@ class TestVectorizedExtend:
             )
             assert pointwise.evicted_panes == batched.evicted_panes
             assert pointwise.total_points == batched.total_points
-            assert np.array_equal(
-                pointwise.drain_completed_means(), batched.drain_completed_means()
-            )
             assert pointwise.state_dict()["open"] == batched.state_dict()["open"]
             # Rolling storage stayed O(capacity), not O(batch).
             assert batched._means._buf.size <= 2 * (capacity + 1)
@@ -180,35 +177,6 @@ class TestResetSemantics:
         buffer.push(7.5, 1.0)
         assert buffer.open_pane_points == 1
         assert buffer.open_pane_start == 7.5
-
-
-class TestJournal:
-    def test_journal_drains_completed_means(self):
-        buffer = PaneBuffer(pane_size=2, capacity=10, journal=True)
-        buffer.extend(range(6), [1.0, 3.0, 5.0, 7.0, 9.0, 11.0])
-        assert np.array_equal(buffer.drain_completed_means(), [2.0, 6.0, 10.0])
-        assert buffer.drain_completed_means().size == 0
-        buffer.push(6.0, 2.0)
-        buffer.push(7.0, 4.0)
-        assert np.array_equal(buffer.drain_completed_means(), [3.0])
-
-    def test_journal_includes_evicted_appends(self):
-        # Consumers replay appends against the same capacity, so the journal
-        # must record every completion — even panes evicted immediately.
-        buffer = PaneBuffer(pane_size=1, capacity=2, journal=True)
-        buffer.extend(range(4), [1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(buffer.drain_completed_means(), [1.0, 2.0, 3.0, 4.0])
-
-    def test_drain_requires_journal(self):
-        buffer = PaneBuffer(pane_size=1, capacity=2)
-        with pytest.raises(ValueError, match="journal"):
-            buffer.drain_completed_means()
-
-    def test_reset_clears_journal(self):
-        buffer = PaneBuffer(pane_size=1, capacity=4, journal=True)
-        buffer.extend(range(3), np.ones(3))
-        buffer.reset()
-        assert buffer.drain_completed_means().size == 0
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ASAP, StreamingASAP, smooth
+from repro import ASAP, AsapSpec, StreamingASAP, smooth
 from repro.perception.observer import Observer, region_saliency
 from repro.perception.study import render_visualization
 from repro.stream.operators import run_stream
@@ -12,8 +12,6 @@ from repro.stream.sources import ReplaySource
 from repro.timeseries import load, read_csv, write_csv
 from repro.vis.ascii_plot import ascii_chart
 from repro.vis.pixel_error import pixel_error
-
-from research_spec import research_spec
 
 
 class TestBatchPipeline:
@@ -64,7 +62,7 @@ class TestStreamingPipeline:
         """Streaming over a stationary series should settle on the window a
         batch search would pick for the same aggregated data."""
         dataset = load("sine")
-        operator = StreamingASAP(research_spec(pane_size=1, resolution=800, refresh_interval=80))
+        operator = StreamingASAP(AsapSpec(pane_size=1, resolution=800, refresh_interval=80))
         frames = list(run_stream(operator, ReplaySource(dataset.series)))
         batch = smooth(dataset.series, resolution=800)
         assert frames[-1].window == batch.window
@@ -74,7 +72,7 @@ class TestStreamingPipeline:
         n = len(dataset.series)
         pane = max(n // 800, 1)
         operator = StreamingASAP(
-            research_spec(pane_size=pane, resolution=800, refresh_interval=100)
+            AsapSpec(pane_size=pane, resolution=800, refresh_interval=100)
         )
         frames = list(run_stream(operator, ReplaySource(dataset.series)))
         final = frames[-1]
