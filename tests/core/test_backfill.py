@@ -25,6 +25,46 @@ def series():
     return ts, vs
 
 
+# -- chunked backfills --------------------------------------------------------
+
+
+@pytest.mark.parametrize("resolution", [8, 64, 500])
+@pytest.mark.parametrize("chunks", [1, 7, 64])
+def test_chunked_backfill_then_stream_matches_streaming(series, resolution, chunks):
+    # A refresh computes its statistics from the pane window alone, so an
+    # archive backfilled in any number of pieces, by either lane, leaves the
+    # window and refresh ledger streaming everything would, and every frame
+    # streamed after it is bit-identical.
+    ts, vs = series
+    split = 2000
+    for mode in ("auto", "replay"):
+        spec = AsapSpec(
+            pane_size=1,
+            resolution=resolution,
+            refresh_interval=10,
+            seed_from_previous=False,
+            backfill=mode,
+        )
+        streamed = StreamingASAP(spec)
+        list(streamed.push_many(ts[:split], vs[:split]))
+        expected = streamed.push_many(ts[split:], vs[split:])
+        backfilled = StreamingASAP(spec)
+        for block in np.array_split(np.arange(split), chunks):
+            if block.size:
+                backfilled.backfill(ts[block], vs[block])
+        assert backfilled.backfills == chunks
+        assert backfilled.backfill_points == split
+        frames = backfilled.push_many(ts[split:], vs[split:])
+        assert len(frames) == len(expected) == (ts.size - split) // 10
+        for a, b in zip(frames, expected):
+            assert a.refresh_index == b.refresh_index
+            assert a.window == b.window
+            assert repr(a.search) == repr(b.search)
+            assert a.series.values.tobytes() == b.series.values.tobytes()
+            assert a.series.timestamps.tobytes() == b.series.timestamps.tobytes()
+        assert backfilled.aggregated_values().tobytes() == streamed.aggregated_values().tobytes()
+
+
 # -- views after a backfill ---------------------------------------------------
 
 

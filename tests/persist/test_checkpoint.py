@@ -313,13 +313,16 @@ def test_operator_views_survive_state_round_trip(resolution):
     assert_same_views()
 
 
+@pytest.mark.parametrize("strategy", ["asap", "grid2"])
 @pytest.mark.parametrize("through_codec", [False, True])
-def test_streaming_operator_resumes_bit_identically(through_codec):
+def test_streaming_operator_resumes_bit_identically(through_codec, strategy):
     values = make_wave(3000, seed=11)
     ts = np.arange(3000, dtype=np.float64)
 
     def build():
-        return StreamingASAP(AsapSpec(pane_size=3, resolution=256, refresh_interval=7))
+        return StreamingASAP(
+            AsapSpec(pane_size=3, resolution=256, refresh_interval=7, strategy=strategy)
+        )
 
     baseline = build()
     reference = list(baseline.push_many(ts, values))
@@ -340,6 +343,7 @@ def test_streaming_operator_resumes_bit_identically(through_codec):
         assert np.array_equal(a.series.values, b.series.values)
         assert a.search.roughness == b.search.roughness
         assert a.search.kurtosis == b.search.kurtosis
+        assert repr(a.search) == repr(b.search)
 
 
 # -- hub session export/import -------------------------------------------------
@@ -457,6 +461,24 @@ def test_restore_rejects_forged_search_counters(name, value):
     session = exported_session()
     session["operator"]["counters"][name] = value
     assert_restore_refuses(session, CheckpointError, "non-negative integer")
+
+
+@pytest.mark.parametrize("value", [-5, "7", True])
+@pytest.mark.parametrize("name", ["warm_prefetches", "backfill_points"])
+def test_restore_rejects_forged_lifetime_counters(name, value):
+    session = exported_session()
+    assert name in session["operator"]["counters"]
+    session["operator"]["counters"][name] = value
+    assert_restore_refuses(session, CheckpointError, "non-negative integer")
+
+
+@pytest.mark.parametrize("name", ["full_recomputes", "exact_fallbacks"])
+def test_restore_rejects_retired_counters(name):
+    # Schema 14 keeps no rolling state, so the counters of its rebuilds and
+    # exact fallbacks can only come from a forged or foreign payload.
+    session = exported_session()
+    session["operator"]["counters"][name] = 0
+    assert_restore_refuses(session, CheckpointError, "unknown counters")
 
 
 # -- whole-hub checkpoint/restore ----------------------------------------------
