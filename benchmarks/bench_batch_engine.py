@@ -45,7 +45,8 @@ from repro.core.smoothing import EvaluationCache, evaluate_window
 from repro.engine import BatchEngine
 
 #: Strategies whose candidates form a fixed grid (the engine's lockstep
-#: evaluates each same-length group's whole grid in one kernel call).
+#: evaluates each same-length group's members x grid through the
+#: prepared-prefix core, one call per chunk of its element budget).
 GRID_STRATEGIES = ("exhaustive", "grid2", "grid10")
 ADAPTIVE_STRATEGIES = ("binary", "asap")
 
@@ -61,18 +62,18 @@ class ScalarEvaluationCache(EvaluationCache):
 
     __slots__ = ()
 
-    def _measure(self, windows) -> None:
+    def _fill_scalar(self, windows) -> None:
         self.seed(
             [evaluate_window(self.values, w) for w in windows if w not in self._evaluations]
         )
 
     def _evaluate(self, window, floor):
-        self._measure((window,))
+        self._fill_scalar((window,))
         return super()._evaluate(window, floor)
 
     def evaluate_many(self, windows):
         windows = [int(w) for w in windows]
-        self._measure(windows)
+        self._fill_scalar(windows)
         return super().evaluate_many(windows)
 
 

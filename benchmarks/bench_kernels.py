@@ -40,11 +40,7 @@ import numpy as np
 
 from repro.core.streaming import StreamingASAP
 from repro.spec import AsapSpec
-from repro.spectral.convolution import (
-    sma_grid_moments,
-    sma_probe_moments,
-    sma_window_moments,
-)
+from repro.spectral.convolution import sma_probe_moments, sma_window_moments
 
 
 def make_series(length: int, seed: int) -> np.ndarray:
@@ -151,21 +147,6 @@ def verify_probe_kernel(values, seed) -> dict:
     return {"probe_windows_checked": checked}
 
 
-def time_float32_lane(values, repeats) -> dict:
-    """Informational: grid kernel moment pass with float32 vs float64 storage."""
-    sample = values[: min(values.size, 4000)]
-    windows = list(range(2, 202, 2))
-    results = {}
-    for storage in ("float64", "float32"):
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.process_time()
-            sma_grid_moments(sample, windows, storage=storage)
-            best = min(best, time.process_time() - started)
-        results[f"grid_{storage}_seconds"] = best
-    return results
-
-
 def run(args: argparse.Namespace) -> int:
     values = make_series(args.length, args.seed)
     ts = np.arange(args.length, dtype=np.float64)
@@ -201,7 +182,6 @@ def run(args: argparse.Namespace) -> int:
     fallback_rate = (
         warm_op.warm_fallbacks / warm_op.warm_prefetches if warm_op.warm_prefetches else 0.0
     )
-    float32 = time_float32_lane(values, args.repeats)
 
     print()
     print(f"{'search':8s} {'cpu s':>10s} {'refreshes/s':>14s}")
@@ -212,11 +192,6 @@ def run(args: argparse.Namespace) -> int:
     print(
         f"warm accounting: {warm_op.warm_prefetches} prefetches, "
         f"{warm_op.warm_fallbacks} fallbacks ({fallback_rate:.1%})"
-    )
-    print(
-        f"float32 storage lane: grid moment pass "
-        f"{float32['grid_float64_seconds']:.3f}s float64 vs "
-        f"{float32['grid_float32_seconds']:.3f}s float32"
     )
 
     if args.json:
@@ -242,7 +217,6 @@ def run(args: argparse.Namespace) -> int:
             "warm_prefetches": warm_op.warm_prefetches,
             "warm_fallbacks": warm_op.warm_fallbacks,
             "fallback_rate": fallback_rate,
-            **float32,
             "speedup": speedup,
         }
         with open(args.json, "w") as handle:

@@ -21,10 +21,12 @@ evaluate:
 
 Candidate evaluation flows through a shared
 :class:`~repro.core.smoothing.EvaluationCache`: the grid-shaped strategies
-(exhaustive, grid) hand their entire candidate list to one vectorized kernel
-call, the adaptive strategies (binary, ASAP) evaluate on demand through the
-same kernel, and callers (:func:`repro.core.batch.smooth`, the streaming
-operator, the batch engine) may pass a pre-filled cache to share work.
+(exhaustive, grid) hand their entire candidate list to
+:meth:`~repro.core.smoothing.EvaluationCache.evaluate_many` (a few stacked
+calls of the prepared-prefix core), the adaptive strategies (binary, ASAP)
+evaluate on demand through the same core, and callers
+(:func:`repro.core.batch.smooth`, the streaming operator, the batch engine)
+may pass a pre-filled cache to share work.
 
 The adaptive strategies are written once, as *step generators*
 (:func:`search_steps`): a generator runs the search over the cache, takes
@@ -79,7 +81,7 @@ __all__ = [
 #: Strategies whose candidate set is data-dependent (bisection paths, ACF
 #: peaks) rather than a fixed grid.  These are the strategies that benefit
 #: from warm-started probe prefetching: a fixed-grid strategy already charges
-#: its whole candidate set to one vectorized kernel call.
+#: its whole candidate set to a few stacked kernel calls.
 ADAPTIVE_STRATEGIES = ("asap", "binary")
 
 #: The fixed-grid strategies and their candidate step: every ``step``-th
@@ -219,7 +221,8 @@ def exhaustive_search(
 ) -> SearchResult:
     """Evaluate every window in ``[2, max_window]`` (Section 4.1 strawman).
 
-    All candidates are evaluated by one vectorized kernel call; *acf* is
+    All candidates are evaluated through one
+    :meth:`~repro.core.smoothing.EvaluationCache.evaluate_many`; *acf* is
     accepted for strategy-signature uniformity and ignored.
     """
     cache = _resolve_cache(values, cache)
@@ -242,7 +245,8 @@ def grid_search(
 
     Roughness is not monotonic in window length for periodic data, so a
     coarse grid can (and in the paper's Figure 8, does) miss the optimum.
-    The whole grid is evaluated by one vectorized kernel call.
+    The whole grid is evaluated through one
+    :meth:`~repro.core.smoothing.EvaluationCache.evaluate_many`.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")

@@ -14,16 +14,17 @@ evaluation path and one oracle sharing one result type:
   scalar moment kernels.  Kept as the correctness oracle the tests (and the
   batch benchmark's pre-vectorization baseline) compare against; no search
   runs through it.
-* :func:`evaluate_window_grid` — the vectorized kernel
-  (:func:`repro.spectral.convolution.sma_grid_moments`): a whole grid of
-  candidates in one array-ops pass, with results for any window independent
-  of which grid it was evaluated in.
+* :class:`EvaluationCache` — the evaluation path: every candidate, one or a
+  whole grid (:meth:`EvaluationCache.evaluate_many`), is measured by the
+  prepared-prefix core of :mod:`repro.spectral.convolution` from the
+  series' prefix sums, with results for any window independent of which
+  call evaluated it.
 
 :class:`EvaluationCache` memoizes evaluations per series and is threaded
 through every strategy, so repeated candidates cost nothing, all strategies
 share one numeric path (keeping, e.g., ASAP's selected window comparable with
 exhaustive search's), and the batch engine can pre-fill a whole search's
-candidates with one batched kernel call.
+candidates from stacked kernel calls.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..spectral.convolution import (
+    _grid_chunks,
     _moments_from_prefix,
     _prefix_sums,
     _sma_from_prefix,
     _validate_window,
     sma,
-    sma_grid_moments,
     sma_with_slide,
 )
 from ..timeseries.series import TimeSeries
@@ -50,7 +51,6 @@ __all__ = [
     "sma_with_slide",
     "smooth_series",
     "evaluate_window",
-    "evaluate_window_grid",
     "EvaluationCache",
     "WindowEvaluation",
 ]
@@ -79,7 +79,7 @@ class WindowEvaluation:
 def evaluate_window(values, window: int) -> WindowEvaluation:
     """Smooth at *window* (slide 1) and measure roughness and kurtosis.
 
-    Scalar reference implementation; the search strategies use the vectorized
+    Scalar reference implementation; the search strategies use the
     :class:`EvaluationCache` path instead.
     """
     smoothed = sma(values, window)
@@ -88,25 +88,6 @@ def evaluate_window(values, window: int) -> WindowEvaluation:
         roughness=roughness(smoothed),
         kurtosis=kurtosis(smoothed),
     )
-
-
-def evaluate_window_grid(values, windows) -> list[WindowEvaluation]:
-    """Evaluate a whole grid of candidate windows in one vectorized pass.
-
-    Equivalent to ``[evaluate_window(values, w) for w in windows]`` up to
-    floating-point roundoff, at a fraction of the cost: the padded SMA matrix
-    and its moments are computed with numpy array ops
-    (:func:`repro.spectral.convolution.sma_grid_moments`) instead of one
-    Python iteration per candidate.  The numbers produced for a window do not
-    depend on the rest of the grid, so searches that evaluate different
-    candidate subsets stay numerically consistent with each other.
-    """
-    window_list = [int(w) for w in windows]
-    rough, kurt = sma_grid_moments(values, window_list)
-    return [
-        WindowEvaluation(window=w, roughness=float(r), kurtosis=float(k))
-        for w, r, k in zip(window_list, rough, kurt)
-    ]
 
 
 def _answers(evaluation: WindowEvaluation | None, floor: float | None) -> bool:
@@ -129,10 +110,9 @@ class EvaluationCache:
     Every search strategy routes its candidate evaluations through one of
     these, which provides:
 
-    * one numeric path for all strategies: the numpy kernels of
-      :mod:`repro.spectral.convolution` (the prepared-prefix core for one
-      candidate or a stacked probe set, the grid kernel for a grid,
-      bit-identical per window);
+    * one numeric path for all strategies: the prepared-prefix core of
+      :mod:`repro.spectral.convolution`, for one candidate, a stacked probe
+      set or a whole grid in chunks, bit-identical per window;
     * one prepared series: the prefix sums of :attr:`values` are computed
       on the first evaluation that needs them and answer every later one —
       each single-window miss, the streaming operator's stacked warm
@@ -145,7 +125,7 @@ class EvaluationCache:
       nothing — note ``candidates_evaluated`` accounting is unaffected: it
       counts *considerations*, exactly as before;
     * a pre-fill hook (:meth:`seed`) used by the batch engine to charge a
-      whole grid of candidates to one batched kernel call across many series;
+      whole grid of candidates to stacked kernel calls across many series;
     * the original series' roughness/kurtosis, computed once and shared by
       the search and the result assembly;
     * constraint-first evaluation: searches request candidates through
@@ -257,14 +237,18 @@ class EvaluationCache:
         self.misses += 1
         # Single-candidate probes (binary search and streaming revalidation
         # are long runs of them) take the core at one window, from the
-        # prepared prefix: bit-identical to the grid kernel, no cumsum each.
+        # prepared prefix: bit-identical to a grid's, no cumsum each.
         _validate_window(self.values.size, window)
         evaluation = self._measure([window], floor)[0]
         self._evaluations[window] = evaluation
         return evaluation
 
     def evaluate_many(self, windows) -> list[WindowEvaluation]:
-        """Full evaluations for a whole candidate grid, one kernel call for misses."""
+        """Full evaluations for a whole candidate grid, memoized.
+
+        The misses are measured from the prepared prefix in chunks under
+        the core's element budget, every chunk reusing one workspace.
+        """
         window_list = [int(w) for w in windows]
         self._touched.update(window_list)
         missing = sorted(
@@ -272,12 +256,11 @@ class EvaluationCache:
         )
         if missing:
             self.misses += len(missing)
-            if len(missing) == 1:
-                _validate_window(self.values.size, missing[0])
-                fresh = self._measure(missing, None)
-            else:
-                fresh = evaluate_window_grid(self.values, missing)
-            self.seed(fresh)
+            for window in missing:
+                _validate_window(self.values.size, window)
+            workspace, chunks = _grid_chunks(len(missing), self.values.size)
+            for chunk in chunks:
+                self.seed(self._measure(missing[chunk], None, workspace))
         self.hits += len(window_list) - len(missing)
         return [self._evaluations[w] for w in window_list]
 

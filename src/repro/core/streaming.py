@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import CheckpointError, DataQualityError
+from ..errors import CheckpointError, DataQualityError, _check_state_keys
 from ..pyramid.rollup import resolve_view
 from ..pyramid.view import PyramidView, ViewSpec
 from ..quality import FrameQuality, ReorderBuffer, StreamNormalizer
@@ -91,6 +91,21 @@ _OPERATOR_COUNTERS = _HUB_COUNTERS + (
 #: The spec's fields, which read through as operator attributes.
 _SPEC_FIELDS = frozenset(field.name for field in fields(AsapSpec))
 
+#: The keys of an operator's :meth:`StreamingASAP.state_dict`.
+_OPERATOR_STATE_KEYS = (
+    "spec",
+    "reorder",
+    "normalizer",
+    "panes_since_refresh",
+    "last_timestamp",
+    "previous_window",
+    "warm_trace",
+    "counters",
+    "refresh_due",
+    "refresh_count",
+    "buffer",
+)
+
 #: The fields of each nested state that the spec determines: a restored
 #: operator's parts must have exactly the shape its spec builds.
 _SPEC_SHAPED = {
@@ -106,11 +121,7 @@ def counters_from_state(state, names) -> Counter:
     Counters only ever grow, so an unknown name or a value that is not a
     non-negative integer can only come from a corrupt or forged payload.
     """
-    if not isinstance(state, dict):
-        raise CheckpointError(f"counters must be a mapping, got {type(state).__name__}")
-    unknown = sorted(set(state) - set(names))
-    if unknown:
-        raise CheckpointError(f"unknown counters {unknown}; expected a subset of {list(names)}")
+    _check_state_keys(state, names, "counters")
     for name, value in state.items():
         if type(value) is not int or value < 0:
             raise CheckpointError(f"counter {name!r} must be a non-negative integer, got {value!r}")
@@ -807,11 +818,13 @@ class StreamingASAP(StreamOperator[StreamPoint, Frame]):
     def from_state(cls, state: dict) -> "StreamingASAP":
         """Rebuild an operator from :meth:`state_dict` output (exact resume).
 
-        The spec is validated by :meth:`AsapSpec.from_dict`, and each nested
-        state must have the shape that spec builds (pane size, capacity,
-        which stages exist); a mismatch raises
+        The spec is validated by :meth:`AsapSpec.from_dict`; the state's keys
+        must be among those :meth:`state_dict` writes, and each nested state
+        must have the shape that spec builds (pane size, capacity, which
+        stages exist); a mismatch raises
         :class:`~repro.errors.CheckpointError` naming the part and field.
         """
+        _check_state_keys(state, _OPERATOR_STATE_KEYS, "operator state keys")
         operator = cls(AsapSpec.from_dict(state["spec"]))
         built = operator.state_dict()
         for part in _SPEC_SHAPED:

@@ -24,11 +24,10 @@ the batch pays for its shared work once:
   searches, not the sum; each generator's return value is the series'
   :class:`~repro.core.search.SearchResult`, memoized as it is.  The grid
   strategies (exhaustive, grid2, grid10) know their whole plan up front, so
-  a group takes one round: one stacked
-  :func:`~repro.spectral.convolution.sma_grid_moments` call over the
-  candidate grid, after which each search runs on cache hits.  A singleton
-  of its length is searched alone through
-  :func:`~repro.core.search.run_strategy`.
+  a group takes one round: its members x candidate grid, stacked through
+  the same core in chunks under its element budget, after which each
+  search runs on cache hits.  A singleton of its length is searched alone
+  through :func:`~repro.core.search.run_strategy`.
 * **One validation, one assembly** — each input is validated and
   preaggregated once, and its result is assembled by the code that ends
   :func:`~repro.core.batch.smooth` (SMA at the chosen window, bucket-start
@@ -64,7 +63,7 @@ from ..core.search import (
     search_steps,
 )
 from ..core.smoothing import EvaluationCache, WindowEvaluation
-from ..spectral.convolution import _moments_from_prefix, _prefix_sums, sma_grid_moments
+from ..spectral.convolution import _grid_chunks, _moments_from_prefix, _prefix_sums
 from ..timeseries.series import TimeSeries
 from ..timeseries.stats import row_kurtosis, row_roughness
 from .cache import ACFCache, SearchEntry
@@ -199,23 +198,24 @@ def search_in_lockstep(entries, strategy: str, max_window: int | None = None) ->
     (no result, an empty cache) are deduplicated (one entry may serve
     several batch members) and grouped by searched length.  Per group of two
     or more, the original moments of every member come from two row-wise
-    reductions, bit for bit the single-series ones; then:
+    reductions, bit for bit the single-series ones, and the group's stacked
+    prefix sums are prepared once for the prepared-prefix core of
+    :mod:`repro.spectral.convolution`; then:
 
     * an adaptive strategy (``asap``/``binary``) runs every member's search
-      as a step generator (:func:`~repro.core.search.search_steps`).  The
-      group's stacked prefix sums, its per-row kurtosis floors (each
-      member's original kurtosis) and one scratch workspace are prepared
-      once; each round, the window every live search requests is evaluated
-      by **one** call of the prepared-prefix core of
-      :mod:`repro.spectral.convolution` — what
+      as a step generator (:func:`~repro.core.search.search_steps`).  With
+      its per-row kurtosis floors (each member's original kurtosis) and one
+      scratch workspace, each round the window every live search requests
+      is evaluated by **one** core call — what
       :func:`~repro.spectral.convolution.sma_probe_moments` computes with
       ``rows=``, minus its per-call validation, copy and ``cumsum`` — each
       row screened at its member's floor and bit-identical to the
       single-window kernel the cache would run;
-    * a grid strategy (exhaustive, grid2, grid10) has a fixed plan, so its
-      whole candidate grid is evaluated for every member by **one**
-      :func:`~repro.spectral.convolution.sma_grid_moments` call, whose rows
-      are bit-identical to the one-series grid kernel.
+    * a grid strategy (exhaustive, grid2, grid10) has a fixed plan, so the
+      group's members x candidate grid is one stack of full evaluations,
+      measured by one core call per chunk under the core's element budget
+      (:func:`~repro.spectral.convolution._grid_chunks`), bit-identical to
+      the cache's own :meth:`~repro.core.smoothing.EvaluationCache.evaluate_many`.
 
     Each evaluation is seeded into its member's cache, where a search of
     that cache finds it and the result assembly reads the chosen window's
@@ -242,15 +242,27 @@ def search_in_lockstep(entries, strategy: str, max_window: int | None = None) ->
         batch = np.vstack([entry.cache.values for entry in members])
         for entry, roughness, kurtosis in zip(members, row_roughness(batch), row_kurtosis(batch)):
             entry.cache.seed_original(roughness, kurtosis)
+        rows = list(batch)
+        prefixes = list(_prefix_sums(batch))
         if strategy in GRID_STRATEGY_STEPS:
             limit = resolve_max_window(batch[0], max_window)
             grid = list(range(2, limit + 1, GRID_STRATEGY_STEPS[strategy]))
-            roughness, kurtosis = sma_grid_moments(batch, grid)
-            for entry, rough_row, kurt_row in zip(members, roughness.tolist(), kurtosis.tolist()):
-                entry.cache.seed(map(WindowEvaluation, grid, rough_row, kurt_row))
+            # Member-major stack: output i is member i // len(grid) at
+            # window grid[i % len(grid)].
+            windows = grid * len(members)
+            stack_rows = [row for row in range(len(members)) for _ in grid]
+            roughness, kurtosis = [], []
+            workspace, chunks = _grid_chunks(len(windows), batch.shape[1])
+            for chunk in chunks:
+                rough, kurt = _moments_from_prefix(
+                    rows, prefixes, windows[chunk], stack_rows[chunk], None, workspace
+                )
+                roughness += rough
+                kurtosis += kurt
+            for row, entry in enumerate(members):
+                span = slice(row * len(grid), (row + 1) * len(grid))
+                entry.cache.seed(map(WindowEvaluation, grid, roughness[span], kurtosis[span]))
             continue
-        rows = list(batch)
-        prefixes = list(_prefix_sums(batch))
         floors = [entry.cache.original_kurtosis for entry in members]
         # Each live search asks for one window a round, so a round has at
         # most one output per member.

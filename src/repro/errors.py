@@ -134,3 +134,19 @@ class ConnectionClosedError(NetError):
 
 class CheckpointError(RuntimeError):
     """A checkpoint payload could not be produced or understood."""
+
+
+def _check_state_keys(state, known, what: str) -> None:
+    """Refuse a serialized *state* that is not a mapping over *known* keys.
+
+    A restore reads every key its ``state_dict`` writes, so a key outside
+    *known* can only come from a corrupt or forged payload (or one written
+    by another schema) and would otherwise be dropped unread.  Raises
+    :class:`CheckpointError` naming *what* was restored and the offending
+    keys.
+    """
+    if not isinstance(state, dict):
+        raise CheckpointError(f"{what} must be a mapping, got {type(state).__name__}")
+    unknown = sorted(set(state) - set(known), key=str)
+    if unknown:
+        raise CheckpointError(f"unknown {what} {unknown}; expected a subset of {list(known)}")

@@ -3,7 +3,6 @@
 from .fft import fft, ifft, is_power_of_two, next_fast_len
 from .convolution import (
     sma,
-    sma_grid_moments,
     sma_probe_moments,
     sma_window_moments,
     sma_with_slide,
@@ -24,7 +23,6 @@ __all__ = [
     "is_power_of_two",
     "next_fast_len",
     "sma",
-    "sma_grid_moments",
     "sma_probe_moments",
     "sma_window_moments",
     "sma_with_slide",

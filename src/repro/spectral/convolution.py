@@ -21,19 +21,18 @@ values) and the batch engine's lockstep rounds (one stacked prefix per
 length group).  The prefix values are those every kernel computed for
 itself before, so sharing them changes no result.
 
-Beyond the original single-series kernels this module provides the batched
-substrate of the multi-series engine (:mod:`repro.engine`):
-:func:`sma_grid_moments` — roughness and kurtosis of ``SMA(x, w)`` for every
-window in a grid (and for every series in a batch) without per-window
-Python loops.
+A long stack of candidates — a grid strategy's whole candidate grid, for
+one series or for every member of a batch — goes through the same core in
+chunks of at most :data:`_GRID_CHUNK_ELEMENTS` elements
+(:func:`_grid_chunks`), reusing one workspace.
 
-Determinism contract: a value computed through a batch path is bit-identical
-to the same value computed alone — row-wise numpy reductions over a
-contiguous final axis do not depend on the number of rows, and chunking and
-fill-strategy choices never change buffer contents.  The *moments* of
-:func:`sma_grid_moments` agree with the scalar statistics kernels to
-floating-point roundoff (the reductions use a different — faster —
-summation order than the scalar two-pass reference).
+Determinism contract: a value computed through a stacked or chunked call is
+bit-identical to the same value computed alone — row-wise numpy reductions
+over a contiguous final axis do not depend on the number of rows, and
+chunking never changes buffer contents.  The moments agree with the scalar
+statistics kernels (:mod:`repro.timeseries.stats`) to floating-point
+roundoff: the reductions sum zero-padded buffers, a different order than
+the scalar two-pass reference.
 """
 
 from __future__ import annotations
@@ -46,19 +45,30 @@ import numpy as np
 __all__ = [
     "sma",
     "sma_with_slide",
-    "sma_grid_moments",
     "sma_window_moments",
     "sma_probe_moments",
 ]
 
-#: Upper bound on elements materialized per chunk by the grid kernels.  The
-#: kernels stream a handful of same-sized temporaries per chunk, so this
-#: budget (~512 KB of float64 per temporary) keeps the working set inside the
-#: CPU cache hierarchy — measured 5-10x faster than letting chunks grow to
-#: tens of MB — while still amortizing numpy dispatch over thousands of
-#: elements.  Chunking never changes results: every row's reduction is
-#: independent of its chunk-mates.
+#: Upper bound on the elements one call of the prepared-prefix core
+#: materializes for a long candidate stack (a grid strategy's grid).  The
+#: core streams two same-sized buffers, so this budget (~512 KB of float64
+#: each) keeps the working set inside the CPU cache hierarchy: an
+#: exhaustive grid of 1,199 windows over 12,000 points took 104 ms chunked
+#: against 173 ms in one call (2-core x86 VM).  Chunking never changes
+#: results: every output's reductions are independent of its chunk-mates.
 _GRID_CHUNK_ELEMENTS = 65_536
+
+
+def _grid_chunks(count: int, n: int) -> tuple[np.ndarray, list[slice]]:
+    """Chunk a stack of *count* outputs over length-*n* series for the core.
+
+    Returns one workspace for :func:`_moments_from_prefix` and the slices
+    of the stack each call takes: at most ``_GRID_CHUNK_ELEMENTS // n``
+    outputs (and at least one) per call, every call reusing the workspace.
+    """
+    step = max(1, _GRID_CHUNK_ELEMENTS // n)
+    workspace = np.empty((2, min(count, step), n), dtype=np.float64)
+    return workspace, [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _validate_window(n: int, window: int, label: str = "") -> None:
@@ -281,17 +291,7 @@ def sma_with_slide(values, window: int, slide: int) -> np.ndarray:
     return dense[::slide].copy()
 
 
-# -- batched kernels ----------------------------------------------------------
-
-
-def _as_batch(values) -> tuple[np.ndarray, bool]:
-    """Coerce to a (batch, n) float64 array; report whether input was 1-D."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[np.newaxis, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError(f"expected a 1-D series or 2-D batch, got shape {arr.shape}")
+# -- probe-set kernels --------------------------------------------------------
 
 
 def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
@@ -309,13 +309,11 @@ def _validated_window_grid(n: int, windows, label: str = "") -> np.ndarray:
 def sma_window_moments(values, window: int, *, floor=None) -> tuple[float, float]:
     """Roughness and kurtosis of ``SMA(x, window)`` for one candidate window.
 
-    Bit-identical to ``sma_grid_moments(values, [window])`` and to the same
-    window inside any :func:`sma_probe_moments` call: all of them reduce the
-    same zero-padded buffers in the same order, and this kernel is the
-    shared prepared-prefix core at one window.  Single-candidate probes
-    (binary-search steps, streaming revalidation of the previous window)
-    skip the grid's 3-D machinery.  The equivalence is pinned by
-    ``tests/spectral``.
+    Bit-identical to the same window inside any :func:`sma_probe_moments`
+    call or any :class:`~repro.core.smoothing.EvaluationCache` grid: all of
+    them reduce the same zero-padded buffers in the same order, and this
+    kernel is the shared prepared-prefix core at one window.  The
+    equivalence is pinned by ``tests/spectral``.
 
     With a kurtosis *floor*, roughness is measured only when
     ``kurtosis >= floor`` (the search's constraint) and is ``nan`` — "not
@@ -353,9 +351,10 @@ def sma_probe_moments(
     and most candidates fall below it, so most rows cost only the stacked
     kurtosis stage.  An empty probe set returns two empty arrays.
 
-    Unlike :func:`sma_grid_moments` it never chunks and keeps the whole
-    ``(len(windows), n)`` buffer resident; prefer the grid kernel for large
-    candidate grids.  Callers on a hot path can pass *workspace* — a
+    It never chunks and keeps the whole ``(len(windows), n)`` buffer
+    resident; a large candidate grid belongs in
+    :meth:`~repro.core.smoothing.EvaluationCache.evaluate_many`, which
+    chunks.  Callers on a hot path can pass *workspace* — a
     C-contiguous float64 array of shape ``(2, >= len(windows), n)`` — to
     reuse allocations across calls; every cell the reductions read is
     rewritten first, so stale workspace contents never leak into results.
@@ -393,161 +392,3 @@ def sma_probe_moments(
         batch, _prefix_sums(batch), window_list, row_list, floor, workspace
     )
     return np.array(roughness, dtype=np.float64), np.array(kurtosis, dtype=np.float64)
-
-
-def sma_grid_moments(
-    values, windows, *, storage: str = "float64"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roughness and kurtosis of ``SMA(x, w)`` for a whole grid of windows.
-
-    ``values`` is one series ``(n,)`` or a batch ``(batch, n)``; *windows* is
-    a 1-D grid of candidate window sizes valid for every row.  Returns
-    ``(roughness, kurtosis)`` with shape ``(len(windows),)`` for 1-D input or
-    ``(batch, len(windows))`` for 2-D input, where entry ``[.., j]`` matches
-    ``roughness(sma(x, w_j))`` / ``kurtosis(sma(x, w_j))`` of the scalar
-    kernels (:mod:`repro.timeseries.stats`) to floating-point roundoff (not
-    bitwise: the moment reductions use a faster summation order than the
-    scalar reference).
-
-    The kernel materializes the padded SMA matrix per chunk of rows (bounded
-    by an internal element budget) and reduces with row-wise numpy ops, so an
-    exhaustive search's entire candidate grid — or a dashboard's entire batch
-    of series — costs one call instead of ``len(windows)`` Python iterations.
-    The values it produces are deterministic and independent of how the grid
-    or batch is chunked: evaluating a window alone yields bit-identical
-    results to evaluating it inside any larger grid.
-
-    ``storage="float32"`` keeps the padded SMA matrix (the kernel's dominant
-    memory traffic) in single precision while accumulating every reduction in
-    float64.  Moments then agree with the float64 path only to ~1e-7 — **not**
-    the repo's 1e-9 discipline — so this is an opt-in lane for memory-bound
-    batch sweeps where window *selection* tolerance is verified empirically
-    (see ``benchmarks/bench_kernels.py``); no serving path uses it.
-    """
-    if storage not in ("float64", "float32"):
-        raise ValueError(
-            f"storage must be 'float64' or 'float32', got {storage!r}"
-        )
-    batch, was_1d = _as_batch(values)
-    n_series, n = batch.shape
-    window_arr = _validated_window_grid(n, windows)
-    n_windows = window_arr.size
-
-    roughness_out = np.empty((n_series, n_windows), dtype=np.float64)
-    kurtosis_out = np.empty((n_series, n_windows), dtype=np.float64)
-
-    prefix = np.zeros((n_series, n + 1), dtype=np.float64)
-    np.cumsum(batch, axis=1, out=prefix[:, 1:])
-
-    # Chunk over series (outer) and windows (inner) to bound peak memory at
-    # ~a few multiples of _GRID_CHUNK_ELEMENTS float64 temporaries.
-    windows_per_chunk = max(1, _GRID_CHUNK_ELEMENTS // max(n, 1))
-    series_per_chunk = max(1, _GRID_CHUNK_ELEMENTS // max(n * min(n_windows, windows_per_chunk), 1))
-
-    starts = np.arange(n)
-    for s0 in range(0, n_series, series_per_chunk):
-        s1 = min(s0 + series_per_chunk, n_series)
-        chunk_prefix = prefix[s0:s1]
-        for w0 in range(0, n_windows, windows_per_chunk):
-            w1 = min(w0 + windows_per_chunk, n_windows)
-            grid = window_arr[w0:w1]
-            rough, kurt = _grid_moments_chunk(
-                batch[s0:s1], chunk_prefix, starts, grid, n, storage
-            )
-            roughness_out[s0:s1, w0:w1] = rough
-            kurtosis_out[s0:s1, w0:w1] = kurt
-
-    if was_1d:
-        return roughness_out[0], kurtosis_out[0]
-    return roughness_out, kurtosis_out
-
-
-def _grid_moments_chunk(
-    rows: np.ndarray,
-    prefix: np.ndarray,
-    starts: np.ndarray,
-    windows: np.ndarray,
-    n: int,
-    storage: str = "float64",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of the smoothed series for one (series-chunk, window-chunk).
-
-    ``rows`` is the raw ``(b, n)`` chunk, ``prefix`` its ``(b, n+1)`` prefix
-    sums; the result arrays are ``(b, len(windows))``.  All reductions run
-    over the contiguous final axis, row by row, mirroring the scalar
-    implementations operation for operation.  With ``storage="float32"`` the
-    smoothed buffer is demoted to single precision after the exact fill; the
-    reductions keep float64 accumulators (``dtype=`` on every sum).
-    """
-    counts = (n - windows + 1).astype(np.float64)  # (w,)
-    spans = [int(n - w + 1) for w in windows]
-
-    # Fill the padded (b, w, n) SMA buffer.  Small grids fill window by
-    # window with dense slice arithmetic; large grids use one fancy-indexed
-    # gather.  Both write identical values (the same prefix differences over
-    # the same zeros), so the choice is purely a performance heuristic.
-    if windows.size <= 64:
-        smoothed = np.zeros((prefix.shape[0], windows.size, n), dtype=np.float64)
-        for position, window in enumerate(windows):
-            width = int(window)
-            if width == 1:
-                # Window 1 is an exact identity in the scalar kernel; bypass
-                # the prefix arithmetic (whose rounding would differ).
-                smoothed[:, position, :] = rows
-                continue
-            span = spans[position]
-            smoothed[:, position, :span] = (
-                prefix[:, width : width + span] - prefix[:, :span]
-            ) / float(width)
-    else:
-        ends = starts[np.newaxis, :] + windows[:, np.newaxis]
-        valid = ends <= n
-        gathered = prefix[:, np.minimum(ends, n)]  # (b, w, n)
-        smoothed = (gathered - prefix[:, np.newaxis, :n]) / windows[
-            np.newaxis, :, np.newaxis
-        ].astype(np.float64)
-        smoothed = np.where(valid[np.newaxis, :, :], smoothed, 0.0)
-        identity = windows == 1
-        if identity.any():
-            smoothed[:, identity, :] = rows[:, np.newaxis, :]
-
-    # Demote the resident buffer only after the exact fill: the fill
-    # arithmetic stays float64, and every reduction below accumulates in
-    # float64 regardless of the buffer dtype.
-    if storage == "float32":
-        smoothed = smoothed.astype(np.float32)
-
-    # Row statistics over the padded buffers.  The zero padding contributes
-    # nothing to any sum, and the mean subtractions write only the valid
-    # spans, so every reduction sees exactly the masked values while touching
-    # roughly half the memory a fully masked formulation would.
-    means = smoothed.sum(axis=-1, dtype=np.float64) / counts  # (b, w)
-    centered = np.zeros_like(smoothed)
-    for position, span in enumerate(spans):
-        centered[:, position, :span] = (
-            smoothed[:, position, :span] - means[:, position, np.newaxis]
-        )
-    squared = centered * centered
-    second = squared.sum(axis=-1, dtype=np.float64) / counts
-    fourth = (squared * squared).sum(axis=-1, dtype=np.float64) / counts
-    safe_second = np.where(second > 0.0, second, 1.0)
-    kurtosis = np.where(second > 0.0, fourth / (safe_second * safe_second), 0.0)
-
-    # diff(sma(x, w)) has n - w entries; its population std is the roughness.
-    diff_counts = np.maximum(counts - 1.0, 1.0)
-    diffs = np.zeros((smoothed.shape[0], windows.size, n - 1), dtype=smoothed.dtype)
-    for position, span in enumerate(spans):
-        if span >= 2:
-            diffs[:, position, : span - 1] = (
-                smoothed[:, position, 1:span] - smoothed[:, position, : span - 1]
-            )
-    diff_means = diffs.sum(axis=-1, dtype=np.float64) / diff_counts
-    diff_centered = np.zeros_like(diffs)
-    for position, span in enumerate(spans):
-        if span >= 2:
-            diff_centered[:, position, : span - 1] = (
-                diffs[:, position, : span - 1] - diff_means[:, position, np.newaxis]
-            )
-    diff_var = (diff_centered * diff_centered).sum(axis=-1, dtype=np.float64) / diff_counts
-    roughness = np.where(counts >= 2.0, np.sqrt(diff_var), 0.0)
-    return roughness, kurtosis

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import _check_state_keys
+
 __all__ = ["Pane", "PaneBuffer", "DiscardedState", "RollingArray"]
 
 
@@ -467,7 +469,12 @@ class PaneBuffer:
 
     @classmethod
     def from_state(cls, state: dict) -> "PaneBuffer":
-        """Rebuild a buffer from :meth:`state_dict` output (exact resume)."""
+        """Rebuild a buffer from :meth:`state_dict` output (exact resume).
+
+        A key :meth:`state_dict` does not write raises
+        :class:`~repro.errors.CheckpointError`.
+        """
+        _check_state_keys(state, _STATE_KEYS, "pane buffer state keys")
         buffer = cls(
             pane_size=int(state["pane_size"]),
             capacity=int(state["capacity"]),
@@ -483,6 +490,21 @@ class PaneBuffer:
         if state["open"] is not None:
             buffer._open = _pane_from_state(state["open"])
         return buffer
+
+
+#: The keys of :meth:`PaneBuffer.state_dict`.
+_STATE_KEYS = (
+    "pane_size",
+    "capacity",
+    "track_quality",
+    "synth",
+    "open_synth",
+    "means",
+    "times",
+    "total_points",
+    "evicted_panes",
+    "open",
+)
 
 
 def _pane_state(pane: Pane) -> dict:

@@ -1,4 +1,4 @@
-"""Tests for the shared EvaluationCache and the vectorized grid evaluator."""
+"""Tests for the shared EvaluationCache (its grid path: test_grid_evaluation.py)."""
 
 from __future__ import annotations
 
@@ -13,30 +13,7 @@ from repro.core.search import (
     grid_search,
     run_strategy,
 )
-from repro.core.smoothing import (
-    EvaluationCache,
-    evaluate_window,
-    evaluate_window_grid,
-)
-
-
-class TestEvaluateWindowGrid:
-    def test_agrees_with_scalar_evaluator(self, rng):
-        values = rng.normal(size=500)
-        windows = list(range(2, 51))
-        grid = evaluate_window_grid(values, windows)
-        for evaluation in grid:
-            scalar = evaluate_window(values, evaluation.window)
-            assert evaluation.roughness == pytest.approx(scalar.roughness, rel=1e-9, abs=1e-9)
-            assert evaluation.kurtosis == pytest.approx(scalar.kurtosis, rel=1e-9, abs=1e-9)
-
-    def test_single_window_matches_grid_value_exactly(self, rng):
-        values = rng.normal(size=300)
-        windows = list(range(2, 31))
-        grid = evaluate_window_grid(values, windows)
-        for j, window in enumerate(windows):
-            alone = evaluate_window_grid(values, [window])[0]
-            assert alone == grid[j]
+from repro.core.smoothing import EvaluationCache, evaluate_window
 
 
 class TestEvaluationCache:

@@ -1,12 +1,13 @@
-"""Lockstep cold searches: the batch engine's serial path for asap/binary.
+"""Lockstep cold searches: the batch engine's serial path.
 
-The engine runs every unseen series' search as a step generator and answers
-each round of requests with one stacked kernel call, then lets the ordinary
-pipeline replay over the filled caches.  These tests pin that the batch
-still equals looped :func:`repro.core.batch.smooth` byte for byte —
-``SearchResult`` and ``candidates_evaluated`` included — over the batch
-shapes the grouping has to get right, and that the rounds really are
-stacked.  Every test seeds its own generator.
+The engine runs every unseen series' asap/binary search as a step generator
+and answers each round of requests with one stacked kernel call; a grid
+strategy's group takes its members x grid through the same core, one call
+per chunk.  These tests pin that the batch still equals looped
+:func:`repro.core.batch.smooth` byte for byte — ``SearchResult`` and
+``candidates_evaluated`` included — over the batch shapes the grouping has
+to get right, and that the rounds really are stacked.  Every test seeds its
+own generator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import repro.engine.batch_engine as engine_module
 from repro import TimeSeries, smooth
 from repro.engine import ACFCache, BatchEngine
 from repro.engine.batch_engine import search_in_lockstep
+from repro.spectral.convolution import _GRID_CHUNK_ELEMENTS
 
 RESOLUTION = 200
 STRATEGIES = ["asap", "binary"]
@@ -167,7 +169,6 @@ class TestStackedRounds:
             return core(values, prefixes, windows, rows, floor, workspace)
 
         monkeypatch.setattr(smoothing_module, "_moments_from_prefix", forbidden)
-        monkeypatch.setattr(smoothing_module, "sma_grid_moments", forbidden)
         monkeypatch.setattr(engine_module, "_moments_from_prefix", counting_core)
         engine = BatchEngine(resolution=RESOLUTION, strategy=strategy)
         result = engine.smooth_many(batch)
@@ -179,21 +180,36 @@ class TestStackedRounds:
         for got, values in zip(result, batch):
             assert_identical(got, smooth(values, resolution=RESOLUTION, strategy=strategy))
 
-    def test_off_the_serial_grid_path_nothing_stacks(self, monkeypatch):
+    def test_off_the_serial_path_nothing_stacks(self, monkeypatch):
         rng = np.random.default_rng(1821)
         batch = [_periodic(rng, 2000) for _ in range(4)]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("lockstep ran off the serial grid path")
+            raise AssertionError("lockstep ran off the serial path")
 
         monkeypatch.setattr(engine_module, "_moments_from_prefix", forbidden)
-        for engine_options, options in (
-            ({"workers": 2}, {}),
-            ({}, {"strategy": "grid2"}),
-        ):
-            engine = BatchEngine(resolution=RESOLUTION, **engine_options, **options)
+        for strategy in ("asap", "grid2"):
+            engine = BatchEngine(resolution=RESOLUTION, strategy=strategy, workers=2)
             for got, values in zip(engine.smooth_many(batch), batch):
-                assert got == smooth(values, resolution=RESOLUTION, **options)
+                assert got == smooth(values, resolution=RESOLUTION, strategy=strategy)
+
+    def test_a_grid_group_takes_one_core_call_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(1821)
+        batch = [_periodic(rng, 2000) for _ in range(4)]
+        stacked = []
+        core = engine_module._moments_from_prefix
+
+        def counting_core(values, prefixes, windows, rows, floor=None, workspace=None):
+            stacked.append(len(windows))
+            return core(values, prefixes, windows, rows, floor, workspace)
+
+        monkeypatch.setattr(engine_module, "_moments_from_prefix", counting_core)
+        engine = BatchEngine(resolution=RESOLUTION, strategy="grid2")
+        result = assert_batch_matches_loop(batch, "grid2", engine)
+        # Four members of searched length 200 and a 10-window grid: 40
+        # outputs, under one chunk's budget.
+        assert result[0].search.candidates_evaluated == 10
+        assert stacked == [40] and _GRID_CHUNK_ELEMENTS // 200 >= 40
 
     def test_searched_states_are_left_alone(self, monkeypatch):
         rng = np.random.default_rng(1822)
@@ -211,6 +227,48 @@ class TestStackedRounds:
         search_in_lockstep(entries, "asap", 30)
         assert [len(entry.cache) for entry in entries] == filled
         assert all(entry.result is result for entry, result in zip(entries, results))
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "grid2", "grid10"])
+class TestGridGroupsAcrossChunks:
+    """A same-length grid group whose members x grid spans several chunks.
+
+    At 8,000 searched points a chunk holds 8 outputs, and no grid here is a
+    multiple of 8 long, so some member's grid is split across two chunks.
+    """
+
+    N = 8000
+    MAX_WINDOW = 100
+
+    def test_equals_looped_smooth_one_call_per_chunk(self, strategy, monkeypatch):
+        rng = np.random.default_rng(1825)
+        batch = [_periodic(rng, self.N) if i % 2 else rng.normal(size=self.N) for i in range(4)]
+        step = {"exhaustive": 1, "grid2": 2, "grid10": 10}[strategy]
+        grid = len(range(2, self.MAX_WINDOW + 1, step))
+        per_chunk = _GRID_CHUNK_ELEMENTS // self.N
+        assert grid % per_chunk and len(batch) * grid > 2 * per_chunk
+
+        stacked = []
+        core = engine_module._moments_from_prefix
+
+        def counting_core(values, prefixes, windows, rows, floor=None, workspace=None):
+            stacked.append(list(rows))
+            return core(values, prefixes, windows, rows, floor, workspace)
+
+        monkeypatch.setattr(engine_module, "_moments_from_prefix", counting_core)
+        options = {"max_window": self.MAX_WINDOW, "use_preaggregation": False}
+        engine = BatchEngine(strategy=strategy, **options)
+        result = engine.smooth_many(batch)
+        monkeypatch.undo()
+
+        for got, values in zip(result, batch):
+            assert_identical(got, smooth(values, strategy=strategy, **options))
+        total = len(batch) * grid
+        assert [len(rows) for rows in stacked] == (
+            [per_chunk] * (total // per_chunk) + [total % per_chunk] * bool(total % per_chunk)
+        )
+        # Some member's grid is split across two chunks.
+        assert any(rows[-1] == nxt[0] for rows, nxt in zip(stacked, stacked[1:]))
 
 
 class TestDuplicateLabels:

@@ -76,16 +76,15 @@ def _forbid_search(monkeypatch) -> None:
         (engine_module, "search_steps"),
         (engine_module, "run_strategy"),
         (engine_module, "_moments_from_prefix"),
-        (engine_module, "sma_grid_moments"),
+        (engine_module, "_grid_chunks"),
         (engine_module, "row_kurtosis"),
         (search_module, "search_steps"),
         (search_module, "run_strategy"),
         (batch_module, "run_strategy"),
         (cache_module, "analyze_acf"),
         (smoothing_module, "_moments_from_prefix"),
-        (smoothing_module, "sma_grid_moments"),
+        (smoothing_module, "_grid_chunks"),
         (smoothing_module, "evaluate_window"),
-        (smoothing_module, "evaluate_window_grid"),
         (smoothing_module, "roughness"),
         (smoothing_module, "kurtosis"),
     ):

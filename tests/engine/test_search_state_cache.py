@@ -124,9 +124,8 @@ class TestHitPathEquivalence:
         monkeypatch.setattr(cache_module, "analyze_acf", forbidden)
         for name in (
             "_moments_from_prefix",
-            "sma_grid_moments",
+            "_grid_chunks",
             "evaluate_window",
-            "evaluate_window_grid",
             "roughness",
             "kurtosis",
         ):

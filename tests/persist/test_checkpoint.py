@@ -481,6 +481,49 @@ def test_restore_rejects_retired_counters(name):
     assert_restore_refuses(session, CheckpointError, "unknown counters")
 
 
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("rolling",), {"sums": [0.0, 0.0]}, r"unknown operator state keys \['rolling'\]"),
+        (("buffer", "journal"), True, r"unknown pane buffer state keys \['journal'\]"),
+    ],
+)
+def test_restore_rejects_unknown_state_keys(path, value, match):
+    # Schema 14 keeps no rolling state and no pane journal: a real operator
+    # state carrying either was forged (or written by another schema), and
+    # restoring it must not silently drop the key.
+    session = exported_session()
+    *parents, key = path
+    target = session["operator"]
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    assert_restore_refuses(session, CheckpointError, match)
+    with pytest.raises(CheckpointError, match=match):
+        StreamingASAP.from_state(session["operator"])
+    if parents == ["buffer"]:
+        with pytest.raises(CheckpointError, match=match):
+            PaneBuffer.from_state(session["operator"]["buffer"])
+    hub, _ = hub_with_stream()
+    hub_state = hub.state_dict()
+    hub_state["sessions"] = [session]
+    with pytest.raises(CheckpointError, match=match):
+        restore(codec.dumps("streamhub", hub_state))
+    # Unforged, the same state restores to the same bytes.
+    del target[key]
+    restored = StreamingASAP.from_state(session["operator"])
+    assert codec.dumps("operator", restored.state_dict()) == codec.dumps(
+        "operator", session["operator"]
+    )
+
+
+def test_restore_rejects_a_state_that_is_not_a_mapping():
+    with pytest.raises(CheckpointError, match="operator state keys must be a mapping"):
+        StreamingASAP.from_state(["spec"])
+    with pytest.raises(CheckpointError, match="pane buffer state keys must be a mapping"):
+        PaneBuffer.from_state(None)
+
+
 # -- whole-hub checkpoint/restore ----------------------------------------------
 
 

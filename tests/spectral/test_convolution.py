@@ -93,11 +93,7 @@ class TestIntegerWindows:
 
     @pytest.mark.parametrize("window", [3.7, 3.0, np.float64(3.0), "3"])
     def test_every_kernel_rejects_a_non_integer_window(self, window):
-        from repro.spectral.convolution import (
-            sma_grid_moments,
-            sma_probe_moments,
-            sma_window_moments,
-        )
+        from repro.spectral.convolution import sma_probe_moments, sma_window_moments
 
         values = np.random.default_rng(1910).normal(size=40)
         for call in (
@@ -106,7 +102,6 @@ class TestIntegerWindows:
             lambda: sma_probe_moments(values, [window]),
             lambda: sma_probe_moments(values, [2, window]),
             lambda: sma_probe_moments(values[np.newaxis, :], [window], rows=[0]),
-            lambda: sma_grid_moments(values, [window]),
         ):
             with pytest.raises(ValueError, match="integer"):
                 call()

@@ -305,17 +305,14 @@ class TestKurtosisFloor:
 
 
 class TestEmptyProbeSet:
-    def test_empty_probe_set_returns_empty_arrays_like_the_grid_kernel(self):
-        from repro.spectral.convolution import sma_grid_moments
-
+    def test_empty_probe_set_returns_empty_arrays(self):
         values = np.random.default_rng(1907).normal(size=50)
-        grid = sma_grid_moments(values, [])
         for rough, kurt in (
             sma_probe_moments(values, []),
             sma_probe_moments(values, [], floor=1.0),
             sma_probe_moments(np.vstack([values, values]), [], rows=[]),
         ):
-            assert rough.shape == kurt.shape == grid[0].shape == (0,)
+            assert rough.shape == kurt.shape == (0,)
             assert rough.dtype == kurt.dtype == np.float64
 
     def test_empty_rows_must_still_match_windows(self):
